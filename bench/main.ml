@@ -962,15 +962,17 @@ let cache_json () =
 (* The machine-readable block for BENCH_*.json trajectory tracking:
    run the representative boxed workload, print one JSON object. *)
 (* Concurrent sessions: N authenticated clients all issue one small
-   read at the same instant T0.  The blocking server serializes whole
-   round trips — client k's exchange cannot even start until k-1's
-   response has left — so latency grows linearly in N on both
-   percentiles.  The event-driven server accepts every request as an
-   event: the wire legs of all N exchanges overlap and only the
+   read at the same instant T0, against one default server.  What
+   varies is the client side.  Serial [call]s (the "sync" columns)
+   serialize whole round trips — client k's exchange cannot even start
+   until k-1's response has arrived — so latency grows linearly in N on
+   both percentiles.  N concurrent [submit]s (the "async" columns) put
+   every exchange in flight at once: the wire legs overlap and only the
    per-request service time serializes on the node, so the makespan
-   drops from N*(RTT+s) to RTT+N*s.  Setup (authentication) is
-   untimed; the measured window is submission to last completion.
-   Fully simulated and deterministic. *)
+   drops from N*(RTT+s) to RTT+N*s.  Reads never park, so the server's
+   flush window plays no part.  Setup (authentication) is untimed; the
+   measured window is submission to last completion.  Fully simulated
+   and deterministic. *)
 type sessions_row = {
   sn_sessions : int;
   sn_sync_kops : float;  (* completed sessions per simulated second, k *)
@@ -981,7 +983,7 @@ type sessions_row = {
   sn_async_p95_us : float;
 }
 
-let sessions_run ~event_driven ~n =
+let sessions_run ~concurrent ~n =
   let module Kernel = Idbox_kernel.Kernel in
   let module Account = Idbox_kernel.Account in
   let module Clock = Idbox_kernel.Clock in
@@ -1014,7 +1016,7 @@ let sessions_run ~event_driven ~n =
   (match
      Server.create ~kernel ~net ~addr:"bench.grid.edu:9094"
        ~owner_uid:owner.Account.uid ~export:"/tmp/bench" ~acceptor ~root_acl
-       ~max_sessions:4096 ~event_driven ()
+       ~max_sessions:4096 ()
    with
   | Ok _ -> ()
   | Error e -> failwith (Idbox_vfs.Errno.message e));
@@ -1041,10 +1043,10 @@ let sessions_run ~event_driven ~n =
   in
   let t0 = Clock.now clock in
   let latencies =
-    if not event_driven then
-      (* The blocking server: exchanges serialize end to end, so the
-         k-th client's completion time already includes every earlier
-         round trip — exactly what N simultaneous arrivals see. *)
+    if not concurrent then
+      (* Serial calls: exchanges serialize end to end, so the k-th
+         client's completion time already includes every earlier round
+         trip. *)
       Array.map
         (fun payload ->
           match Network.call net ~addr:"bench.grid.edu:9094" payload with
@@ -1052,8 +1054,8 @@ let sessions_run ~event_driven ~n =
           | Error e -> failwith (Idbox_vfs.Errno.message e))
         payloads
     else begin
-      (* The event-driven server: all N exchanges are in flight before
-         the first event runs. *)
+      (* Concurrent submits: all N exchanges are in flight before the
+         first event runs. *)
       let tokens =
         Array.map
           (fun payload -> Network.submit net ~addr:"bench.grid.edu:9094" payload)
@@ -1080,10 +1082,10 @@ let sessions_rows () =
   List.map
     (fun n ->
       let sync_kops, sync_p50, sync_p95 =
-        sessions_run ~event_driven:false ~n
+        sessions_run ~concurrent:false ~n
       in
       let async_kops, async_p50, async_p95 =
-        sessions_run ~event_driven:true ~n
+        sessions_run ~concurrent:true ~n
       in
       {
         sn_sessions = n;
@@ -1100,7 +1102,7 @@ let sessions_block () =
   print_newline ();
   print_endline (String.make 78 '=');
   print_endline
-    "Sessions - blocking vs event-driven server, N simultaneous arrivals";
+    "Sessions - serial calls vs concurrent submits, N simultaneous arrivals";
   print_endline (String.make 78 '=');
   Printf.printf "%9s %12s %11s %11s %12s %11s %11s\n" "sessions" "sync kops"
     "p50 (us)" "p95 (us)" "async kops" "p50 (us)" "p95 (us)";
@@ -1120,10 +1122,10 @@ let sessions_block () =
    are back under a fixed SLO *and* every shard is replicated at full
    factor with byte-identical digests on its owners.
 
-   Goodput: one event-driven server whose batch tick drains a bounded
-   number of operations (its engineered service rate) is offered 2x
-   that rate.  With admission control (a small parked bound => brownout
-   sheds the excess with retry-after hints) the queue stays short and
+   Goodput: one server whose batch tick drains a bounded number of
+   operations (its engineered service rate) is offered 2x that rate.
+   With admission control (a small parked bound => brownout sheds the
+   excess with retry-after hints) the queue stays short and
    every acknowledged mutation lands within the SLO.  Without it (a
    practically unbounded queue) every mutation is accepted, the backlog
    grows linearly, acks drift past the SLO and then past the client
@@ -1319,7 +1321,7 @@ let elastic_goodput_run ~shed =
   (match
      Server.create ~kernel ~net ~addr:"bench.grid.edu:9094"
        ~owner_uid:owner.Account.uid ~export:"/tmp/bench_elastic" ~acceptor
-       ~root_acl ~event_driven:true ~flush_interval_ns:flush_ns
+       ~root_acl ~flush_interval_ns:flush_ns
        ~flush_batch_limit:drain
        ~max_parked:(if shed then 2 * drain else 1_000_000)
        ()

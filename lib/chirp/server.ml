@@ -41,21 +41,22 @@ type digest_memo = {
   dg_subdirs : string list;  (* absolute child-directory paths, sorted *)
 }
 
-(* A mutation admitted by the event-driven server and parked until the
-   next batch tick.  The principal is copied out of the session at
-   admission: the operation was authorized then, so it executes even if
-   the session expires (or is swept) while parked — and slot accounting
-   stays with the session table alone, so a mid-batch expiry can never
-   double-release.  [pk_extras] holds connections of retries that
-   arrived (same request ID) while the original was still parked: they
-   all receive the one response. *)
+(* A mutation admitted and parked until the next batch flush.  The
+   principal is copied out of the session at admission: the operation
+   was authorized then, so it executes even if the session expires (or
+   is swept) while parked — and slot accounting stays with the session
+   table alone, so a mid-batch expiry can never double-release.
+   [pk_reply] sends the encoded response back to whoever asked;
+   [pk_extras] holds the replies of retries that arrived (same request
+   ID) while the original was still parked: they all receive the one
+   response. *)
 type parked = {
-  pk_conn : Idbox_net.Network.conn;
+  pk_reply : string -> unit;
   pk_principal : Principal.t;
   pk_op : Protocol.operation;
   pk_req_id : string;  (* "" when the client sent none *)
   pk_now : int64;  (* admission time: the dedup timestamp *)
-  mutable pk_extras : Idbox_net.Network.conn list;
+  mutable pk_extras : (string -> unit) list;
 }
 
 type t = {
@@ -78,8 +79,7 @@ type t = {
   wal : Wal.t;
   checkpoint_every : int;
   digests : (string, digest_memo) Hashtbl.t;
-  sv_event_driven : bool;
-  sv_flush_ns : int64;  (* batch-tick delay after the first parked op *)
+  sv_flush_ns : int64;  (* flush delay after the first parked op; 0 = at once *)
   sv_flush_limit : int;  (* max ops drained per batch tick (the drain rate) *)
   pending_q : parked Queue.t;
   parked_ids : (string, parked) Hashtbl.t;  (* req_id -> parked entry *)
@@ -102,7 +102,6 @@ let owner_uid t = t.sv_owner.View.uid
 let exec_count t = t.execs
 let session_count t = Hashtbl.length t.sessions
 let dedup_size t = Hashtbl.length t.dedup
-let event_driven t = t.sv_event_driven
 let parked_ops t = Queue.length t.pending_q
 let brownout t = t.sv_brownout
 let max_parked t = t.max_parked
@@ -800,9 +799,8 @@ let shed_session_error t =
 
 (* Execute one operation under an identity: handler-crash containment
    plus the replication hook on fresh successful mutations.  WAL
-   ordering is the caller's business — the sync path logs and syncs
-   before calling; the event-driven path logs at park time and
-   group-syncs at the batch tick. *)
+   ordering is the caller's business — admission logs at park time and
+   the batch flush group-syncs before executing. *)
 let execute_op t identity op =
   (* A handler bug must not unwind into the network: degrade to a
      wire-level error and keep serving everyone else. *)
@@ -845,99 +843,20 @@ let execute_op t identity op =
    | _ -> fire op r);
   r
 
-let handle t payload =
-  let respond r = Protocol.encode_response r in
-  let now = Kernel.now t.sv_kernel in
-  match Protocol.decode_request payload with
-  | Error msg ->
-    (* Either a garbled frame (checksum mismatch) or a malformed
-       request: a wire-level reset tells a retrying client to re-send
-       rather than interpret this as an application verdict. *)
-    metric t "chirp.bad_request";
-    respond (Protocol.R_error (Errno.ECONNRESET, "bad request: " ^ msg))
-  | Ok (Protocol.Auth creds) ->
-    sweep_sessions t now;
-    if Hashtbl.length t.sessions >= t.max_sessions then
-      respond (shed_session_error t)
-    else
-      (match Negotiate.negotiate t.acceptor ~now creds with
-       | Error msg ->
-         metric t "chirp.auth.fail";
-         respond (Protocol.R_error (Errno.EACCES, msg))
-       | Ok (principal, method_, _attempts) ->
-         metric t "chirp.auth.ok";
-         (* A fresh session is about to issue checks: make sure the
-            compiled-policy program matches the current generation so
-            its first operations already ride the bytecode fast path. *)
-         Enforce.refresh_bytecode t.enforce;
-         let token = fresh_token t principal in
-         Hashtbl.replace t.sessions token
-           { ss_principal = principal; ss_method = method_; ss_last_used = now };
-         respond
-           (Protocol.R_auth
-              { token; principal = Principal.to_string principal; method_ }))
-  | Ok (Protocol.Op { token; req_id; op }) ->
-    (match Hashtbl.find_opt t.sessions token with
-     | None -> respond (Protocol.R_error (Errno.ESTALE, "no such session"))
-     | Some s when Int64.sub now s.ss_last_used > t.session_idle_ns ->
-       metric t "chirp.session.expired";
-       Hashtbl.remove t.sessions token;
-       respond (Protocol.R_error (Errno.ESTALE, "session expired"))
-     | Some s ->
-       s.ss_last_used <- now;
-       let mutating = not (Protocol.idempotent op) in
-       let serve () =
-         (* Write-ahead: a fresh mutation is logged and synced before
-            it executes, so no acknowledged effect can be lost to a
-            crash — recovery replays exactly this record. *)
-         if mutating then begin
-           wal_record t
-             [ "op"; Principal.to_string s.ss_principal;
-               Protocol.operation_to_wire op ];
-           wal_sync t
-         end;
-         execute_op t s.ss_principal op
-       in
-       if String.equal req_id "" then begin
-         let encoded = respond (serve ()) in
-         if mutating then maybe_checkpoint t op;
-         encoded
-       end
-       else begin
-         sweep_dedup t now;
-         match Hashtbl.find_opt t.dedup req_id with
-         | Some d ->
-           (* A retry of work already done: replay the recorded
-              response, execute nothing. *)
-           metric t "chirp.dedup_hit";
-           d.dd_response
-         | None ->
-           let encoded = respond (serve ()) in
-           Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
-           if mutating then begin
-             (* The dedup-journal entry is durable before the reply
-                leaves: a crash between execution and reply cannot turn
-                a client retry into a second execution. *)
-             wal_record t [ "done"; req_id; Int64.to_string now; encoded ];
-             wal_sync t;
-             maybe_checkpoint t op
-           end;
-           encoded
-       end)
+(* {1 Serving}
 
-(* {1 Event-driven serving}
-
-   The same protocol over {!Network.listen_async}: requests are
-   delivered as events, each carrying a connection the server answers
-   with {!Network.respond}.  Reads (and every auth/error path) are
-   answered at delivery.  Fresh mutations park: their WAL "op" record
-   is appended immediately — arrival order {e is} log order — and a
-   batch tick armed [sv_flush_ns] ahead performs one group-commit sync
-   for everything parked, executes the batch FIFO, appends and syncs
-   the "done" records, and only then lets any response leave.  The
-   sync-before-ack ordering of the blocking server is preserved
-   exactly; what changes is that one sync can cover many operations,
-   and thousands of sessions can be in flight at once. *)
+   One admission path for every request, whatever carries it.
+   Requests arrive with a [reply] continuation — the network's
+   {!Network.respond} on a connection, or a plain capture for direct
+   dispatch.  Reads (and every auth/error path) are answered at
+   admission.  Fresh mutations park: their WAL "op" record is appended
+   immediately — arrival order {e is} log order — and a batch flush
+   performs one group-commit sync for everything parked, executes the
+   batch FIFO, appends and syncs the "done" records, and only then lets
+   any response leave.  With [sv_flush_ns = 0] the flush runs before
+   admission returns, a batch of one: log, sync, execute, answer.  With
+   a window, one sync can cover many operations and thousands of
+   sessions can be in flight at once. *)
 
 let rec flush_batch t =
   t.flush_armed <- false;
@@ -983,10 +902,8 @@ let rec flush_batch t =
       wal_sync t;
     List.iter
       (fun (pk, encoded) ->
-        Network.respond t.sv_net pk.pk_conn encoded;
-        List.iter
-          (fun conn -> Network.respond t.sv_net conn encoded)
-          (List.rev pk.pk_extras))
+        pk.pk_reply encoded;
+        List.iter (fun reply -> reply encoded) (List.rev pk.pk_extras))
       served;
     if
       List.exists (fun pk -> contains_exec pk.pk_op) items
@@ -1007,12 +924,14 @@ and arm_flush t =
       (fun () -> flush_batch t)
   end
 
-let handle_async t conn payload =
-  let respond_raw text = Network.respond t.sv_net conn text in
-  let respond r = respond_raw (Protocol.encode_response r) in
+let admit t ~reply payload =
+  let respond r = reply (Protocol.encode_response r) in
   let now = Kernel.now t.sv_kernel in
   match Protocol.decode_request payload with
   | Error msg ->
+    (* Either a garbled frame (checksum mismatch) or a malformed
+       request: a wire-level reset tells a retrying client to re-send
+       rather than interpret this as an application verdict. *)
     metric t "chirp.bad_request";
     respond (Protocol.R_error (Errno.ECONNRESET, "bad request: " ^ msg))
   | Ok (Protocol.Auth creds) ->
@@ -1070,7 +989,7 @@ let handle_async t conn payload =
                Protocol.operation_to_wire op ];
            let pk =
              {
-               pk_conn = conn;
+               pk_reply = reply;
                pk_principal = s.ss_principal;
                pk_op = op;
                pk_req_id = req_id;
@@ -1083,7 +1002,7 @@ let handle_async t conn payload =
              Hashtbl.replace t.parked_ids req_id pk;
            metric t "chirp.async.parked";
            update_brownout t;
-           arm_flush t
+           if t.sv_flush_ns = 0L then flush_batch t else arm_flush t
          end
        in
        if not mutating then begin
@@ -1094,13 +1013,13 @@ let handle_async t conn payload =
            match Hashtbl.find_opt t.dedup req_id with
            | Some d ->
              metric t "chirp.dedup_hit";
-             respond_raw d.dd_response
+             reply d.dd_response
            | None ->
              let encoded =
                Protocol.encode_response (execute_op t s.ss_principal op)
              in
              Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
-             respond_raw encoded
+             reply encoded
          end
        end
        else if String.equal req_id "" then park ()
@@ -1111,25 +1030,34 @@ let handle_async t conn payload =
            (* A retry of work already done: replay the recorded
               response, execute nothing. *)
            metric t "chirp.dedup_hit";
-           respond_raw d.dd_response
+           reply d.dd_response
          | None ->
            (match Hashtbl.find_opt t.parked_ids req_id with
             | Some pk ->
               (* A retry racing its own original through the parked
                  batch: no second execution, no second log record —
-                 both connections get the one response when the batch
+                 both callers get the one response when the batch
                  flushes. *)
               metric t "chirp.async.coalesced";
-              pk.pk_extras <- conn :: pk.pk_extras
+              pk.pk_extras <- reply :: pk.pk_extras
             | None -> park ())
        end)
+
+(* Direct dispatch: admit, and if the request parked behind a flush
+   window, flush now — the answer is ready on return. *)
+let handle t payload =
+  let answer = ref None in
+  admit t ~reply:(fun r -> answer := Some r) payload;
+  while Option.is_none !answer && not (Queue.is_empty t.pending_q) do
+    flush_batch t
+  done;
+  Option.get !answer
 
 let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
     ?(max_sessions = 64) ?(max_parked = 256)
     ?(session_idle_ns = 600_000_000_000L)
     ?(dedup_window_ns = 60_000_000_000L) ?wal ?(checkpoint_every = 128)
-    ?(event_driven = false) ?(flush_interval_ns = 50_000L)
-    ?(flush_batch_limit = max_int) () =
+    ?(flush_interval_ns = 0L) ?(flush_batch_limit = max_int) () =
   let sv_owner = Kernel.make_view kernel ~uid:owner_uid () in
   let sv_export = Path.normalize export in
   let t =
@@ -1153,8 +1081,7 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       wal = (match wal with Some w -> w | None -> Wal.create ());
       checkpoint_every = max 1 checkpoint_every;
       digests = Hashtbl.create 32;
-      sv_event_driven = event_driven;
-      sv_flush_ns = Int64.max 1L flush_interval_ns;
+      sv_flush_ns = Int64.max 0L flush_interval_ns;
       sv_flush_limit = max 1 flush_batch_limit;
       pending_q = Queue.create ();
       parked_ids = Hashtbl.create 8;
@@ -1184,10 +1111,8 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
        (match take_checkpoint t with
         | Error e -> Error e
         | Ok () ->
-          if event_driven then
-            Network.listen_async net ~addr (fun conn payload ->
-                handle_async t conn payload)
-          else Network.listen net ~addr (fun payload -> handle t payload);
+          Network.listen_async net ~addr (fun conn payload ->
+              admit t ~reply:(Network.respond net conn) payload);
           Ok t))
 
 let shutdown t = Network.unlisten t.sv_net ~addr:t.sv_addr

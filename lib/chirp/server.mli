@@ -29,7 +29,6 @@ val create :
   ?dedup_window_ns:int64 ->
   ?wal:Wal.t ->
   ?checkpoint_every:int ->
-  ?event_driven:bool ->
   ?flush_interval_ns:int64 ->
   ?flush_batch_limit:int ->
   unit ->
@@ -38,19 +37,22 @@ val create :
     when given, take a checkpoint of the (near-empty) export so recovery
     always has an image, and start listening on [addr].
 
-    With [event_driven:true] (default [false]) the server registers an
-    asynchronous endpoint ({!Idbox_net.Network.listen_async}) instead of
-    a blocking handler: reads, auth and every error path are answered at
-    delivery, while fresh mutations {e park} — the WAL ["op"] record is
-    appended at admission (arrival order is log order) and a batch tick
-    [flush_interval_ns] (default 50 µs) after the first parked operation
-    group-commits: one sync covers every parked record, the batch
-    executes FIFO, the ["done"] dedup records are appended and synced,
-    and only then do responses leave.  Sync-before-ack, exactly-once
-    dedup and in-order execution are preserved exactly; the difference
-    is that one sync amortizes over the batch and thousands of sessions
-    can be in flight at once.  A parked operation carries its principal
-    from admission, so a session expiring mid-batch does not lose the
+    The server is an asynchronous endpoint
+    ({!Idbox_net.Network.listen_async}) with one admission path: reads,
+    auth and every error path are answered at delivery, while fresh
+    mutations {e park} — the WAL ["op"] record is appended at admission
+    (arrival order is log order) and a batch flush group-commits: one
+    sync covers every parked record, the batch executes FIFO, the
+    ["done"] dedup records are appended and synced, and only then do
+    responses leave (an exec's checkpoint follows the replies).
+    [flush_interval_ns] is the only dispatch setting.  At its default
+    [0] the flush runs before the delivery returns — a batch of one,
+    answered within its own delivery event.  A window [> 0] arms the
+    flush that long after the first parked operation, so one sync
+    amortizes over the batch and thousands of sessions can be in flight
+    at once.  Sync-before-ack, exactly-once dedup and in-order execution
+    hold either way.  A parked operation carries its principal from
+    admission, so a session expiring mid-batch does not lose the
     response — and cannot double-release its slot, because the session
     table is the only slot accounting there is.  Counted in
     [chirp.async.{parked,batch,batch_ops,coalesced}].
@@ -63,9 +65,10 @@ val create :
     to request-ID-carrying operations are remembered for
     [dedup_window_ns] (default 60 s) so client retries are exactly-once.
 
-    Admission control (event-driven servers): the parked-mutation queue
-    is bounded at [max_parked] (default 256).  Past 3/4 of the bound the
-    server enters {e brownout} and sheds every fresh mutation with
+    Admission control (it matters once a flush window lets work queue):
+    the parked-mutation queue is bounded at [max_parked] (default 256).
+    Past 3/4 of the bound the server enters {e brownout} and sheds every
+    fresh mutation with
     [EAGAIN] plus a [retry_after_ns] hint ([chirp.shed.mutation],
     [chirp.brownout.enter]); reads, dedup replays and parked retries are
     still served — reads are admitted before mutations.  Brownout exits
@@ -111,12 +114,9 @@ val exec_count : t -> int
 val dedup_size : t -> int
 (** Entries currently held in the dedup window. *)
 
-val event_driven : t -> bool
-(** Whether this server serves through the asynchronous endpoint. *)
-
 val parked_ops : t -> int
-(** Mutations parked and awaiting the next batch tick (always [0] on a
-    blocking server). *)
+(** Mutations parked and awaiting the next batch flush (always [0]
+    between deliveries when [flush_interval_ns] is [0]). *)
 
 val brownout : t -> bool
 (** Whether the server is currently in brownout (shedding mutations). *)
@@ -157,7 +157,11 @@ val checkpoint_now : t -> (unit, Idbox_vfs.Errno.t) result
 (** Force a checkpoint (snapshot the export, truncate the log). *)
 
 val handle : t -> string -> string
-(** The raw request handler (exposed for direct-dispatch tests). *)
+(** Direct dispatch: the same admission as a network delivery, with the
+    response captured and returned.  A request that parks behind a
+    flush window is flushed at once, together with whatever else is
+    parked, so the answer is always ready on return.  For tests and for
+    benchmarks that wrap the listener. *)
 
 (** {1 Replication hooks}
 

@@ -33,14 +33,13 @@ type conn = {
   cn_addr : string;
   cn_deliver_at : int64;
   cn_req_ns : int64;  (* request-leg transfer time, for busy accounting *)
+  cn_stats : endpoint_stats option;  (* of the endpoint it was delivered to *)
+  mutable cn_open : bool;  (* the delivery event is still running *)
+  mutable cn_resp_ns : int64 option;  (* response leg answered while open *)
 }
 
-type handler_kind =
-  | Sync of (string -> string)
-  | Async of (conn -> string -> unit)
-
 type endpoint = {
-  hkind : handler_kind;
+  handler : conn -> string -> unit;
   ep_stats : endpoint_stats;
   mutable up : bool;
 }
@@ -58,9 +57,21 @@ type event = {
 }
 
 module Heap = struct
-  type h = { mutable arr : event array; mutable len : int }
+  (* [sweep_at] bounds the dead weight: every exchange arms a timeout
+     that stays queued, already dead, until the clock passes it.  Once
+     the queue reaches twice the live count of the last sweep (and at
+     least [min_sweep]), the dead are dropped, so the queue tracks live
+     events, not history — and stays shallow, which is most of the cost
+     of a push or pop. *)
+  type h = {
+    mutable arr : event array;
+    mutable len : int;
+    mutable sweep_at : int;
+  }
 
-  let create () = { arr = [||]; len = 0 }
+  let min_sweep = 16
+
+  let create () = { arr = [||]; len = 0; sweep_at = min_sweep }
 
   let before a b =
     let c = Int64.compare a.ev_time b.ev_time in
@@ -71,7 +82,35 @@ module Heap = struct
     h.arr.(i) <- h.arr.(j);
     h.arr.(j) <- tmp
 
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < h.len && before h.arr.(l) h.arr.(i) then l else i in
+    let s = if r < h.len && before h.arr.(r) h.arr.(s) then r else s in
+    if s <> i then begin
+      swap h i s;
+      sift_down h s
+    end
+
+  (* Liveness only ever goes from true to false and (time, seq) orders
+     events totally, so the survivors pop in exactly the order they
+     would have anyway. *)
+  let sweep h =
+    let n = h.len in
+    h.len <- 0;
+    for i = 0 to n - 1 do
+      let e = h.arr.(i) in
+      if e.ev_live () then begin
+        h.arr.(h.len) <- e;
+        h.len <- h.len + 1
+      end
+    done;
+    for i = (h.len / 2) - 1 downto 0 do
+      sift_down h i
+    done;
+    h.sweep_at <- max min_sweep (2 * h.len)
+
   let push h e =
+    if h.len >= h.sweep_at then sweep h;
     if h.len = Array.length h.arr then begin
       let arr = Array.make (max 16 (2 * Array.length h.arr)) e in
       Array.blit h.arr 0 arr 0 h.len;
@@ -93,19 +132,7 @@ module Heap = struct
       h.len <- h.len - 1;
       if h.len > 0 then begin
         h.arr.(0) <- h.arr.(h.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.len && before h.arr.(l) h.arr.(!s) then s := l;
-          if r < h.len && before h.arr.(r) h.arr.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            swap h !i !s;
-            i := !s
-          end
-        done
+        sift_down h 0
       end;
       Some top
     end
@@ -173,13 +200,9 @@ let interned t name =
 
 let fresh_stats () = { calls = 0; bytes_in = 0; bytes_out = 0; busy_ns = 0L }
 
-let listen t ~addr handler =
-  Hashtbl.replace t.endpoints addr
-    { hkind = Sync handler; ep_stats = fresh_stats (); up = true }
-
 let listen_async t ~addr handler =
   Hashtbl.replace t.endpoints addr
-    { hkind = Async handler; ep_stats = fresh_stats (); up = true }
+    { handler; ep_stats = fresh_stats (); up = true }
 
 let unlisten t ~addr = Hashtbl.remove t.endpoints addr
 
@@ -212,11 +235,6 @@ let transfer_ns t nbytes =
   Int64.add t.latency_ns
     (Int64.of_float (float_of_int nbytes *. t.ns_per_byte))
 
-let charge_transfer t nbytes =
-  t.messages <- t.messages + 1;
-  t.bytes <- t.bytes + nbytes;
-  Clock.advance t.nw_clock (transfer_ns t nbytes)
-
 (* Count a fault both network-wide and per destination, and leave a
    span in the trace ring so fault timelines are reconstructable. *)
 let note_fault t ~addr ~kind ~verdict ~cost_ns =
@@ -228,9 +246,10 @@ let note_fault t ~addr ~kind ~verdict ~cost_ns =
     Trace.span ring ~time:(Clock.now t.nw_clock) ~pid:0 ~identity:addr
       ~syscall:kind ~verdict ~cost_ns
 
-(* {1 Asynchronous exchanges}
+(* {1 Exchanges}
 
-   [submit] consumes the request-leg fault stream immediately (in
+   One path for every exchange: [listen] and [call] below are thin
+   synchronous faces of [listen_async] and [submit].  [submit] consumes the request-leg fault stream immediately (in
    submission order, so seeded runs stay deterministic) but advances
    no clock: faults translate into what gets scheduled, not into
    blocking.  Every submitted exchange arms exactly one timeout event;
@@ -261,22 +280,31 @@ let schedule_completion t tok ~at result =
         tok.tk_result <- Some result;
         tok.tk_done_at <- Clock.now t.nw_clock)
 
-let ep_busy t addr ns =
-  match Hashtbl.find_opt t.endpoints addr with
-  | None -> ()
-  | Some ep -> ep.ep_stats.busy_ns <- Int64.add ep.ep_stats.busy_ns ns
+(* Busy time runs from the request leg through the response leg.  An
+   answer given inside the delivery event is charged when that event
+   ends, so work the handler does after replying (a checkpoint) still
+   occupies the endpoint. *)
+let charge_busy t conn resp_ns =
+  if conn.cn_open then conn.cn_resp_ns <- Some resp_ns
+  else
+    match conn.cn_stats with
+    | None -> ()
+    | Some st ->
+      let handler_ns = Int64.sub (Clock.now t.nw_clock) conn.cn_deliver_at in
+      st.busy_ns <-
+        Int64.add st.busy_ns
+          (Int64.add conn.cn_req_ns (Int64.add handler_ns resp_ns))
 
 let respond t conn response =
   let tok = conn.cn_token in
   let addr = conn.cn_addr in
-  let handler_ns = Int64.sub (Clock.now t.nw_clock) conn.cn_deliver_at in
   match tok.tk_result with
   | Some _ ->
     (* The caller gave up (timeout, or a hedged race it lost) before
        this response left the server: discard it without burning any
        fault RNG — lateness is deterministic, the stream must be too.
        The server still did the work, so it still gets charged. *)
-    ep_busy t addr (Int64.add conn.cn_req_ns handler_ns);
+    charge_busy t conn 0L;
     note_late t addr
   | None ->
     let prof =
@@ -284,12 +312,8 @@ let respond t conn response =
       | None -> Fault.calm
       | Some p -> Fault.profile_for p addr
     in
-    let note_busy resp_ns =
-      ep_busy t addr
-        (Int64.add conn.cn_req_ns (Int64.add handler_ns resp_ns))
-    in
     if Fault.chance t.rng prof.Fault.reset then begin
-      note_busy t.latency_ns;
+      charge_busy t conn t.latency_ns;
       note_fault t ~addr ~kind:"net.reset" ~verdict:"ECONNRESET"
         ~cost_ns:t.latency_ns;
       schedule_completion t tok
@@ -301,7 +325,7 @@ let respond t conn response =
          the timeout armed at submit completes the exchange. *)
       t.messages <- t.messages + 1;
       t.bytes <- t.bytes + String.length response;
-      note_busy (transfer_ns t (String.length response));
+      charge_busy t conn (transfer_ns t (String.length response));
       note_fault t ~addr ~kind:"net.drop" ~verdict:"ETIMEDOUT"
         ~cost_ns:t.timeout_ns
     end
@@ -320,11 +344,10 @@ let respond t conn response =
       let resp_ns = transfer_ns t (String.length response) in
       t.messages <- t.messages + 1;
       t.bytes <- t.bytes + String.length response;
-      (match Hashtbl.find_opt t.endpoints addr with
-       | Some ep ->
-         ep.ep_stats.bytes_out <- ep.ep_stats.bytes_out + String.length response
+      (match conn.cn_stats with
+       | Some st -> st.bytes_out <- st.bytes_out + String.length response
        | None -> ());
-      note_busy resp_ns;
+      charge_busy t conn resp_ns;
       schedule_completion t tok
         ~at:(Int64.add (Clock.now t.nw_clock) resp_ns)
         (Ok response)
@@ -335,9 +358,7 @@ let respond t conn response =
 let respond_reset t conn =
   let tok = conn.cn_token in
   let addr = conn.cn_addr in
-  let handler_ns = Int64.sub (Clock.now t.nw_clock) conn.cn_deliver_at in
-  ep_busy t addr
-    (Int64.add conn.cn_req_ns (Int64.add handler_ns t.latency_ns));
+  charge_busy t conn t.latency_ns;
   if tok.tk_result = None then begin
     note_fault t ~addr ~kind:"net.reset" ~verdict:"ECONNRESET"
       ~cost_ns:t.latency_ns;
@@ -350,21 +371,27 @@ let respond_reset t conn =
 let deliver t ~addr tok ~req_ns payload =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + String.length payload;
+  let ep = Hashtbl.find_opt t.endpoints addr in
   let conn =
     { cn_token = tok; cn_addr = addr;
-      cn_deliver_at = Clock.now t.nw_clock; cn_req_ns = req_ns }
+      cn_deliver_at = Clock.now t.nw_clock; cn_req_ns = req_ns;
+      cn_stats = Option.map (fun ep -> ep.ep_stats) ep;
+      cn_open = false; cn_resp_ns = None }
   in
-  match Hashtbl.find_opt t.endpoints addr with
+  match ep with
   | None | Some { up = false; _ } -> respond_reset t conn
   | Some ep ->
     ep.ep_stats.calls <- ep.ep_stats.calls + 1;
     ep.ep_stats.bytes_in <- ep.ep_stats.bytes_in + String.length payload;
-    (match ep.hkind with
-     | Async h -> (try h conn payload with _ -> respond_reset t conn)
-     | Sync h ->
-       (match (try Ok (h payload) with _ -> Error ()) with
-        | Error () -> respond_reset t conn
-        | Ok response -> respond t conn response))
+    conn.cn_open <- true;
+    (try ep.handler conn payload with _ -> respond_reset t conn);
+    conn.cn_open <- false;
+    Option.iter (charge_busy t conn) conn.cn_resp_ns
+
+(* A synchronous endpoint is an asynchronous one that answers before
+   its delivery event returns. *)
+let listen t ~addr handler =
+  listen_async t ~addr (fun conn payload -> respond t conn (handler payload))
 
 let submit t ?(src = "client") ?timeout_ns ~addr payload =
   let timeout = match timeout_ns with Some v -> v | None -> t.timeout_ns in
@@ -472,116 +499,10 @@ let rec await t tok =
       Error Errno.ETIMEDOUT
     end
 
-let call t ?(src = "client") ?timeout_ns ~addr payload =
-  let timeout = match timeout_ns with Some v -> v | None -> t.timeout_ns in
-  let prof =
-    match t.plan with
-    | None -> Fault.calm
-    | Some p -> Fault.profile_for p addr
-  in
-  let cut =
-    match t.plan with
-    | None -> false
-    | Some p -> Fault.partitioned p ~now:(Clock.now t.nw_clock) ~src ~dst:addr
-  in
-  if cut then begin
-    (* The request sails into the void; the caller waits out the
-       timeout. *)
-    Clock.advance t.nw_clock timeout;
-    note_fault t ~addr ~kind:"net.partition" ~verdict:"ETIMEDOUT" ~cost_ns:timeout;
-    Metrics.incr t.c_timeout;
-    Metrics.incr (interned t ("net.timeout." ^ addr));
-    Error Errno.ETIMEDOUT
-  end
-  else
-    match Hashtbl.find_opt t.endpoints addr with
-    | None ->
-      note_fault t ~addr ~kind:"net.refused" ~verdict:"ECONNREFUSED" ~cost_ns:0L;
-      Error Errno.ECONNREFUSED
-    | Some ep when not ep.up ->
-      note_fault t ~addr ~kind:"net.refused" ~verdict:"ECONNREFUSED" ~cost_ns:0L;
-      Error Errno.ECONNREFUSED
-    | Some { hkind = Async _; _ } ->
-      (* Synchronous bridge to an event-driven endpoint: submit and
-         pump the event loop until this exchange completes. *)
-      await t (submit t ~src ~timeout_ns:timeout ~addr payload)
-    | Some ({ hkind = Sync handler; _ } as ep) ->
-      if Fault.chance t.rng prof.Fault.jitter then begin
-        let extra =
-          Int64.of_int (Fault.int_below t.rng (Int64.to_int prof.Fault.max_jitter_ns))
-        in
-        Clock.advance t.nw_clock extra;
-        note_fault t ~addr ~kind:"net.jitter" ~verdict:"ok" ~cost_ns:extra
-      end;
-      if Fault.chance t.rng prof.Fault.drop then begin
-        (* Request lost in flight: the bytes left the sender, the
-           handler never sees them. *)
-        t.messages <- t.messages + 1;
-        t.bytes <- t.bytes + String.length payload;
-        Clock.advance t.nw_clock timeout;
-        note_fault t ~addr ~kind:"net.drop" ~verdict:"ETIMEDOUT" ~cost_ns:timeout;
-        Metrics.incr t.c_timeout;
-        Metrics.incr (interned t ("net.timeout." ^ addr));
-        Error Errno.ETIMEDOUT
-      end
-      else begin
-        let service_start = Clock.now t.nw_clock in
-        let note_busy () =
-          ep.ep_stats.busy_ns <-
-            Int64.add ep.ep_stats.busy_ns
-              (Int64.sub (Clock.now t.nw_clock) service_start)
-        in
-        charge_transfer t (String.length payload);
-        ep.ep_stats.calls <- ep.ep_stats.calls + 1;
-        ep.ep_stats.bytes_in <- ep.ep_stats.bytes_in + String.length payload;
-        match (try Ok (handler payload) with _ -> Error ()) with
-        | Error () ->
-          (* The handler blew up: contain the exception at the wire,
-             charge the aborted response leg, surface a reset. *)
-          charge_transfer t 0;
-          note_busy ();
-          note_fault t ~addr ~kind:"net.reset" ~verdict:"ECONNRESET"
-            ~cost_ns:t.latency_ns;
-          Error Errno.ECONNRESET
-        | Ok response ->
-          if Fault.chance t.rng prof.Fault.reset then begin
-            charge_transfer t 0;
-            note_busy ();
-            note_fault t ~addr ~kind:"net.reset" ~verdict:"ECONNRESET"
-              ~cost_ns:t.latency_ns;
-            Error Errno.ECONNRESET
-          end
-          else if Fault.chance t.rng prof.Fault.drop then begin
-            (* Response lost after the handler ran — the dangerous case
-               for non-idempotent operations. *)
-            t.messages <- t.messages + 1;
-            t.bytes <- t.bytes + String.length response;
-            note_busy ();
-            Clock.advance t.nw_clock timeout;
-            note_fault t ~addr ~kind:"net.drop" ~verdict:"ETIMEDOUT"
-              ~cost_ns:timeout;
-            Metrics.incr t.c_timeout;
-            Metrics.incr (interned t ("net.timeout." ^ addr));
-            Error Errno.ETIMEDOUT
-          end
-          else begin
-            let response =
-              if Fault.chance t.rng prof.Fault.truncate then begin
-                note_fault t ~addr ~kind:"net.truncate" ~verdict:"ok" ~cost_ns:0L;
-                Fault.truncate_string t.rng response
-              end
-              else if Fault.chance t.rng prof.Fault.corrupt then begin
-                note_fault t ~addr ~kind:"net.corrupt" ~verdict:"ok" ~cost_ns:0L;
-                Fault.flip_bytes t.rng response
-              end
-              else response
-            in
-            charge_transfer t (String.length response);
-            ep.ep_stats.bytes_out <- ep.ep_stats.bytes_out + String.length response;
-            note_busy ();
-            Ok response
-          end
-      end
+(* A synchronous call is an asynchronous exchange that completes
+   before returning. *)
+let call t ?src ?timeout_ns ~addr payload =
+  await t (submit t ?src ?timeout_ns ~addr payload)
 
 let stats t ~addr =
   Option.map (fun ep -> ep.ep_stats) (Hashtbl.find_opt t.endpoints addr)

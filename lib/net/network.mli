@@ -55,7 +55,9 @@ val metrics : t -> Idbox_kernel.Metrics.t
 
 val listen : t -> addr:string -> (string -> string) -> unit
 (** Register a request handler at an address (replacing any previous
-    listener).  The endpoint comes up listening. *)
+    listener).  The endpoint comes up listening.  A synchronous
+    endpoint is an asynchronous one ({!listen_async}) that answers with
+    the handler's result before its delivery event returns. *)
 
 val unlisten : t -> addr:string -> unit
 
@@ -69,21 +71,34 @@ val call :
   addr:string ->
   string ->
   (string, Idbox_vfs.Errno.t) result
-(** Synchronous RPC: charges request transfer, runs the handler, charges
-    response transfer.
+(** Synchronous RPC: [await (submit ...)], an asynchronous exchange that
+    completes before returning.  There is one exchange path; the
+    request leg, the handler and the response leg advance the shared
+    clock as events, and whatever else falls due meanwhile runs too.
 
     [src] (default ["client"]) names the calling host for partition
     matching.  Failure modes: [ECONNREFUSED] when nobody listens or the
-    endpoint is crashed; [ETIMEDOUT] when a message is dropped or the
-    path is partitioned (the caller's clock advances by the timeout);
-    [ECONNRESET] when the exchange resets mid-flight — including when
-    the handler itself raises: the exception is contained here, charged,
-    counted ([net.reset]), and surfaced as this wire-level error, never
-    propagated into the caller. *)
+    endpoint is crashed; [ETIMEDOUT] when a message is dropped, the
+    path is partitioned, or the answer is not back within the timeout
+    (the caller's clock reaches the deadline); [ECONNRESET] when the
+    exchange resets mid-flight — including when the handler itself
+    raises: the exception is contained here, charged, counted
+    ([net.reset]), and surfaced as this wire-level error, never
+    propagated into the caller.
+
+    Since calls became exchanges, four details differ from the
+    blocking call they replaced:
+    - a response-drop timeout runs from submission, not from when the
+      handler finished; likewise a handler that runs past the timeout
+      now yields [ETIMEDOUT], and its answer counts as
+      [net.late_reply];
+    - a reset leg no longer counts as a message in {!total_messages};
+    - injected jitter counts toward the endpoint's busy time, and so
+      does the transfer leg of a response that is then dropped. *)
 
 (** {1 Asynchronous exchanges}
 
-    The event-driven half of the fabric.  [submit] starts an exchange
+    The one exchange path of the fabric.  [submit] starts an exchange
     and returns immediately with a completion {!token}; the request
     leg's faults are decided (deterministically, in submission order)
     at submit time but the clock does not move.  Deliveries, responses
@@ -95,12 +110,15 @@ val call :
     [net.late_reply] (globally and per endpoint), never delivered.
 
     [listen_async] registers an endpoint whose handler receives a
-    {!conn} it may answer later with {!respond} — the hook an
-    event-driven server uses to park requests.  Submitting to a plain
-    {!listen} endpoint works too (the handler runs inline at delivery
-    and its answer is scheduled back), as does {!call}-ing an async
-    endpoint (the call pumps the event loop until its own exchange
-    completes). *)
+    {!conn} it may answer later with {!respond} — the hook a server
+    uses to park requests.  Every endpoint is one of these: {!listen}
+    answers within the delivery, and {!call} is {!await} of
+    {!submit}.
+
+    Endpoint busy time runs from the request leg through the response
+    leg.  An answer given during the delivery event is charged when the
+    event ends, so work a handler does after replying (a checkpoint)
+    still counts. *)
 
 type token
 (** The client half of an in-flight exchange. *)
@@ -130,8 +148,8 @@ val respond : t -> conn -> string -> unit
     fault randomness, so seeded runs stay deterministic. *)
 
 val at : t -> int64 -> (unit -> unit) -> unit
-(** Schedule a callback at an absolute simulated time — the hook an
-    event-driven server uses to arm batch flushes and sweeps. *)
+(** Schedule a callback at an absolute simulated time — the hook a
+    server uses to arm batch flushes and sweeps. *)
 
 val poll : token -> (string, Idbox_vfs.Errno.t) result option
 (** The exchange's result, or [None] while still in flight. *)
@@ -152,7 +170,9 @@ val pump : t -> unit
 (** Run {!step} until the queue is empty. *)
 
 val pending_events : t -> int
-(** Queue length, dead events included (for tests and introspection). *)
+(** Queue length, dead events included (for tests and introspection).
+    Dead events are swept once the queue doubles past the live count of
+    the last sweep, so this tracks in-flight work, not history. *)
 
 val await : t -> token -> (string, Idbox_vfs.Errno.t) result
 (** Pump the event loop until this token completes.  If the queue

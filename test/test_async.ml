@@ -1,8 +1,10 @@
-(* Event-driven dispatch (ISSUE 6): the sysent table's shape and
-   single-completion sysmsg discipline; seeded equivalence between the
-   blocking and event-driven Chirp servers (byte-identical requests and
-   responses, identical WAL modulo done-record timestamps, identical
-   chirp counters modulo async bookkeeping and group-commit syncs);
+(* Event-driven dispatch: the sysent table's shape and
+   single-completion sysmsg discipline; seeded equivalence between three
+   ways of driving the one Chirp admission path — a listener with no
+   flush window, a listener with a 50 us window, and direct
+   [Server.handle] dispatch (byte-identical requests and responses,
+   identical WAL modulo done-record timestamps, identical chirp counters
+   modulo async bookkeeping and group-commit syncs);
    the session-slot churn regression (a session expiring or crashing
    mid-batch releases its slot exactly once); and hedged-read late
    replies (the losing leg's straggler is discarded, never counted as
@@ -95,7 +97,7 @@ let sysmsg_completes_once () =
   Alcotest.(check (option int)) "outcome is the first" (Some 7)
     (Sysent.outcome msg)
 
-(* --- a single-server world, blocking or event-driven ----------------- *)
+(* --- a single-server world ------------------------------------------ *)
 
 type world = {
   w_clock : Clock.t;
@@ -108,8 +110,7 @@ type world = {
 
 let addr = "alpha.grid.edu:9094"
 
-let make_world ?(event_driven = false) ?max_sessions ?session_idle_ns
-    ?flush_interval_ns () =
+let make_world ?max_sessions ?session_idle_ns ?flush_interval_ns () =
   let clock = Clock.create () in
   let net = Network.create ~clock () in
   let kernel = Kernel.create ~clock () in
@@ -133,7 +134,7 @@ let make_world ?(event_driven = false) ?max_sessions ?session_idle_ns
     ok "server"
       (Server.create ~kernel ~net ~addr ~owner_uid:owner.Account.uid
          ~export:"/tmp/export" ~acceptor ~root_acl ~wal ?max_sessions
-         ?session_idle_ns ~event_driven ?flush_interval_ns ())
+         ?session_idle_ns ?flush_interval_ns ())
   in
   {
     w_clock = clock;
@@ -144,18 +145,40 @@ let make_world ?(event_driven = false) ?max_sessions ?session_idle_ns
     w_ca = ca;
   }
 
+(* The three engines.  [Window0] is the default server: a parked
+   mutation is flushed, a batch of one, before its delivery returns.
+   [Window50us] holds mutations for a 50 us group-commit window.
+   [Direct] re-registers the listener around [Server.handle] — the way
+   the benchmark wraps servers — on a server that also has a 50 us
+   window, so each call must flush its own parked request before it
+   returns. *)
+let engines = [ `Window0; `Window50us; `Direct ]
+
+let engine_name = function
+  | `Window0 -> "window 0"
+  | `Window50us -> "window 50us"
+  | `Direct -> "direct handle"
+
+let make_engine = function
+  | `Window0 -> make_world ()
+  | `Window50us -> make_world ~flush_interval_ns:50_000L ()
+  | `Direct ->
+    let w = make_world ~flush_interval_ns:50_000L () in
+    Network.listen w.w_net ~addr (Server.handle w.w_server);
+    w
+
 let connect w =
   let cert = Ca.issue w.w_ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred") in
   ok_s "connect"
     (Client.connect w.w_net ~addr ~credentials:[ Credential.Gsi cert ])
 
-(* --- seeded sync-vs-async equivalence -------------------------------- *)
+(* --- seeded three-engine equivalence --------------------------------- *)
 
 (* A seeded random op stream over a small path population: mutations,
    reads, errors (missing files, renames over nothing) — everything the
-   two serving paths must answer identically.  Stat is excluded: its
-   mtime is admission-time-dependent and the async server answers a
-   batch's worth of mutations later than the blocking one. *)
+   engines must answer identically.  Stat is excluded: its mtime is
+   admission-time-dependent and a flush window answers a batch's worth
+   of mutations later than an immediate flush. *)
 let op_paths = [| "/a"; "/b"; "/d/x"; "/d/y"; "/d/z" |]
 
 let gen_ops st n =
@@ -186,9 +209,9 @@ let apply c = function
   | `Whoami -> show Fun.id (Client.whoami c)
   | `Getacl p -> show Fun.id (Client.getacl c p)
 
-(* The WAL modulo done-record admission timestamps: the async server
+(* The WAL modulo done-record admission timestamps: a flush window
    answers later than it admits, so absolute times drift between the
-   two worlds, but every op record and every done record's identity and
+   worlds, but every op record and every done record's identity and
    response bytes must match exactly, in the same order. *)
 let normalized_wal wal =
   let rc = Wal.recover wal in
@@ -202,9 +225,9 @@ let normalized_wal wal =
 let has_prefix p s =
   String.length s >= String.length p && String.equal (String.sub s 0 (String.length p)) p
 
-(* Every chirp counter except the async bookkeeping (which only the
-   event-driven server has) and the WAL sync count (group commit exists
-   to change it). *)
+(* Every chirp counter except the async bookkeeping (batch counts
+   depend on the window) and the WAL sync count (group commit exists to
+   change it). *)
 let chirp_counters kernel =
   Metrics.counters (Kernel.metrics kernel)
   |> List.filter_map (fun c ->
@@ -221,21 +244,30 @@ let equivalence () =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let ops = gen_ops st 120 in
-      let a = make_world () in
-      let b = make_world ~event_driven:true () in
-      Alcotest.(check bool) "blocking mode" false (Server.event_driven a.w_server);
-      Alcotest.(check bool) "event-driven mode" true (Server.event_driven b.w_server);
-      let ca = connect a and cb = connect b in
-      ok "mkdir sync" (Client.mkdir ca "/d");
-      ok "mkdir async" (Client.mkdir cb "/d");
+      let ws = List.map (fun e -> (engine_name e, make_engine e)) engines in
+      let cs = List.map (fun (name, w) -> (name, connect w)) ws in
+      List.iter
+        (fun (name, c) -> ok ("mkdir " ^ name) (Client.mkdir c "/d"))
+        cs;
+      (* Each engine's answer must equal the first engine's. *)
+      let agree what show results =
+        match results with
+        | [] -> ()
+        | (name0, r0) :: rest ->
+          List.iter
+            (fun (name, r) ->
+              if r <> r0 then
+                Alcotest.failf "seed %d %s: %s=%s %s=%s" seed what name0
+                  (show r0) name (show r))
+            rest
+      in
       List.iteri
         (fun i op ->
-          let ra = apply ca op and rb = apply cb op in
-          if not (String.equal ra rb) then
-            Alcotest.failf "seed %d step %d: sync=%S async=%S" seed i ra rb)
+          agree (Printf.sprintf "step %d" i) (Printf.sprintf "%S")
+            (List.map (fun (name, c) -> (name, apply c op)) cs))
         ops;
       (* A mutation batch parks and executes as one unit; its member
-         results must match the blocking server's member-by-member. *)
+         results must match member-by-member across engines. *)
       let batch =
         [
           Protocol.Put { path = "/bz"; data = "z" };
@@ -243,32 +275,30 @@ let equivalence () =
           Protocol.Unlink "/bz";
         ]
       in
-      let rba = Client.batch ca batch and rbb = Client.batch cb batch in
-      if rba <> rbb then Alcotest.failf "seed %d: batch results diverge" seed;
-      Network.pump a.w_net;
-      Network.pump b.w_net;
-      Alcotest.(check int) "nothing left parked" 0 (Server.parked_ops b.w_server);
-      let wa = normalized_wal a.w_wal and wb = normalized_wal b.w_wal in
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: same WAL length" seed)
-        (List.length wa) (List.length wb);
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: WAL identical modulo timestamps" seed)
-        wa wb;
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "seed %d: chirp counters identical" seed)
-        (chirp_counters a.w_kernel)
-        (chirp_counters b.w_kernel))
+      agree "batch" (fun _ -> "<batch results>")
+        (List.map (fun (name, c) -> (name, Client.batch c batch)) cs);
+      List.iter
+        (fun (name, w) ->
+          Network.pump w.w_net;
+          Alcotest.(check int) (name ^ ": nothing left parked") 0
+            (Server.parked_ops w.w_server))
+        ws;
+      agree "WAL modulo timestamps" (String.concat "\n")
+        (List.map (fun (name, w) -> (name, normalized_wal w.w_wal)) ws);
+      agree "chirp counters"
+        (fun l ->
+          String.concat ","
+            (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) l))
+        (List.map (fun (name, w) -> (name, chirp_counters w.w_kernel)) ws))
     seeds
 
 (* The wire bytes themselves: identical prepared requests must draw
-   byte-identical responses from both serving paths (tokens are
-   digests of address, counter and principal — both worlds negotiate
-   the same ones). *)
+   byte-identical responses from every engine (tokens are digests of
+   address, counter and principal — every world negotiates the same
+   ones). *)
 let raw_byte_equivalence () =
-  let a = make_world () in
-  let b = make_world ~event_driven:true () in
-  let ca = connect a and cb = connect b in
+  let ws = List.map make_engine engines in
+  let cs = List.map connect ws in
   let exchange w payload =
     match Network.call w.w_net ~addr payload with
     | Ok r -> r
@@ -276,9 +306,15 @@ let raw_byte_equivalence () =
   in
   List.iter
     (fun op ->
-      let pa = Client.prepare ca op and pb = Client.prepare cb op in
-      Alcotest.(check string) "request bytes" pa pb;
-      Alcotest.(check string) "response bytes" (exchange a pa) (exchange b pb))
+      match List.map2 (fun w c -> (w, Client.prepare c op)) ws cs with
+      | [] -> ()
+      | (w0, p0) :: rest ->
+        let r0 = exchange w0 p0 in
+        List.iter
+          (fun (w, p) ->
+            Alcotest.(check string) "request bytes" p0 p;
+            Alcotest.(check string) "response bytes" r0 (exchange w p))
+          rest)
     [
       Protocol.Mkdir "/d";
       Protocol.Put { path = "/d/f"; data = "hello" };
@@ -307,7 +343,7 @@ let slot_churn () =
   (* Two slots, a 1 ms idle window, and a flush tick far enough out
      that sessions can expire while their mutation is still parked. *)
   let w =
-    make_world ~event_driven:true ~max_sessions:2 ~session_idle_ns:1_000_000L
+    make_world ~max_sessions:2 ~session_idle_ns:1_000_000L
       ~flush_interval_ns:50_000_000L ()
   in
   let a = connect w in

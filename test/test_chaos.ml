@@ -39,8 +39,8 @@ let server_addr = "alpha.grid.edu:9094"
 (* Like the chirp suite's world, but the network shares the kernel's
    metrics registry and trace ring so fault counters and spans land in
    one deterministic export. *)
-let make_world ?max_sessions ?session_idle_ns ?max_parked ?event_driven
-    ?flush_interval_ns () =
+let make_world ?max_sessions ?session_idle_ns ?max_parked ?flush_interval_ns
+    () =
   let clock = Clock.create () in
   let kernel = Kernel.create ~clock () in
   let net =
@@ -73,7 +73,7 @@ let make_world ?max_sessions ?session_idle_ns ?max_parked ?event_driven
     match
       Server.create ~kernel ~net ~addr:server_addr ~owner_uid:owner.Account.uid
         ~export:"/tmp/export" ~acceptor ~root_acl ?max_sessions
-        ?session_idle_ns ?max_parked ?event_driven ?flush_interval_ns ()
+        ?session_idle_ns ?max_parked ?flush_interval_ns ()
     with
     | Ok s -> s
     | Error e -> Alcotest.fail (Errno.to_string e)
@@ -1070,8 +1070,7 @@ let flapping_node_absorbed_by_breakers () =
 let thundering_herd_recovery () =
   let run () =
     let w =
-      make_world ~event_driven:true ~max_parked:8
-        ~flush_interval_ns:500_000_000L ()
+      make_world ~max_parked:8 ~flush_interval_ns:500_000_000L ()
     in
     let c = connect_fred w in
     let buf = ref [] in

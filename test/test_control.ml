@@ -230,7 +230,7 @@ let make_server ?max_parked ?flush_interval_ns () =
     ok "server"
       (Server.create ~kernel ~net ~addr ~owner_uid:owner.Account.uid
          ~export:"/tmp/export" ~acceptor ~root_acl ?max_parked
-         ~event_driven:true ?flush_interval_ns ())
+         ?flush_interval_ns ())
   in
   { sw_net = net; sw_server = server; sw_ca = ca;
     sw_metrics = Network.metrics net; sw_kmetrics = Kernel.metrics kernel }
@@ -262,10 +262,10 @@ let pump_until sw pred =
   in
   go 100_000
 
-(* Flood an event-driven server past its queue watermarks: mutations
-   beyond the brownout threshold are shed with EAGAIN and a retry-after
-   hint, reads are served throughout, and draining the queue at the
-   group-commit tick exits brownout. *)
+(* Flood a server with a long flush window past its queue watermarks:
+   mutations beyond the brownout threshold are shed with EAGAIN and a
+   retry-after hint, reads are served throughout, and draining the
+   queue at the group-commit tick exits brownout. *)
 let brownout_sheds_mutations_serves_reads () =
   let sw = make_server ~max_parked:8 ~flush_interval_ns:500_000_000L () in
   let c = connect_fred sw in

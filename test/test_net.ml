@@ -152,6 +152,37 @@ let partition_cuts_then_heals () =
   | Ok "echo:x" -> ()
   | _ -> Alcotest.fail "healed partition still cut"
 
+(* Every exchange arms a timeout that stays queued, already dead, until
+   the clock passes it; the queue must not keep that history. *)
+let dead_timeouts_swept () =
+  let _, net = fresh () in
+  Network.listen net ~addr:"a:1" echo;
+  for i = 1 to 10_000 do
+    let tok = Network.submit net ~addr:"a:1" (string_of_int i) in
+    match Network.await net tok with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "exchange %d: %s" i (Errno.to_string e)
+  done;
+  let pending = Network.pending_events net in
+  if pending >= 100 then
+    Alcotest.failf "%d events still queued after 10,000 exchanges" pending
+
+(* The caller's timeout runs from submission: a handler slower than the
+   timeout loses the race, and its answer arrives as a late reply. *)
+let slow_handler_times_out () =
+  let clock, net = fresh () in
+  Network.listen net ~addr:"a:1" (fun p ->
+      Clock.advance clock 2_000_000L;
+      echo p);
+  (match Network.call net ~timeout_ns:1_000_000L ~addr:"a:1" "x" with
+   | Error Errno.ETIMEDOUT -> ()
+   | Ok _ -> Alcotest.fail "slow handler answered inside the timeout"
+   | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e));
+  Network.pump net;
+  let count name = Metrics.counter_value_of (Network.metrics net) name in
+  Alcotest.(check int) "net.timeout counted" 1 (count "net.timeout");
+  Alcotest.(check int) "net.late_reply counted" 1 (count "net.late_reply")
+
 let suite =
   [
     Alcotest.test_case "call roundtrip" `Quick call_roundtrip;
@@ -165,4 +196,6 @@ let suite =
     Alcotest.test_case "drops deterministic" `Quick drops_deterministic_from_seed;
     Alcotest.test_case "crash and restart" `Quick crash_then_restart;
     Alcotest.test_case "partition heals" `Quick partition_cuts_then_heals;
+    Alcotest.test_case "dead timeouts swept" `Quick dead_timeouts_swept;
+    Alcotest.test_case "slow handler times out" `Quick slow_handler_times_out;
   ]
