@@ -1,112 +1,16 @@
 (* The benchmark harness: regenerate every table and figure of the
-   paper, then run a Bechamel micro-suite timing the harness itself.
+   paper, then the post-paper blocks (resilience, cluster, recovery,
+   sessions, elastic, geo, metrics).
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe fig5b      # one figure
      dune exec bench/main.exe -- --full  # full-size Fig. 5(b) runs
-     dune exec bench/main.exe bechamel   # only the Bechamel suite
      dune exec bench/main.exe cluster    # cluster scaling block only
      dune exec bench/main.exe -- --json  # deterministic JSON report
 
-   Simulated results are deterministic; Bechamel times the real cost of
-   regenerating each artifact on the host. *)
-
-(* A directory with a large ACL, returned with its enforcement engine.
-   The staged benchmark invalidates the cache and re-checks, forcing a
-   full ACL-file read each run — the case the Buffer-based
-   [read_acl_file] fixed from quadratic to linear host time. *)
-let large_acl_fixture n =
-  let module Kernel = Idbox_kernel.Kernel in
-  let module Enforce = Idbox.Enforce in
-  let module Acl = Idbox_acl.Acl in
-  let module Entry = Idbox_acl.Entry in
-  let module Rights = Idbox_acl.Rights in
-  let kernel = Kernel.create () in
-  let sup = Kernel.make_view kernel ~uid:0 () in
-  let enforce = Enforce.create kernel ~supervisor:sup () in
-  let dir = "/bigacl" in
-  (match Idbox_vfs.Fs.mkdir_p (Kernel.fs kernel) ~uid:0 dir with
-   | Ok () -> ()
-   | Error e -> failwith (Idbox_vfs.Errno.message e));
-  let entries =
-    List.init n (fun i ->
-        Entry.make
-          ~pattern:(Printf.sprintf "globus:/O=UnivNowhere/CN=user%04d" i)
-          (Rights.of_string_exn "rwl"))
-  in
-  (match Enforce.write_acl enforce ~dir (Acl.of_entries entries) with
-   | Ok () -> ()
-   | Error e -> failwith (Idbox_vfs.Errno.message e));
-  let who = Idbox_identity.Principal.of_string "globus:/O=UnivNowhere/CN=user0000" in
-  fun () ->
-    Enforce.invalidate enforce ~dir;
-    ignore (Enforce.check_in_dir enforce ~identity:who ~dir Idbox_acl.Right.Read)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  print_newline ();
-  print_endline (String.make 78 '=');
-  print_endline "Bechamel - host-time cost of regenerating each artifact";
-  print_endline (String.make 78 '=');
-  (* One Test.make per table/figure.  Small iteration counts: these
-     measure harness cost, not simulated results (which are exact). *)
-  let tests =
-    [
-      Test.make ~name:"fig1_probe_matrix"
-        (Staged.stage (fun () -> ignore (Idbox_accounts.Probe.rows ())));
-      Test.make ~name:"fig4_trap_accounting"
-        (Staged.stage (fun () -> ignore (Idbox_workload.Microbench.fig4 ())));
-      Test.make ~name:"fig5a_syscall_latency"
-        (Staged.stage (fun () ->
-             ignore (Idbox_workload.Microbench.fig5a ~iters:100 ())));
-      Test.make ~name:"fig5b_app_runtimes"
-        (Staged.stage (fun () ->
-             ignore (Idbox_workload.Runner.fig5b ~scale:0.002 ())));
-      Test.make ~name:"fig6_kernel_ablation"
-        (Staged.stage (fun () ->
-             ignore
-               (Idbox_workload.Runner.fig6_ablation ~scale:0.002
-                  ~apps:[ Idbox_workload.Apps.ibis ] ())));
-      Test.make ~name:"large_acl_read"
-        (Staged.stage (large_acl_fixture 2000));
-    ]
-  in
-  let test = Test.make_grouped ~name:"idbox" ~fmt:"%s/%s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false ()
-    in
-    let raw_results = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Printf.printf "%-38s %18s\n" "artifact" "host time/run";
-  print_endline (String.make 58 '-');
-  Hashtbl.iter
-    (fun _instance table ->
-      Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) table []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.iter (fun (name, ols) ->
-             match Bechamel.Analyze.OLS.estimates ols with
-             | Some (est :: _) ->
-               let pretty =
-                 if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-                 else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-                 else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-                 else Printf.sprintf "%.0f ns" est
-               in
-               Printf.printf "%-38s %18s\n" name pretty
-             | Some [] | None -> Printf.printf "%-38s %18s\n" name "(n/a)"))
-    results
+   Every figure here is on the simulated clock and deterministic; host
+   time per layer is measured by perfbench (perfbench/DESIGN.md). *)
 
 (* Retry overhead under packet loss: the same Chirp read workload at
    0%, 1% and 10% drop rates, reporting simulated per-call latency
@@ -638,329 +542,6 @@ let recovery_block () =
         row.rp_p95_repair_ms)
     r.rec_repair
 
-(* The cache ablation: the same warm ACL-heavy workload through three
-   engine tiers — compiled-policy bytecode (perfect-hash decision
-   program consulted at syscall entry), the generation-validated
-   decision caches with bytecode pinned off, and caching off entirely
-   (the pre-cache behaviour, and what the paper's Parrot pays: a
-   revalidation lstat per check).  All phases are measured warm — one
-   priming pass first — so the figure isolates steady-state cost, the
-   cached tiers must clock {e zero} delegated syscalls, and the verdict
-   transcripts of all three tiers must be byte-identical.  Plus the
-   batched-RPC figure: 64 reads as 64 round trips vs. one [Batch]
-   envelope.  All simulated and seeded: byte-identical across runs. *)
-type cache_mode_row = {
-  cm_mode : string;
-  cm_checks : int;
-  cm_ns_per_check : float;
-  cm_total_ms : float;
-  cm_delegated : int;  (* delegated syscalls during the measured phase *)
-}
-
-type cache_report = {
-  cb_modes : cache_mode_row list;
-  cb_speedup : float;  (* uncached simulated time / decision-cached *)
-  cb_bc_speedup : float;  (* decision-cached simulated time / bytecode *)
-  cb_verdicts_identical : bool;  (* transcripts equal across all tiers *)
-  cb_acl_hits : int;
-  cb_dec_hits : int;
-  cb_name_hits : int;
-  cb_bc_hits : int;
-  cb_bc_stale : int;
-  cb_bc_fallback : int;
-  cb_bc_recompile : int;
-  cb_lease_hits : int;
-  cb_ops : int;
-  cb_seq_msgs : int;
-  cb_seq_ms : float;
-  cb_batch_msgs : int;
-  cb_batch_ms : float;
-}
-
-let cache_enforce_run ~mode =
-  let module Kernel = Idbox_kernel.Kernel in
-  let module Clock = Idbox_kernel.Clock in
-  let module Metrics = Idbox_kernel.Metrics in
-  let module Enforce = Idbox.Enforce in
-  let module Acl = Idbox_acl.Acl in
-  let module Entry = Idbox_acl.Entry in
-  let module Rights = Idbox_acl.Rights in
-  let module Right = Idbox_acl.Right in
-  let kernel = Kernel.create () in
-  let sup = Kernel.make_view kernel ~uid:0 () in
-  let caching, bytecode =
-    match mode with
-    | `Bytecode -> (true, true)
-    | `Cached -> (true, false)
-    | `Uncached -> (false, false)
-  in
-  let enforce = Enforce.create ~caching ~bytecode kernel ~supervisor:sup () in
-  let dirs = List.init 8 (fun i -> Printf.sprintf "/proj/d%d" i) in
-  List.iter
-    (fun dir ->
-      (match Idbox_vfs.Fs.mkdir_p (Kernel.fs kernel) ~uid:0 dir with
-       | Ok () -> ()
-       | Error e -> failwith (Idbox_vfs.Errno.message e));
-      let acl =
-        Acl.of_entries
-          (Entry.make ~pattern:"kerberos:*@BENCH.EDU"
-             (Rights.of_string_exn "rl")
-           :: List.init 4 (fun k ->
-                  Entry.make
-                    ~pattern:(Printf.sprintf "globus:/O=Bench/CN=user%d" k)
-                    (Rights.of_string_exn "rwl")))
-      in
-      match Enforce.write_acl enforce ~dir acl with
-      | Ok () -> ()
-      | Error e -> failwith (Idbox_vfs.Errno.message e))
-    dirs;
-  let identities =
-    List.map Idbox_identity.Principal.of_string
-      [
-        "globus:/O=Bench/CN=user0";
-        "globus:/O=Bench/CN=user1";
-        "globus:/O=Bench/CN=user2";
-        "kerberos:alice@BENCH.EDU";
-      ]
-  in
-  let rights = [ Right.Read; Right.Write; Right.List ] in
-  let transcript = Buffer.create 512 in
-  let pass ~record () =
-    List.iter
-      (fun dir ->
-        List.iter
-          (fun identity ->
-            List.iter
-              (fun right ->
-                let v =
-                  Enforce.check_object enforce ~identity
-                    ~path:(dir ^ "/blob") right
-                in
-                if record then
-                  Buffer.add_char transcript
-                    (match v with Ok () -> 'A' | Error _ -> 'D'))
-              rights)
-          identities)
-      dirs
-  in
-  pass ~record:false ();  (* prime every cache: the figure is the warm path *)
-  let clock = Kernel.clock kernel in
-  let rounds = 50 in
-  let t0 = Clock.now clock in
-  let d0 = (Kernel.stats kernel).Kernel.delegated in
-  for _ = 1 to rounds do
-    pass ~record:false ()
-  done;
-  let total_ns = Int64.to_float (Int64.sub (Clock.now clock) t0) in
-  let checks = rounds * List.length dirs * List.length identities
-               * List.length rights in
-  (* One untimed recording pass: the verdict transcript the tiers must
-     agree on, byte for byte. *)
-  pass ~record:true ();
-  let value name = Metrics.counter_value_of (Kernel.metrics kernel) name in
-  ( {
-      cm_mode =
-        (match mode with
-         | `Bytecode -> "bytecode"
-         | `Cached -> "cached"
-         | `Uncached -> "uncached");
-      cm_checks = checks;
-      cm_ns_per_check = total_ns /. float_of_int checks;
-      cm_total_ms = total_ns /. 1e6;
-      cm_delegated = (Kernel.stats kernel).Kernel.delegated - d0;
-    },
-    (value "acl.cache.hit", value "enforce.decision.hit",
-     value "enforce.name.hit"),
-    (value "kernel.bytecode.hit", value "kernel.bytecode.stale",
-     value "kernel.bytecode.fallback", value "kernel.bytecode.recompile"),
-    Buffer.contents transcript )
-
-let cache_batch_run () =
-  let module Kernel = Idbox_kernel.Kernel in
-  let module Account = Idbox_kernel.Account in
-  let module Clock = Idbox_kernel.Clock in
-  let module Metrics = Idbox_kernel.Metrics in
-  let module Network = Idbox_net.Network in
-  let module Ca = Idbox_auth.Ca in
-  let module Credential = Idbox_auth.Credential in
-  let module Negotiate = Idbox_auth.Negotiate in
-  let module Server = Idbox_chirp.Server in
-  let module Client = Idbox_chirp.Client in
-  let module Protocol = Idbox_chirp.Protocol in
-  let module Subject = Idbox_identity.Subject in
-  let clock = Clock.create () in
-  let kernel = Kernel.create ~clock () in
-  let net = Network.create ~clock () in
-  let owner =
-    match Account.add (Kernel.accounts kernel) "chirpuser" with
-    | Ok e -> e
-    | Error m -> failwith m
-  in
-  Kernel.refresh_passwd kernel;
-  let ca = Ca.create ~name:"Bench CA" in
-  let acceptor = Negotiate.acceptor ~trusted_cas:[ ca ] () in
-  let root_acl =
-    Idbox_acl.Acl.of_entries
-      [
-        Idbox_acl.Entry.make ~pattern:"globus:/O=Bench/*"
-          (Idbox_acl.Rights.of_string_exn "rwl");
-      ]
-  in
-  (match
-     Server.create ~kernel ~net ~addr:"bench.grid.edu:9094"
-       ~owner_uid:owner.Account.uid ~export:"/tmp/bench" ~acceptor ~root_acl ()
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Idbox_vfs.Errno.message e));
-  let cert = Ca.issue ca (Subject.of_string_exn "/O=Bench/CN=Reader") in
-  let c =
-    match
-      Client.connect net ~addr:"bench.grid.edu:9094"
-        ~credentials:[ Credential.Gsi cert ]
-    with
-    | Ok c -> c
-    | Error m -> failwith m
-  in
-  let ops = 64 in
-  let paths = List.init ops (fun i -> Printf.sprintf "/blob%02d" i) in
-  List.iter
-    (fun path ->
-      match Client.put c ~path ~data:(String.make 256 'b') with
-      | Ok () -> ()
-      | Error e -> failwith (Idbox_vfs.Errno.message e))
-    paths;
-  (* Sequential: one round trip per read. *)
-  let m0 = Network.total_messages net in
-  let t0 = Clock.now clock in
-  List.iter
-    (fun path ->
-      match Client.get c path with
-      | Ok _ -> ()
-      | Error e -> failwith (Idbox_vfs.Errno.message e))
-    paths;
-  let seq_msgs = Network.total_messages net - m0 in
-  let seq_ms = Int64.to_float (Int64.sub (Clock.now clock) t0) /. 1e6 in
-  (* Batched: the same reads in one envelope. *)
-  let m1 = Network.total_messages net in
-  let t1 = Clock.now clock in
-  (match Client.batch c (List.map (fun p -> Protocol.Get p) paths) with
-   | Ok rs when List.length rs = ops -> ()
-   | Ok _ -> failwith "batch: wrong arity"
-   | Error e -> failwith (Idbox_vfs.Errno.message e));
-  let batch_msgs = Network.total_messages net - m1 in
-  let batch_ms = Int64.to_float (Int64.sub (Clock.now clock) t1) /. 1e6 in
-  (* And a lease hit: the second stat is served without a round trip. *)
-  (match (Client.stat c "/blob00", Client.stat c "/blob00") with
-   | Ok _, Ok _ -> ()
-   | _ -> failwith "stat");
-  let lease_hits =
-    Metrics.counter_value_of (Network.metrics net) "chirp.lease.hit"
-  in
-  (ops, seq_msgs, seq_ms, batch_msgs, batch_ms, lease_hits)
-
-let cache_report () =
-  let bytecode, _, (bc_hits, bc_stale, bc_fallback, bc_recompile), bc_tx =
-    cache_enforce_run ~mode:`Bytecode
-  in
-  let cached, (acl_hits, dec_hits, name_hits), _, cached_tx =
-    cache_enforce_run ~mode:`Cached
-  in
-  let uncached, _, _, uncached_tx = cache_enforce_run ~mode:`Uncached in
-  let ops, seq_msgs, seq_ms, batch_msgs, batch_ms, lease_hits =
-    cache_batch_run ()
-  in
-  {
-    cb_modes = [ bytecode; cached; uncached ];
-    cb_speedup = uncached.cm_total_ms /. cached.cm_total_ms;
-    cb_bc_speedup = cached.cm_total_ms /. bytecode.cm_total_ms;
-    cb_verdicts_identical =
-      String.equal bc_tx cached_tx && String.equal cached_tx uncached_tx
-      && String.length bc_tx > 0;
-    cb_acl_hits = acl_hits;
-    cb_dec_hits = dec_hits;
-    cb_name_hits = name_hits;
-    cb_bc_hits = bc_hits;
-    cb_bc_stale = bc_stale;
-    cb_bc_fallback = bc_fallback;
-    cb_bc_recompile = bc_recompile;
-    cb_lease_hits = lease_hits;
-    cb_ops = ops;
-    cb_seq_msgs = seq_msgs;
-    cb_seq_ms = seq_ms;
-    cb_batch_msgs = batch_msgs;
-    cb_batch_ms = batch_ms;
-  }
-
-let cache_block () =
-  print_newline ();
-  print_endline (String.make 78 '=');
-  print_endline
-    "Cache - compiled policy bytecode, generation caches, batched Chirp RPC";
-  print_endline (String.make 78 '=');
-  let r = cache_report () in
-  Printf.printf "%10s %8s %14s %12s %10s\n" "mode" "checks" "ns/check"
-    "total (ms)" "delegated";
-  print_endline (String.make 58 '-');
-  List.iter
-    (fun m ->
-      Printf.printf "%10s %8d %14.1f %12.3f %10d\n" m.cm_mode m.cm_checks
-        m.cm_ns_per_check m.cm_total_ms m.cm_delegated)
-    r.cb_modes;
-  Printf.printf
-    "warm speedup: cache vs uncached %.2fx, bytecode vs cache %.2fx   \
-     verdicts identical: %b\n"
-    r.cb_speedup r.cb_bc_speedup r.cb_verdicts_identical;
-  Printf.printf
-    "hits: acl %d, decision %d, name %d, lease %d   bytecode: hit %d, \
-     stale %d, fallback %d, recompile %d\n"
-    r.cb_acl_hits r.cb_dec_hits r.cb_name_hits r.cb_lease_hits r.cb_bc_hits
-    r.cb_bc_stale r.cb_bc_fallback r.cb_bc_recompile;
-  Printf.printf
-    "batch rpc: %d reads  sequential %d msgs %.3f ms   batched %d msgs %.3f \
-     ms  (%.0fx fewer messages)\n"
-    r.cb_ops r.cb_seq_msgs r.cb_seq_ms r.cb_batch_msgs r.cb_batch_ms
-    (float_of_int r.cb_seq_msgs /. float_of_int (max 1 r.cb_batch_msgs))
-
-(* The cache figure as one JSON object — embedded in the full report
-   and printed standalone by [bench cache --json] (the committed
-   BENCH_cache.json, asserted by CI's bytecode-speedup smoke). *)
-let cache_json_object () =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  let cr = cache_report () in
-  add "{\"enforce\":[";
-  List.iteri
-    (fun i m ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "{\"mode\":%S,\"checks\":%d,\"ns_per_check\":%.1f,\
-            \"total_ms\":%.3f,\"delegated\":%d}"
-           m.cm_mode m.cm_checks m.cm_ns_per_check m.cm_total_ms
-           m.cm_delegated))
-    cr.cb_modes;
-  add
-    (Printf.sprintf
-       "],\"speedup\":%.2f,\"bytecode_speedup\":%.2f,\
-        \"verdicts_identical\":%b,\"counters\":{\"acl_cache_hit\":%d,\
-        \"decision_hit\":%d,\"name_hit\":%d,\"lease_hit\":%d,\
-        \"bytecode_hit\":%d,\"bytecode_stale\":%d,\"bytecode_fallback\":%d,\
-        \"bytecode_recompile\":%d},\
-        \"batch\":{\"ops\":%d,\"seq_msgs\":%d,\"seq_ms\":%.3f,\
-        \"batch_msgs\":%d,\"batch_ms\":%.3f}}"
-       cr.cb_speedup cr.cb_bc_speedup cr.cb_verdicts_identical cr.cb_acl_hits
-       cr.cb_dec_hits cr.cb_name_hits cr.cb_lease_hits cr.cb_bc_hits
-       cr.cb_bc_stale cr.cb_bc_fallback cr.cb_bc_recompile cr.cb_ops
-       cr.cb_seq_msgs cr.cb_seq_ms cr.cb_batch_msgs cr.cb_batch_ms);
-  Buffer.contents b
-
-let cache_json () =
-  print_endline
-    (Printf.sprintf "{\"schema\":\"idbox-bench-cache/1\",\n \"cache\":%s}"
-       (cache_json_object ()))
-
-(* The machine-readable block for BENCH_*.json trajectory tracking:
-   run the representative boxed workload, print one JSON object. *)
 (* Concurrent sessions: N authenticated clients all issue one small
    read at the same instant T0, against one default server.  What
    varies is the client side.  Serial [call]s (the "sync" columns)
@@ -1446,182 +1027,6 @@ let elastic_block () =
         row.eg_late row.eg_goodput_ops row.eg_p95_ms)
     (elastic_goodput_rows ())
 
-(* Delegation: the cost of certified chains.  (a) Chain-validation
-   ns/hop, cold (one chain_hop_ns charge per hop) vs warm through the
-   generation-validated memo (one gen_check_ns, independent of length).
-   (b) Delegated vs direct exec throughput on a 3-node cluster: the
-   same program run by its owner directly and by a two-hop delegatee
-   under attenuated identity.  Fully simulated and deterministic. *)
-type deleg_chain_row = {
-  dc_hops : int;
-  dc_cold_ns : float;  (* whole-chain cold validation *)
-  dc_cold_ns_per_hop : float;
-  dc_warm_ns : float;  (* per warm validation: one generation check *)
-  dc_warm_speedup : float;
-}
-
-type deleg_report = {
-  dl_chain : deleg_chain_row list;
-  dl_ops : int;
-  dl_direct_ms : float;
-  dl_direct_kops : float;  (* execs per simulated second, k *)
-  dl_deleg_ms : float;
-  dl_deleg_kops : float;
-  dl_overhead : float;  (* delegated time / direct time *)
-}
-
-let delegation_chain_rows () =
-  let module Kernel = Idbox_kernel.Kernel in
-  let module Clock = Idbox_kernel.Clock in
-  let module Enforce = Idbox.Enforce in
-  let module Ca = Idbox_auth.Ca in
-  let module Delegation = Idbox_auth.Delegation in
-  let kernel = Kernel.create () in
-  let sup = Kernel.make_view kernel ~uid:0 () in
-  let enforce = Enforce.create kernel ~supervisor:sup () in
-  let clock = Kernel.clock kernel in
-  let ca = Ca.create ~name:"Bench CA" in
-  let revocations = Delegation.Revocations.create () in
-  let principal i = Printf.sprintf "globus:/O=Bench/CN=hop%02d" i in
-  let chain_of hops =
-    List.init hops (fun i ->
-        Delegation.mint ca ~delegator:(principal i)
-          ~delegatee:(principal (i + 1))
-          ~rights:(Idbox_acl.Rights.of_string_exn "rwl")
-          ~prefix:"/" ~now:0L ~ttl_ns:3_600_000_000_000L ~hops:16 ())
-  in
-  List.map
-    (fun hops ->
-      let chain = chain_of hops in
-      let holder = principal hops in
-      let admit () =
-        match
-          Enforce.admit_chain enforce ~trusted:[ ca ] ~revocations
-            ~now:(Clock.now clock) ~holder chain
-        with
-        | Ok _ -> ()
-        | Error f -> failwith (Delegation.failure_message f)
-      in
-      let t0 = Clock.now clock in
-      admit ();
-      let cold_ns = Int64.to_float (Int64.sub (Clock.now clock) t0) in
-      let warm_rounds = 100 in
-      let t1 = Clock.now clock in
-      for _ = 1 to warm_rounds do
-        admit ()
-      done;
-      let warm_ns =
-        Int64.to_float (Int64.sub (Clock.now clock) t1)
-        /. float_of_int warm_rounds
-      in
-      {
-        dc_hops = hops;
-        dc_cold_ns = cold_ns;
-        dc_cold_ns_per_hop = cold_ns /. float_of_int hops;
-        dc_warm_ns = warm_ns;
-        dc_warm_speedup = cold_ns /. warm_ns;
-      })
-    [ 1; 2; 4; 8 ]
-
-let delegation_exec_run () =
-  let module Kernel = Idbox_kernel.Kernel in
-  let module Clock = Idbox_kernel.Clock in
-  let module Program = Idbox_kernel.Program in
-  let module World = Idbox_cluster.World in
-  let module Router = Idbox_cluster.Router in
-  Kernel.with_fresh_programs (fun () ->
-      let w = World.create () in
-      List.iter
-        (fun h ->
-          match World.add_node w ~host:h with
-          | Ok _ -> ()
-          | Error m -> failwith m)
-        [ "a.grid.edu"; "b.grid.edu"; "c.grid.edu" ];
-      World.settle w;
-      Program.register "noop" (fun _ -> 0);
-      let connect cn =
-        match World.connect w ~credentials:[ World.issue w cn ] with
-        | Ok r -> r
-        | Error m -> failwith m
-      in
-      let ra = connect "Alice" in
-      (match Router.mkdir ra "/work" with
-       | Ok () -> ()
-       | Error e -> failwith (Idbox_vfs.Errno.message e));
-      (match
-         Router.put ra ~path:"/work/noop.exe" ~data:(Program.marker "noop")
-       with
-       | Ok () -> ()
-       | Error e -> failwith (Idbox_vfs.Errno.message e));
-      let rights = Idbox_acl.Rights.of_string_exn in
-      let chain =
-        [
-          World.delegate w ~delegator:"Alice" ~delegatee:"Bob"
-            ~rights:(rights "rxl") ~prefix:"/work" ();
-          World.delegate w ~delegator:"Bob" ~delegatee:"Carol"
-            ~rights:(rights "rx") ~prefix:"/work" ();
-        ]
-      in
-      let rc = connect "Carol" in
-      let clock = World.clock w in
-      let ops = 64 in
-      let run label f =
-        let t0 = Clock.now clock in
-        for _ = 1 to ops do
-          match f () with
-          | Ok 0 -> ()
-          | Ok n -> failwith (Printf.sprintf "%s: exit %d" label n)
-          | Error e -> failwith (label ^ ": " ^ Idbox_vfs.Errno.message e)
-        done;
-        Int64.to_float (Int64.sub (Clock.now clock) t0) /. 1e6
-      in
-      let direct_ms =
-        run "direct" (fun () ->
-            Router.exec ra ~path:"/work/noop.exe" ~args:[ "noop.exe" ] ())
-      in
-      let deleg_ms =
-        run "delegated" (fun () ->
-            Router.exec_delegated rc ~chain ~path:"/work/noop.exe"
-              ~args:[ "noop.exe" ] ())
-      in
-      (ops, direct_ms, deleg_ms))
-
-let delegation_report () =
-  let chain = delegation_chain_rows () in
-  let ops, direct_ms, deleg_ms = delegation_exec_run () in
-  let kops ms = float_of_int ops /. ms in
-  {
-    dl_chain = chain;
-    dl_ops = ops;
-    dl_direct_ms = direct_ms;
-    dl_direct_kops = kops direct_ms;
-    dl_deleg_ms = deleg_ms;
-    dl_deleg_kops = kops deleg_ms;
-    dl_overhead = deleg_ms /. direct_ms;
-  }
-
-let delegation_block () =
-  print_newline ();
-  print_endline (String.make 78 '=');
-  print_endline
-    "Delegation - chain-validation memo + delegated vs direct exec";
-  print_endline (String.make 78 '=');
-  let r = delegation_report () in
-  Printf.printf "%6s %12s %14s %14s %13s\n" "hops" "cold (ns)" "cold ns/hop"
-    "warm (ns)" "warm speedup";
-  print_endline (String.make 62 '-');
-  List.iter
-    (fun row ->
-      Printf.printf "%6d %12.0f %14.0f %14.0f %12.1fx\n" row.dc_hops
-        row.dc_cold_ns row.dc_cold_ns_per_hop row.dc_warm_ns
-        row.dc_warm_speedup)
-    r.dl_chain;
-  Printf.printf
-    "exec: %d ops  direct %.3f ms (%.2f kops/s)   2-hop delegated %.3f ms \
-     (%.2f kops/s)  overhead %.2fx\n"
-    r.dl_ops r.dl_direct_ms r.dl_direct_kops r.dl_deleg_ms r.dl_deleg_kops
-    r.dl_overhead
-
 let metrics_block () =
   print_newline ();
   print_endline (String.make 78 '=');
@@ -1918,15 +1323,14 @@ let geo_json () =
     (Printf.sprintf "{\"schema\":\"idbox-bench-geo/1\",\n \"geo\":%s}"
        (geo_json_object ()))
 
-(* The deterministic machine-readable report (schema idbox-bench/8):
+(* The deterministic machine-readable report (schema idbox-bench/9):
    every simulated figure — resilience, cluster scaling, recovery,
-   concurrent sessions, delegation, the metrics registry — and nothing host-timed
-   (Bechamel stays human-only), so two runs on any machines are
-   byte-identical. *)
+   concurrent sessions, elasticity, geo, the metrics registry — and
+   nothing host-timed, so two runs on any machines are byte-identical. *)
 let json_report () =
   let b = Buffer.create 4096 in
   let add = Buffer.add_string b in
-  add "{\"schema\":\"idbox-bench/8\",\n \"resilience\":[";
+  add "{\"schema\":\"idbox-bench/9\",\n \"resilience\":[";
   List.iteri
     (fun i r ->
       if i > 0 then add ",\n   ";
@@ -1973,8 +1377,6 @@ let json_report () =
            row.rp_p95_calm_ms row.rp_p95_repair_ms))
     rr.rec_repair;
   add "]}";
-  add ",\n \"cache\":";
-  add (cache_json_object ());
   add ",\n \"sessions\":[";
   List.iteri
     (fun i r ->
@@ -2012,24 +1414,7 @@ let json_report () =
            r.eg_mode r.eg_offered r.eg_acked r.eg_in_slo r.eg_shed
            r.eg_timeout r.eg_late r.eg_goodput_ops r.eg_p95_ms))
     (elastic_goodput_rows ());
-  add "]},\n \"delegation\":{\"chain\":[";
-  let dr = delegation_report () in
-  List.iteri
-    (fun i row ->
-      if i > 0 then add ",\n   ";
-      add
-        (Printf.sprintf
-           "{\"hops\":%d,\"cold_ns\":%.0f,\"cold_ns_per_hop\":%.0f,\
-            \"warm_ns\":%.0f,\"warm_speedup\":%.1f}"
-           row.dc_hops row.dc_cold_ns row.dc_cold_ns_per_hop row.dc_warm_ns
-           row.dc_warm_speedup))
-    dr.dl_chain;
-  add
-    (Printf.sprintf
-       "],\"exec\":{\"ops\":%d,\"direct_ms\":%.3f,\"direct_kops\":%.3f,\
-        \"delegated_ms\":%.3f,\"delegated_kops\":%.3f,\"overhead\":%.2f}}"
-       dr.dl_ops dr.dl_direct_ms dr.dl_direct_kops dr.dl_deleg_ms
-       dr.dl_deleg_kops dr.dl_overhead);
+  add "]}";
   add ",\n \"geo\":";
   add (geo_json_object ());
   add ",\n \"metrics\":";
@@ -2048,14 +1433,11 @@ let () =
   | [] when json -> json_report ()
   | [] ->
     Idbox_report.Report.all ~scale ();
-    bechamel_suite ();
     resilience_block ();
     cluster_block ();
     recovery_block ();
-    cache_block ();
     sessions_block ();
     elastic_block ();
-    delegation_block ();
     geo_block ();
     metrics_block ()
   | names ->
@@ -2070,21 +1452,18 @@ let () =
         | "fig5b" -> Idbox_report.Report.fig5b ~scale ()
         | "fig6" -> Idbox_report.Report.fig6 ()
         | "ablation" | "ablations" -> Idbox_report.Report.ablations ()
-        | "bechamel" -> bechamel_suite ()
         | "resilience" -> resilience_block ()
         | "cluster" | "scaling" -> cluster_block ()
         | "recovery" -> recovery_block ()
-        | "cache" | "caches" -> if json then cache_json () else cache_block ()
         | "sessions" -> sessions_block ()
         | "elastic" -> elastic_block ()
-        | "delegation" -> delegation_block ()
         | "geo" -> if json then geo_json () else geo_block ()
         | "metrics" -> metrics_block ()
         | other ->
           Printf.eprintf
             "unknown artifact %S (try fig1 fig2 fig3 fig4 fig5a fig5b fig6 \
-             ablation bechamel resilience cluster recovery cache sessions \
-             elastic delegation geo metrics)\n"
+             ablation resilience cluster recovery sessions elastic geo \
+             metrics)\n"
             other;
           exit 2)
       names

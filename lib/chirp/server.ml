@@ -490,7 +490,9 @@ let rec serve_as t caller op =
                (* Drive the host to completion: the remote process runs
                   inside the identity box on the server's machine. *)
                Kernel.run t.sv_kernel;
-               (match Kernel.exit_code t.sv_kernel pid with
+               let code = Kernel.exit_code t.sv_kernel pid in
+               Kernel.release t.sv_kernel pid;
+               (match code with
                 | Some code -> R_exit code
                 | None -> err Errno.EAGAIN))))
 

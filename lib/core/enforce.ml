@@ -38,16 +38,6 @@ type name_cached = {
   nc_final : string;
 }
 
-(* A cached verdict for (dir, principal, right), valid while the
-   governing directory's generation is unchanged.  Only ACL-backed
-   verdicts are cached: the nobody fallback depends on the individual
-   object's stat, not on the directory. *)
-type decision_cached = {
-  dc_ino : int;
-  dc_gen : int;
-  dc_allowed : bool;
-}
-
 (* A memoized delegation-chain verdict, valid while the revocation
    store's generation is unchanged (any revoke or gossip merge bumps
    it).  Only [Ok] summaries are cached: a rejected chain is rejected
@@ -63,7 +53,6 @@ type t = {
   sup : View.t;
   cache : (string, cached) Hashtbl.t;
   names : (string, name_cached) Hashtbl.t;
-  decisions : (string, decision_cached) Hashtbl.t;
   chains : (string, chain_cached) Hashtbl.t;
   in_kernel : bool;
   caching : bool;
@@ -86,8 +75,6 @@ type t = {
   m_acl_inval : Metrics.counter;
   m_name_hit : Metrics.counter;
   m_name_miss : Metrics.counter;
-  m_dec_hit : Metrics.counter;
-  m_dec_miss : Metrics.counter;
   m_eval : Metrics.counter;
   m_eval_entries : Metrics.counter;
   m_read_fail : Metrics.counter;
@@ -114,7 +101,6 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     sup = supervisor;
     cache = Hashtbl.create 64;
     names = Hashtbl.create 64;
-    decisions = Hashtbl.create 64;
     chains = Hashtbl.create 16;
     in_kernel;
     caching;
@@ -133,8 +119,6 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     m_acl_inval = c "acl.cache.invalidate";
     m_name_hit = c "enforce.name.hit";
     m_name_miss = c "enforce.name.miss";
-    m_dec_hit = c "enforce.decision.hit";
-    m_dec_miss = c "enforce.decision.miss";
     m_eval = c "acl.eval";
     m_eval_entries = c "acl.eval.entries";
     m_read_fail = c "acl.read.fail";
@@ -422,43 +406,15 @@ let stat_of t path =
   | Ok (Syscall.Stat_v st) -> Some st
   | Ok _ | Error _ -> None
 
-let decision_key dir identity right =
-  Printf.sprintf "%s\x00%s\x00%c" dir
-    (Principal.to_string identity)
-    (Right.to_char right)
-
 let check_with_fallback t ~identity ~dir ~object_stat right =
-  (* [compute] also reports whether an ACL governed the verdict: only
-     those verdicts are a pure function of (dir, principal, right). *)
-  let compute () =
-    match dir_acl t dir with
-    | Some acl ->
-      charge_acl_eval t acl;
-      ((if Acl.check acl identity right then Ok () else Error Errno.EACCES), true)
-    | None ->
-      ( (match object_stat () with
-        | Some st when nobody_allows_stat st right -> Ok ()
-        | Some _ | None -> Error Errno.EACCES),
-        false )
-  in
-  if not t.caching then fst (compute ())
-  else
-    match Fs.dir_token (Kernel.fs t.kernel) dir with
-    | None -> fst (compute ())
-    | Some (ino, gen) ->
-      Kernel.charge t.kernel t.c_gen_check;
-      let key = decision_key dir identity right in
-      (match Hashtbl.find_opt t.decisions key with
-       | Some d when d.dc_ino = ino && d.dc_gen = gen ->
-         Metrics.incr t.m_dec_hit;
-         if d.dc_allowed then Ok () else Error Errno.EACCES
-       | Some _ | None ->
-         Metrics.incr t.m_dec_miss;
-         let verdict, acl_backed = compute () in
-         if acl_backed then
-           Hashtbl.replace t.decisions key
-             { dc_ino = ino; dc_gen = gen; dc_allowed = verdict = Ok () };
-         verdict)
+  match dir_acl t dir with
+  | Some acl ->
+    charge_acl_eval t acl;
+    if Acl.check acl identity right then Ok () else Error Errno.EACCES
+  | None ->
+    (match object_stat () with
+     | Some st when nobody_allows_stat st right -> Ok ()
+     | Some _ | None -> Error Errno.EACCES)
 
 let check_in_dir t ~identity ~dir right =
   let dir = Path.normalize dir in
@@ -515,15 +471,7 @@ let plan_mkdir t ~identity ~parent =
 let invalidate t ~dir =
   let dir = Path.normalize dir in
   Metrics.incr t.m_acl_inval;
-  Hashtbl.remove t.cache dir;
-  (* Cached verdicts for this directory go with it. *)
-  let prefix = dir ^ "\x00" in
-  let doomed =
-    Hashtbl.fold
-      (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc)
-      t.decisions []
-  in
-  List.iter (Hashtbl.remove t.decisions) doomed
+  Hashtbl.remove t.cache dir
 
 let write_acl t ~dir acl =
   let dir = Path.normalize dir in
@@ -538,8 +486,8 @@ let write_acl t ~dir acl =
     (match write_res with
      | Ok _ ->
        (* Re-prime with a post-write token: the open bumped the
-          directory's generation, so stale decisions self-invalidate
-          while the fresh ACL is served from cache. *)
+          directory's generation, so the fresh ACL is served from
+          cache. *)
        Hashtbl.replace t.cache dir { token = dir_token t dir; acl = Some acl };
        (* An ACL write is the canonical policy change (and the shape a
           replicated write arrives in): recompile eagerly, so the very
@@ -566,7 +514,7 @@ let admit_ok t summary =
 
 (* Cold validation pays one {!Cost.t.chain_hop_ns} per hop — the keyed
    digest recompute plus structural checks; a memo hit pays one
-   generation check, exactly like the name/ACL/decision caches. *)
+   generation check, exactly like the name and ACL caches. *)
 let validate_cold t ~trusted ~revocations ~now ~holder chain =
   Kernel.charge t.kernel
     (Int64.mul (Int64.of_int (List.length chain)) t.c_chain_hop);

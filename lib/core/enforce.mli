@@ -15,19 +15,19 @@
     permissions evaluated as the user [nobody] — the rule that protects
     the supervising user's pre-existing files from visitors.
 
-    With caching on (the default), three generation-validated caches
+    With caching on (the default), two generation-validated caches
     serve the warm path with {e zero} delegated syscalls, dcache-style:
     a name cache (canonical path of a full resolution, validated against
-    the global VFS mutation generation), the per-directory ACL cache
+    the global VFS mutation generation) and the per-directory ACL cache
     (validated against the governing directory's (ino, generation)
-    instead of a delegated [Lstat] of the ACL file), and an ACL
-    {e decision} cache keyed by (dir, principal, right).  Every warm hit
-    charges one {!Idbox_kernel.Cost.t.gen_check_ns}.  Verdicts are
+    instead of a delegated [Lstat] of the ACL file).  Each warm hit
+    charges one {!Idbox_kernel.Cost.t.gen_check_ns}; the cached ACL is
+    then evaluated (charged {!Idbox_kernel.Cost.t.acl_check_base} plus
+    {!Idbox_kernel.Cost.t.acl_check_entry} per entry), its matcher
+    memoizing each principal's effective rights.  Verdicts are
     byte-identical to the uncached engine: the VFS bumps a generation on
-    every mutation that could change an answer, and only ACL-backed
-    verdicts are decision-cached (the [nobody] fallback depends on the
-    object's stat).  Hit/miss counters: [acl.cache.*], [enforce.name.*],
-    [enforce.decision.*]. *)
+    every mutation that could change an answer.  Hit/miss counters:
+    [acl.cache.*], [enforce.name.*]. *)
 
 type t
 
@@ -42,13 +42,13 @@ val create :
 (** With [~in_kernel:true] (the Fig. 6 ablation) the engine's own I/O is
     charged at direct kernel cost — no supervisor context switches.
     With [~caching:false] every check revalidates through delegated
-    syscalls (the pre-cache behaviour) — the honest baseline for the
-    [bench cache] ablation.  [bytecode] (default: the [caching] value)
+    syscalls (the pre-cache behaviour the Fig. 5(b) and Fig. 6
+    apparatus pins).  [bytecode] (default: the [caching] value)
     enables the compiled-policy fast path: checks consult the installed
     {!Idbox_kernel.Policy} program before any cache or interpreter work
     and charge only {!Idbox_kernel.Cost.t.bytecode_check_ns} when it
-    answers.  Pin [~bytecode:false] to measure the decision-cache tier
-    in isolation. *)
+    answers.  Pin [~bytecode:false] to exercise the caches and the
+    interpreter on their own. *)
 
 (** {1 Compiled-policy bytecode}
 
@@ -157,7 +157,7 @@ val write_acl :
     the cache. *)
 
 val invalidate : t -> dir:string -> unit
-(** Drop the cached ACL {e and} the cached decisions for one directory. *)
+(** Drop the cached ACL for one directory. *)
 
 val acl_filename : string
 (** Re-export of {!Idbox_acl.Acl.filename} for dispatch-layer filtering. *)

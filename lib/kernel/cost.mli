@@ -36,8 +36,9 @@ type t = {
   gen_check_ns : int64;
       (** One generation revalidation: a hash probe plus an integer
           compare against the VFS mutation generation.  Charged on the
-          warm path of the supervisor's name/ACL/decision caches so
-          Fig. 6-style ablations stay honest — cheap, but not free. *)
+          warm path of the supervisor's name and ACL caches and the
+          delegation-chain memo so Fig. 6-style ablations stay honest —
+          cheap, but not free. *)
   getpid_ns : int64;
   stat_ns : int64;  (** stat beyond [syscall_base] + path terms. *)
   open_ns : int64;

@@ -1053,6 +1053,20 @@ let status t pid =
 let exit_code t pid =
   match find_proc t pid with None -> None | Some pcb -> Proc.exit_status pcb
 
+(* Unix leaves an exited process in the table until its parent waits
+   for it; when no parent can (it was reaped already, or its parent is
+   gone or exited), the entry is dead weight. *)
+let release t pid =
+  match find_proc t pid with
+  | Some pcb when not (Proc.is_alive pcb) ->
+    let waitable =
+      match (pcb.Proc.run, find_proc t pcb.Proc.parent) with
+      | Proc.Zombie _, Some parent -> Proc.is_alive parent
+      | _ -> false
+    in
+    if not waitable then Hashtbl.remove t.procs pid
+  | Some _ | None -> ()
+
 let parent_of t pid =
   match find_proc t pid with
   | Some pcb -> Some pcb.Proc.parent

@@ -126,6 +126,13 @@ val status : t -> int -> [ `Alive of string | `Exited of int | `Unknown ]
 val exit_code : t -> int -> int option
 (** The exit status, once a process has exited. *)
 
+val release : t -> int -> unit
+(** Remove an exited process that no parent can wait for (already
+    reaped, or its parent is gone or exited) from the process table;
+    afterwards its pid is unknown.  A no-op for a live process, for a
+    zombie whose parent is alive, and for an unknown pid.  Callers that
+    read {!exit_code} directly (a remote exec) call this after it. *)
+
 val kill : t -> pid:int -> signal:int -> (unit, Idbox_vfs.Errno.t) result
 (** Host-level kill (used by supervisors enforcing signal policy):
     terminates the target with status [128 + signal]. *)

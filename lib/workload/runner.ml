@@ -179,8 +179,7 @@ let run ?cost spec mode ~scale =
   | Boxed ->
     (* The figure apparatus replicates the paper's Parrot, which pays a
        revalidation lstat per check: generation caches stay off here so
-       the calibrated overheads keep matching Fig. 4/5.  [bench cache]
-       measures the cached engine against this baseline. *)
+       the calibrated overheads keep matching Fig. 4/5. *)
     let box =
       match Box.create kernel ~supervisor_uid:owner_uid ~identity:visiting_identity ~caching:false () with
       | Ok box -> box

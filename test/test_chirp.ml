@@ -222,6 +222,29 @@ let exec_requires_x_right () =
       | Ok _ -> Alcotest.fail "jane executed without x"
       | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e))
 
+(* Nothing on the server can wait for a remote exec's process, so the
+   exec frees it once the exit code is read: repeated execs must leave
+   the kernel's process table where it was. *)
+let remote_execs_free_processes () =
+  Kernel.with_fresh_programs (fun () ->
+      let w = make_world () in
+      Program.register "tool" (fun _ -> 0);
+      let c = connect_fred w in
+      ok "mkdir" (Client.mkdir c "/w");
+      ok "put" (Client.put c ~path:"/w/t.exe" ~data:(Program.marker "tool"));
+      let exec () =
+        if ok "exec" (Client.exec c ~path:"/w/t.exe" ~args:[ "t" ] ()) <> 0
+        then Alcotest.fail "nonzero exit"
+      in
+      exec ();
+      let procs () = List.length (Kernel.process_states w.kernel) in
+      let before = procs () in
+      for _ = 1 to 50 do
+        exec ()
+      done;
+      Alcotest.(check int) "50 execs leave the process table as it was"
+        before (procs ()))
+
 let rename_and_stat () =
   let w = make_world () in
   let c = connect_fred w in
@@ -558,6 +581,8 @@ let suite =
     Alcotest.test_case "bogus token rejected" `Quick bogus_token_rejected;
     Alcotest.test_case "path escape blocked" `Quick path_escape_blocked;
     Alcotest.test_case "exec requires x" `Quick exec_requires_x_right;
+    Alcotest.test_case "remote execs free their processes" `Quick
+      remote_execs_free_processes;
     Alcotest.test_case "rename and stat" `Quick rename_and_stat;
     Alcotest.test_case "acl file invisible" `Quick acl_file_invisible_remotely;
     Alcotest.test_case "checksum integrity" `Quick checksum_integrity;

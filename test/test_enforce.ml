@@ -184,8 +184,8 @@ let large_acl_read () =
 
 let cache_counters () =
   let module Metrics = Idbox_kernel.Metrics in
-  (* Bytecode pinned off: this test counts the decision/ACL-cache tier,
-     which the compiled program would answer ahead of. *)
+  (* Bytecode pinned off: this test counts the ACL-cache tier, which the
+     compiled program would answer ahead of. *)
   let k = Kernel.create () in
   let sup = Kernel.make_view k ~uid:0 () in
   let e = Enforce.create ~bytecode:false k ~supervisor:sup () in
@@ -198,21 +198,18 @@ let cache_counters () =
      so the first check below really goes to disk. *)
   Enforce.invalidate e ~dir:"/d";
   let misses0 = value "acl.cache.miss" and hits0 = value "acl.cache.hit" in
-  let dec_hits0 = value "enforce.decision.hit" in
   ignore (Enforce.check_in_dir e ~identity:fred ~dir:"/d" Right.Read);
   Alcotest.(check int) "first check misses" (misses0 + 1) (value "acl.cache.miss");
-  (* Repeating fred's exact check is served by the decision cache (it
-     never reaches the ACL layer); a different principal misses the
-     decision cache and hits the cached ACL. *)
+  (* Repeating fred's exact check and a different principal's check are
+     both served from the cached ACL. *)
   ignore (Enforce.check_in_dir e ~identity:fred ~dir:"/d" Right.Read);
-  Alcotest.(check int) "repeat check hits decisions" (dec_hits0 + 1)
-    (value "enforce.decision.hit");
+  Alcotest.(check int) "repeat check hits acl cache" (hits0 + 1)
+    (value "acl.cache.hit");
   ignore (Enforce.check_in_dir e ~identity:jane ~dir:"/d" Right.Read);
-  Alcotest.(check int) "new principal hits acl cache" (hits0 + 1)
+  Alcotest.(check int) "new principal hits acl cache" (hits0 + 2)
     (value "acl.cache.hit");
   Alcotest.(check int) "no further misses" (misses0 + 1) (value "acl.cache.miss");
-  (* Invalidation is counted, drops the cached decisions too, and forces
-     the next check back to disk. *)
+  (* Invalidation is counted and forces the next check back to disk. *)
   let inval0 = value "acl.cache.invalidate" in
   Enforce.invalidate e ~dir:"/d";
   Alcotest.(check int) "invalidation counted" (inval0 + 1) (value "acl.cache.invalidate");

@@ -125,6 +125,43 @@ let waitpid_blocks_until_child_exits () =
       in
       Alcotest.(check (option int)) "status through blocking wait" (Some 3) code)
 
+(* [release] frees only an exited process that no parent can still wait
+   for. *)
+let release_spares_waitable_zombies () =
+  let k = Kernel.create () in
+  Kernel.with_fresh_programs (fun () ->
+      Program.register "quick" (fun _ -> 0);
+      (match
+         Fs.write_file (Kernel.fs k) ~uid:0 ~mode:0o755 "/bin/quick"
+           (Program.marker "quick")
+       with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail (Errno.to_string e));
+      let child = ref 0 in
+      let parent =
+        Kernel.spawn_main k
+          ~main:(fun _ ->
+            let rd, _wr = Libc.check "pipe" (Libc.pipe ()) in
+            child := Libc.check "spawn" (Libc.spawn "/bin/quick" ~args:[ "q" ]);
+            (* Never waits: blocks on a pipe whose write end it holds. *)
+            ignore (Libc.read rd ~len:1);
+            0)
+          ~args:[ "p" ] ()
+      in
+      Kernel.run k;
+      let known pid = List.mem_assoc pid (Kernel.process_states k) in
+      Kernel.release k !child;
+      Kernel.release k parent;
+      Alcotest.(check bool) "zombie of a live parent kept" true (known !child);
+      Alcotest.(check bool) "live process kept" true (known parent);
+      ignore (Kernel.kill k ~pid:parent ~signal:9);
+      Kernel.release k !child;
+      Kernel.release k parent;
+      Alcotest.(check bool) "zombie of an exited parent freed" false
+        (known !child);
+      Alcotest.(check bool) "exited process without a parent freed" false
+        (known parent))
+
 let spawn_checks_exec () =
   let k = Kernel.create () in
   Kernel.with_fresh_programs (fun () ->
@@ -465,6 +502,8 @@ let suite =
     Alcotest.test_case "spawn and wait" `Quick spawn_and_wait;
     Alcotest.test_case "wait any / ECHILD" `Quick wait_any_and_echild;
     Alcotest.test_case "blocking waitpid" `Quick waitpid_blocks_until_child_exits;
+    Alcotest.test_case "release spares waitable zombies" `Quick
+      release_spares_waitable_zombies;
     Alcotest.test_case "spawn exec checks" `Quick spawn_checks_exec;
     Alcotest.test_case "kill permissions" `Quick kill_permissions;
     Alcotest.test_case "fd lifecycle and lseek" `Quick fd_lifecycle_and_lseek;

@@ -1,5 +1,5 @@
 (* Property suite for the compiled-policy bytecode (ISSUE 9): a
-   bytecode-enabled engine, a decision-cache engine with bytecode
+   bytecode-enabled engine, a caching engine with bytecode
    pinned off, and a cache-disabled engine all watch the same kernel
    while the namespace is mutated at random — the same storm shape as
    test_enforce_cache (files written and unlinked, renames, a symlink
@@ -277,7 +277,7 @@ let verifier_rejects_fail_closed () =
    | None -> Alcotest.fail "engine did not recover a program")
 
 (* The perf contract: a warm bytecode hit makes zero delegated syscalls
-   and charges less than a decision-cache hit would. *)
+   and charges less than one generation check. *)
 let warm_hit_is_cheap () =
   let k, bytecode, _, _ = setup () in
   ignore (Enforce.check_object bytecode ~identity:fred ~path:"/w/a/f0" Right.Read);
