@@ -31,6 +31,18 @@ type done_op = {
   dd_response : string;  (* already encoded for the wire *)
 }
 
+(* The dedup journal's eviction order: (time, request id), oldest
+   first.  Entries join out of time order — a parked mutation is
+   journaled at flush under its admission time, after reads admitted
+   later — so this is an ordered set rather than a FIFO: its minimum is
+   always the next entry to expire. *)
+module Dedup_order = Set.Make (struct
+  type t = int64 * string
+
+  let compare (a, x) (b, y) =
+    match Int64.compare a b with 0 -> String.compare x y | c -> c
+end)
+
 (* A memoized per-directory digest, revalidated by the directory's
    (ino, generation) token: namespace changes, ACL writes and content
    writes all bump the directory generation, so a stale digest can
@@ -71,6 +83,7 @@ type t = {
   sv_audit : Audit.t;
   sessions : (string, session) Hashtbl.t;
   dedup : (string, done_op) Hashtbl.t;
+  mutable dedup_order : Dedup_order.t;  (* [dedup]'s entries by [dd_at] *)
   max_sessions : int;
   max_parked : int;  (* admission bound on the parked-mutation queue *)
   session_idle_ns : int64;
@@ -106,6 +119,10 @@ let parked_ops t = Queue.length t.pending_q
 let brownout t = t.sv_brownout
 let max_parked t = t.max_parked
 let max_sessions t = t.max_sessions
+
+let dedup_entries t =
+  Hashtbl.fold (fun rid d acc -> (rid, d.dd_at) :: acc) t.dedup []
+  |> List.sort compare
 
 let sessions t =
   Hashtbl.fold
@@ -738,23 +755,31 @@ let sweep_sessions t now =
       Hashtbl.remove t.sessions token)
     dead
 
+(* Record a completed request in the dedup journal, keeping
+   [dedup_order] an exact index of it: a replaced entry leaves the
+   order under its old time. *)
+let journal t rid d =
+  (match Hashtbl.find_opt t.dedup rid with
+   | Some old ->
+     t.dedup_order <- Dedup_order.remove (old.dd_at, rid) t.dedup_order
+   | None -> ());
+  Hashtbl.replace t.dedup rid d;
+  t.dedup_order <- Dedup_order.add (d.dd_at, rid) t.dedup_order
+
 (* The dedup journal is bounded by age: entries older than the dedup
    window can no longer match any live retry (clients give up long
    before), so each admission evicts them — a long-lived session's
    journal stays proportional to its recent write rate, not its
-   lifetime. *)
-let sweep_dedup t now =
-  let dead =
-    Hashtbl.fold
-      (fun rid d acc ->
-        if Int64.sub now d.dd_at > t.dedup_window_ns then rid :: acc else acc)
-      t.dedup []
-  in
-  List.iter
-    (fun rid ->
-      metric t "chirp.dedup_evictions";
-      Hashtbl.remove t.dedup rid)
-    dead
+   lifetime.  Eviction pops the oldest entries only, so a sweep with
+   nothing to evict costs one look at the minimum, not a scan. *)
+let rec sweep_dedup t now =
+  match Dedup_order.min_elt_opt t.dedup_order with
+  | Some ((at, rid) as oldest) when Int64.sub now at > t.dedup_window_ns ->
+    t.dedup_order <- Dedup_order.remove oldest t.dedup_order;
+    Hashtbl.remove t.dedup rid;
+    metric t "chirp.dedup_evictions";
+    sweep_dedup t now
+  | Some _ | None -> ()
 
 (* {1 Admission control}
 
@@ -889,8 +914,7 @@ let rec flush_batch t =
             Protocol.encode_response (execute_op t pk.pk_principal pk.pk_op)
           in
           if not (String.equal pk.pk_req_id "") then begin
-            Hashtbl.replace t.dedup pk.pk_req_id
-              { dd_at = pk.pk_now; dd_response = encoded };
+            journal t pk.pk_req_id { dd_at = pk.pk_now; dd_response = encoded };
             wal_record t
               [ "done"; pk.pk_req_id; Int64.to_string pk.pk_now; encoded ]
           end;
@@ -1020,7 +1044,7 @@ let admit t ~reply payload =
              let encoded =
                Protocol.encode_response (execute_op t s.ss_principal op)
              in
-             Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
+             journal t req_id { dd_at = now; dd_response = encoded };
              reply encoded
          end
        end
@@ -1075,6 +1099,7 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       sv_audit = Audit.create ();
       sessions = Hashtbl.create 8;
       dedup = Hashtbl.create 8;
+      dedup_order = Dedup_order.empty;
       max_sessions;
       max_parked = max 1 max_parked;
       session_idle_ns;
@@ -1173,6 +1198,7 @@ let restart t =
   metric t "chirp.restart";
   Hashtbl.reset t.sessions;
   Hashtbl.reset t.dedup;
+  t.dedup_order <- Dedup_order.empty;
   Hashtbl.reset t.boxes;
   Hashtbl.reset t.digests;
   Queue.clear t.pending_q;
@@ -1222,8 +1248,7 @@ let restart t =
            let rec restore = function
              | rid :: at :: resp :: rest ->
                (match Int64.of_string_opt at with
-                | Some dd_at ->
-                  Hashtbl.replace t.dedup rid { dd_at; dd_response = resp }
+                | Some dd_at -> journal t rid { dd_at; dd_response = resp }
                 | None -> ());
                restore rest
              | _ -> ()
@@ -1249,8 +1274,7 @@ let restart t =
          | Error _ -> ())
       | Ok [ "done"; rid; at; resp ] ->
         (match Int64.of_string_opt at with
-         | Some dd_at ->
-           Hashtbl.replace t.dedup rid { dd_at; dd_response = resp }
+         | Some dd_at -> journal t rid { dd_at; dd_response = resp }
          | None -> ())
       | Ok _ | Error _ -> ())
     rc.Wal.rc_records;
@@ -1332,7 +1356,7 @@ let apply_shipped t ~identity ~req_id op =
       [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ];
     wal_sync t;
     let encoded = Protocol.encode_response (execute_op t identity op) in
-    Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
+    journal t req_id { dd_at = now; dd_response = encoded };
     wal_record t [ "done"; req_id; Int64.to_string now; encoded ];
     wal_sync t;
     maybe_checkpoint t op;

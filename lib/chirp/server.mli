@@ -114,6 +114,9 @@ val exec_count : t -> int
 val dedup_size : t -> int
 (** Entries currently held in the dedup window. *)
 
+val dedup_entries : t -> (string * int64) list
+(** The dedup journal as (request id, admission time) pairs, sorted. *)
+
 val parked_ops : t -> int
 (** Mutations parked and awaiting the next batch flush (always [0]
     between deliveries when [flush_interval_ns] is [0]). *)

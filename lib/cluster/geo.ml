@@ -41,9 +41,10 @@ type region = {
   rg_addr : string;  (* the geo endpoint this region listens on *)
   mutable rg_role : role;
   mutable rg_epoch : int;  (* highest fencing epoch heard (or minted) *)
-  (* Primary-side state.  The log retains every record this region has
-     sequenced *or applied*, keyed by LSN, so a promoted secondary can
-     serve the suffix to laggards without a full reconcile. *)
+  (* Primary-side state.  The log retains the newest records this
+     region has sequenced *or applied* (at most [g_log_retain]), keyed
+     by LSN, so a promoted secondary can serve the suffix to laggards
+     without a full reconcile; a peer further behind is reconciled. *)
   rg_log : (int, string) Hashtbl.t;
   mutable rg_next_lsn : int;
   rg_acked : (string, int) Hashtbl.t;  (* peer region -> acked LSN *)
@@ -66,6 +67,7 @@ type t = {
   g_clock : Clock.t;
   g_ship_interval_ns : int64;
   g_batch_max : int;
+  g_log_retain : int;  (* records each region's log keeps *)
   g_timeout_ns : int64;
   mutable g_regions : region list;
 }
@@ -92,6 +94,8 @@ let tip r = r.rg_next_lsn - 1
 let primary_name r = r.rg_primary
 let needs_reconcile r = r.rg_reconcile
 let ship_interval_ns t = t.g_ship_interval_ns
+let log_retain t = t.g_log_retain
+let log_length r = Hashtbl.length r.rg_log
 
 let staleness t r =
   if r.rg_role = Primary then 0L
@@ -117,8 +121,17 @@ let wan_windows ?one_way t ~from_ns ~until_ns ~between:(a, b) () =
 
 (* {1 The geo log} *)
 
+(* Log [record] at [lsn] and forget the one [g_log_retain] LSNs older.
+   LSNs arrive consecutively (appends, in-order applies, a promotion
+   continuing from the applied LSN; a reconcile empties the log), so
+   the log never holds more than [g_log_retain] records.  A peer acked
+   further back finds holes in [ship_to] and is reconciled instead. *)
+let retain t rg ~lsn record =
+  Hashtbl.replace rg.rg_log lsn record;
+  Hashtbl.remove rg.rg_log (lsn - t.g_log_retain)
+
 let append t rg ~identity op =
-  Hashtbl.replace rg.rg_log rg.rg_next_lsn
+  retain t rg ~lsn:rg.rg_next_lsn
     (Wire.encode
        [ "m"; Principal.to_string identity; Protocol.operation_to_wire op ]);
   rg.rg_next_lsn <- rg.rg_next_lsn + 1;
@@ -158,6 +171,12 @@ let promote t name =
     rg.rg_reconcile <- false;
     rg.rg_primary <- rg.rg_name;
     rg.rg_next_lsn <- rg.rg_applied_lsn + 1;
+    (* Records past the applied LSN are a deposed era's history: never
+       shipped, overwritten by the new appends.  Drop them now, so the
+       retention window stays exact. *)
+    Hashtbl.filter_map_inplace
+      (fun lsn record -> if lsn < rg.rg_next_lsn then Some record else None)
+      rg.rg_log;
     Hashtbl.reset rg.rg_acked;
     Hashtbl.reset rg.rg_stale;
     install_hooks t rg;
@@ -219,7 +238,7 @@ let owner_members w key =
       | l -> l)
 
 let apply_record t rg ~lsn record =
-  Hashtbl.replace rg.rg_log lsn record;
+  retain t rg ~lsn record;
   match Wire.decode record with
   | Ok [ "m"; principal; opblob ] ->
     (match Protocol.operation_of_wire opblob with
@@ -532,7 +551,8 @@ let ship_to t rg peer =
     let lsns = range (acked + 1) last in
     let records = List.filter_map (Hashtbl.find_opt rg.rg_log) lsns in
     if List.length records <> List.length lsns then
-      (* Holes in the retained log (this primary was reconciled as a
+      (* Holes in the retained log (the peer is further behind than
+         the retention window, or this primary was reconciled as a
          secondary once): incremental shipping cannot serve this peer —
          fall back to a full reconcile. *)
       Hashtbl.replace rg.rg_stale peer.rg_name ()
@@ -628,6 +648,7 @@ let link ?(ship_interval_ns = 200_000_000L) ?(batch_max = 64)
       g_clock = clock;
       g_ship_interval_ns = Int64.max 1L ship_interval_ns;
       g_batch_max = max 1 batch_max;
+      g_log_retain = 16 * max 1 batch_max;
       g_timeout_ns = timeout_ns;
       g_regions = [];
     }

@@ -68,11 +68,13 @@ val link :
     shared network) into one geo deployment with [primary] as the
     initial primary region.  [ship_interval_ns] (default 200 ms) is
     the group-commit shipping cadence; [batch_max] (default 64) caps
-    records per segment; [timeout_ns] (default 50 ms) bounds each
-    cross-region exchange.  Every peer starts marked for reconcile, so
-    the first cadence converges regions that were not born identical
-    (e.g. the primary had pre-link writes) before incremental shipping
-    begins. *)
+    records per segment, and each region's log keeps the newest
+    16 × [batch_max] records ({!log_retain}): a peer acked further back
+    than that is reconciled instead of re-shipped.  [timeout_ns]
+    (default 50 ms) bounds each cross-region exchange.  Every peer
+    starts marked for reconcile, so the first cadence converges regions
+    that were not born identical (e.g. the primary had pre-link writes)
+    before incremental shipping begins. *)
 
 val regions : t -> string list
 val region : t -> string -> region
@@ -95,6 +97,12 @@ val staleness : t -> region -> int64
 (** How stale this region's applied state is: time since it last
     proved its applied LSN equal to the primary's tip.  [0] on the
     primary. *)
+
+val log_retain : t -> int
+(** How many records each region's log keeps: 16 × [batch_max]. *)
+
+val log_length : region -> int
+(** Records this region's log holds now, at most {!log_retain}. *)
 
 val ship_interval_ns : t -> int64
 

@@ -889,6 +889,9 @@ let spawn t ?(check_exec = true) ~path ~args () =
   else proceed ()
 
 let spawn_main t ~main ~args =
+  (* Like a Chirp session at auth: the process's first checks find a
+     program that matches the current policy generation. *)
+  Enforce.refresh_bytecode t.enforce;
   Kernel.spawn_main t.bx_kernel ~uid:t.sup.View.uid ~cwd:"/" ~env:(box_env t)
     ~tracer:(handler t) ~main ~args ()
 

@@ -58,9 +58,9 @@ type t = {
   caching : bool;
   bytecode : bool;
   (* The installed decision program, its compile latch (one compile
-     attempt per generation — a rejected compile must not retry until
-     the filesystem actually changes), and the test-only corruption
-     hook for proving the verifier fails closed. *)
+     attempt per policy generation — a rejected compile must not retry
+     until the policy-visible namespace actually changes), and the
+     test-only corruption hook for proving the verifier fails closed. *)
   mutable bc_prog : Policy.t option;
   mutable bc_attempt_gen : int;
   mutable bc_tamper : (Policy.t -> Policy.t) option;
@@ -135,10 +135,10 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
 (* ------------------------------------------------------------------ *)
 (* Compiled-policy bytecode.                                           *)
 
-(* One compile attempt per generation: compilation is charged flat at
-   [bytecode_compile_ns] and its outcome — installed program or
+(* One compile attempt per policy generation: compilation is charged
+   flat at [bytecode_compile_ns] and its outcome — installed program or
    verifier rejection (fail closed to the interpreter) — is latched
-   until the filesystem actually changes again. *)
+   until a policy-visible change ({!Fs.policy_generation}) happens. *)
 let recompile_bytecode t ~gen =
   if t.bc_attempt_gen <> gen then begin
     t.bc_attempt_gen <- gen;
@@ -159,7 +159,7 @@ let recompile_bytecode t ~gen =
 
 let refresh_bytecode t =
   if t.bytecode then begin
-    let gen = Fs.generation (Kernel.fs t.kernel) in
+    let gen = Fs.policy_generation (Kernel.fs t.kernel) in
     match t.bc_prog with
     | Some p when Policy.generation p = gen -> ()
     | Some _ | None -> recompile_bytecode t ~gen
@@ -175,14 +175,14 @@ let set_bytecode_tamper t f =
 
 let bytecode_program t = t.bc_prog
 
-(* The syscall-entry fast path: one generation compare, then the
+(* The syscall-entry fast path: one policy-generation compare, then the
    program answers without touching the interpreter.  [None] sends the
    check to the interpreter — because bytecode is off, the program is
    stale or rejected, or it honestly answered [Unknown]. *)
 let bytecode_consult t kind ~identity right =
   if not t.bytecode then None
   else begin
-    let gen = Fs.generation (Kernel.fs t.kernel) in
+    let gen = Fs.policy_generation (Kernel.fs t.kernel) in
     let evaluate p =
       Kernel.charge t.kernel t.c_bc_check;
       let principal = Principal.to_string identity in
@@ -489,12 +489,8 @@ let write_acl t ~dir acl =
           directory's generation, so the fresh ACL is served from
           cache. *)
        Hashtbl.replace t.cache dir { token = dir_token t dir; acl = Some acl };
-       (* An ACL write is the canonical policy change (and the shape a
-          replicated write arrives in): recompile eagerly, so the very
-          next check is already on the fast path instead of paying a
-          stale fallback first. *)
-       if t.bytecode then
-         recompile_bytecode t ~gen:(Fs.generation (Kernel.fs t.kernel));
+       (* The open bumped the policy generation too: the program is
+          rebuilt lazily, once, at the next check. *)
        Ok ()
      | Error e -> Error e)
   | Ok _ -> Error Errno.EINVAL

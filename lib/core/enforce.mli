@@ -54,24 +54,33 @@ val create :
 
     The box's reachable ACL set, compiled by {!Policy_compile} into a
     verified decision program and consulted at syscall entry before the
-    interpreter.  Invalidation rides the existing generation tokens: any
-    namespace/ACL mutation bumps the VFS generation, the resident
-    program goes stale, the next check falls back to the interpreter
-    and triggers one recompile (charged
-    {!Idbox_kernel.Cost.t.bytecode_compile_ns}, latched per
-    generation).  A program the verifier rejects is never installed —
-    the engine fails closed to the interpreter, and the rejection is
-    latched until the filesystem changes again.  Counters:
+    interpreter.  The program is keyed on
+    {!Idbox_vfs.Fs.policy_generation}, not on the global generation the
+    name cache uses: creating, unlinking or renaming a plain file cannot
+    change a verdict (the directory's ACL governs the file either way),
+    so such churn leaves the program resident.  Any other namespace or
+    ACL mutation makes it stale; the next check falls back to the
+    interpreter and triggers one recompile (charged
+    {!Idbox_kernel.Cost.t.bytecode_compile_ns}, latched per policy
+    generation).  There is no eager recompile — an ACL write, local or
+    replicated, only makes the program stale.  A program the verifier
+    rejects is never installed — the engine fails closed to the
+    interpreter, and the rejection is latched until the policy
+    generation moves again.  Counters:
     [kernel.bytecode.{hit,stale,fallback,recompile,reject}]. *)
 
 val refresh_bytecode : t -> unit
-(** Ensure the resident program matches the current generation,
-    compiling if needed.  Servers call this when a session
-    authenticates, so the session's first checks are already on the
-    fast path.  No-op when bytecode is disabled. *)
+(** Ensure the resident program matches the current policy generation,
+    compiling if needed.  Chirp servers call this when a session
+    authenticates and {!Box.spawn_main} before a boxed process starts,
+    so their first checks are already on the fast path.  No-op when
+    bytecode is disabled. *)
 
 val bytecode_program : t -> Idbox_kernel.Policy.t option
-(** The resident program, if any — for stats and tests. *)
+(** This engine's resident program, if any — for stats and tests.  The
+    kernel's single {!Idbox_kernel.Kernel.policy} slot holds the last
+    program {e any} engine on that kernel installed (a World's members
+    share one kernel), so it can differ from this one. *)
 
 val set_bytecode_tamper :
   t -> (Idbox_kernel.Policy.t -> Idbox_kernel.Policy.t) option -> unit
@@ -154,7 +163,8 @@ val reserve_in_dir :
 val write_acl :
   t -> dir:string -> Idbox_acl.Acl.t -> (unit, Idbox_vfs.Errno.t) result
 (** Install a directory's ACL file (supervisor-side write) and refresh
-    the cache. *)
+    the ACL cache.  The compiled program goes stale and is rebuilt at
+    the next check. *)
 
 val invalidate : t -> dir:string -> unit
 (** Drop the cached ACL for one directory. *)

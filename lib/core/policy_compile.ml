@@ -12,8 +12,11 @@
    Anything the snapshot cannot answer as a pure function of
    (governing ACL, principal, right) is recorded as NOT COMPILED
    (value -1) rather than omitted — existing objects must occupy the
-   path table even when uncompilable, or the "absent means the object
-   does not exist" reading of a path-table miss would break.  Subtrees
+   path table even when uncompilable, or the "a miss is governed by the
+   parent's ACL" reading of a path-table miss would break.  That reading
+   also covers plain files created after the snapshot: their entry
+   would be the parent's ACL, so plain-file churn does not bump the
+   policy generation the program is keyed on.  Subtrees
    the supervisor cannot enumerate are omitted entirely, which is
    safe: their directories never enter the dir table either, so every
    probe in them misses to [Unknown].
@@ -362,7 +365,7 @@ let build_program fs ~uid =
           ex_items;
         let p =
           {
-            Policy.p_gen = Fs.generation fs;
+            Policy.p_gen = Fs.policy_generation fs;
             p_pool = Array.of_list (List.rev !pool);
             p_code = Array.of_list (List.rev !code);
             p_acl_off = acl_off;

@@ -1090,10 +1090,10 @@ let set_security_hook t hook = t.security <- hook
 
 let set_identity_provider t provider = t.identity_of <- provider
 
-(* The compiled-policy slot.  The enforcement engine installs a fresh
-   program here after each successful compile and clears it on
-   rejection; sysent-level consumers (and `idbox stats`) can inspect
-   what is currently resident. *)
+(* The compiled-policy slot.  Each enforcement engine on this kernel
+   installs a fresh program here after a successful compile and clears
+   it on rejection, so the slot holds the last engine's program;
+   sysent-level consumers (and `idbox stats`) can inspect it. *)
 let set_policy t p = t.k_policy <- p
 let policy t = t.k_policy
 

@@ -174,9 +174,10 @@ val set_identity_provider : t -> (int -> string option) option -> unit
 val set_policy : t -> Policy.t option -> unit
 (** Install (or clear) the compiled-policy bytecode program the
     security hook's enforcement engine consults at syscall entry.
-    Owned by the engine: it installs after each successful compile +
-    verify, and clears on verifier rejection (fail closed to the
-    interpreter). *)
+    Owned by the engines: each installs after a successful compile +
+    verify and clears on verifier rejection (fail closed to the
+    interpreter).  There is one slot per kernel, so it holds the last
+    program any engine on the kernel installed. *)
 
 val policy : t -> Policy.t option
 (** The currently resident program, if any — for [idbox stats] and

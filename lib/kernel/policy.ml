@@ -26,7 +26,7 @@
 type verdict = Allow | Deny | Unknown
 
 type t = {
-  p_gen : int;  (* VFS global generation the snapshot was taken at *)
+  p_gen : int;  (* VFS policy generation the snapshot was taken at *)
   p_pool : string array;  (* interned strings: paths, principals, patterns *)
   p_code : int array;  (* flat stream, [instr_width] ints per instruction *)
   p_acl_off : int array;  (* ACL id -> offset of its wildcard block *)
@@ -247,9 +247,10 @@ let eval_object p ~principal ~path ~right_bit =
     | Some acl -> decide p ~acl ~principal ~right_bit
     | None ->
       (* Unknown object: if its lexical parent is a compiled directory,
-         the governing ACL is that directory's — the object does not
-         exist at this generation (every existing object is in the path
-         table), so the verdict is a pure function of the parent's ACL. *)
+         the governing ACL is that directory's.  At this policy
+         generation every directory and symlink is in the path table, so
+         the object is absent or a plain file created since — governed by
+         the parent's ACL either way, a pure function of it. *)
       (match
          probe_str p.p_pool ~seed:p.p_dir_seed p.p_dir_key p.p_dir_val
            (parent_of path)

@@ -4,9 +4,13 @@
     — three collision-free ("perfect") hash tables plus a flat
     two-opcode instruction stream, one wildcard block per ACL —
     evaluated at syscall entry without touching the policy
-    interpreter.  Evaluation is a generation compare (done by the
-    caller), one or two table probes and a bounded automaton walk,
-    charged at {!Cost.t.bytecode_check_ns}.
+    interpreter.  Evaluation is a policy-generation compare (done by
+    the caller), one or two table probes and a bounded automaton walk,
+    charged at {!Cost.t.bytecode_check_ns}.  A stale program is
+    recompiled lazily, at the next check; nothing recompiles eagerly.
+    Each engine keeps its own program, and a kernel's single
+    {!Kernel.policy} slot holds the last one any engine on that kernel
+    installed.
 
     The module is policy-agnostic: rights travel as bit positions in
     an integer mask, principals and paths as strings.  The compiler
@@ -22,7 +26,10 @@
 type verdict = Allow | Deny | Unknown
 
 type t = {
-  p_gen : int;  (** VFS global generation the snapshot was taken at. *)
+  p_gen : int;
+      (** The VFS policy generation ([Fs.policy_generation]) the
+          snapshot was taken at — not the global generation, which
+          plain-file churn also bumps. *)
   p_pool : string array;
   p_code : int array;
   p_acl_off : int array;
@@ -42,9 +49,10 @@ type t = {
     as opaque and go through {!eval_object} / {!eval_in_dir}. *)
 
 val generation : t -> int
-(** The generation the program is valid for: the caller compares this
-    against the live VFS generation before every evaluation and treats
-    a mismatch as {e stale} (fall back, recompile off the hot path). *)
+(** The policy generation the program is valid for: the caller compares
+    this against the live VFS policy generation before every evaluation
+    and treats a mismatch as {e stale} (fall back to the interpreter and
+    recompile, lazily — nothing recompiles eagerly). *)
 
 (** {1 Opcodes and bounds} *)
 
@@ -79,8 +87,10 @@ val eval_object :
     normalized path as presented to the engine; the program answers
     from its path table (existing objects, symlinks pre-resolved to
     their governing ACL at compile time) or, for paths absent from the
-    snapshot — which at an unchanged generation proves the object does
-    not exist — from the lexical parent's directory table entry. *)
+    snapshot, from the lexical parent's directory table entry.  At an
+    unchanged policy generation every directory and symlink is in the
+    path table, so a miss is either absent or a plain file created
+    since: the parent's ACL governs both. *)
 
 val eval_in_dir : t -> principal:string -> dir:string -> right_bit:int -> verdict
 (** The verdict for a check directly against a directory's ACL. *)

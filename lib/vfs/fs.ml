@@ -6,6 +6,11 @@ type t = {
       (* Global mutation generation: bumped on every namespace- or
          ACL-relevant change anywhere in the tree.  Validates caches keyed
          on whole-path resolution (see [Enforce]'s name cache). *)
+  mutable policy_gen : int;
+      (* Policy generation: bumped with [fs_gen] except when a plain file
+         is created, unlinked or renamed (see [note_plain_change]).  Validates
+         the compiled policy program, whose answers such changes cannot
+         move. *)
   mutable watched : string option;
       (* Basename whose open-for-write counts as an ACL-relevant mutation
          of the containing directory ([Enforce] registers ".__acl").
@@ -48,20 +53,43 @@ let symlink_limit = 40
 
 let create ?(clock = fun () -> 0L) () =
   let root = Inode.make_dir ~ino:1 ~uid:0 ~mode:0o755 ~now:(clock ()) in
-  { fs_root = root; clock; next_ino = 2; fs_gen = 0; watched = None }
+  { fs_root = root; clock; next_ino = 2; fs_gen = 0; policy_gen = 0; watched = None }
 
 let root t = t.fs_root
 
 let generation t = t.fs_gen
+let policy_generation t = t.policy_gen
 
 let watch_basename t name = t.watched <- Some name
 
+let is_watched t name =
+  match t.watched with Some w -> String.equal name w | None -> false
+
+(* A plain file: its only policy-visible trait is the directory that
+   holds it, whose ACL governs it. *)
+let is_plain inode =
+  match Inode.kind inode with
+  | Inode.Regular | Inode.Fifo -> true
+  | Inode.Directory | Inode.Symlink -> false
+
 (* Generation bumps are host-side bookkeeping: the mutating operation
    itself is what the kernel charges for, so bumping is free. *)
-let note_global t = t.fs_gen <- t.fs_gen + 1
+let note_global t =
+  t.fs_gen <- t.fs_gen + 1;
+  t.policy_gen <- t.policy_gen + 1
 
 let note_mutation t dir =
   note_global t;
+  Inode.bump_gen dir
+
+(* A plain file created, unlinked or renamed under a name other than
+   the watched one, replacing nothing or another plain file.  The
+   compiled policy answers such a path from its parent directory's ACL
+   whether or not the file exists (the same ACL its path-table entry
+   would hold), so the policy generation stays; name caches and the
+   directory's own token still move. *)
+let note_plain_change t dir =
+  t.fs_gen <- t.fs_gen + 1;
   Inode.bump_gen dir
 
 let alloc_ino t =
@@ -133,11 +161,6 @@ let dir_token t path =
     Some (Inode.ino inode, Inode.gen inode)
   | Ok _ | Error _ -> None
 
-let watched_name t path =
-  match t.watched with
-  | Some w -> String.equal (Path.basename path) w
-  | None -> false
-
 (* A successful open-for-write of the watched basename: bump the
    containing directory (resolved as root: this is bookkeeping, not an
    access check), or at least the global generation. *)
@@ -188,7 +211,7 @@ let rec open_file_depth t ~uid ~flags ~mode ~depth path =
             Inode.set_mtime inode (t.clock ())
           end;
           if flags.wr then
-            if watched_name t path then note_watched_write t path
+            if is_watched t (Path.basename path) then note_watched_write t path
             else note_content_write t path;
           Ok inode
         end
@@ -220,7 +243,8 @@ let rec open_file_depth t ~uid ~flags ~mode ~depth path =
               in
               Inode.dir_add dir name inode;
               Inode.set_mtime dir (t.clock ());
-              note_mutation t dir;
+              if is_watched t name then note_mutation t dir
+              else note_plain_change t dir;
               Ok inode
             end))
     | Error _ as e -> e
@@ -282,15 +306,23 @@ let unlink t ~uid path =
          Inode.dir_remove dir name;
          Inode.decr_nlink child;
          Inode.set_mtime dir (t.clock ());
-         note_mutation t dir;
+         if is_plain child && not (is_watched t name) then
+           note_plain_change t dir
+         else note_mutation t dir;
          Ok ()
        end)
 
+(* The watched (ACL) name never shares its inode with another name: a
+   write through the other name would change the ACL without touching
+   the watched name, so nothing would bump.  [link] to or from it fails,
+   as does renaming a multiply-linked file onto it. *)
 let link t ~uid ~target path =
   match resolve_no_follow t ~uid target with
   | Error e -> Error e
   | Ok src ->
     if Inode.kind src = Inode.Directory then Error Errno.EPERM
+    else if is_watched t (Path.basename target) || is_watched t (Path.basename path)
+    then Error Errno.EPERM
     else
       (match resolve_parent t ~uid path with
        | Error e -> Error e
@@ -358,25 +390,33 @@ let rename t ~uid ~src ~dst =
           else if
             Inode.kind moving = Inode.Directory && subtree_contains moving ddir
           then Error Errno.EINVAL
+          else if is_watched t dname && Inode.nlink moving > 1 then
+            Error Errno.EPERM
           else
-            let replace () =
+            let replace ~plain =
               Inode.dir_remove sdir sname;
               Inode.dir_add ddir dname moving;
               Inode.set_mtime sdir (t.clock ());
               Inode.set_mtime ddir (t.clock ());
-              note_mutation t sdir;
-              note_mutation t ddir;
+              let note = if plain then note_plain_change else note_mutation in
+              note t sdir;
+              note t ddir;
               Ok ()
             in
+            let plain_move =
+              is_plain moving
+              && (not (is_watched t sname))
+              && not (is_watched t dname)
+            in
             (match Inode.dir_find ddir dname with
-             | None -> replace ()
+             | None -> replace ~plain:plain_move
              | Some existing when existing == moving -> Ok ()
              | Some existing ->
                (match (Inode.kind moving, Inode.kind existing) with
                 | Inode.Directory, Inode.Directory ->
                   if Inode.dir_is_empty existing then begin
                     Inode.decr_nlink existing;
-                    replace ()
+                    replace ~plain:false
                   end
                   else Error Errno.ENOTEMPTY
                 | Inode.Directory, (Inode.Regular | Inode.Symlink | Inode.Fifo) ->
@@ -386,7 +426,7 @@ let rename t ~uid ~src ~dst =
                 | (Inode.Regular | Inode.Symlink | Inode.Fifo),
                   (Inode.Regular | Inode.Symlink | Inode.Fifo) ->
                   Inode.decr_nlink existing;
-                  replace ()))))
+                  replace ~plain:(plain_move && is_plain existing)))))
 
 let readdir t ~uid path =
   match resolve t ~uid path with

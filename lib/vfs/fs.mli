@@ -55,19 +55,35 @@ val root : t -> Inode.t
 (** {1 Mutation generations}
 
     Monotonic counters that let caches revalidate without re-walking or
-    re-reading anything.  Every namespace- or ACL-relevant mutation —
-    create, unlink, rmdir, link, symlink, rename, chmod, chown, and a
-    successful open-for-write of the {!watch_basename} name — bumps the
-    global generation and the containing directory's generation.
+    re-reading anything.  Two are global, one is per directory:
 
-    A successful open-for-write of any {e other} existing file bumps
-    only the containing directory's generation: the directory's content
-    is about to change (anti-entropy digests over file contents must
-    revalidate) but its namespace is not, so whole-path name caches
-    keyed on the global generation keep their hits. *)
+    - {!generation} is bumped by every namespace- or ACL-relevant
+      mutation: create, unlink, rmdir, mkdir, link, symlink, rename,
+      chmod, chown, and a successful open-for-write of the
+      {!watch_basename} name.  Whole-path name caches key on it.
+    - {!policy_generation} is bumped by the same calls, with one
+      exception: a regular file (or fifo) created, unlinked or renamed,
+      when neither its old nor its new name is the watched basename and
+      it replaces nothing or another regular file.  Such a change cannot
+      move an ACL verdict — the ACL of the directory holding a file
+      governs it, whether or not the file exists — so the compiled
+      policy program keys on this counter and survives plain-file
+      churn.  Hard links, renames that move or replace a directory or a
+      symlink, and every create, write, unlink or rename of the watched
+      name (the ACL file), still bump it.
+    - The containing directory's [(ino, gen)] token ({!dir_token}) moves
+      with every mutation that bumps {!generation} there, and also on a
+      successful open-for-write of any {e other} existing file in it:
+      the directory's content is about to change (anti-entropy digests
+      over file contents must revalidate) but its namespace is not, so
+      neither global counter moves. *)
 
 val generation : t -> int
 (** The global mutation generation (starts at 0). *)
+
+val policy_generation : t -> int
+(** The policy generation (starts at 0): {!generation} minus the
+    plain-file creates, unlinks and renames described above. *)
 
 val dir_token : t -> string -> (int * int) option
 (** [(ino, gen)] of the directory the path resolves to (as root,
@@ -105,13 +121,19 @@ val rmdir : t -> uid:int -> string -> unit r
 val unlink : t -> uid:int -> string -> unit r
 val link : t -> uid:int -> target:string -> string -> unit r
 (** Hard link: [link ~target path] makes [path] name the same inode as
-    [target].  Directories cannot be hard-linked ([EPERM]). *)
+    [target].  Directories cannot be hard-linked ([EPERM]), and neither
+    can a file whose old or new name is the {!watch_basename} name: the
+    ACL file's only name is its own, so every write to it is seen. *)
 
 val symlink : t -> uid:int -> target:string -> string -> unit r
 (** [symlink ~target path]: [target] is stored verbatim. *)
 
 val readlink : t -> uid:int -> string -> string r
+
 val rename : t -> uid:int -> src:string -> dst:string -> unit r
+(** POSIX rename; moving a file with more than one link onto the
+    {!watch_basename} name fails [EPERM] (see {!link}). *)
+
 val readdir : t -> uid:int -> string -> string list r
 val stat : t -> uid:int -> string -> stat r
 val lstat : t -> uid:int -> string -> stat r

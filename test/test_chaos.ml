@@ -280,6 +280,88 @@ let dedup_journal_evicts_by_age () =
       Alcotest.(check string) "evicted rid re-executed" "x"
         (ok "get fresh" (Client.get c "/work/fresh")))
 
+(* Eviction from the front of the journal's time order must leave
+   exactly what a full scan would: after every request of a seeded mix
+   (mutations and reads with request ids, repeats of journalled and
+   evicted ids, clock steps around the window) and across a crash and
+   restart, the journal is the pre-request journal minus every entry
+   older than the window, plus the request's own entry unless it was a
+   replay, and [chirp.dedup_evictions] moved by the number dropped. *)
+let dedup_eviction_matches_full_scan () =
+  let window = 60_000_000_000L in
+  let seed =
+    match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+    | Some s -> ( try int_of_string s with _ -> 7)
+    | None -> 7
+  in
+  let st = Random.State.make [| seed |] in
+  let w = make_world () in
+  let cert = Ca.issue w.ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred") in
+  let auth () =
+    match
+      Protocol.decode_response
+        (Server.handle w.server
+           (Protocol.encode_request (Protocol.Auth [ Credential.Gsi cert ])))
+    with
+    | Ok (Protocol.R_auth { token; _ }) -> token
+    | _ -> Alcotest.fail "auth failed"
+  in
+  let token = ref (auth ()) in
+  let send req_id op =
+    ignore
+      (Server.handle w.server
+         (Protocol.encode_request (Protocol.Op { token = !token; req_id; op })))
+  in
+  send "setup" (Protocol.Mkdir "/work");
+  let issued = ref [ "setup" ] in
+  for step = 0 to 79 do
+    if step = 40 then begin
+      Server.crash w.server;
+      Server.restart w.server;
+      token := auth ()
+    end;
+    Clock.advance w.clock
+      (Int64.of_int (Random.State.int st 25_000) |> Int64.mul 1_000_000L);
+    let before = Server.dedup_entries w.server in
+    let evictions = counter w "chirp.dedup_evictions" in
+    let now = Clock.now w.clock in
+    let survivors =
+      List.filter (fun (_, at) -> Int64.compare (Int64.sub now at) window <= 0)
+        before
+    in
+    let rid =
+      if Random.State.int st 3 = 0 then
+        List.nth !issued (Random.State.int st (List.length !issued))
+      else Printf.sprintf "fred#%d" step
+    in
+    if not (List.mem rid !issued) then issued := rid :: !issued;
+    let path = Printf.sprintf "/work/f%d" (Random.State.int st 6) in
+    send rid
+      (match Random.State.int st 3 with
+       | 0 -> Protocol.Stat path
+       | 1 -> Protocol.Unlink path
+       | _ -> Protocol.Put { path; data = rid });
+    let expected =
+      if List.mem_assoc rid survivors then survivors
+      else List.sort compare ((rid, now) :: survivors)
+    in
+    let show l =
+      String.concat " "
+        (List.map (fun (r, at) -> Printf.sprintf "%s@%Ld" r at) l)
+    in
+    let after = Server.dedup_entries w.server in
+    if after <> expected then
+      Alcotest.failf "seed %d step %d: journal [%s], full scan [%s]" seed step
+        (show after) (show expected);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d step %d: evictions" seed step)
+      (List.length before - List.length survivors)
+      (counter w "chirp.dedup_evictions" - evictions)
+  done;
+  Alcotest.(check bool) "replays happened" true (counter w "chirp.dedup_hit" > 0);
+  Alcotest.(check bool) "evictions happened" true
+    (counter w "chirp.dedup_evictions" > 0)
+
 (* A server restart loses sessions; the client re-authenticates behind
    the caller's back and the principal provably cannot change. *)
 let restart_reauth_keeps_identity () =
@@ -1662,6 +1744,8 @@ let suite =
       dedup_replays_same_request_id;
     Alcotest.test_case "dedup journal evicts by age" `Quick
       dedup_journal_evicts_by_age;
+    Alcotest.test_case "dedup eviction = full scan, across restart" `Quick
+      dedup_eviction_matches_full_scan;
     Alcotest.test_case "restart reauth keeps identity" `Quick
       restart_reauth_keeps_identity;
     Alcotest.test_case "session cap sheds then recovers" `Quick

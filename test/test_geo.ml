@@ -34,7 +34,7 @@ let okr ctx = function
    catalogs, separate kernels, separate exports.  Host first labels are
    disjoint across regions so member names and export directories never
    collide. *)
-let geo_pair ?ship_interval_ns ?seed () =
+let geo_pair ?ship_interval_ns ?batch_max ?seed () =
   let clock = Clock.create () in
   let net = Network.create ~clock () in
   (match seed with
@@ -59,7 +59,7 @@ let geo_pair ?ship_interval_ns ?seed () =
   let east = mk "east" [ "ea.grid.edu"; "eb.grid.edu" ] in
   let west = mk "west" [ "wa.grid.edu"; "wb.grid.edu" ] in
   let geo =
-    Geo.link ?ship_interval_ns ~primary:"east" net
+    Geo.link ?ship_interval_ns ?batch_max ~primary:"east" net
       [ ("east", east); ("west", west) ]
   in
   (* The link marks every peer stale; the first round runs the full
@@ -199,6 +199,50 @@ let reshipped_segment_is_noop () =
       Alcotest.(check string) "state byte-identical after re-delivery"
         before (region_digests west))
     [ seed; Int64.add seed 1L ]
+
+(* The region log keeps a fixed window on both roles; a peer whose ack
+   falls behind it is reconciled, not re-shipped, and ends where it
+   was. *)
+let log_bounded_rewind_past_window_reconciles () =
+  let _clock, net, geo, east, west = geo_pair ~batch_max:2 () in
+  let bound = Geo.log_retain geo in
+  Alcotest.(check int) "window is 16 x batch_max" 32 bound;
+  let e = reader geo ~region:"east" ~world:east () in
+  ok "mkdir" (Geo.mkdir e "/data");
+  for i = 1 to bound + 10 do
+    ok "put"
+      (Geo.put e ~path:(Printf.sprintf "/data/f%d" i) ~data:(string_of_int i));
+    Geo.ship_now geo
+  done;
+  let east_rg = Geo.region geo "east" and west_rg = Geo.region geo "west" in
+  Alcotest.(check bool) "log went past the window" true
+    (Geo.tip east_rg > bound);
+  Alcotest.(check int) "west caught the tip" (Geo.tip east_rg)
+    (Geo.applied_lsn west_rg);
+  Alcotest.(check int) "primary log holds the window" bound
+    (Geo.log_length east_rg);
+  Alcotest.(check int) "secondary log holds the window" bound
+    (Geo.log_length west_rg);
+  let before = region_digests west in
+  let reconciles = counter net "cluster.geo.reconcile" in
+  (* A reset past the window: the suffix from LSN 1 is gone, so the
+     first round finds holes and the next one reconciles. *)
+  Geo.rewind_ack geo ~primary:"east" ~peer:"west" ~to_lsn:0;
+  Geo.ship_now geo;
+  Geo.ship_now geo;
+  Alcotest.(check int) "reconciled once" (reconciles + 1)
+    (counter net "cluster.geo.reconcile");
+  Alcotest.(check int) "west at the tip after reconcile" (Geo.tip east_rg)
+    (Geo.applied_lsn west_rg);
+  Alcotest.(check string) "state byte-identical after reconcile" before
+    (region_digests west);
+  (* Shipping resumes incrementally from the reconciled tip. *)
+  ok "put after" (Geo.put e ~path:"/data/after" ~data:"x");
+  Geo.ship_now geo;
+  Alcotest.(check int) "incremental after reconcile" (Geo.tip east_rg)
+    (Geo.applied_lsn west_rg);
+  Alcotest.(check bool) "secondary log within the window" true
+    (Geo.log_length west_rg <= bound)
 
 let apply_shipped_dedups_by_req_id () =
   let _clock, _net, geo, _east, west = geo_pair () in
@@ -350,6 +394,8 @@ let suite =
       proxy_policy_reads_through;
     Alcotest.test_case "re-shipped segment is a byte-identical no-op" `Quick
       reshipped_segment_is_noop;
+    Alcotest.test_case "log bounded; rewind past it reconciles" `Quick
+      log_bounded_rewind_past_window_reconciles;
     Alcotest.test_case "apply_shipped dedups by req id" `Quick
       apply_shipped_dedups_by_req_id;
     Alcotest.test_case "damaged segment rejected whole" `Quick

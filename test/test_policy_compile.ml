@@ -16,6 +16,7 @@ module Kernel = Idbox_kernel.Kernel
 module Metrics = Idbox_kernel.Metrics
 module Policy = Idbox_kernel.Policy
 module Enforce = Idbox.Enforce
+module Policy_compile = Idbox.Policy_compile
 module Ca = Idbox_auth.Ca
 module Delegation = Idbox_auth.Delegation
 module Acl = Idbox_acl.Acl
@@ -46,10 +47,11 @@ let ok ctx = function
 
 let dirs = [ "/w/a"; "/w/b"; "/w/c" ]
 
-(* Objects that may or may not exist at any moment, the symlink, and
-   the directories themselves. *)
+(* Objects that may or may not exist at any moment, the symlink, the
+   directories themselves, a subdirectory that comes and goes, a child
+   of it, and an ACL file. *)
 let probes =
-  ("/w/ln" :: dirs)
+  ("/w/ln" :: "/w/a/sub" :: "/w/a/sub/f0" :: "/w/b/.__acl" :: dirs)
   @ List.concat_map
       (fun d -> List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
       dirs
@@ -136,7 +138,9 @@ let mutate st k engine =
   let fs = Kernel.fs k in
   let dir () = List.nth dirs (Random.State.int st 3) in
   let file () = Printf.sprintf "%s/f%d" (dir ()) (Random.State.int st 3) in
-  match Random.State.int st 7 with
+  let acl_file () = dir () ^ "/" ^ Enforce.acl_filename in
+  let mode () = if Random.State.bool st then 0o755 else 0o700 in
+  match Random.State.int st 15 with
   | 0 -> ignore (Fs.write_file fs ~uid:0 (file ()) "data")
   | 1 -> ignore (Fs.unlink fs ~uid:0 (file ()))
   | 2 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:(file ()))
@@ -145,14 +149,19 @@ let mutate st k engine =
     ignore (Fs.symlink fs ~uid:0 ~target:(file ()) "/w/ln")
   | 4 -> ignore (Enforce.write_acl engine ~dir:(dir ()) (random_acl st))
   | 5 ->
-    let d = dir () in
-    ignore
-      (Fs.write_file fs ~uid:0
-         (d ^ "/" ^ Enforce.acl_filename)
-         (Acl.to_string (random_acl st)))
-  | _ ->
-    let mode = if Random.State.bool st then 0o755 else 0o700 in
-    ignore (Fs.chmod fs ~uid:0 ~mode (file ()))
+    ignore (Fs.write_file fs ~uid:0 (acl_file ()) (Acl.to_string (random_acl st)))
+  | 6 -> ignore (Fs.chmod fs ~uid:0 ~mode:(mode ()) (file ()))
+  | 7 -> ignore (Fs.link fs ~uid:0 ~target:(file ()) (file ()))
+  | 8 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:"/w/ln")
+  | 9 -> ignore (Fs.unlink fs ~uid:0 "/w/ln")
+  | 10 -> ignore (Fs.symlink fs ~uid:0 ~target:(file ()) "/w/ln")
+  | 11 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:(acl_file ()))
+  | 12 -> ignore (Fs.rename fs ~uid:0 ~src:(acl_file ()) ~dst:(file ()))
+  | 13 ->
+    if Random.State.bool st then
+      ignore (Fs.mkdir fs ~uid:0 ~mode:(mode ()) "/w/a/sub")
+    else ignore (Fs.rmdir fs ~uid:0 "/w/a/sub")
+  | _ -> ignore (Fs.chmod fs ~uid:0 ~mode:(mode ()) (dir ()))
 
 (* The tentpole property: under the mutation storm — ACL edits through
    and behind the engine, renames, symlink retargeting — the bytecode
@@ -178,6 +187,110 @@ let equivalence_under_storm () =
       if value "kernel.bytecode.stale" = 0 then
         Alcotest.failf "seed %d: staleness never observed" seed)
     seeds
+
+(* The invalidation rule itself: a program stays valid while the
+   policy generation stands still.  Compile once per policy generation
+   and, after every mutation that leaves it unchanged, every answer the
+   old program gives (Allow or Deny; Unknown defers to the interpreter)
+   must equal the uncached interpreter's verdict on the mutated tree,
+   for object probes and for in-directory checks alike. *)
+let stale_program_sound_at_same_policy_generation () =
+  let in_dirs = "/w" :: "/w/a/sub" :: dirs in
+  let dir_verdict e identity dir right =
+    match Enforce.check_in_dir e ~identity ~dir right with
+    | Ok () -> "ok"
+    | Error e -> Errno.to_string e
+  in
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let k, bytecode, _, uncached = setup () in
+      let fs = Kernel.fs k in
+      let compile () =
+        (Fs.policy_generation fs, Result.to_option (Policy_compile.compile fs ~uid:0))
+      in
+      let prog = ref (compile ()) in
+      let answered = ref 0 in
+      for step = 0 to 199 do
+        mutate st k bytecode;
+        match !prog with
+        | gen, _ when Fs.policy_generation fs <> gen -> prog := compile ()
+        | _, None -> ()
+        | gen, Some p ->
+          let agree what identity right got want =
+            let got =
+              match got with
+              | Policy.Allow -> Some "ok"
+              | Policy.Deny -> Some (Errno.to_string Errno.EACCES)
+              | Policy.Unknown -> None
+            in
+            Option.iter
+              (fun got ->
+                incr answered;
+                if not (String.equal want got) then
+                  Alcotest.failf
+                    "seed %d step %d: program of policy gen %d: %s %s %c: \
+                     interpreter=%s program=%s"
+                    seed step gen
+                    (Principal.to_string identity)
+                    what (Right.to_char right) want got)
+              got
+          in
+          List.iter
+            (fun identity ->
+              let principal = Principal.to_string identity in
+              List.iter
+                (fun right ->
+                  let right_bit = Policy_compile.right_bit right in
+                  List.iter
+                    (fun path ->
+                      agree path identity right
+                        (Policy.eval_object p ~principal ~path ~right_bit)
+                        (verdict uncached identity path right))
+                    probes;
+                  List.iter
+                    (fun dir ->
+                      agree (dir ^ " (in-dir)") identity right
+                        (Policy.eval_in_dir p ~principal ~dir ~right_bit)
+                        (dir_verdict uncached identity dir right))
+                    in_dirs)
+                rights)
+            identities
+      done;
+      if !answered = 0 then
+        Alcotest.failf "seed %d: no program outlived a mutation" seed)
+    seeds
+
+(* Plain-file churn leaves the program resident: creates, unlinks and
+   renames of regular files never make it stale or recompile it, and
+   checks keep hitting it. *)
+let plain_churn_does_not_recompile () =
+  let k, bytecode, _, _ = setup () in
+  let fs = Kernel.fs k in
+  ok "acl b"
+    (Enforce.write_acl bytecode ~dir:"/w/b"
+       (Acl.of_entries
+          [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rl") ]));
+  let value name = Metrics.counter_value_of (Kernel.metrics k) name in
+  let check path =
+    ignore (Enforce.check_object bytecode ~identity:fred ~path Right.Read)
+  in
+  check "/w/a/f0";
+  let recompiles = value "kernel.bytecode.recompile"
+  and stale = value "kernel.bytecode.stale"
+  and hits = value "kernel.bytecode.hit" in
+  for i = 1 to 20 do
+    let f = Printf.sprintf "/w/a/n%d" i and g = Printf.sprintf "/w/b/m%d" i in
+    ok "create" (Fs.write_file fs ~uid:0 f "x");
+    check f;
+    ok "rename" (Fs.rename fs ~uid:0 ~src:f ~dst:g);
+    check g;
+    ok "unlink" (Fs.unlink fs ~uid:0 g);
+    check g
+  done;
+  Alcotest.(check int) "no recompile" recompiles (value "kernel.bytecode.recompile");
+  Alcotest.(check int) "never stale" stale (value "kernel.bytecode.stale");
+  Alcotest.(check int) "every check hit" (hits + 60) (value "kernel.bytecode.hit")
 
 (* Chain revocation mid-storm: an admitted delegation chain must die on
    every engine the moment its root is revoked, regardless of which
@@ -303,6 +416,10 @@ let suite =
     Alcotest.test_case "bytecode = interpreter under mutation storm" `Quick
       equivalence_under_storm;
     Alcotest.test_case "chain revocation mid-storm" `Quick revocation_mid_storm;
+    Alcotest.test_case "program sound while policy generation stands" `Quick
+      stale_program_sound_at_same_policy_generation;
+    Alcotest.test_case "plain-file churn does not recompile" `Quick
+      plain_churn_does_not_recompile;
     Alcotest.test_case "verifier rejection fails closed" `Quick
       verifier_rejects_fail_closed;
     Alcotest.test_case "warm hit: zero delegated, below gen-check" `Quick

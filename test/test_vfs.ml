@@ -341,6 +341,83 @@ let prop_fs_write_read_roundtrip =
          | Ok read -> String.equal read data
          | Error _ -> false))
 
+(* Which call bumps which global counter.  [generation] moves on every
+   namespace- or ACL-relevant change; [policy_generation] skips
+   plain-file creates, unlinks and renames that neither touch the
+   watched ACL name nor replace a directory or symlink. *)
+let generation_table () =
+  let fixture () =
+    let fs = fresh () in
+    Fs.watch_basename fs ".__acl";
+    ok "mkdir" (Fs.mkdir_p fs ~uid:0 "/d/sub");
+    ok "f" (Fs.write_file fs ~uid:0 "/d/f" "x");
+    ok "g" (Fs.write_file fs ~uid:0 "/d/g" "y");
+    ok "ln" (Fs.symlink fs ~uid:0 ~target:"/d/f" "/d/ln");
+    ok "acl" (Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* rl");
+    fs
+  in
+  let unit r = Result.map ignore r in
+  (* call, its action on the fixture, (generation, policy_generation) *)
+  let rows =
+    [
+      ("create a file", (fun fs -> Fs.write_file fs ~uid:0 "/d/new" "z"), (true, false));
+      ("write an existing file", (fun fs -> Fs.write_file fs ~uid:0 "/d/f" "z"), (false, false));
+      ("read a file", (fun fs -> unit (Fs.read_file fs ~uid:0 "/d/f")), (false, false));
+      ("unlink a file", (fun fs -> Fs.unlink fs ~uid:0 "/d/f"), (true, false));
+      ("rename a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/h"), (true, false));
+      ("rename a file across dirs", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/f"), (true, false));
+      ("rename a file over a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/g"), (true, false));
+      ("rename a file over a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/ln"), (true, true));
+      ("rename a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/ln" ~dst:"/d/ln2"), (true, true));
+      ("rename a directory", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/sub" ~dst:"/d/sub2"), (true, true));
+      ("rename a file into .__acl", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/.__acl"), (true, true));
+      ("rename .__acl out", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/.__acl" ~dst:"/d/old"), (true, true));
+      ("create .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/sub/.__acl" "unix:* r"), (true, true));
+      ("write .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* r"), (true, true));
+      ("unlink .__acl", (fun fs -> Fs.unlink fs ~uid:0 "/d/.__acl"), (true, true));
+      ("mkdir", (fun fs -> unit (Fs.mkdir fs ~uid:0 ~mode:0o755 "/d/new")), (true, true));
+      ("rmdir", (fun fs -> Fs.rmdir fs ~uid:0 "/d/sub"), (true, true));
+      ("symlink", (fun fs -> Fs.symlink fs ~uid:0 ~target:"/d/g" "/d/ln2"), (true, true));
+      ("unlink a symlink", (fun fs -> Fs.unlink fs ~uid:0 "/d/ln"), (true, true));
+      ("hard link", (fun fs -> Fs.link fs ~uid:0 ~target:"/d/f" "/d/f2"), (true, true));
+      ("chmod a file", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o600 "/d/f"), (true, true));
+      ("chmod a directory", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o700 "/d/sub"), (true, true));
+      ("chown", (fun fs -> Fs.chown fs ~uid:0 ~owner:7 "/d/f"), (true, true));
+    ]
+  in
+  List.iter
+    (fun (name, call, (gen, policy)) ->
+      let fs = fixture () in
+      let g0 = Fs.generation fs and p0 = Fs.policy_generation fs in
+      ok name (call fs);
+      Alcotest.(check bool) (name ^ ": generation") gen (Fs.generation fs <> g0);
+      Alcotest.(check bool)
+        (name ^ ": policy generation")
+        policy
+        (Fs.policy_generation fs <> p0))
+    rows
+
+(* The watched (ACL) name never shares its inode: a write through an
+   alias would change the ACL without any bump. *)
+let watched_name_never_aliases () =
+  let fs = fresh () in
+  Fs.watch_basename fs ".__acl";
+  ok "mkdir" (Fs.mkdir fs ~uid:0 ~mode:0o755 "/d" |> Result.map ignore);
+  ok "acl" (Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* rl");
+  ok "f" (Fs.write_file fs ~uid:0 "/d/f" "x");
+  expect_err "link from the acl" Errno.EPERM
+    (Fs.link fs ~uid:0 ~target:"/d/.__acl" "/d/alias");
+  expect_err "link onto the acl name" Errno.EPERM
+    (Fs.link fs ~uid:0 ~target:"/d/f" "/e/.__acl");
+  ok "plain link" (Fs.link fs ~uid:0 ~target:"/d/f" "/d/g");
+  expect_err "rename a linked file onto the acl" Errno.EPERM
+    (Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/.__acl");
+  ok "unlink alias" (Fs.unlink fs ~uid:0 "/d/g");
+  ok "rename a lone file onto the acl"
+    (Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/.__acl");
+  Alcotest.(check string) "acl replaced" "x"
+    (ok "read" (Fs.read_file fs ~uid:0 "/d/.__acl"))
+
 let suite =
   [
     Alcotest.test_case "perm owner/other" `Quick perm_owner_other;
@@ -364,6 +441,8 @@ let suite =
     Alcotest.test_case "chmod/chown rules" `Quick chmod_chown_rules;
     Alcotest.test_case "mkdir_p idempotent" `Quick mkdir_p_idempotent;
     Alcotest.test_case "inode offset io" `Quick inode_offset_io;
+    Alcotest.test_case "which calls bump which generation" `Quick generation_table;
+    Alcotest.test_case "watched name never aliases" `Quick watched_name_never_aliases;
     QCheck_alcotest.to_alcotest prop_inode_write_read;
     QCheck_alcotest.to_alcotest prop_fs_write_read_roundtrip;
   ]
