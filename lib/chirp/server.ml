@@ -1190,7 +1190,9 @@ let wipe_export t =
    latest checkpoint image, then replay the WAL through the serving
    path — same principals, same ACL checks, same order.  The torn tail
    (if the crash tore an in-flight write) fails its checksum and is
-   discarded: it was never acknowledged, so nobody is owed it.  Exec
+   discarded: it was never acknowledged, so nobody is owed it.  A record
+   or checkpoint entry that passed its checksum but does not decode is
+   skipped too, and counted in [chirp.recovery.undecodable].  Exec
    records never appear here ([maybe_checkpoint] truncates them away),
    so replay runs no program twice; a defensive skip covers the
    impossible case anyway. *)
@@ -1207,6 +1209,7 @@ let restart t =
   t.sv_brownout <- false;
   let rc = Wal.recover t.wal in
   let c = cost t in
+  let undecodable = ref 0 in
   wipe_export t;
   (* Rebuild the revocation store from stable storage alone: fresh
      epochs from the checkpoint image, then WAL replay re-applies any
@@ -1238,6 +1241,7 @@ let restart t =
           List.filter (fun b -> not (restore_revocations b)) entry_blobs
         in
         let entries = List.filter_map snap_decode entry_blobs in
+        undecodable := !undecodable + List.length entry_blobs - List.length entries;
         charge t
           (Int64.mul
              (Int64.of_int (List.length entries))
@@ -1249,13 +1253,14 @@ let restart t =
              | rid :: at :: resp :: rest ->
                (match Int64.of_string_opt at with
                 | Some dd_at -> journal t rid { dd_at; dd_response = resp }
-                | None -> ());
+                | None -> incr undecodable);
                restore rest
-             | _ -> ()
+             | [] -> ()
+             | _ :: _ -> incr undecodable
            in
            restore fields
-         | Error _ -> ())
-      | Ok [] | Error _ -> ()));
+         | Error _ -> incr undecodable)
+      | Ok [] | Error _ -> incr undecodable));
   let replayed = ref 0 in
   List.iter
     (fun record ->
@@ -1271,16 +1276,17 @@ let restart t =
            ignore
              (try serve_op t (Principal.of_string principal) op
               with _ -> err Errno.EIO)
-         | Error _ -> ())
+         | Error _ -> incr undecodable)
       | Ok [ "done"; rid; at; resp ] ->
         (match Int64.of_string_opt at with
          | Some dd_at -> journal t rid { dd_at; dd_response = resp }
-         | None -> ())
-      | Ok _ | Error _ -> ())
+         | None -> incr undecodable)
+      | Ok _ | Error _ -> incr undecodable)
     rc.Wal.rc_records;
   t.ops_since_ckpt <- List.length rc.Wal.rc_records;
   metric_add t "chirp.recovery.replayed" !replayed;
   metric_add t "chirp.recovery.torn" rc.Wal.rc_torn_records;
+  metric_add t "chirp.recovery.undecodable" !undecodable;
   Network.restart t.sv_net ~addr:t.sv_addr
 
 let wal_records t = Wal.records t.wal

@@ -147,8 +147,10 @@ val restart : t -> unit
     ["done"] records — a retry of an operation acknowledged just before
     the crash still replays instead of re-running.  Replay charges
     calibrated time ([wal_replay_ns] per record plus byte-copy cost), so
-    recovery MTTR is measurable against log length.  Counted in
-    [chirp.recovery.{replayed,torn,checkpoint_loads}]. *)
+    recovery MTTR is measurable against log length.  A record or
+    checkpoint entry that passed its checksum but does not decode is
+    skipped.  Counted in
+    [chirp.recovery.{replayed,torn,checkpoint_loads,undecodable}]. *)
 
 val wal_records : t -> int
 (** Records currently in the WAL (since the last checkpoint). *)

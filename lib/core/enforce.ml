@@ -228,38 +228,14 @@ let delegate t req =
 (* Resolve every ancestor symlink of [path], leaving the final component
    alone.  This is the supervisor's name-cache walk: lookups go straight
    at the (supervisor-mirrored) filesystem structure and are charged one
-   path-component cost each, like dcache hits; only a bounded number of
-   readlink expansions can occur.  ".." is collapsed against the already
-   canonical prefix, which is its true parent. *)
+   name-cache cost per step, like dcache hits ({!Fs.canonical_parents}
+   counts them).  Charging the steps at once adds up to the same clock
+   as charging them one by one. *)
 let canonical_parents t path =
-  let fs = Kernel.fs t.kernel in
-  let component_cost = (Kernel.cost t.kernel).Idbox_kernel.Cost.name_cache_ns in
-  let join_canonical resolved comp =
-    if String.equal resolved "/" then "/" ^ comp else resolved ^ "/" ^ comp
-  in
-  let rec go resolved comps expansions =
-    match comps with
-    | [] -> resolved
-    | [ final ] -> join_canonical resolved final
-    | comp :: rest ->
-      Kernel.charge t.kernel component_cost;
-      if String.equal comp ".." then go (Path.dirname resolved) rest expansions
-      else
-        let candidate = join_canonical resolved comp in
-        (match Fs.lstat fs ~uid:0 candidate with
-         | Ok st
-           when st.Fs.st_kind = Idbox_vfs.Inode.Symlink
-                && expansions < Fs.symlink_limit ->
-           (match Fs.readlink fs ~uid:0 candidate with
-            | Ok target ->
-              if Path.is_absolute target then
-                go "/" (Path.components target @ rest) (expansions + 1)
-              else go resolved (Path.components target @ rest) (expansions + 1)
-            | Error _ -> go candidate rest expansions)
-         | Ok _ | Error _ -> go candidate rest expansions)
-  in
-  let p = Path.normalize path in
-  if String.equal p "/" then "/" else go "/" (Path.components p) 0
+  let p, steps = Fs.canonical_parents (Kernel.fs t.kernel) path in
+  Kernel.charge t.kernel
+    (Int64.mul (Int64.of_int steps) (Kernel.cost t.kernel).Cost.name_cache_ns);
+  p
 
 (* Follow the symlink chain of [path] itself (ancestors are made
    canonical first).  Also returns the final object's stat so callers
@@ -284,9 +260,9 @@ let resolve_final_ex t path =
    against the global mutation generation.  A hit replaces the ancestor
    walk plus the delegated final-lstat loop with one generation check;
    it does not know the final object's stat (the [bool] is false), so
-   callers needing one must fetch it lazily. *)
-let resolved t path =
-  let key = Path.normalize path in
+   callers needing one must fetch it lazily.  [key] is the normalized
+   path. *)
+let resolved t key =
   if not t.caching then
     let final, st = resolve_final_ex t key in
     (final, st, true)
@@ -305,7 +281,7 @@ let resolved t path =
   end
 
 let resolve_final t path =
-  let final, _, _ = resolved t path in
+  let final, _, _ = resolved t (Path.normalize path) in
   final
 
 let governing_dir t path = Path.dirname (resolve_final t path)
@@ -361,8 +337,8 @@ let dir_token t dir =
   end
   else Acl_attr (acl_token t dir)
 
-let dir_acl t dir =
-  let dir = Path.normalize dir in
+(* [dir] is normalized. *)
+let dir_acl_of t dir =
   let token = dir_token t dir in
   match Hashtbl.find_opt t.cache dir with
   | Some cached when cached.token = token ->
@@ -378,6 +354,8 @@ let dir_acl t dir =
     in
     Hashtbl.replace t.cache dir { token; acl };
     acl
+
+let dir_acl t dir = dir_acl_of t (Path.normalize dir)
 
 let charge_acl_eval t acl =
   let cost = Kernel.cost t.kernel in
@@ -406,8 +384,9 @@ let stat_of t path =
   | Ok (Syscall.Stat_v st) -> Some st
   | Ok _ | Error _ -> None
 
+(* [dir] is normalized. *)
 let check_with_fallback t ~identity ~dir ~object_stat right =
-  match dir_acl t dir with
+  match dir_acl_of t dir with
   | Some acl ->
     charge_acl_eval t acl;
     if Acl.check acl identity right then Ok () else Error Errno.EACCES
@@ -425,8 +404,8 @@ let check_in_dir t ~identity ~dir right =
       ~object_stat:(fun () -> stat_of t dir)
       right
 
-let check_object_interp t ~identity ~path right =
-  let final, st, authoritative = resolved t path in
+let check_object_interp t ~identity ~key right =
+  let final, st, authoritative = resolved t key in
   let dir = Path.dirname final in
   let object_stat () =
     (* Fall back against the object itself when it exists, else against
@@ -441,12 +420,13 @@ let check_object_interp t ~identity ~path right =
   check_with_fallback t ~identity ~dir ~object_stat right
 
 let check_object t ~identity ~path right =
-  match bytecode_consult t (`Object (Path.normalize path)) ~identity right with
+  let key = Path.normalize path in
+  match bytecode_consult t (`Object key) ~identity right with
   | Some verdict -> verdict
-  | None -> check_object_interp t ~identity ~path right
+  | None -> check_object_interp t ~identity ~key right
 
 let reserve_in_dir t ~identity ~dir =
-  match dir_acl t (Path.normalize dir) with
+  match dir_acl t dir with
   | None -> None
   | Some acl ->
     charge_acl_eval t acl;
@@ -465,7 +445,7 @@ let plan_mkdir t ~identity ~parent =
     Ok (Fresh_acl (Acl.of_entries [ entry ]))
   | None ->
     (match check_in_dir t ~identity ~dir:parent Right.Write with
-     | Ok () -> Ok (Inherit_acl (dir_acl t (Path.normalize parent)))
+     | Ok () -> Ok (Inherit_acl (dir_acl t parent))
      | Error e -> Error e)
 
 let invalidate t ~dir =

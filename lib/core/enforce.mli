@@ -98,10 +98,10 @@ val canonical_parents : t -> string -> string
     canonicalized through here before checking {e and} acting, so both
     always name the same object.
 
-    Cost: one name-cache component charge per step — the supervisor,
-    like a kernel, keeps the directory structure of paths it has
-    resolved in memory (Parrot "may be thought of as an augmented
-    operating system", §3). *)
+    Cost: one name-cache component charge per step of
+    {!Idbox_vfs.Fs.canonical_parents} — the supervisor, like a kernel,
+    keeps the directory structure of paths it has resolved in memory
+    (Parrot "may be thought of as an augmented operating system", §3). *)
 
 val resolve_final : t -> string -> string
 (** Follow the symlink chain of [path] itself (bounded depth) to the

@@ -59,50 +59,21 @@ let rights_mask rights =
 
 (* --- host-side resolution mirrors ------------------------------------ *)
 
-(* Mirror of [Enforce.canonical_parents]: resolve ancestor symlinks
-   (as root, like the engine's in-memory name walk), collapse ".."
-   against the canonical prefix, leave the final component alone. *)
-let canonical_parents fs path =
-  let join_canonical resolved comp =
-    if String.equal resolved "/" then "/" ^ comp else resolved ^ "/" ^ comp
-  in
-  let rec go resolved comps expansions =
-    match comps with
-    | [] -> resolved
-    | [ final ] -> join_canonical resolved final
-    | comp :: rest ->
-      if String.equal comp ".." then go (Path.dirname resolved) rest expansions
-      else
-        let candidate = join_canonical resolved comp in
-        (match Fs.lstat fs ~uid:0 candidate with
-         | Ok st
-           when st.Fs.st_kind = Inode.Symlink && expansions < Fs.symlink_limit
-           ->
-           (match Fs.readlink fs ~uid:0 candidate with
-            | Ok target ->
-              if Path.is_absolute target then
-                go "/" (Path.components target @ rest) (expansions + 1)
-              else go resolved (Path.components target @ rest) (expansions + 1)
-            | Error _ -> go candidate rest expansions)
-         | Ok _ | Error _ -> go candidate rest expansions)
-  in
-  let p = Path.normalize path in
-  if String.equal p "/" then "/" else go "/" (Path.components p) 0
-
 (* Mirror of [Enforce.resolve_final]: chase the final component's
-   symlink chain with the supervisor's uid and the shared budget. *)
+   symlink chain with the supervisor's uid and the shared budget;
+   ancestors are canonicalised by the walk [Enforce] charges for. *)
 let resolve_final fs ~uid path =
+  let canonical path = fst (Fs.canonical_parents fs path) in
   let rec go path depth =
     match Fs.lstat fs ~uid path with
     | Ok st when st.Fs.st_kind = Inode.Symlink && depth < Fs.symlink_limit ->
       (match Fs.readlink fs ~uid path with
        | Ok target ->
-         go (canonical_parents fs (Path.join (Path.dirname path) target))
-           (depth + 1)
+         go (canonical (Path.join (Path.dirname path) target)) (depth + 1)
        | Error _ -> path)
     | Ok _ | Error _ -> path
   in
-  go (canonical_parents fs path) 0
+  go (canonical path) 0
 
 (* Mirror of [Enforce.read_acl_file] + [dir_acl] fail-closed rules:
    unreadable (or absent) ACL file -> no ACL; unparseable -> deny-all. *)

@@ -66,9 +66,7 @@ let copy_bytes t n = ns_of_float (float_of_int n *. t.copy_byte_ns)
 let peek_poke t ~words = Int64.mul (Int64.of_int words) t.peek_poke_word
 
 let path_cost t path =
-  Int64.mul
-    (Int64.of_int (List.length (Idbox_vfs.Path.components path)))
-    t.path_component
+  Int64.mul (Int64.of_int (Idbox_vfs.Path.component_count path)) t.path_component
 
 let io_cost t base bytes =
   Int64.add base (ns_of_float (float_of_int bytes *. t.io_byte_ns))

@@ -92,6 +92,10 @@ val direct : t -> Syscall.request -> Syscall.result -> int64
 (** Cost of executing a request directly (no tracer), given its result
     (payload sizes matter). *)
 
+val path_cost : t -> string -> int64
+(** Kernel path walk for [path]: {!t.path_component} per component, as
+    counted by {!Idbox_vfs.Path.component_count}. *)
+
 val copy_bytes : t -> int -> int64
 (** Cost of copying [n] bytes through the I/O channel. *)
 

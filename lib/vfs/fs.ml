@@ -105,7 +105,7 @@ let searchable ~uid dir =
 (* The resolution engine.  [trail] is the stack of ancestor directories of
    [cur] (nearest first), used to resolve ".." correctly even through
    symlink targets.  [nexp] counts symlink expansions for ELOOP. *)
-let walk t ~uid ~follow_last comps =
+let walk t ~uid ~follow_last trail cur comps =
   let rec go trail cur comps nexp =
     match comps with
     | [] -> Ok cur
@@ -132,12 +132,40 @@ let walk t ~uid ~follow_last comps =
             | Inode.Symlink | Inode.Regular | Inode.Directory | Inode.Fifo ->
               go (cur :: trail) child rest nexp))
   in
-  go [] t.fs_root comps 0
+  go trail cur comps 0
 
-let resolve t ~uid path = walk t ~uid ~follow_last:true (Path.components path)
+(* The front end of [walk]: plain names are looked up straight from
+   [path], with no component list.  At the first ".." or symlink to
+   follow, the rest of the path from that component on goes to [walk]
+   with the trail scanned so far; nothing has been expanded yet, so its
+   ELOOP budget is whole. *)
+let rec scan t ~uid ~follow_last path n trail cur i =
+  if i >= n then Ok cur
+  else if path.[i] = '/' then scan t ~uid ~follow_last path n trail cur (i + 1)
+  else
+    let j = Path.component_end path i in
+    if j - i = 1 && path.[i] = '.' then scan t ~uid ~follow_last path n trail cur j
+    else if j - i = 2 && path.[i] = '.' && path.[i + 1] = '.' then
+      walk_rest t ~uid ~follow_last path n trail cur i
+    else if Inode.kind cur <> Inode.Directory then Error Errno.ENOTDIR
+    else if not (searchable ~uid cur) then Error Errno.EACCES
+    else
+      match Inode.dir_find cur (String.sub path i (j - i)) with
+      | None -> Error Errno.ENOENT
+      | Some child
+        when Inode.kind child = Inode.Symlink
+             && (follow_last || Path.component_count (String.sub path j (n - j)) > 0) ->
+        walk_rest t ~uid ~follow_last path n trail cur i
+      | Some child -> scan t ~uid ~follow_last path n (cur :: trail) child j
+
+and walk_rest t ~uid ~follow_last path n trail cur i =
+  walk t ~uid ~follow_last trail cur (Path.components (String.sub path i (n - i)))
+
+let resolve t ~uid path =
+  scan t ~uid ~follow_last:true path (String.length path) [] t.fs_root 0
 
 let resolve_no_follow t ~uid path =
-  walk t ~uid ~follow_last:false (Path.components path)
+  scan t ~uid ~follow_last:false path (String.length path) [] t.fs_root 0
 
 let resolve_parent t ~uid path =
   match List.rev (Path.components path) with
@@ -145,11 +173,74 @@ let resolve_parent t ~uid path =
   | final :: rev_parents ->
     if String.equal final ".." then Error Errno.EINVAL
     else
-      (match walk t ~uid ~follow_last:true (List.rev rev_parents) with
+      (match walk t ~uid ~follow_last:true [] t.fs_root (List.rev rev_parents) with
        | Error e -> Error e
        | Ok dir ->
          if Inode.kind dir <> Inode.Directory then Error Errno.ENOTDIR
          else Ok (dir, final))
+
+(* {1 The canonicaliser}
+
+   Ancestor symlinks are resolved as root with a directory-inode cursor:
+   the cursor is what [resolve_no_follow ~uid:0] of the canonical prefix
+   would return ([None]: an error), so looking the next name up in it
+   answers the [lstat] of the next prefix without walking from "/".
+   Every prefix it extends is free of symlinks, which keeps that true. *)
+
+let lookup_as_root cur name =
+  match cur with
+  | Some dir when Inode.kind dir = Inode.Directory && searchable ~uid:0 dir ->
+    Inode.dir_find dir name
+  | Some _ | None -> None
+
+(* Over a normal path: the number of non-final components, or -1 at the
+   first non-final one that is a symlink. *)
+let rec canonical_scan p n cur i steps =
+  let j = Path.component_end p i in
+  if j >= n then steps
+  else
+    let next = lookup_as_root cur (String.sub p i (j - i)) in
+    match next with
+    | Some child when Inode.kind child = Inode.Symlink -> -1
+    | Some _ | None -> canonical_scan p n next (j + 1) (steps + 1)
+
+(* The list code, for paths with a symlink among their ancestors.
+   [top] is the canonical prefix with its cursor, [below] the shorter
+   prefixes (innermost first), so ".." pops to the true parent.  Past
+   the expansion budget nothing more is looked up: no symlink can be
+   expanded any more, so the rest is lexical. *)
+let canonical_walk t comps =
+  let join resolved comp =
+    if String.equal resolved "/" then "/" ^ comp else resolved ^ "/" ^ comp
+  in
+  let root = ("/", Some t.fs_root) in
+  let rec go ((resolved, cur) as top) below comps expansions steps =
+    match comps with
+    | [] -> (resolved, steps)
+    | [ final ] -> (join resolved final, steps)
+    | comp :: rest ->
+      let steps = steps + 1 in
+      if String.equal comp ".." then
+        match below with
+        | [] -> go top [] rest expansions steps
+        | parent :: below' -> go parent below' rest expansions steps
+      else
+        let found = if expansions < symlink_limit then lookup_as_root cur comp else None in
+        match found with
+        | Some child when Inode.kind child = Inode.Symlink ->
+          let target = Inode.link_target child in
+          let comps = Path.components target @ rest in
+          if Path.is_absolute target then go root [] comps (expansions + 1) steps
+          else go top below comps (expansions + 1) steps
+        | Some _ | None ->
+          go (join resolved comp, found) (top :: below) rest expansions steps
+  in
+  go root [] comps 0 0
+
+let canonical_parents t path =
+  let p = Path.normalize path in
+  let steps = canonical_scan p (String.length p) (Some t.fs_root) 1 0 in
+  if steps >= 0 then (p, steps) else canonical_walk t (Path.components p)
 
 let writable_dir ~uid dir =
   Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.W

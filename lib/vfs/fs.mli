@@ -113,6 +113,25 @@ val resolve_parent : t -> uid:int -> string -> (Inode.t * string) r
 (** [(parent directory inode, final component)] for a path that need not
     exist yet.  Fails [EINVAL] on ["/"], ["."] or [".."] finals. *)
 
+val canonical_parents : t -> string -> string * int
+(** [canonical_parents t path] resolves every {e ancestor} symlink of
+    [path] as root, leaving the final component alone, and returns the
+    path the object's directory really is together with the number of
+    steps taken: one per non-final component visited, counting each
+    [".."] and each component a symlink target adds.  [path] is first
+    normalized lexically ({!Path.normalize}); a [".."] that a symlink
+    target brings in is collapsed against the canonical prefix, which is
+    its true parent.  Expansions share {!symlink_limit}; past it the
+    remaining components are kept as they are.  A name that does not
+    resolve is kept as it is too, and so is everything below it.
+
+    The result is a normal path ({!Path.is_normal}).  When no ancestor
+    is a symlink it is the normalized input itself, and the step count
+    is its component count minus one (zero for ["/"]).  The walk keeps
+    a cursor on the directory reached so far, so each step is one
+    lookup, not a walk from ["/"].  Host-side: performs no simulated
+    syscalls; a caller that models the walk charges the steps. *)
+
 val open_file : t -> uid:int -> flags:open_flags -> mode:int -> string -> Inode.t r
 (** Open (and possibly create) a regular file, enforcing permissions. *)
 

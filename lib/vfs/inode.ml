@@ -1,3 +1,13 @@
+(* Directory tables, keyed by name.  A lookup compares names with
+   [String.equal] rather than polymorphic compare; the hash is the
+   generic table's, so entries sit in the same buckets. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type kind =
   | Regular
   | Directory
@@ -18,7 +28,7 @@ type pipe = {
 
 type payload =
   | File of file_store
-  | Dir of (string, t) Hashtbl.t
+  | Dir of t Names.t
   | Link of string
   | Pipe_end of pipe
 
@@ -69,7 +79,7 @@ let make_file ~ino ~uid ~mode ~now =
 let make_dir ~ino ~uid ~mode ~now =
   (* nlink for directories is left at 1: the simulation does not count
      the "." and ".." pseudo-entries. *)
-  make ~ino ~uid ~mode ~now (Dir (Hashtbl.create 8))
+  make ~ino ~uid ~mode ~now (Dir (Names.create 8))
 
 let make_symlink ~ino ~uid ~target ~now =
   make ~ino ~uid ~mode:0o777 ~now (Link target)
@@ -171,17 +181,17 @@ let table t op =
   | Dir tbl -> tbl
   | File _ | Link _ | Pipe_end _ -> invalid_arg (op ^ ": not a directory")
 
-let dir_find t name = Hashtbl.find_opt (table t "Inode.dir_find") name
+let dir_find t name = Names.find_opt (table t "Inode.dir_find") name
 
-let dir_add t name child = Hashtbl.replace (table t "Inode.dir_add") name child
+let dir_add t name child = Names.replace (table t "Inode.dir_add") name child
 
-let dir_remove t name = Hashtbl.remove (table t "Inode.dir_remove") name
+let dir_remove t name = Names.remove (table t "Inode.dir_remove") name
 
 let dir_entries t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) (table t "Inode.dir_entries") []
+  Names.fold (fun name _ acc -> name :: acc) (table t "Inode.dir_entries") []
   |> List.sort String.compare
 
-let dir_is_empty t = Hashtbl.length (table t "Inode.dir_is_empty") = 0
+let dir_is_empty t = Names.length (table t "Inode.dir_is_empty") = 0
 
 let link_target t =
   match t.payload with

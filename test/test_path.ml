@@ -1,4 +1,5 @@
 module Path = Idbox_vfs.Path
+module Cost = Idbox_kernel.Cost
 
 let normalize_cases () =
   let cases =
@@ -84,6 +85,136 @@ let prop_join_absolute =
     (QCheck.pair (QCheck.make path_gen) (QCheck.make path_gen))
     (fun (base, p) -> Path.is_absolute (Path.join base p))
 
+(* {1 Scanners against the list code}
+
+   [Path] scans a path once and answers a normal one in place; anything
+   else takes the component-list code.  The reference below is that
+   list code as it stood before the scanners, and every function must
+   agree with it on every string over "/", ".", "a" and "b" up to
+   [exhaustive_len] bytes, and on seeded longer ones. *)
+
+module Ref = struct
+  let is_absolute p = String.length p > 0 && p.[0] = '/'
+
+  let components p =
+    String.split_on_char '/' p
+    |> List.filter (fun c -> String.length c > 0 && not (String.equal c "."))
+
+  let of_components = function
+    | [] -> "/"
+    | comps -> "/" ^ String.concat "/" comps
+
+  let normalize p =
+    let resolve acc comp =
+      match comp with
+      | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
+      | c -> c :: acc
+    in
+    components p |> List.fold_left resolve [] |> List.rev |> of_components
+
+  let join base p =
+    if is_absolute p then normalize p else normalize (base ^ "/" ^ p)
+
+  let basename p =
+    match List.rev (components p) with
+    | [] -> "/"
+    | last :: _ -> last
+
+  let dirname p =
+    match List.rev (components p) with
+    | [] | [ _ ] -> "/"
+    | _ :: rest -> of_components (List.rev rest)
+end
+
+let alphabet = [| '/'; '.'; 'a'; 'b' |]
+let exhaustive_len = 7
+
+(* Every string over [alphabet] of length at most [n], shortest first. *)
+let all_strings n =
+  let rec grow acc frontier k =
+    if k = n then acc
+    else
+      let next =
+        List.concat_map
+          (fun s -> Array.to_list (Array.map (fun c -> s ^ String.make 1 c) alphabet))
+          frontier
+      in
+      grow (acc @ next) next (k + 1)
+  in
+  grow [ "" ] [ "" ] 0
+
+(* The CI seed loop reruns the random part under extra seeds. *)
+let seeds =
+  let base = [ 1; 7; 42 ] in
+  match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+  | Some s -> ( try (int_of_string s mod 1_000_000) :: base with _ -> base)
+  | None -> base
+
+let random_strings ~seed ~count ~max_len =
+  let rng = Random.State.make [| seed; 0x9a7 |] in
+  List.init count (fun _ ->
+      String.init (Random.State.int rng (max_len + 1)) (fun _ ->
+          alphabet.(Random.State.int rng (Array.length alphabet))))
+
+let named =
+  [ ""; "/"; "//"; "a"; "a/b"; "./a"; "../a"; "/a/"; "/a//"; "/a/b/"; "/..."; "/.a";
+    "/a/..."; "/a/.b"; "/a/./b"; "/a/../b"; "..."; ".a"; "/a/b/.."; "//a//b//" ]
+
+let corpus =
+  named @ all_strings exhaustive_len
+  @ List.concat_map (fun seed -> random_strings ~seed ~count:2000 ~max_len:24) seeds
+
+let agree name f g show =
+  List.iter
+    (fun p ->
+      let want = f p and got = g p in
+      if want <> got then
+        Alcotest.failf "%s %S: list code gives %s, scanner %s" name p (show want) (show got))
+    corpus
+
+let str s = Printf.sprintf "%S" s
+let strs l = "[" ^ String.concat "; " (List.map str l) ^ "]"
+
+let scanners_match_list_code () =
+  agree "components" Ref.components Path.components strs;
+  agree "normalize" Ref.normalize Path.normalize str;
+  agree "basename" Ref.basename Path.basename str;
+  agree "dirname" Ref.dirname Path.dirname str;
+  agree "component_count" (fun p -> List.length (Ref.components p)) Path.component_count
+    string_of_int;
+  agree "is_normal" (fun p -> String.equal (Ref.normalize p) p) Path.is_normal
+    string_of_bool
+
+let join_matches_list_code () =
+  let sides =
+    named @ all_strings 3
+    @ List.concat_map (fun seed -> random_strings ~seed ~count:40 ~max_len:16) seeds
+  in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun p ->
+          let want = Ref.join base p and got = Path.join base p in
+          if not (String.equal want got) then
+            Alcotest.failf "join %S %S: list code gives %S, scanner %S" base p want got)
+        sides)
+    sides
+
+let normal_path_returned_as_is () =
+  List.iter
+    (fun p ->
+      if Path.is_normal p then begin
+        if Path.normalize p != p then Alcotest.failf "normalize %S copied a normal path" p;
+        if Path.join "/x" p != p then Alcotest.failf "join _ %S copied a normal path" p
+      end)
+    corpus
+
+let path_cost_counts_components () =
+  let cost = Cost.default in
+  agree "path_cost"
+    (fun p -> Int64.mul cost.Cost.path_component (Int64.of_int (List.length (Ref.components p))))
+    (Cost.path_cost cost) Int64.to_string
+
 let suite =
   [
     Alcotest.test_case "normalize" `Quick normalize_cases;
@@ -95,4 +226,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_no_dots;
     QCheck_alcotest.to_alcotest prop_join_absolute;
+    Alcotest.test_case "scanners match list code" `Quick scanners_match_list_code;
+    Alcotest.test_case "join matches list code" `Quick join_matches_list_code;
+    Alcotest.test_case "normal path returned as is" `Quick normal_path_returned_as_is;
+    Alcotest.test_case "path_cost counts components" `Quick path_cost_counts_components;
   ]

@@ -5,6 +5,8 @@
 module Fs = Idbox_vfs.Fs
 module Inode = Idbox_vfs.Inode
 module Path = Idbox_vfs.Path
+module Perm = Idbox_vfs.Perm
+module Errno = Idbox_vfs.Errno
 
 type fop =
   | O_write of string * string
@@ -137,8 +139,240 @@ let prop_write_then_read =
          | Ok got -> String.equal got payload
          | Error _ -> false))
 
+(* {1 Walks against the list code}
+
+   [Fs.resolve] and [Fs.resolve_no_follow] scan their path in place and
+   [Fs.canonical_parents] keeps an inode cursor.  The references below
+   are the code they replaced: the component-list walk, and the
+   canonicaliser that [lstat]s every prefix from "/".  Both references
+   split paths with [Test_path]'s list code and walk with each other,
+   so none of the code under test is on their side.  Seeded random
+   trees hold every kind of symlink the walks treat specially. *)
+
+module Ref = struct
+  include Test_path.Ref
+
+  let walk fs ~uid ~follow_last path =
+    let searchable dir =
+      Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.X
+    in
+    let rec go trail cur comps nexp =
+      match comps with
+      | [] -> Ok cur
+      | name :: rest ->
+        if Inode.kind cur <> Inode.Directory then Error Errno.ENOTDIR
+        else if not (searchable cur) then Error Errno.EACCES
+        else if String.equal name ".." then
+          (match trail with
+           | [] -> go [] cur rest nexp
+           | parent :: trail' -> go trail' parent rest nexp)
+        else
+          (match Inode.dir_find cur name with
+           | None -> Error Errno.ENOENT
+           | Some child ->
+             (match Inode.kind child with
+              | Inode.Symlink when rest <> [] || follow_last ->
+                if nexp >= Fs.symlink_limit then Error Errno.ELOOP
+                else
+                  let target = Inode.link_target child in
+                  let tcomps = components target in
+                  if is_absolute target then go [] (Fs.root fs) (tcomps @ rest) (nexp + 1)
+                  else go trail cur (tcomps @ rest) (nexp + 1)
+              | Inode.Symlink | Inode.Regular | Inode.Directory | Inode.Fifo ->
+                go (cur :: trail) child rest nexp))
+    in
+    go [] (Fs.root fs) (components path) 0
+
+  (* One step per non-final component, each an lstat from "/". *)
+  let canonical_parents fs path =
+    let steps = ref 0 in
+    let join resolved comp =
+      if String.equal resolved "/" then "/" ^ comp else resolved ^ "/" ^ comp
+    in
+    let rec go resolved comps expansions =
+      match comps with
+      | [] -> resolved
+      | [ final ] -> join resolved final
+      | comp :: rest ->
+        incr steps;
+        if String.equal comp ".." then go (dirname resolved) rest expansions
+        else
+          let candidate = join resolved comp in
+          (match walk fs ~uid:0 ~follow_last:false candidate with
+           | Ok link
+             when Inode.kind link = Inode.Symlink && expansions < Fs.symlink_limit ->
+             let target = Inode.link_target link in
+             if is_absolute target then
+               go "/" (components target @ rest) (expansions + 1)
+             else go resolved (components target @ rest) (expansions + 1)
+           | Ok _ | Error _ -> go candidate rest expansions)
+    in
+    let p = normalize path in
+    let canonical = if String.equal p "/" then "/" else go "/" (components p) 0 in
+    (canonical, !steps)
+end
+
+let walk_seeds =
+  let base = [ 1; 7; 42; 2005; 90210 ] in
+  match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+  | Some s -> ( try (int_of_string s mod 1_000_000) :: base with _ -> base)
+  | None -> base
+
+let names = [| "a"; "b"; "c"; "..."; ".a" |]
+let visitor = 1000
+
+let random_path rng ~extra =
+  let pool = Array.append names (Array.append extra [| "."; ".."; "" |]) in
+  let comps =
+    List.init (Random.State.int rng 7) (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+  in
+  let body = String.concat "/" comps in
+  match Random.State.int rng 8 with
+  | 0 -> body
+  | 1 -> "/" ^ body ^ "/"
+  | 2 -> "/" ^ body ^ "/."
+  | _ -> "/" ^ body
+
+(* A random tree plus the fixed hazards: a symlink chain longer than
+   the shared budget (and one just inside it), a symlink through a
+   regular file, a mode-0o000 directory, and a directory only its owner
+   may search.  Returns the fs and every path it made. *)
+let random_tree seed =
+  let rng = Random.State.make [| seed; 0x5ca9 |] in
+  let fs = Fs.create () in
+  let made = ref [ "/" ] in
+  let ign = function Ok _ -> () | Error _ -> () in
+  let add path r = match r with Ok _ -> made := path :: !made | Error _ -> () in
+  let rec grow dir depth =
+    Array.iter
+      (fun name ->
+        let path = if String.equal dir "/" then "/" ^ name else dir ^ "/" ^ name in
+        match Random.State.int rng 6 with
+        | 0 | 1 when depth < 3 ->
+          add path (Fs.mkdir fs ~uid:0 ~mode:0o755 path);
+          grow path (depth + 1)
+        | 2 -> add path (Fs.write_file fs ~uid:0 path "x")
+        | 3 ->
+          let target =
+            match Random.State.int rng 5 with
+            | 0 -> random_path rng ~extra:[||]
+            | 1 -> "../" ^ names.(Random.State.int rng (Array.length names))
+            | 2 -> names.(Random.State.int rng (Array.length names)) ^ "/../b"
+            | 3 -> "/gone/" ^ names.(Random.State.int rng (Array.length names))
+            | _ -> String.concat "/" [ names.(Random.State.int rng 3); names.(Random.State.int rng 3) ]
+          in
+          add path (Fs.symlink fs ~uid:0 ~target path)
+        | _ -> ())
+      names
+  in
+  grow "/" 0;
+  let chain dir n last =
+    ign (Fs.mkdir fs ~uid:0 ~mode:0o755 dir);
+    for i = 0 to n - 1 do
+      let target = if i = n - 1 then last else Printf.sprintf "l%d" (i + 1) in
+      add (Printf.sprintf "%s/l%d" dir i) (Fs.symlink fs ~uid:0 ~target (Printf.sprintf "%s/l%d" dir i))
+    done
+  in
+  chain "/long" (Fs.symlink_limit + 4) "/";
+  chain "/short" (Fs.symlink_limit - 1) "/a";
+  add "/reg" (Fs.write_file fs ~uid:0 "/reg" "r");
+  add "/through" (Fs.symlink fs ~uid:0 ~target:"/reg/a" "/through");
+  add "/up" (Fs.symlink fs ~uid:0 ~target:"reg/.." "/up");
+  add "/locked" (Fs.mkdir fs ~uid:0 ~mode:0o755 "/locked");
+  add "/locked/a" (Fs.mkdir fs ~uid:0 ~mode:0o755 "/locked/a");
+  add "/locked/l" (Fs.symlink fs ~uid:0 ~target:"/a" "/locked/l");
+  ign (Fs.chmod fs ~uid:0 ~mode:0o000 "/locked");
+  add "/own" (Fs.mkdir fs ~uid:0 ~mode:0o700 "/own");
+  add "/own/a" (Fs.mkdir fs ~uid:0 ~mode:0o755 "/own/a");
+  add "/into" (Fs.symlink fs ~uid:0 ~target:"/locked/a" "/into");
+  (fs, !made)
+
+let extra = [| "long"; "short"; "l0"; "l3"; "reg"; "through"; "up"; "locked"; "own"; "into"; "l"; "gone" |]
+
+(* Probes: random paths, and every made path as is, under "." and "/",
+   and with a child name below it. *)
+let probes rng made =
+  List.init 300 (fun _ -> random_path rng ~extra)
+  @ List.concat_map
+      (fun p ->
+        let under s = if String.equal p "/" then "/" ^ s else p ^ "/" ^ s in
+        [ p; under "."; p ^ "/"; under "a"; under "./a"; under "../a" ])
+      made
+
+let show_inode = function
+  | Ok inode -> Printf.sprintf "ino %d" (Inode.ino inode)
+  | Error e -> Errno.to_string e
+
+let same_inode a b =
+  match (a, b) with
+  | Ok x, Ok y -> x == y
+  | Error x, Error y -> x = y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* The trees must keep reaching the cases the walks treat specially, or
+   agreement would prove little. *)
+let require_seen what seen =
+  List.iter
+    (fun (name, hit) -> if not hit then Alcotest.failf "no probe %s %s" what name)
+    seen
+
+let resolvers_match_list_walk () =
+  let outcomes = Hashtbl.create 8 in
+  List.iter
+    (fun seed ->
+      let fs, made = random_tree seed in
+      let rng = Random.State.make [| seed; 0x9b0e |] in
+      List.iter
+        (fun path ->
+          List.iter
+            (fun uid ->
+              List.iter
+                (fun (name, follow_last, got) ->
+                  let want = Ref.walk fs ~uid ~follow_last path in
+                  if not (same_inode want got) then
+                    Alcotest.failf "seed %d uid %d %s %S: list walk %s, scanner %s" seed uid name
+                      path (show_inode want) (show_inode got);
+                  (match got with
+                   | Ok inode when Inode.kind inode = Inode.Symlink ->
+                     Hashtbl.replace outcomes "symlink" ()
+                   | Ok _ -> Hashtbl.replace outcomes "OK" ()
+                   | Error e -> Hashtbl.replace outcomes (Errno.to_string e) ()))
+                [ ("resolve", true, Fs.resolve fs ~uid path);
+                  ("resolve_no_follow", false, Fs.resolve_no_follow fs ~uid path) ])
+            [ 0; visitor ])
+        (probes rng made))
+    walk_seeds;
+  require_seen "resolved to"
+    (List.map
+       (fun o -> (o, Hashtbl.mem outcomes o))
+       [ "OK"; "symlink"; Errno.to_string Errno.ENOENT; Errno.to_string Errno.ENOTDIR;
+         Errno.to_string Errno.EACCES; Errno.to_string Errno.ELOOP ])
+
+let canonicaliser_matches_root_walk () =
+  let moved = ref false and capped = ref false in
+  List.iter
+    (fun seed ->
+      let fs, made = random_tree seed in
+      let rng = Random.State.make [| seed; 0xca70 |] in
+      List.iter
+        (fun path ->
+          let want_path, want_steps = Ref.canonical_parents fs path in
+          let got_path, got_steps = Fs.canonical_parents fs path in
+          if not (String.equal want_path got_path && want_steps = got_steps) then
+            Alcotest.failf "seed %d %S: from the root %S in %d steps, cursor %S in %d" seed path
+              want_path want_steps got_path got_steps;
+          if not (String.equal got_path (Ref.normalize path)) then moved := true;
+          if got_steps > Fs.symlink_limit then capped := true)
+        (probes rng made))
+    walk_seeds;
+  require_seen "canonicalised"
+    [ ("through an ancestor symlink", !moved); ("past the expansion budget", !capped) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_invariants;
     QCheck_alcotest.to_alcotest prop_write_then_read;
+    Alcotest.test_case "resolvers match list walk" `Quick resolvers_match_list_walk;
+    Alcotest.test_case "canonicaliser matches root walk" `Quick
+      canonicaliser_matches_root_walk;
   ]
