@@ -242,8 +242,6 @@ let check_delete t caller dir k =
        | Ok () -> k ()
        | Error e -> err e)
 
-let is_acl_file abs = String.equal (Path.basename abs) Acl.filename
-
 let box_for t identity =
   let key = Principal.to_string identity in
   match Hashtbl.find_opt t.boxes key with
@@ -363,7 +361,7 @@ let rec serve_as t caller op =
     (match map_path t wire_path with
      | Error e -> err e
      | Ok abs ->
-       if is_acl_file abs then err Errno.EACCES
+       if Enforce.is_acl_file abs then err Errno.EACCES
        else
          check_delete t caller (Enforce.governing_dir t.enforce abs) (fun () ->
              match delegate t (Syscall.Unlink abs) with
@@ -373,7 +371,7 @@ let rec serve_as t caller op =
     (match map_path t wire_path with
      | Error e -> err e
      | Ok abs ->
-       if is_acl_file abs then err Errno.EACCES
+       if Enforce.is_acl_file abs then err Errno.EACCES
        else
          check t caller abs Right.Write (fun () ->
              let flags = Fs.wronly_create in
@@ -388,7 +386,7 @@ let rec serve_as t caller op =
     (match map_path t wire_path with
      | Error e -> err e
      | Ok abs ->
-       if is_acl_file abs then err Errno.EACCES
+       if Enforce.is_acl_file abs then err Errno.EACCES
        else
          check t caller abs Right.Read (fun () ->
              match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
@@ -461,7 +459,7 @@ let rec serve_as t caller op =
     (match (map_path t src, map_path t dst) with
      | Error e, _ | _, Error e -> err e
      | Ok asrc, Ok adst ->
-       if is_acl_file asrc || is_acl_file adst then err Errno.EACCES
+       if Enforce.is_acl_file asrc || Enforce.is_acl_file adst then err Errno.EACCES
        else
          check_delete t caller (Path.dirname asrc) (fun () ->
              check_dir t caller (Path.dirname adst) Right.Write (fun () ->
@@ -472,7 +470,7 @@ let rec serve_as t caller op =
     (match map_path t wire_path with
      | Error e -> err e
      | Ok abs ->
-       if is_acl_file abs then err Errno.EACCES
+       if Enforce.is_acl_file abs then err Errno.EACCES
        else
          check t caller abs Right.Read (fun () ->
              (* The digest is computed server-side over the stored bytes:

@@ -17,11 +17,14 @@ module Delegation = Idbox_auth.Delegation
 module Expiry = Idbox_auth.Expiry
 
 (* How a cached ACL is known to still be current.  With caching on, the
-   token is the governing directory's (ino, generation): the VFS bumps
-   the generation on every namespace- or ACL-relevant mutation, so one
-   host-side integer compare revalidates — no delegated syscall.  With
-   caching off, it is the legacy attribute check against the ACL file's
-   (ino, mtime), which pays a delegated [Lstat] per check. *)
+   token is the governing directory's (ino, ACL generation)
+   ({!Fs.acl_token}): the VFS bumps that generation on every change that
+   can alter what the directory's ACL file reads as, and on nothing
+   else, so one host-side integer compare revalidates — no delegated
+   syscall — and content writes or plain-file churn in the directory do
+   not evict its ACL.  With caching off, it is the legacy attribute
+   check against the ACL file's (ino, mtime), which pays a delegated
+   [Lstat] per check. *)
 type token =
   | Dir_gen of (int * int) option  (** [None]: no such directory. *)
   | Acl_attr of (int * int64) option  (** [None]: no ACL file existed. *)
@@ -89,6 +92,11 @@ type t = {
 }
 
 let acl_filename = Acl.filename
+
+(* A suffix test, not [Path.basename]: a check calls it up to twice, and
+   a basename first scans the whole path to tell whether it is normal. *)
+let acl_suffix = "/" ^ acl_filename
+let is_acl_file path = String.ends_with ~suffix:acl_suffix path
 
 let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     () =
@@ -333,7 +341,7 @@ let acl_token t dir =
 let dir_token t dir =
   if t.caching then begin
     Kernel.charge t.kernel t.c_gen_check;
-    Dir_gen (Fs.dir_token (Kernel.fs t.kernel) dir)
+    Dir_gen (Fs.acl_token (Kernel.fs t.kernel) dir)
   end
   else Acl_attr (acl_token t dir)
 
@@ -406,24 +414,32 @@ let check_in_dir t ~identity ~dir right =
 
 let check_object_interp t ~identity ~key right =
   let final, st, authoritative = resolved t key in
-  let dir = Path.dirname final in
-  let object_stat () =
-    (* Fall back against the object itself when it exists, else against
-       the directory that would contain it.  After a name-cache hit the
-       final stat is unknown and fetched lazily; after a fresh resolve,
-       [st = None] already proved the object absent. *)
-    match st with
-    | Some _ -> st
-    | None when authoritative -> stat_of t dir
-    | None -> (match stat_of t final with Some s -> Some s | None -> stat_of t dir)
-  in
-  check_with_fallback t ~identity ~dir ~object_stat right
+  if is_acl_file final then Error Errno.EACCES
+  else
+    let dir = Path.dirname final in
+    let object_stat () =
+      (* Fall back against the object itself when it exists, else against
+         the directory that would contain it.  After a name-cache hit the
+         final stat is unknown and fetched lazily; after a fresh resolve,
+         [st = None] already proved the object absent. *)
+      match st with
+      | Some _ -> st
+      | None when authoritative -> stat_of t dir
+      | None -> (match stat_of t final with Some s -> Some s | None -> stat_of t dir)
+    in
+    check_with_fallback t ~identity ~dir ~object_stat right
 
+(* An ACL file is reachable only through getacl and setacl.  It is
+   refused by name before any tier answers, and again after the symlink
+   chain is followed, so a link planted next to it (or anywhere else)
+   cannot read or rewrite it. *)
 let check_object t ~identity ~path right =
   let key = Path.normalize path in
-  match bytecode_consult t (`Object key) ~identity right with
-  | Some verdict -> verdict
-  | None -> check_object_interp t ~identity ~key right
+  if is_acl_file key then Error Errno.EACCES
+  else
+    match bytecode_consult t (`Object key) ~identity right with
+    | Some verdict -> verdict
+    | None -> check_object_interp t ~identity ~key right
 
 let reserve_in_dir t ~identity ~dir =
   match dir_acl t dir with
@@ -466,7 +482,7 @@ let write_acl t ~dir acl =
     (match write_res with
      | Ok _ ->
        (* Re-prime with a post-write token: the open bumped the
-          directory's generation, so the fresh ACL is served from
+          directory's ACL generation, so the fresh ACL is served from
           cache. *)
        Hashtbl.replace t.cache dir { token = dir_token t dir; acl = Some acl };
        (* The open bumped the policy generation too: the program is

@@ -19,8 +19,9 @@
     serve the warm path with {e zero} delegated syscalls, dcache-style:
     a name cache (canonical path of a full resolution, validated against
     the global VFS mutation generation) and the per-directory ACL cache
-    (validated against the governing directory's (ino, generation)
-    instead of a delegated [Lstat] of the ACL file).  Each warm hit
+    (validated against the governing directory's (ino, ACL generation),
+    {!Idbox_vfs.Fs.acl_token}, instead of a delegated [Lstat] of the ACL
+    file; content writes and plain-file churn leave it valid).  Each warm hit
     charges one {!Idbox_kernel.Cost.t.gen_check_ns}; the cached ACL is
     then evaluated (charged {!Idbox_kernel.Cost.t.acl_check_base} plus
     {!Idbox_kernel.Cost.t.acl_check_entry} per entry), its matcher
@@ -135,7 +136,9 @@ val check_object :
 (** Check against the governing directory of [path]; the [nobody]
     fallback is evaluated against the object itself when it exists
     (so an un-ACL'd but world-readable file stays readable, and the
-    supervisor's 0600 [secret] stays private, exactly as in Fig. 2). *)
+    supervisor's 0600 [secret] stays private, exactly as in Fig. 2).
+    An ACL file is refused ([EACCES]) for every right: when [path]
+    names one, and when its final symlink chain lands on one. *)
 
 type mkdir_plan =
   | Fresh_acl of Idbox_acl.Acl.t
@@ -171,6 +174,12 @@ val invalidate : t -> dir:string -> unit
 
 val acl_filename : string
 (** Re-export of {!Idbox_acl.Acl.filename} for dispatch-layer filtering. *)
+
+val is_acl_file : string -> bool
+(** Does the normal path ({!Idbox_vfs.Path.is_normal}, as every
+    canonicalised path is) name an ACL file: is its last component
+    {!acl_filename}?  The name guard every dispatch layer applies
+    before it creates, removes, renames or links an entry. *)
 
 val admit_chain :
   t ->

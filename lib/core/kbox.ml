@@ -80,6 +80,13 @@ let verdict t ~identity (view : View.t) req =
     | Ok () -> Ok ()
     | Error _ -> Enforce.check_in_dir t.kb_enforce ~identity ~dir Right.Write
   in
+  (* The name guard the userspace box applies: no call creates, removes,
+     renames or links an entry named as an ACL file. *)
+  let unless_acl_file paths k =
+    if List.exists (fun p -> Enforce.is_acl_file (abs p)) paths then
+      Error Errno.EACCES
+    else k ()
+  in
   match req with
   | Syscall.Open { path; flags; _ } ->
     let r = if flags.Idbox_vfs.Fs.rd then check_object path Right.Read else Ok () in
@@ -93,17 +100,22 @@ let verdict t ~identity (view : View.t) req =
   | Syscall.Getacl path ->
     check_object path Right.List
   | Syscall.Readdir path | Syscall.Chdir path -> check_dir path Right.List
-  | Syscall.Mkdir { path; _ } -> check_dir (Path.dirname (abs path)) Right.Write
-  | Syscall.Unlink path | Syscall.Rmdir path -> check_delete path
+  | Syscall.Mkdir { path; _ } ->
+    unless_acl_file [ path ] (fun () -> check_dir (Path.dirname (abs path)) Right.Write)
+  | Syscall.Unlink path -> unless_acl_file [ path ] (fun () -> check_delete path)
+  | Syscall.Rmdir path -> check_delete path
   | Syscall.Rename { src; dst } ->
-    (match check_delete src with
-     | Error _ as e -> e
-     | Ok () -> check_dir (Path.dirname (abs dst)) Right.Write)
+    unless_acl_file [ src; dst ] (fun () ->
+        match check_delete src with
+        | Error _ as e -> e
+        | Ok () -> check_dir (Path.dirname (abs dst)) Right.Write)
   | Syscall.Link { target; path } ->
-    (match check_object target Right.Read with
-     | Error _ as e -> e
-     | Ok () -> check_dir (Path.dirname (abs path)) Right.Write)
-  | Syscall.Symlink { path; _ } -> check_dir (Path.dirname (abs path)) Right.Write
+    unless_acl_file [ target; path ] (fun () ->
+        match check_object target Right.Read with
+        | Error _ as e -> e
+        | Ok () -> check_dir (Path.dirname (abs path)) Right.Write)
+  | Syscall.Symlink { path; _ } ->
+    unless_acl_file [ path ] (fun () -> check_dir (Path.dirname (abs path)) Right.Write)
   | Syscall.Chmod { path; _ } | Syscall.Truncate { path; _ } ->
     check_object path Right.Write
   | Syscall.Chown _ -> Error Errno.EPERM

@@ -16,7 +16,9 @@
    parent's ACL" reading of a path-table miss would break.  That reading
    also covers plain files created after the snapshot: their entry
    would be the parent's ACL, so plain-file churn does not bump the
-   policy generation the program is keyed on.  Subtrees
+   policy generation the program is keyed on.  ACL files, and symlinks
+   that land on one, are NOT COMPILED too: the engine refuses them
+   whatever the ACL says.  Subtrees
    the supervisor cannot enumerate are omitted entirely, which is
    safe: their directories never enter the dir table either, so every
    probe in them misses to [Unknown].
@@ -157,6 +159,11 @@ let snapshot fs ~uid =
                 (* Present in the listing but not statable: occupy the
                    slot, answer nothing. *)
                 add_path snap child (-1)
+              | Ok _ when String.equal name Acl.filename ->
+                (* The engine refuses an ACL file for every right; a
+                   directory of that name is left unwalked, so probes
+                   under it miss to [Unknown]. *)
+                add_path snap child (-1)
               | Ok st ->
                 (match st.Fs.st_kind with
                  | Inode.Directory ->
@@ -167,7 +174,9 @@ let snapshot fs ~uid =
                    walk_dir child
                  | Inode.Symlink ->
                    let final = resolve_final fs ~uid child in
-                   add_path snap child (object_value fs ~uid snap final);
+                   add_path snap child
+                     (if String.equal (Path.basename final) Acl.filename then -1
+                      else object_value fs ~uid snap final);
                    (* A symlink that lands on a directory also serves as
                       a directory alias for parent-fallback probes — but
                       only when the target's children are all plain

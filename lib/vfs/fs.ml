@@ -12,10 +12,11 @@ type t = {
          the compiled policy program, whose answers such changes cannot
          move. *)
   mutable watched : string option;
-      (* Basename whose open-for-write counts as an ACL-relevant mutation
-         of the containing directory ([Enforce] registers ".__acl").
-         Content writes land through file descriptors, bypassing [Fs], so
-         the generation is bumped at open time instead. *)
+      (* The ACL file's basename ([Enforce] registers ".__acl").  A
+         namespace change to an entry of that name, or an open-for-write
+         that lands on one, bumps the directory's ACL generation.  Content
+         writes land through file descriptors, bypassing [Fs], so the bump
+         happens at open time. *)
 }
 
 type stat = {
@@ -82,6 +83,12 @@ let note_mutation t dir =
   note_global t;
   Inode.bump_gen dir
 
+(* A change that can alter what [dir]'s ACL file reads as: everything
+   [note_mutation] does, and the directory's ACL generation too. *)
+let note_acl_change t dir =
+  note_mutation t dir;
+  Inode.bump_acl_gen dir
+
 (* A plain file created, unlinked or renamed under a name other than
    the watched one, replacing nothing or another plain file.  The
    compiled policy answers such a path from its parent directory's ACL
@@ -91,6 +98,14 @@ let note_mutation t dir =
 let note_plain_change t dir =
   t.fs_gen <- t.fs_gen + 1;
   Inode.bump_gen dir
+
+(* A namespace change to the entry [name] of [dir]: creating, removing or
+   replacing the watched name is an ACL change; [plain] says the change
+   is a plain-file one (see [note_plain_change]). *)
+let note_entry t dir name ~plain =
+  if is_watched t name then note_acl_change t dir
+  else if plain then note_plain_change t dir
+  else note_mutation t dir
 
 let alloc_ino t =
   let ino = t.next_ino in
@@ -246,39 +261,62 @@ let writable_dir ~uid dir =
   Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.W
   && searchable ~uid dir
 
-let dir_token t path =
+let dir_stamp t path gen =
   match resolve t ~uid:0 path with
-  | Ok inode when Inode.kind inode = Inode.Directory ->
-    Some (Inode.ino inode, Inode.gen inode)
+  | Ok inode when Inode.kind inode = Inode.Directory -> Some (Inode.ino inode, gen inode)
   | Ok _ | Error _ -> None
 
-(* A successful open-for-write of the watched basename: bump the
-   containing directory (resolved as root: this is bookkeeping, not an
-   access check), or at least the global generation. *)
-let note_watched_write t path =
-  match resolve_parent t ~uid:0 path with
-  | Ok (dir, _) -> note_mutation t dir
-  | Error _ -> note_global t
+let dir_token t path = dir_stamp t path Inode.gen
+let acl_token t path = dir_stamp t path Inode.acl_gen
 
-(* Any other open-for-write of an existing file: the directory's
-   *content* is about to change even though its namespace is not.  Bump
-   only the containing directory's generation (not the global one):
-   per-directory digests over file contents must revalidate, but
-   whole-path name caches — which content cannot affect — keep their
-   hits.  Writes land through descriptors after the open, so open time
-   is the one choke point (opens and writes never interleave with
-   digest reads in the single-threaded simulation). *)
-let note_content_write t path =
-  match resolve_parent t ~uid:0 path with
-  | Ok (dir, _) -> Inode.bump_gen dir
-  | Error _ -> ()
+(* The entry an open or a chmod of [path] reaches, as (directory, name):
+   the final symlink chain is followed as root, within [symlink_limit].
+   This is bookkeeping, not an access check.  When the final component is
+   a symlink, each hop is re-walked with [canonical_walk] so that a
+   relative target's ".." pops to the real parent, as in [walk]. *)
+let landing t path =
+  let entry p =
+    match resolve_parent t ~uid:0 p with
+    | Ok (dir, name) -> Some (dir, name, Inode.dir_find dir name)
+    | Error _ -> None
+  in
+  let rec follow comps depth =
+    let p, _ = canonical_walk t comps in
+    match entry p with
+    | Some (_, _, Some e) when Inode.kind e = Inode.Symlink && depth < symlink_limit ->
+      let target = Inode.link_target e in
+      let from = if Path.is_absolute target then [] else Path.components (Path.dirname p) in
+      follow (from @ Path.components target) (depth + 1)
+    | Some (dir, name, _) -> Some (dir, name)
+    | None -> None
+  in
+  match entry path with
+  | Some (_, _, Some e) when Inode.kind e = Inode.Symlink -> follow (Path.components path) 0
+  | Some (dir, name, _) -> Some (dir, name)
+  | None -> None
 
-(* chmod/chown change who the Unix-permission fallback grants to; bump
-   the containing directory so attribute-sensitive caches revalidate. *)
+(* A successful open-for-write of an existing file.  Writes land through
+   descriptors after the open, so open time is the one choke point (opens
+   and writes never interleave with checks or digest reads in the
+   single-threaded simulation).  Landing on the watched name is an ACL
+   change.  Any other file only changes its directory's *content*: the
+   directory's own generation moves, so per-directory digests over file
+   contents revalidate, while the global counters and the ACL generation
+   stay, so name caches, the compiled program and cached ACLs keep their
+   hits. *)
+let note_write t path =
+  match landing t path with
+  | Some (dir, name) when is_watched t name -> note_acl_change t dir
+  | Some (dir, _) -> Inode.bump_gen dir
+  | None -> ()
+
+(* chmod/chown change who the Unix-permission fallback grants to, and
+   whether the supervisor can read an ACL file: an ACL change of the
+   directory holding the entry reached. *)
 let note_attr_change t path =
-  match resolve_parent t ~uid:0 path with
-  | Ok (dir, _) -> note_mutation t dir
-  | Error _ -> note_global t
+  match landing t path with
+  | Some (dir, _) -> note_acl_change t dir
+  | None -> note_global t
 
 let rec open_file_depth t ~uid ~flags ~mode ~depth path =
   if depth >= symlink_limit then Error Errno.ELOOP
@@ -301,9 +339,7 @@ let rec open_file_depth t ~uid ~flags ~mode ~depth path =
             Inode.truncate inode ~len:0;
             Inode.set_mtime inode (t.clock ())
           end;
-          if flags.wr then
-            if is_watched t (Path.basename path) then note_watched_write t path
-            else note_content_write t path;
+          if flags.wr then note_write t path;
           Ok inode
         end
     | Error Errno.ENOENT when flags.creat ->
@@ -334,8 +370,7 @@ let rec open_file_depth t ~uid ~flags ~mode ~depth path =
               in
               Inode.dir_add dir name inode;
               Inode.set_mtime dir (t.clock ());
-              if is_watched t name then note_mutation t dir
-              else note_plain_change t dir;
+              note_entry t dir name ~plain:true;
               Ok inode
             end))
     | Error _ as e -> e
@@ -356,7 +391,7 @@ let mkdir t ~uid ~mode path =
          let child = Inode.make_dir ~ino:(alloc_ino t) ~uid ~mode ~now:(t.clock ()) in
          Inode.dir_add dir name child;
          Inode.set_mtime dir (t.clock ());
-         note_mutation t dir;
+         note_entry t dir name ~plain:false;
          Ok child
        end)
 
@@ -378,7 +413,7 @@ let rmdir t ~uid path =
          Inode.dir_remove dir name;
          Inode.decr_nlink child;
          Inode.set_mtime dir (t.clock ());
-         note_mutation t dir;
+         note_entry t dir name ~plain:false;
          Ok ()
        end)
 
@@ -397,16 +432,15 @@ let unlink t ~uid path =
          Inode.dir_remove dir name;
          Inode.decr_nlink child;
          Inode.set_mtime dir (t.clock ());
-         if is_plain child && not (is_watched t name) then
-           note_plain_change t dir
-         else note_mutation t dir;
+         note_entry t dir name ~plain:(is_plain child);
          Ok ()
        end)
 
-(* The watched (ACL) name never shares its inode with another name: a
-   write through the other name would change the ACL without touching
-   the watched name, so nothing would bump.  [link] to or from it fails,
-   as does renaming a multiply-linked file onto it. *)
+(* The watched (ACL) name never shares its inode with another name, and
+   is never a symlink: a write through the other name, or to the link's
+   target, would change the ACL without landing on the watched name, so
+   nothing would bump.  [link] to or from it fails, as do [symlink] at
+   it and renaming a multiply-linked file or a symlink onto it. *)
 let link t ~uid ~target path =
   match resolve_no_follow t ~uid target with
   | Error e -> Error e
@@ -433,6 +467,7 @@ let link t ~uid ~target path =
 let symlink t ~uid ~target path =
   match resolve_parent t ~uid path with
   | Error e -> Error e
+  | Ok (_, name) when is_watched t name -> Error Errno.EPERM
   | Ok (dir, name) ->
     (match Inode.dir_find dir name with
      | Some _ -> Error Errno.EEXIST
@@ -481,26 +516,22 @@ let rename t ~uid ~src ~dst =
           else if
             Inode.kind moving = Inode.Directory && subtree_contains moving ddir
           then Error Errno.EINVAL
-          else if is_watched t dname && Inode.nlink moving > 1 then
-            Error Errno.EPERM
+          else if
+            is_watched t dname
+            && (Inode.nlink moving > 1 || Inode.kind moving = Inode.Symlink)
+          then Error Errno.EPERM
           else
             let replace ~plain =
               Inode.dir_remove sdir sname;
               Inode.dir_add ddir dname moving;
               Inode.set_mtime sdir (t.clock ());
               Inode.set_mtime ddir (t.clock ());
-              let note = if plain then note_plain_change else note_mutation in
-              note t sdir;
-              note t ddir;
+              note_entry t sdir sname ~plain;
+              note_entry t ddir dname ~plain;
               Ok ()
             in
-            let plain_move =
-              is_plain moving
-              && (not (is_watched t sname))
-              && not (is_watched t dname)
-            in
             (match Inode.dir_find ddir dname with
-             | None -> replace ~plain:plain_move
+             | None -> replace ~plain:(is_plain moving)
              | Some existing when existing == moving -> Ok ()
              | Some existing ->
                (match (Inode.kind moving, Inode.kind existing) with
@@ -517,7 +548,7 @@ let rename t ~uid ~src ~dst =
                 | (Inode.Regular | Inode.Symlink | Inode.Fifo),
                   (Inode.Regular | Inode.Symlink | Inode.Fifo) ->
                   Inode.decr_nlink existing;
-                  replace ~plain:(plain_move && is_plain existing)))))
+                  replace ~plain:(is_plain moving && is_plain existing)))))
 
 let readdir t ~uid path =
   match resolve t ~uid path with

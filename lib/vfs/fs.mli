@@ -55,11 +55,11 @@ val root : t -> Inode.t
 (** {1 Mutation generations}
 
     Monotonic counters that let caches revalidate without re-walking or
-    re-reading anything.  Two are global, one is per directory:
+    re-reading anything.  Two are global, two are per directory:
 
     - {!generation} is bumped by every namespace- or ACL-relevant
       mutation: create, unlink, rmdir, mkdir, link, symlink, rename,
-      chmod, chown, and a successful open-for-write of the
+      chmod, chown, and a successful open-for-write that lands on the
       {!watch_basename} name.  Whole-path name caches key on it.
     - {!policy_generation} is bumped by the same calls, with one
       exception: a regular file (or fifo) created, unlinked or renamed,
@@ -71,12 +71,25 @@ val root : t -> Inode.t
       churn.  Hard links, renames that move or replace a directory or a
       symlink, and every create, write, unlink or rename of the watched
       name (the ACL file), still bump it.
-    - The containing directory's [(ino, gen)] token ({!dir_token}) moves
-      with every mutation that bumps {!generation} there, and also on a
-      successful open-for-write of any {e other} existing file in it:
-      the directory's content is about to change (anti-entropy digests
-      over file contents must revalidate) but its namespace is not, so
-      neither global counter moves. *)
+    - A directory's [(ino, gen)] token ({!dir_token}) moves with every
+      mutation that bumps {!generation} there, and also on a successful
+      open-for-write of any {e other} existing file in it: the
+      directory's content is about to change (anti-entropy digests over
+      file contents must revalidate) but its namespace is not, so
+      neither global counter moves.
+    - A directory's [(ino, acl_gen)] token ({!acl_token}) moves only
+      when what its ACL file reads as can change: a create, unlink,
+      mkdir, rmdir or rename (either end) of the entry with the watched
+      name in it; an open-for-write that lands on that entry after the
+      final symlink chain is followed; and a chmod or chown of any entry
+      in it (the entry reached, symlinks followed).  Each of these bumps
+      the three counters above as well.  Content writes to other files
+      and every other namespace change leave it alone.  A directory
+      that is moved, replaced or re-pointed through a symlink changes
+      the [ino] half instead.
+
+    One case bumps nothing: a write through a descriptor opened before
+    a rename made its file the ACL file. *)
 
 val generation : t -> int
 (** The global mutation generation (starts at 0). *)
@@ -90,12 +103,18 @@ val dir_token : t -> string -> (int * int) option
     following symlinks), or [None] when it does not resolve to a
     directory.  Host-side: performs no simulated syscalls. *)
 
+val acl_token : t -> string -> (int * int) option
+(** [(ino, acl_gen)] of the directory the path resolves to, resolved as
+    {!dir_token} resolves it.  It validates a cached copy of that
+    directory's ACL file. *)
+
 val watch_basename : t -> string -> unit
-(** Register a basename (the ACL file name) whose open-for-write counts
-    as a mutation of the containing directory.  File contents flow
-    through descriptors, bypassing this module, so the bump happens at
-    open time — sound here because opens and writes never interleave
-    with checks in the single-threaded simulation. *)
+(** Register the ACL file's basename.  Namespace changes to an entry of
+    that name, and opens for write that land on one, are ACL changes
+    of the containing directory.  File contents flow through
+    descriptors, bypassing this module, so the bump happens at open
+    time — sound here because opens and writes never interleave with
+    checks in the single-threaded simulation. *)
 
 val make_pipe : t -> Inode.t
 (** A fresh pipe inode (allocated from this filesystem's inode space,
@@ -145,13 +164,16 @@ val link : t -> uid:int -> target:string -> string -> unit r
     ACL file's only name is its own, so every write to it is seen. *)
 
 val symlink : t -> uid:int -> target:string -> string -> unit r
-(** [symlink ~target path]: [target] is stored verbatim. *)
+(** [symlink ~target path]: [target] is stored verbatim.  A link named
+    with the {!watch_basename} name fails [EPERM]: the ACL file is never
+    a symlink, so a write to it always lands on its own entry. *)
 
 val readlink : t -> uid:int -> string -> string r
 
 val rename : t -> uid:int -> src:string -> dst:string -> unit r
-(** POSIX rename; moving a file with more than one link onto the
-    {!watch_basename} name fails [EPERM] (see {!link}). *)
+(** POSIX rename; moving a file with more than one link, or a symlink,
+    onto the {!watch_basename} name fails [EPERM] (see {!link} and
+    {!symlink}). *)
 
 val readdir : t -> uid:int -> string -> string list r
 val stat : t -> uid:int -> string -> stat r

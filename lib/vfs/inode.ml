@@ -41,11 +41,14 @@ and t = {
   mutable i_mtime : int64;
   mutable i_ctime : int64;
   mutable i_gen : int;
+  mutable i_acl_gen : int;
 }
 
 let ino t = t.i_ino
 let gen t = t.i_gen
 let bump_gen t = t.i_gen <- t.i_gen + 1
+let acl_gen t = t.i_acl_gen
+let bump_acl_gen t = t.i_acl_gen <- t.i_acl_gen + 1
 
 let kind t =
   match t.payload with
@@ -71,7 +74,7 @@ let set_ctime t v = t.i_ctime <- v
 
 let make ~ino ~uid ~mode ~now payload =
   { i_ino = ino; payload; i_mode = mode; i_uid = uid; i_nlink = 1;
-    i_mtime = now; i_ctime = now; i_gen = 0 }
+    i_mtime = now; i_ctime = now; i_gen = 0; i_acl_gen = 0 }
 
 let make_file ~ino ~uid ~mode ~now =
   make ~ino ~uid ~mode ~now (File { data = Bytes.create 0; len = 0 })

@@ -20,9 +20,18 @@ val ino : t -> int
 val gen : t -> int
 (** Mutation generation, starting at 0.  Meaningful for directories:
     [Fs] bumps it on every namespace- or ACL-relevant change under the
-    inode, so [(ino, gen)] pairs validate caches without re-reading. *)
+    inode and on every content write to a file in it, so [(ino, gen)]
+    pairs validate per-directory content digests without re-reading. *)
 
 val bump_gen : t -> unit
+
+val acl_gen : t -> int
+(** ACL generation, starting at 0.  Meaningful for directories: [Fs]
+    bumps it only on changes that can alter what the directory's ACL
+    file reads as (see {!Fs.acl_token}), so [(ino, acl_gen)] pairs
+    validate cached ACLs across content writes and plain-file churn. *)
+
+val bump_acl_gen : t -> unit
 
 val kind : t -> kind
 

@@ -1,12 +1,15 @@
-(* Property suite for the generation-validated enforcement caches
-   (ISSUE 4): a long-lived cached engine and a long-lived cache-disabled
-   engine watch the same kernel while the namespace is mutated at
-   random — files written and unlinked, objects renamed, a symlink
-   retargeted, ACLs rewritten both through the engine and through raw
-   fd-path writes to [.__acl].  After every mutation, every
-   (path, principal, right) verdict must be byte-identical across the
-   two engines: the caches may only ever change the cost of an answer,
-   never the answer.  Seeded and deterministic. *)
+(* Property suite for the generation-validated enforcement caches: a
+   long-lived cached engine and a long-lived cache-disabled engine watch
+   the same kernel while the namespace is mutated at random — files
+   written and unlinked, objects renamed, a symlink retargeted, ACLs
+   rewritten through the engine, through raw fd-path writes to
+   [.__acl], through symlinks in the same and in another directory and
+   through opens that do not truncate, ACL files renamed in, unlinked,
+   re-created and chmodded, a subdirectory made and removed.  After
+   every mutation, every (path, principal, right) verdict must be
+   byte-identical across the two engines: the caches may only ever
+   change the cost of an answer, never the answer.  Seeded and
+   deterministic. *)
 
 module Kernel = Idbox_kernel.Kernel
 module Metrics = Idbox_kernel.Metrics
@@ -17,6 +20,7 @@ module Right = Idbox_acl.Right
 module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Fs = Idbox_vfs.Fs
+module Syscall = Idbox_kernel.Syscall
 module Errno = Idbox_vfs.Errno
 
 (* CI reruns the storm under extra seeds via the same knob the chaos
@@ -40,11 +44,14 @@ let ok ctx = function
 let dirs = [ "/w/a"; "/w/b"; "/w/c" ]
 
 (* The probe set deliberately includes objects that may or may not
-   exist at any moment, the symlink, and the directories themselves. *)
+   exist at any moment, the symlinks (among them the links to ACL
+   files), the directories themselves, a subdirectory that comes and
+   goes and a child of it. *)
 let probes =
-  ("/w/ln" :: dirs)
+  ("/w/ln" :: "/w/acl_ln" :: "/w/a/sub" :: "/w/a/sub/f0" :: dirs)
   @ List.concat_map
-      (fun d -> List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
+      (fun d ->
+        (d ^ "/acl_ln") :: List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
       dirs
 
 let patterns =
@@ -58,6 +65,66 @@ let random_acl st =
          let pattern = List.nth patterns ((i + Random.State.int st 3) mod 3) in
          let k = 1 + Random.State.int st (String.length all - 1) in
          Entry.make ~pattern (Rights.of_string_exn (String.sub all 0 k))))
+
+(* The mutation kinds that can change what an ACL file reads as, or that
+   sit next to one without changing it.  Shared with test_policy_compile's
+   storm, so both mixes cover them. *)
+let acl_mutation_kinds = 7
+
+let acl_mutation st k kind =
+  let fs = Kernel.fs k in
+  let dir () = List.nth dirs (Random.State.int st 3) in
+  let acl_text () = Acl.to_string (random_acl st) in
+  let acl_of d = d ^ "/" ^ Enforce.acl_filename in
+  match kind with
+  | 0 ->
+    (* An ACL write through a symlink next to it. *)
+    let d = dir () in
+    let link = d ^ "/acl_ln" in
+    ignore (Fs.unlink fs ~uid:0 link);
+    ignore (Fs.symlink fs ~uid:0 ~target:Enforce.acl_filename link);
+    ignore (Fs.write_file fs ~uid:0 link (acl_text ()))
+  | 1 ->
+    (* An ACL write through a symlink in another directory. *)
+    ignore (Fs.unlink fs ~uid:0 "/w/acl_ln");
+    ignore (Fs.symlink fs ~uid:0 ~target:(acl_of (dir ())) "/w/acl_ln");
+    ignore (Fs.write_file fs ~uid:0 "/w/acl_ln" (acl_text ()))
+  | 2 ->
+    (* An open-for-write without truncation of an existing file, the ACL
+       file or a plain one, and a write over its head in place. *)
+    let d = dir () in
+    let path =
+      if Random.State.bool st then acl_of d
+      else Printf.sprintf "%s/f%d" d (Random.State.int st 3)
+    in
+    let flags =
+      { Fs.rd = false; wr = true; creat = false; excl = false; trunc = false;
+        append = false }
+    in
+    let root = Kernel.make_view k ~uid:0 () in
+    (match Kernel.execute k root (Syscall.Open { path; flags; mode = 0 }) with
+     | Ok (Syscall.Int fd) ->
+       ignore (Kernel.execute k root (Syscall.Write { fd; data = acl_text () }));
+       ignore (Kernel.execute k root (Syscall.Close fd))
+     | Ok _ | Error _ -> ())
+  | 3 ->
+    (* A plain file renamed onto the ACL file and back. *)
+    let d = dir () in
+    let f = Printf.sprintf "%s/f%d" d (Random.State.int st 3) in
+    ignore (Fs.rename fs ~uid:0 ~src:f ~dst:(acl_of d));
+    ignore (Fs.rename fs ~uid:0 ~src:(acl_of d) ~dst:f)
+  | 4 ->
+    (* The ACL file unlinked and re-created. *)
+    let d = dir () in
+    ignore (Fs.unlink fs ~uid:0 (acl_of d));
+    ignore (Fs.write_file fs ~uid:0 (acl_of d) (acl_text ()))
+  | 5 ->
+    (* A subdirectory made or removed. *)
+    if Fs.exists fs ~uid:0 "/w/a/sub" then ignore (Fs.rmdir fs ~uid:0 "/w/a/sub")
+    else ignore (Fs.mkdir fs ~uid:0 ~mode:0o755 "/w/a/sub")
+  | _ ->
+    let mode = List.nth [ 0o600; 0o644; 0o000 ] (Random.State.int st 3) in
+    ignore (Fs.chmod fs ~uid:0 ~mode (acl_of (dir ())))
 
 let setup () =
   let k = Kernel.create () in
@@ -107,7 +174,7 @@ let mutate st k cached =
   let fs = Kernel.fs k in
   let dir () = List.nth dirs (Random.State.int st 3) in
   let file () = Printf.sprintf "%s/f%d" (dir ()) (Random.State.int st 3) in
-  match Random.State.int st 7 with
+  match Random.State.int st (7 + acl_mutation_kinds) with
   | 0 -> ignore (Fs.write_file fs ~uid:0 (file ()) "data")
   | 1 -> ignore (Fs.unlink fs ~uid:0 (file ()))
   | 2 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:(file ()))
@@ -126,9 +193,10 @@ let mutate st k cached =
       (Fs.write_file fs ~uid:0
          (d ^ "/" ^ Enforce.acl_filename)
          (Acl.to_string (random_acl st)))
-  | _ ->
+  | 6 ->
     let mode = if Random.State.bool st then 0o755 else 0o700 in
     ignore (Fs.chmod fs ~uid:0 ~mode (file ()))
+  | n -> acl_mutation st k (n - 7)
 
 let coherent_under_mutation () =
   List.iter
@@ -165,10 +233,35 @@ let warm_hit_is_free () =
   Alcotest.(check int) "name cache hit" (name0 + 1) (value "enforce.name.hit");
   Alcotest.(check int) "acl cache hit" (acl0 + 1) (value "acl.cache.hit")
 
+(* The ACL cache keys on ACL changes only: after a content write to
+   another file in the directory, the next check there is still a name
+   hit and an ACL hit, with zero delegated syscalls. *)
+let content_write_keeps_acl () =
+  let k, cached, _ = setup () in
+  let value name = Metrics.counter_value_of (Kernel.metrics k) name in
+  let check () =
+    match Enforce.check_object cached ~identity:fred ~path:"/w/a/f0" Right.Read with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "check: %s" (Errno.to_string e)
+  in
+  ok "second file" (Fs.write_file (Kernel.fs k) ~uid:0 "/w/a/f1" "x");
+  check ();
+  ok "content write" (Fs.write_file (Kernel.fs k) ~uid:0 "/w/a/f1" "more");
+  let d0 = (Kernel.stats k).Kernel.delegated in
+  let acl0 = value "acl.cache.hit" and miss0 = value "acl.cache.miss" in
+  check ();
+  Alcotest.(check int)
+    "zero delegated syscalls after a content write" 0
+    ((Kernel.stats k).Kernel.delegated - d0);
+  Alcotest.(check int) "acl cache hit" (acl0 + 1) (value "acl.cache.hit");
+  Alcotest.(check int) "no acl cache miss" miss0 (value "acl.cache.miss")
+
 let suite =
   [
     Alcotest.test_case "cached = uncached under random mutation" `Quick
       coherent_under_mutation;
     Alcotest.test_case "warm hit: zero delegated syscalls" `Quick
       warm_hit_is_free;
+    Alcotest.test_case "content write keeps the cached ACL" `Quick
+      content_write_keeps_acl;
   ]

@@ -59,6 +59,37 @@ let enforcement_without_traps () =
   (* The whole point: zero trapped calls. *)
   Alcotest.(check int) "no traps" trapped0 (Kernel.stats k).Kernel.trapped
 
+(* The ACL file is out of a visitor's reach in-kernel too, although
+   Fred holds w in /srv/area: no direct write, no rename of his own file
+   onto it, no unlink, and no access through a link he plants. *)
+let acl_file_protected_in_kernel () =
+  let k, kbox = setup () in
+  let fs = Kernel.fs k in
+  let acl_bytes () = ok "acl bytes" (Fs.read_file fs ~uid:0 "/srv/area/.__acl") in
+  let before = acl_bytes () in
+  let refused n = function Error Errno.EACCES -> () | Ok _ | Error _ -> Libc.exit n in
+  let pid =
+    Kbox.spawn_main kbox ~identity:fred
+      ~main:(fun _ ->
+        refused 1 (Libc.write_file "/srv/area/.__acl" ~contents:"globus:/O=UnivNowhere/* rwlxad");
+        (match Libc.write_file "/srv/area/mine" ~contents:"globus:/O=UnivNowhere/* rwlxad" with
+         | Ok () -> ()
+         | Error _ -> Libc.exit 2);
+        refused 3 (Libc.rename ~src:"/srv/area/mine" ~dst:"/srv/area/.__acl");
+        refused 4 (Libc.unlink "/srv/area/.__acl");
+        (match Libc.symlink ~target:".__acl" "/srv/area/lnk" with
+         | Ok () -> ()
+         | Error _ -> Libc.exit 5);
+        refused 6 (Libc.read_file "/srv/area/lnk");
+        refused 7 (Libc.write_file "/srv/area/lnk" ~contents:"globus:/O=UnivNowhere/* rwlxad");
+        refused 8 (Libc.truncate ~len:0 "/srv/area/lnk");
+        0)
+      ~args:[ "j" ]
+  in
+  Kernel.run k;
+  Alcotest.(check (option int)) "every attempt refused" (Some 0) (Kernel.exit_code k pid);
+  Alcotest.(check string) "acl bytes unchanged" before (acl_bytes ())
+
 let identity_inherited_by_children () =
   let k, kbox = setup () in
   Kernel.with_fresh_programs (fun () ->
@@ -206,6 +237,7 @@ let uninstall_restores () =
 let suite =
   [
     Alcotest.test_case "enforcement without traps" `Quick enforcement_without_traps;
+    Alcotest.test_case "acl file protected in-kernel" `Quick acl_file_protected_in_kernel;
     Alcotest.test_case "children inherit identity" `Quick identity_inherited_by_children;
     Alcotest.test_case "kill policy" `Quick kill_policy_by_identity;
     Alcotest.test_case "spawn checks x" `Quick spawn_checks_execute_right;

@@ -3,8 +3,11 @@
    pinned off, and a cache-disabled engine all watch the same kernel
    while the namespace is mutated at random — the same storm shape as
    test_enforce_cache (files written and unlinked, renames, a symlink
-   retargeted, ACLs rewritten through the engine and behind its back),
-   plus delegated checks whose backing chain is revoked mid-storm.
+   retargeted, ACLs rewritten through the engine and behind its back,
+   and test_enforce_cache's ACL-relevant kinds: writes through symlinks
+   to an ACL file, in-place writes, ACL files renamed in and out,
+   re-created and chmodded), plus delegated checks whose backing chain
+   is revoked mid-storm.
    After every mutation, every (path, principal, right) verdict must be
    byte-identical across the three engines: the compiled program may
    only ever change the cost of an answer, never the answer.  And the
@@ -47,13 +50,14 @@ let ok ctx = function
 
 let dirs = [ "/w/a"; "/w/b"; "/w/c" ]
 
-(* Objects that may or may not exist at any moment, the symlink, the
-   directories themselves, a subdirectory that comes and goes, a child
-   of it, and an ACL file. *)
+(* Objects that may or may not exist at any moment, the symlinks (among
+   them the links to ACL files), the directories themselves, a
+   subdirectory that comes and goes, a child of it, and an ACL file. *)
 let probes =
-  ("/w/ln" :: "/w/a/sub" :: "/w/a/sub/f0" :: "/w/b/.__acl" :: dirs)
+  ("/w/ln" :: "/w/acl_ln" :: "/w/a/sub" :: "/w/a/sub/f0" :: "/w/b/.__acl" :: dirs)
   @ List.concat_map
-      (fun d -> List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
+      (fun d ->
+        (d ^ "/acl_ln") :: List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
       dirs
 
 let patterns =
@@ -140,7 +144,7 @@ let mutate st k engine =
   let file () = Printf.sprintf "%s/f%d" (dir ()) (Random.State.int st 3) in
   let acl_file () = dir () ^ "/" ^ Enforce.acl_filename in
   let mode () = if Random.State.bool st then 0o755 else 0o700 in
-  match Random.State.int st 15 with
+  match Random.State.int st (15 + Test_enforce_cache.acl_mutation_kinds) with
   | 0 -> ignore (Fs.write_file fs ~uid:0 (file ()) "data")
   | 1 -> ignore (Fs.unlink fs ~uid:0 (file ()))
   | 2 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:(file ()))
@@ -161,7 +165,8 @@ let mutate st k engine =
     if Random.State.bool st then
       ignore (Fs.mkdir fs ~uid:0 ~mode:(mode ()) "/w/a/sub")
     else ignore (Fs.rmdir fs ~uid:0 "/w/a/sub")
-  | _ -> ignore (Fs.chmod fs ~uid:0 ~mode:(mode ()) (dir ()))
+  | 14 -> ignore (Fs.chmod fs ~uid:0 ~mode:(mode ()) (dir ()))
+  | n -> Test_enforce_cache.acl_mutation st k (n - 15)
 
 (* The tentpole property: under the mutation storm — ACL edits through
    and behind the engine, renames, symlink retargeting — the bytecode

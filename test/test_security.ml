@@ -201,6 +201,42 @@ let acl_files_protected () =
   in
   Alcotest.(check int) "acl file unreachable" 0 code
 
+(* Pitfall #2 aimed at the ACL file itself: Fred holds w but not a in
+   /shared, and may plant a link to the ACL file there — but reading,
+   writing or truncating through it is refused, the ACL bytes stay as
+   they were, and so setacl stays out of reach even after a
+   policy-visible change (without the refusal, Write launders into
+   Admin). *)
+let acl_file_unreachable_through_symlink () =
+  let k, _, box = setup () in
+  let fs = Kernel.fs k in
+  let acl_bytes () = ok "acl bytes" (Fs.read_file fs ~uid:0 "/shared/.__acl") in
+  let before = acl_bytes () in
+  let code =
+    run_in box (fun _ ->
+        (match Libc.symlink ~target:".__acl" "/shared/evil" with
+         | Ok () -> ()
+         | Error _ -> Libc.exit 1);
+        (match Libc.read_file "/shared/evil" with
+         | Error Errno.EACCES -> ()
+         | Ok _ | Error _ -> Libc.exit 2);
+        (match Libc.write_file "/shared/evil" ~contents:"globus:/O=UnivNowhere/* rwlxad" with
+         | Error Errno.EACCES -> ()
+         | Ok () | Error _ -> Libc.exit 3);
+        (match Libc.truncate ~len:0 "/shared/evil" with
+         | Error Errno.EACCES -> ()
+         | Ok () | Error _ -> Libc.exit 4);
+        (match Libc.mkdir "/shared/sub" with
+         | Ok () -> ()
+         | Error _ -> Libc.exit 5);
+        match Libc.setacl ~path:"/shared" ~entry:"globus:/O=UnivNowhere/* rwlxad" with
+        | Error Errno.EACCES -> 0
+        | Ok () -> 42
+        | Error _ -> 6)
+  in
+  Alcotest.(check int) "acl file unreachable through a symlink" 0 code;
+  Alcotest.(check string) "acl bytes unchanged" before (acl_bytes ())
+
 (* Without the a right, setacl is denied: Fred cannot grant himself or
    anyone else more rights in /shared. *)
 let privilege_escalation_via_setacl_blocked () =
@@ -306,6 +342,8 @@ let suite =
     Alcotest.test_case "full interface available" `Quick full_interface_available;
     Alcotest.test_case "denied calls side-effect free" `Quick denied_calls_have_no_side_effects;
     Alcotest.test_case "acl files protected" `Quick acl_files_protected;
+    Alcotest.test_case "acl file unreachable through a symlink" `Quick
+      acl_file_unreachable_through_symlink;
     Alcotest.test_case "setacl escalation blocked" `Quick privilege_escalation_via_setacl_blocked;
     Alcotest.test_case "dotdot escape blocked" `Quick dotdot_escape_blocked;
     Alcotest.test_case "passwd copy read-only" `Quick passwd_copy_read_only;

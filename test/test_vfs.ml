@@ -341,60 +341,87 @@ let prop_fs_write_read_roundtrip =
          | Ok read -> String.equal read data
          | Error _ -> false))
 
-(* Which call bumps which global counter.  [generation] moves on every
+(* Which call bumps which counter.  [generation] moves on every
    namespace- or ACL-relevant change; [policy_generation] skips
    plain-file creates, unlinks and renames that neither touch the
-   watched ACL name nor replace a directory or symlink. *)
+   watched ACL name nor replace a directory or symlink; the ACL
+   generation (of /d or /d/sub, the two directories a row can touch)
+   moves only when what an ACL file reads as can change. *)
 let generation_table () =
   let fixture () =
     let fs = fresh () in
     Fs.watch_basename fs ".__acl";
     ok "mkdir" (Fs.mkdir_p fs ~uid:0 "/d/sub");
+    ok "mkdir e" (Fs.mkdir_p fs ~uid:0 "/e");
     ok "f" (Fs.write_file fs ~uid:0 "/d/f" "x");
     ok "g" (Fs.write_file fs ~uid:0 "/d/g" "y");
     ok "ln" (Fs.symlink fs ~uid:0 ~target:"/d/f" "/d/ln");
     ok "acl" (Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* rl");
+    ok "acl ln" (Fs.symlink fs ~uid:0 ~target:".__acl" "/d/acl_ln");
+    ok "far acl ln" (Fs.symlink fs ~uid:0 ~target:"../d/.__acl" "/e/acl_ln");
+    ok "deep" (Fs.symlink fs ~uid:0 ~target:"/d/sub" "/e/deep");
+    (* ".." after a symlink pops to the link target's real parent, /d. *)
+    ok "via" (Fs.symlink fs ~uid:0 ~target:"deep/../.__acl" "/e/via");
     fs
   in
   let unit r = Result.map ignore r in
-  (* call, its action on the fixture, (generation, policy_generation) *)
+  let in_place path fs =
+    let flags = { Fs.rdonly with rd = false; wr = true } in
+    Result.map
+      (fun inode -> ignore (Inode.write inode ~off:0 (Bytes.of_string "unix:* r")))
+      (Fs.open_file fs ~uid:0 ~flags ~mode:0 path)
+  in
+  (* call, its action on the fixture,
+     (generation, policy_generation, ACL generation) *)
   let rows =
     [
-      ("create a file", (fun fs -> Fs.write_file fs ~uid:0 "/d/new" "z"), (true, false));
-      ("write an existing file", (fun fs -> Fs.write_file fs ~uid:0 "/d/f" "z"), (false, false));
-      ("read a file", (fun fs -> unit (Fs.read_file fs ~uid:0 "/d/f")), (false, false));
-      ("unlink a file", (fun fs -> Fs.unlink fs ~uid:0 "/d/f"), (true, false));
-      ("rename a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/h"), (true, false));
-      ("rename a file across dirs", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/f"), (true, false));
-      ("rename a file over a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/g"), (true, false));
-      ("rename a file over a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/ln"), (true, true));
-      ("rename a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/ln" ~dst:"/d/ln2"), (true, true));
-      ("rename a directory", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/sub" ~dst:"/d/sub2"), (true, true));
-      ("rename a file into .__acl", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/.__acl"), (true, true));
-      ("rename .__acl out", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/.__acl" ~dst:"/d/old"), (true, true));
-      ("create .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/sub/.__acl" "unix:* r"), (true, true));
-      ("write .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* r"), (true, true));
-      ("unlink .__acl", (fun fs -> Fs.unlink fs ~uid:0 "/d/.__acl"), (true, true));
-      ("mkdir", (fun fs -> unit (Fs.mkdir fs ~uid:0 ~mode:0o755 "/d/new")), (true, true));
-      ("rmdir", (fun fs -> Fs.rmdir fs ~uid:0 "/d/sub"), (true, true));
-      ("symlink", (fun fs -> Fs.symlink fs ~uid:0 ~target:"/d/g" "/d/ln2"), (true, true));
-      ("unlink a symlink", (fun fs -> Fs.unlink fs ~uid:0 "/d/ln"), (true, true));
-      ("hard link", (fun fs -> Fs.link fs ~uid:0 ~target:"/d/f" "/d/f2"), (true, true));
-      ("chmod a file", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o600 "/d/f"), (true, true));
-      ("chmod a directory", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o700 "/d/sub"), (true, true));
-      ("chown", (fun fs -> Fs.chown fs ~uid:0 ~owner:7 "/d/f"), (true, true));
+      ("create a file", (fun fs -> Fs.write_file fs ~uid:0 "/d/new" "z"), (true, false, false));
+      ("write an existing file", (fun fs -> Fs.write_file fs ~uid:0 "/d/f" "z"), (false, false, false));
+      ("write a file in place", in_place "/d/f", (false, false, false));
+      ("write through a symlink to a file", (fun fs -> Fs.write_file fs ~uid:0 "/d/ln" "z"), (false, false, false));
+      ("read a file", (fun fs -> unit (Fs.read_file fs ~uid:0 "/d/f")), (false, false, false));
+      ("unlink a file", (fun fs -> Fs.unlink fs ~uid:0 "/d/f"), (true, false, false));
+      ("rename a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/h"), (true, false, false));
+      ("rename a file across dirs", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/f"), (true, false, false));
+      ("rename a file over a file", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/g"), (true, false, false));
+      ("rename a file over a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/ln"), (true, true, false));
+      ("rename a symlink", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/ln" ~dst:"/d/ln2"), (true, true, false));
+      ("rename a directory", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/sub" ~dst:"/d/sub2"), (true, true, false));
+      ("rename a file into .__acl", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/sub/.__acl"), (true, true, true));
+      ("rename .__acl out", (fun fs -> Fs.rename fs ~uid:0 ~src:"/d/.__acl" ~dst:"/d/old"), (true, true, true));
+      ("create .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/sub/.__acl" "unix:* r"), (true, true, true));
+      ("write .__acl", (fun fs -> Fs.write_file fs ~uid:0 "/d/.__acl" "unix:* r"), (true, true, true));
+      ("write .__acl in place", in_place "/d/.__acl", (true, true, true));
+      ("write .__acl through a symlink beside it", (fun fs -> Fs.write_file fs ~uid:0 "/d/acl_ln" "unix:* r"), (true, true, true));
+      ("write .__acl through a symlink elsewhere", (fun fs -> Fs.write_file fs ~uid:0 "/e/acl_ln" "unix:* r"), (true, true, true));
+      ("write .__acl through a link whose target climbs out of another", (fun fs -> Fs.write_file fs ~uid:0 "/e/via" "unix:* r"), (true, true, true));
+      ("unlink .__acl", (fun fs -> Fs.unlink fs ~uid:0 "/d/.__acl"), (true, true, true));
+      ("mkdir", (fun fs -> unit (Fs.mkdir fs ~uid:0 ~mode:0o755 "/d/new")), (true, true, false));
+      ("mkdir .__acl", (fun fs -> unit (Fs.mkdir fs ~uid:0 ~mode:0o755 "/d/sub/.__acl")), (true, true, true));
+      ("rmdir", (fun fs -> Fs.rmdir fs ~uid:0 "/d/sub"), (true, true, false));
+      ("symlink", (fun fs -> Fs.symlink fs ~uid:0 ~target:"/d/g" "/d/ln2"), (true, true, false));
+      ("unlink a symlink", (fun fs -> Fs.unlink fs ~uid:0 "/d/ln"), (true, true, false));
+      ("hard link", (fun fs -> Fs.link fs ~uid:0 ~target:"/d/f" "/d/f2"), (true, true, false));
+      ("chmod a file", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o600 "/d/f"), (true, true, true));
+      ("chmod .__acl", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o600 "/d/.__acl"), (true, true, true));
+      ("chmod a directory", (fun fs -> Fs.chmod fs ~uid:0 ~mode:0o700 "/d/sub"), (true, true, true));
+      ("chown", (fun fs -> Fs.chown fs ~uid:0 ~owner:7 "/d/f"), (true, true, true));
     ]
   in
   List.iter
-    (fun (name, call, (gen, policy)) ->
+    (fun (name, call, (gen, policy, acl)) ->
       let fs = fixture () in
-      let g0 = Fs.generation fs and p0 = Fs.policy_generation fs in
+      let dir path = ok "dir" (Fs.resolve fs ~uid:0 path) in
+      let d = dir "/d" and sub = dir "/d/sub" in
+      let acl_gens () = (Inode.acl_gen d, Inode.acl_gen sub) in
+      let g0 = Fs.generation fs and p0 = Fs.policy_generation fs and a0 = acl_gens () in
       ok name (call fs);
       Alcotest.(check bool) (name ^ ": generation") gen (Fs.generation fs <> g0);
       Alcotest.(check bool)
         (name ^ ": policy generation")
         policy
-        (Fs.policy_generation fs <> p0))
+        (Fs.policy_generation fs <> p0);
+      Alcotest.(check bool) (name ^ ": ACL generation") acl (acl_gens () <> a0))
     rows
 
 (* The watched (ACL) name never shares its inode: a write through an
@@ -413,6 +440,11 @@ let watched_name_never_aliases () =
   expect_err "rename a linked file onto the acl" Errno.EPERM
     (Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/.__acl");
   ok "unlink alias" (Fs.unlink fs ~uid:0 "/d/g");
+  expect_err "symlink at the acl name" Errno.EPERM
+    (Fs.symlink fs ~uid:0 ~target:"/d/f" "/.__acl");
+  ok "plain symlink" (Fs.symlink fs ~uid:0 ~target:"f" "/d/ln");
+  expect_err "rename a symlink onto the acl" Errno.EPERM
+    (Fs.rename fs ~uid:0 ~src:"/d/ln" ~dst:"/d/.__acl");
   ok "rename a lone file onto the acl"
     (Fs.rename fs ~uid:0 ~src:"/d/f" ~dst:"/d/.__acl");
   Alcotest.(check string) "acl replaced" "x"
