@@ -12,6 +12,13 @@
    Every figure here is on the simulated clock and deterministic; host
    time per layer is measured by perfbench (perfbench/DESIGN.md). *)
 
+(* The nearest-rank [p] percentile of [samples], which it sorts in
+   place: every block's p50 and p95. *)
+let pct samples p =
+  Array.sort compare samples;
+  let n = Array.length samples in
+  samples.(min (n - 1) (int_of_float (float_of_int n *. p)))
+
 (* Retry overhead under packet loss: the same Chirp read workload at
    0%, 1% and 10% drop rates, reporting simulated per-call latency
    percentiles and the retries spent.  Deterministic (seeded faults,
@@ -88,15 +95,11 @@ let resilience_rows () =
            | Error e -> failwith (Idbox_vfs.Errno.message e));
           Int64.to_float (Int64.sub (Clock.now clock) t0))
     in
-    Array.sort compare latencies;
-    let pct p =
-      latencies.(min (calls - 1) (int_of_float (float_of_int calls *. p)))
-    in
     let drops = Metrics.counter_value_of (Network.metrics net) "net.drop" in
     {
       rr_drop = drop;
-      rr_p50_ms = pct 0.50 /. 1e6;
-      rr_p95_ms = pct 0.95 /. 1e6;
+      rr_p50_ms = pct latencies 0.50 /. 1e6;
+      rr_p95_ms = pct latencies 0.95 /. 1e6;
       rr_retries = Client.retries c;
       rr_drops = drops;
     }
@@ -194,10 +197,6 @@ let cluster_run ~nodes ~drop =
          else ignore (okv "get" (Router.get r (d ^ "/blob"))));
         Int64.to_float (Int64.sub (Clock.now clock) t0))
   in
-  Array.sort compare latencies;
-  let pct p =
-    latencies.(min (ops - 1) (int_of_float (float_of_int ops *. p)))
-  in
   let bottleneck =
     List.fold_left2
       (fun acc h b -> max acc (Int64.to_float (Int64.sub (busy_of h) b)))
@@ -210,8 +209,8 @@ let cluster_run ~nodes ~drop =
     cr_nodes = nodes;
     cr_drop = drop;
     cr_ops = ops;
-    cr_p50_ms = pct 0.50 /. 1e6;
-    cr_p95_ms = pct 0.95 /. 1e6;
+    cr_p50_ms = pct latencies 0.50 /. 1e6;
+    cr_p95_ms = pct latencies 0.95 /. 1e6;
     cr_tput_kops = float_of_int ops /. (bottleneck /. 1e9) /. 1e3;
     cr_speedup = 1.0;
     cr_failovers = Router.failovers r;
@@ -409,12 +408,6 @@ let repair_run ~divergence =
       dirs
   in
   put_round "base";
-  let pct latencies p =
-    let a = Array.of_list latencies in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (float_of_int n *. p)))
-  in
   let read_latency i =
     let d = List.nth dirs (i mod ndirs) in
     let t0 = Clock.now clock in
@@ -498,8 +491,8 @@ let repair_run ~divergence =
       Metrics.counter_value_of (Network.metrics net) "cluster.repair.push"
       - pushes0;
     rp_converge_ms = converge_ms;
-    rp_p95_calm_ms = pct calm 0.95 /. 1e6;
-    rp_p95_repair_ms = pct !during 0.95 /. 1e6;
+    rp_p95_calm_ms = pct (Array.of_list calm) 0.95 /. 1e6;
+    rp_p95_repair_ms = pct (Array.of_list !during) 0.95 /. 1e6;
   }
 
 let recovery_report () =
@@ -653,11 +646,9 @@ let sessions_run ~concurrent ~n =
     end
   in
   let makespan_ns = Array.fold_left max 0.0 latencies in
-  Array.sort compare latencies;
-  let pct p = latencies.(min (n - 1) (int_of_float (float_of_int n *. p))) in
   ( float_of_int n /. (makespan_ns /. 1e9) /. 1e3,
-    pct 0.50 /. 1e3,
-    pct 0.95 /. 1e3 )
+    pct latencies 0.50 /. 1e3,
+    pct latencies 0.95 /. 1e3 )
 
 let sessions_rows () =
   List.map
@@ -782,14 +773,8 @@ let elastic_absorb_run ~event =
            ignore (okv "get" (Router.get r (d ^ "/f")));
            Int64.to_float (Int64.sub (Clock.now clock) t0))
   in
-  let pct latencies p =
-    let a = Array.of_list latencies in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (float_of_int n *. p)))
-  in
   let calm = List.concat (List.init 5 (fun _ -> read_round ())) in
-  let p95_calm_ms = pct calm 0.95 /. 1e6 in
+  let p95_calm_ms = pct (Array.of_list calm) 0.95 /. 1e6 in
   (* The membership event, mid-load. *)
   (match event with
    | "add" ->
@@ -841,7 +826,7 @@ let elastic_absorb_run ~event =
       (Router.put r ~path:"/churn/f" ~data:(Printf.sprintf "c%d" !step));
     let round = read_round () in
     during := round @ !during;
-    let p95_ms = pct round 0.95 /. 1e6 in
+    let p95_ms = pct (Array.of_list round) 0.95 /. 1e6 in
     if
       List.length (Router.nodes r) = want
       && p95_ms <= elastic_slo_ms
@@ -855,7 +840,7 @@ let elastic_absorb_run ~event =
     el_event = event;
     el_nodes = Printf.sprintf "%d->%d" nodes want;
     el_p95_calm_ms = p95_calm_ms;
-    el_p95_absorb_ms = pct !during 0.95 /. 1e6;
+    el_p95_absorb_ms = pct (Array.of_list !during) 0.95 /. 1e6;
     el_absorb_ms =
       (match !absorbed_at with
        | Some t -> Int64.to_float (Int64.sub t t0) /. 1e6
@@ -975,11 +960,7 @@ let elastic_goodput_run ~shed =
   let p95 =
     match !ack_lat with
     | [] -> 0.
-    | l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      a.(min (Array.length a - 1)
-           (int_of_float (float_of_int (Array.length a) *. 0.95)))
+    | l -> pct (Array.of_list l) 0.95
   in
   {
     eg_mode = (if shed then "shed" else "unshed");
@@ -1169,16 +1150,12 @@ let geo_stale_run ~bound_ns =
         then incr local;
         lat)
   in
-  Array.sort compare latencies;
-  let pct p =
-    latencies.(min (reads - 1) (int_of_float (float_of_int reads *. p)))
-  in
   {
     gs_bound_ms = Int64.to_float bound_ns /. 1e6;
     gs_reads = reads;
     gs_local = !local;
-    gs_p50_ms = pct 0.50 /. 1e6;
-    gs_p95_ms = pct 0.95 /. 1e6;
+    gs_p50_ms = pct latencies 0.50 /. 1e6;
+    gs_p95_ms = pct latencies 0.95 /. 1e6;
   }
 
 (* The failover half: WAN cut at 10 s, proxied reads fail until the
@@ -1318,11 +1295,6 @@ let geo_json_object () =
        r.go_detect_ms r.go_blackout_ms);
   Buffer.contents b
 
-let geo_json () =
-  print_endline
-    (Printf.sprintf "{\"schema\":\"idbox-bench-geo/1\",\n \"geo\":%s}"
-       (geo_json_object ()))
-
 (* The deterministic machine-readable report (schema idbox-bench/9):
    every simulated figure — resilience, cluster scaling, recovery,
    concurrent sessions, elasticity, geo, the metrics registry — and
@@ -1457,7 +1429,7 @@ let () =
         | "recovery" -> recovery_block ()
         | "sessions" -> sessions_block ()
         | "elastic" -> elastic_block ()
-        | "geo" -> if json then geo_json () else geo_block ()
+        | "geo" -> geo_block ()
         | "metrics" -> metrics_block ()
         | other ->
           Printf.eprintf

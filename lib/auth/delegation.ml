@@ -93,6 +93,19 @@ module Revocations = struct
     |> List.sort compare
 
   let generation t = t.rv_gen
+
+  let to_fields entries =
+    List.concat_map (fun (d, e) -> [ d; string_of_int e ]) entries
+
+  let of_fields fields =
+    let rec go acc = function
+      | d :: e :: rest ->
+        (match int_of_string_opt e with
+         | Some e -> go ((d, e) :: acc) rest
+         | None -> List.rev acc)
+      | [] | [ _ ] -> List.rev acc
+    in
+    go [] fields
 end
 
 (* The attested payload covers every field: tampering with any of them

@@ -93,6 +93,12 @@ module Revocations : sig
   val generation : t -> int
   (** Bumped on every change — the validation token for memoized chain
       verdicts. *)
+
+  val to_fields : (string * int) list -> string list
+  (** The wire and checkpoint form: [delegator; epoch; ...]. *)
+
+  val of_fields : string list -> (string * int) list
+  (** Total inverse of {!to_fields}: stops at the first malformed pair. *)
 end
 
 val mint :

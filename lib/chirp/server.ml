@@ -53,22 +53,20 @@ type digest_memo = {
   dg_subdirs : string list;  (* absolute child-directory paths, sorted *)
 }
 
-(* A mutation admitted and parked until the next batch flush.  The
+(* A logged mutation on its way to [commit]: a client's, parked until
+   the next batch flush, or one built by [apply] or [restart].  The
    principal is copied out of the session at admission: the operation
    was authorized then, so it executes even if the session expires (or
    is swept) while parked — and slot accounting stays with the session
    table alone, so a mid-batch expiry can never double-release.
-   [pk_reply] sends the encoded response back to whoever asked;
-   [pk_extras] holds the replies of retries that arrived (same request
-   ID) while the original was still parked: they all receive the one
-   response. *)
+   [pk_reply] gets the response and its encoding on demand; a retry of
+   a parked request is chained onto it. *)
 type parked = {
-  pk_reply : string -> unit;
   pk_principal : Principal.t;
   pk_op : Protocol.operation;
-  pk_req_id : string;  (* "" when the client sent none *)
+  pk_req_id : string;  (* the dedup journal's key; "" for none *)
   pk_now : int64;  (* admission time: the dedup timestamp *)
-  mutable pk_extras : (string -> unit) list;
+  mutable pk_reply : Protocol.response -> string Lazy.t -> unit;
 }
 
 type t = {
@@ -147,20 +145,43 @@ let charge t ns = Kernel.charge t.sv_kernel ns
 
 (* {1 Write-ahead logging}
 
-   Every mutation is appended (and synced) to the WAL before it
-   executes; the dedup-journal entry for a request-ID-carrying mutation
-   is appended before the response leaves.  [restart] rebuilds the
-   whole server state from the checkpoint image plus these records —
-   nothing else survives a crash. *)
+   The log holds one record type.  An [Op] is appended, and synced,
+   before its mutation executes; a [Done] is the dedup-journal entry of
+   a mutation that carries a request id, appended and synced before the
+   response leaves.  [restart] rebuilds the whole server state from the
+   checkpoint image plus these records — nothing else survives a
+   crash. *)
 
-let wal_record t fields =
-  let record = Wire.encode fields in
-  Wal.append t.wal record;
+type record =
+  | Op of { identity : Principal.t; op : Protocol.operation }
+  | Done of { req_id : string; at : int64; response : string }
+
+let encode_record = function
+  | Op { identity; op } ->
+    Wire.encode
+      [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ]
+  | Done { req_id; at; response } ->
+    Wire.encode [ "done"; req_id; Int64.to_string at; response ]
+
+(* Total: a record that does not decode is [None], never an exception. *)
+let decode_record blob =
+  match Wire.decode blob with
+  | Ok [ "op"; identity; op ] ->
+    (match Protocol.operation_of_wire op with
+     | Ok op -> Some (Op { identity = Principal.of_string identity; op })
+     | Error _ -> None)
+  | Ok [ "done"; req_id; at; response ] ->
+    Option.map (fun at -> Done { req_id; at; response }) (Int64.of_string_opt at)
+  | Ok _ | Error _ -> None
+
+let log t record =
+  let blob = encode_record record in
+  Wal.append t.wal blob;
   t.ops_since_ckpt <- t.ops_since_ckpt + 1;
   metric t "chirp.wal.append";
   charge t
     (Int64.add (cost t).Idbox_kernel.Cost.wal_append_ns
-       (Idbox_kernel.Cost.copy_bytes (cost t) (String.length record)))
+       (Idbox_kernel.Cost.copy_bytes (cost t) (String.length blob)))
 
 let wal_sync t =
   Wal.sync t.wal;
@@ -597,13 +618,15 @@ let snapshot_path = function
   | Snap_file { path; _ } -> path
 
 (* Ship a subtree, ACLs included, as the deploying owner. *)
+(* The wire path of an absolute path inside the export. *)
+let to_wire t abs =
+  match Path.strip_prefix ~prefix:t.sv_export abs with
+  | Some rel -> rel
+  | None -> "/"
+
 let snapshot_subtree ?(recurse = true) t wire_prefix =
   metric t "chirp.repl.snapshot";
-  let to_wire abs =
-    match Path.strip_prefix ~prefix:t.sv_export abs with
-    | Some rel -> rel
-    | None -> "/"
-  in
+  let to_wire = to_wire t in
   let rec walk abs acc =
     match delegate t (Syscall.Stat abs) with
     | Error Errno.ENOENT -> Ok acc  (* nothing under this prefix here *)
@@ -698,9 +721,7 @@ let dedup_image t =
 let revocation_image t =
   Wire.encode
     ("revocations"
-    :: List.concat_map
-         (fun (delegator, epoch) -> [ delegator; string_of_int epoch ])
-         (Delegation.Revocations.entries t.sv_revocations))
+    :: Delegation.Revocations.(to_fields (entries t.sv_revocations)))
 
 let take_checkpoint t =
   match snapshot_subtree t "/" with
@@ -718,16 +739,6 @@ let take_checkpoint t =
          (Int64.of_int (List.length entries))
          (cost t).Idbox_kernel.Cost.checkpoint_entry_ns);
     Ok ()
-
-(* Checkpoint when the log is long enough — and always right after an
-   exec: recovery replays the log through the serving path, and
-   replaying an exec would run the program a second time.  Truncating
-   the exec record away keeps remote execution exactly-once across a
-   crash (the dedup journal inside the checkpoint still replays the
-   recorded response to retries). *)
-let maybe_checkpoint t op =
-  if contains_exec op || t.ops_since_ckpt >= t.checkpoint_every then
-    ignore (take_checkpoint t)
 
 let fresh_token t principal =
   t.token_counter <- t.token_counter + 1;
@@ -779,6 +790,11 @@ let rec sweep_dedup t now =
     sweep_dedup t now
   | Some _ | None -> ()
 
+(* The recorded response for [req_id], if the journal still holds it. *)
+let recorded t ~now req_id =
+  sweep_dedup t now;
+  Option.map (fun d -> d.dd_response) (Hashtbl.find_opt t.dedup req_id)
+
 (* {1 Admission control}
 
    The parked-mutation queue is bounded ([max_parked]), and overload is
@@ -822,23 +838,25 @@ let shed_session_error t =
       Protocol.shed_message ~retry_after_ns:(session_retry_after t)
         "session table full" )
 
-(* Execute one operation under an identity: handler-crash containment
-   plus the replication hook on fresh successful mutations.  WAL
-   ordering is the caller's business — admission logs at park time and
-   the batch flush group-syncs before executing. *)
-let execute_op t identity op =
-  (* A handler bug must not unwind into the network: degrade to a
-     wire-level error and keep serving everyone else. *)
-  let r =
-    try serve_op t identity op
-    with _ ->
-      metric t "chirp.handler.crash";
-      Protocol.R_error (Errno.EIO, "internal server error")
-  in
-  (* Replication hook: fresh successful mutations only — dedup replays
-     never re-fire it, so a retried write replicates once.  The hook
-     runs inside the request so the fan-out is deterministic, but its
-     failures are its own: they must not change this client's answer. *)
+(* {1 The apply path}
+
+   [commit] executes every logged mutation: a client batch (its [Op]
+   records appended at admission), a peer forward or a geo shipment
+   ({!apply}), and a replay in [restart].  The origin decides three
+   things only: whether the hooks fire (a client's or a shipped
+   mutation is fresh in this region, a peer forward must not be
+   forwarded again, and a replay fired them before the crash), whether
+   the dedup journal keys the record (the item's [pk_req_id]), and, for
+   a replay, that nothing is logged again. *)
+
+type remote = Peer | Shipped of string
+type origin = Client | Remote of remote | Replay
+type applied = Applied of Protocol.response | Replayed of string
+
+(* The replication hooks see fresh successful mutations only, so a
+   retried write replicates once.  A hook runs inside the request so the
+   fan-out is deterministic, but its failures are its own. *)
+let fire_hooks t ~identity op r =
   let fire op r =
     match r with
     | Protocol.R_error _ -> ()
@@ -859,14 +877,73 @@ let execute_op t identity op =
          (try hook ~identity op
           with _ -> metric t "chirp.geo.hook_crash"))
   in
-  (match (op, r) with
-   | Protocol.Batch ops, Protocol.R_batch rs
-     when List.length ops = List.length rs ->
-     (* Per member: replicas receive plain operations, exactly as for
-        singles, and failed members do not replicate. *)
-     List.iter2 fire ops rs
-   | _ -> fire op r);
-  r
+  match (op, r) with
+  | Protocol.Batch ops, Protocol.R_batch rs
+    when List.length ops = List.length rs ->
+    (* Per member: replicas receive plain operations, exactly as for
+       singles, and failed members do not replicate. *)
+    List.iter2 fire ops rs
+  | _ -> fire op r
+
+(* A handler bug must not unwind into the network.  A replay's crash
+   is not [counted]: it was when the record first executed. *)
+let serve_contained t ~counted identity op =
+  try serve_op t identity op
+  with _ ->
+    if counted then metric t "chirp.handler.crash";
+    Protocol.R_error (Errno.EIO, "internal server error")
+
+(* Execute a batch of logged mutations in order, with crash
+   containment, answering each once its [Done] record (if keyed) is
+   synced.  Unless it is a replay: one sync before any of them runs,
+   and the checkpoint rule after the replies — right after an exec,
+   because a replay would run the program again and truncating the exec
+   record away is what keeps remote execution exactly-once (the journal
+   inside the checkpoint still answers retries), or once the log holds
+   [checkpoint_every] records. *)
+let commit t origin items =
+  let logged = match origin with Replay -> false | Client | Remote _ -> true in
+  if logged then wal_sync t;
+  let served =
+    List.map
+      (fun pk ->
+        let r = serve_contained t ~counted:logged pk.pk_principal pk.pk_op in
+        (match origin with
+         | Client | Remote (Shipped _) ->
+           fire_hooks t ~identity:pk.pk_principal pk.pk_op r
+         | Remote Peer | Replay -> ());
+        let encoded = lazy (Protocol.encode_response r) in
+        if not (String.equal pk.pk_req_id "") then begin
+          let response = Lazy.force encoded in
+          journal t pk.pk_req_id { dd_at = pk.pk_now; dd_response = response };
+          log t (Done { req_id = pk.pk_req_id; at = pk.pk_now; response })
+        end;
+        (pk, r, encoded))
+      items
+  in
+  if List.exists (fun pk -> not (String.equal pk.pk_req_id "")) items then
+    wal_sync t;
+  List.iter (fun (pk, r, encoded) -> pk.pk_reply r encoded) served;
+  if
+    logged
+    && (List.exists (fun pk -> contains_exec pk.pk_op) items
+       || t.ops_since_ckpt >= t.checkpoint_every)
+  then ignore (take_checkpoint t)
+
+(* One logged mutation on its own (a remote apply or a replay). *)
+let commit_one t origin ~identity ~req_id ~at op =
+  let answer = ref None in
+  commit t origin
+    [
+      {
+        pk_principal = identity;
+        pk_op = op;
+        pk_req_id = req_id;
+        pk_now = at;
+        pk_reply = (fun r _ -> answer := Some r);
+      };
+    ];
+  Option.get !answer
 
 (* {1 Serving}
 
@@ -874,11 +951,11 @@ let execute_op t identity op =
    Requests arrive with a [reply] continuation — the network's
    {!Network.respond} on a connection, or a plain capture for direct
    dispatch.  Reads (and every auth/error path) are answered at
-   admission.  Fresh mutations park: their WAL "op" record is appended
+   admission.  Fresh mutations park: their WAL [Op] record is appended
    immediately — arrival order {e is} log order — and a batch flush
-   performs one group-commit sync for everything parked, executes the
-   batch FIFO, appends and syncs the "done" records, and only then lets
-   any response leave.  With [sv_flush_ns = 0] the flush runs before
+   hands everything parked to [commit]: one group-commit sync, the batch
+   executed FIFO, the [Done] records appended and synced, and only then
+   any response.  With [sv_flush_ns = 0] the flush runs before
    admission returns, a batch of one: log, sync, execute, answer.  With
    a window, one sync can cover many operations and thousands of
    sessions can be in flight at once. *)
@@ -902,37 +979,7 @@ let rec flush_batch t =
       items;
     metric t "chirp.async.batch";
     metric_add t "chirp.async.batch_ops" (List.length items);
-    (* Group commit: one sync makes every parked "op" record durable
-       before any of them executes. *)
-    wal_sync t;
-    let served =
-      List.map
-        (fun pk ->
-          let encoded =
-            Protocol.encode_response (execute_op t pk.pk_principal pk.pk_op)
-          in
-          if not (String.equal pk.pk_req_id "") then begin
-            journal t pk.pk_req_id { dd_at = pk.pk_now; dd_response = encoded };
-            wal_record t
-              [ "done"; pk.pk_req_id; Int64.to_string pk.pk_now; encoded ]
-          end;
-          (pk, encoded))
-        items
-    in
-    (* The dedup-journal entries are durable before any reply leaves: a
-       crash between execution and reply cannot turn a client retry
-       into a second execution. *)
-    if List.exists (fun pk -> not (String.equal pk.pk_req_id "")) items then
-      wal_sync t;
-    List.iter
-      (fun (pk, encoded) ->
-        pk.pk_reply encoded;
-        List.iter (fun reply -> reply encoded) (List.rev pk.pk_extras))
-      served;
-    if
-      List.exists (fun pk -> contains_exec pk.pk_op) items
-      || t.ops_since_ckpt >= t.checkpoint_every
-    then ignore (take_checkpoint t);
+    commit t Client items;
     (* Backlog beyond the drain limit: schedule the next tick. *)
     if not (Queue.is_empty t.pending_q) then arm_flush t
   end;
@@ -1008,17 +1055,14 @@ let admit t ~reply payload =
          end
          else begin
            (* Log now (arrival order is log order), sync at the tick. *)
-           wal_record t
-             [ "op"; Principal.to_string s.ss_principal;
-               Protocol.operation_to_wire op ];
+           log t (Op { identity = s.ss_principal; op });
            let pk =
              {
-               pk_reply = reply;
                pk_principal = s.ss_principal;
                pk_op = op;
                pk_req_id = req_id;
                pk_now = now;
-               pk_extras = [];
+               pk_reply = (fun _ encoded -> reply (Lazy.force encoded));
              }
            in
            Queue.add pk t.pending_q;
@@ -1029,32 +1073,28 @@ let admit t ~reply payload =
            if t.sv_flush_ns = 0L then flush_batch t else arm_flush t
          end
        in
+       let serve () = serve_contained t ~counted:true s.ss_principal op in
        if not mutating then begin
          (* Reads never park: serve at delivery, answer immediately. *)
-         if String.equal req_id "" then respond (execute_op t s.ss_principal op)
-         else begin
-           sweep_dedup t now;
-           match Hashtbl.find_opt t.dedup req_id with
-           | Some d ->
+         if String.equal req_id "" then respond (serve ())
+         else
+           match recorded t ~now req_id with
+           | Some response ->
              metric t "chirp.dedup_hit";
-             reply d.dd_response
+             reply response
            | None ->
-             let encoded =
-               Protocol.encode_response (execute_op t s.ss_principal op)
-             in
+             let encoded = Protocol.encode_response (serve ()) in
              journal t req_id { dd_at = now; dd_response = encoded };
              reply encoded
-         end
        end
        else if String.equal req_id "" then park ()
-       else begin
-         sweep_dedup t now;
-         match Hashtbl.find_opt t.dedup req_id with
-         | Some d ->
+       else
+         match recorded t ~now req_id with
+         | Some response ->
            (* A retry of work already done: replay the recorded
               response, execute nothing. *)
            metric t "chirp.dedup_hit";
-           reply d.dd_response
+           reply response
          | None ->
            (match Hashtbl.find_opt t.parked_ids req_id with
             | Some pk ->
@@ -1063,9 +1103,12 @@ let admit t ~reply payload =
                  both callers get the one response when the batch
                  flushes. *)
               metric t "chirp.async.coalesced";
-              pk.pk_extras <- reply :: pk.pk_extras
-            | None -> park ())
-       end)
+              let first = pk.pk_reply in
+              pk.pk_reply <-
+                (fun r encoded ->
+                  first r encoded;
+                  reply (Lazy.force encoded))
+            | None -> park ()))
 
 (* Direct dispatch: admit, and if the request parked behind a flush
    window, flush now — the answer is ready on return. *)
@@ -1191,7 +1234,7 @@ let wipe_export t =
    discarded: it was never acknowledged, so nobody is owed it.  A record
    or checkpoint entry that passed its checksum but does not decode is
    skipped too, and counted in [chirp.recovery.undecodable].  Exec
-   records never appear here ([maybe_checkpoint] truncates them away),
+   records never appear here ([commit] checkpoints them away),
    so replay runs no program twice; a defensive skip covers the
    impossible case anyway. *)
 let restart t =
@@ -1218,14 +1261,9 @@ let restart t =
   let restore_revocations blob =
     match Wire.decode blob with
     | Ok ("revocations" :: fields) ->
-      let rec pairs acc = function
-        | delegator :: epoch :: rest ->
-          (match int_of_string_opt epoch with
-           | Some e -> pairs ((delegator, e) :: acc) rest
-           | None -> acc)
-        | _ -> acc
-      in
-      ignore (Delegation.Revocations.merge t.sv_revocations (pairs [] fields));
+      ignore
+        (Delegation.Revocations.merge t.sv_revocations
+           (Delegation.Revocations.of_fields fields));
       true
     | Ok _ | Error _ -> false
   in
@@ -1261,25 +1299,19 @@ let restart t =
       | Ok [] | Error _ -> incr undecodable));
   let replayed = ref 0 in
   List.iter
-    (fun record ->
+    (fun blob ->
       charge t
         (Int64.add c.Idbox_kernel.Cost.wal_replay_ns
-           (Idbox_kernel.Cost.copy_bytes c (String.length record)));
-      match Wire.decode record with
-      | Ok [ "op"; principal; opblob ] ->
-        (match Protocol.operation_of_wire opblob with
-         | Ok op when contains_exec op -> metric t "chirp.recovery.exec_skipped"
-         | Ok op ->
-           incr replayed;
-           ignore
-             (try serve_op t (Principal.of_string principal) op
-              with _ -> err Errno.EIO)
-         | Error _ -> incr undecodable)
-      | Ok [ "done"; rid; at; resp ] ->
-        (match Int64.of_string_opt at with
-         | Some dd_at -> journal t rid { dd_at; dd_response = resp }
-         | None -> incr undecodable)
-      | Ok _ | Error _ -> incr undecodable)
+           (Idbox_kernel.Cost.copy_bytes c (String.length blob)));
+      match decode_record blob with
+      | Some (Op { op; _ }) when contains_exec op ->
+        metric t "chirp.recovery.exec_skipped"
+      | Some (Op { identity; op }) ->
+        incr replayed;
+        ignore (commit_one t Replay ~identity ~req_id:"" ~at:0L op)
+      | Some (Done { req_id; at; response }) ->
+        journal t req_id { dd_at = at; dd_response = response }
+      | None -> incr undecodable)
     rc.Wal.rc_records;
   t.ops_since_ckpt <- List.length rc.Wal.rc_records;
   metric_add t "chirp.recovery.replayed" !replayed;
@@ -1317,54 +1349,28 @@ let merge_epochs t entries =
 
 let epoch_entries t = Delegation.Revocations.entries t.sv_revocations
 
-(* Apply a mutation forwarded by a peer: same ACL enforcement path as a
-   client request — the principal travelled with the operation, so a
-   replica reaches the same verdict the primary did — but no hook
-   re-fire (replicas do not re-forward). *)
-let apply_replicated t ~identity op =
-  metric t "chirp.repl.apply";
-  (* A forwarded mutation is as durable here as a client's own: logged
-     and synced before it executes, so a replica crash loses nothing it
-     already applied. *)
-  wal_record t
-    [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ];
-  wal_sync t;
-  let r =
-    try serve_op t identity op
-    with _ ->
-      metric t "chirp.handler.crash";
-      Protocol.R_error (Errno.EIO, "internal server error")
-  in
-  maybe_checkpoint t op;
-  r
-
-(* Apply a mutation shipped from another region's WAL: identical
-   durability to a client's own request (logged and synced before it
-   executes), but idempotent by request id — the geo LSN travels as the
-   [req_id], so a segment re-shipped after a link reset replays the
-   recorded response without executing anything.  Unlike
-   {!apply_replicated}, execution goes through {!execute_op}: the
-   mutation is fresh in *this* region, so the intra-region replication
-   hook must fan it out to the local owners.  Returns the encoded
-   response plus whether the apply was fresh. *)
-let apply_shipped t ~identity ~req_id op =
+(* A mutation from another server is as durable as a client's own:
+   logged and synced before it executes.  A shipment is idempotent by
+   its key, the geo LSN: a re-shipped one replays its recorded
+   response. *)
+let apply t remote ~identity op =
   let now = Kernel.now t.sv_kernel in
-  sweep_dedup t now;
-  match Hashtbl.find_opt t.dedup req_id with
-  | Some d ->
-    metric t "chirp.geo.dedup_hit";
-    (d.dd_response, false)
-  | None ->
-    metric t "chirp.geo.apply";
-    wal_record t
-      [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ];
-    wal_sync t;
-    let encoded = Protocol.encode_response (execute_op t identity op) in
-    journal t req_id { dd_at = now; dd_response = encoded };
-    wal_record t [ "done"; req_id; Int64.to_string now; encoded ];
-    wal_sync t;
-    maybe_checkpoint t op;
-    (encoded, true)
+  let execute req_id =
+    log t (Op { identity; op });
+    Applied (commit_one t (Remote remote) ~identity ~req_id ~at:now op)
+  in
+  match remote with
+  | Peer ->
+    metric t "chirp.repl.apply";
+    execute ""
+  | Shipped req_id ->
+    (match recorded t ~now req_id with
+     | Some response ->
+       metric t "chirp.geo.dedup_hit";
+       Replayed response
+     | None ->
+       metric t "chirp.geo.apply";
+       execute req_id)
 
 (* Install a shipped subtree as the owner: the ACL checks already
    happened where the data was written the first time.  The install is
@@ -1528,16 +1534,11 @@ let dir_digests t wire_prefix =
   match map_path t wire_prefix with
   | Error e -> Error e
   | Ok abs0 ->
-    let to_wire abs =
-      match Path.strip_prefix ~prefix:t.sv_export abs with
-      | Some rel -> rel
-      | None -> "/"
-    in
     let rec walk abs acc =
       match subtree_digest_abs t abs with
       | Error _ -> acc
       | Ok d ->
-        let acc = (to_wire abs, d) :: acc in
+        let acc = (to_wire t abs, d) :: acc in
         (match local_digest t abs with
          | Error _ -> acc
          | Ok m -> List.fold_left (fun acc c -> walk c acc) acc m.dg_subdirs)

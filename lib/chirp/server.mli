@@ -206,30 +206,36 @@ val epoch_entries : t -> (string * int) list
 (** The local (delegator, epoch) entries, sorted — the payload of a
     gossip round. *)
 
-val apply_replicated :
-  t ->
-  identity:Idbox_identity.Principal.t ->
-  Protocol.operation ->
-  Protocol.response
-(** Apply a mutation forwarded by a peer server, under the principal
-    that performed it at the primary.  Runs the exact client-serving
-    path — same ACL checks, same verdicts — but never re-forwards. *)
+(** Where a mutation from another server comes from. *)
+type remote =
+  | Peer  (** Forwarded by a replica peer. *)
+  | Shipped of string
+      (** Shipped from another region's log; the geo epoch and LSN key
+          the dedup journal. *)
 
-val apply_shipped :
-  t ->
-  identity:Idbox_identity.Principal.t ->
-  req_id:string ->
-  Protocol.operation ->
-  string * bool
-(** Apply a mutation shipped from another region's WAL, idempotently:
-    [req_id] (the geo epoch + LSN) goes through the dedup journal, so a
-    segment re-delivered after a link reset replays the recorded
-    response without executing — a byte-identical no-op.  A fresh apply
-    is WAL-logged and synced before it executes and {e does} fire the
-    local mutation hook (the operation is new to this region and must
-    fan out to the local owners).  Returns the encoded response and
-    whether the apply was fresh.  Counters: [chirp.geo.apply],
-    [chirp.geo.dedup_hit]. *)
+type applied =
+  | Applied of Protocol.response  (** Executed now. *)
+  | Replayed of string  (** A dedup hit: the recorded response. *)
+
+val apply :
+  t -> remote -> identity:Idbox_identity.Principal.t -> Protocol.operation -> applied
+(** Apply a mutation from another server under the principal that
+    performed it first: the client-serving path, so the same ACL checks
+    reach the same verdicts.  Every logged mutation — a client batch, a
+    peer forward, a geo shipment, a replay in {!restart} — executes
+    through one step; its origin decides only whether the hooks fire,
+    whether the dedup journal keys it, and, for a replay, that nothing
+    is logged again (DESIGN §9 tabulates the four).  Shared: the ["op"]
+    record synced before execution, crash containment
+    ([chirp.handler.crash]), the ["done"] record synced before the
+    answer, and the checkpoint rule.
+
+    [Peer]: no hooks, no journal ([chirp.repl.apply]).  [Shipped]:
+    idempotent by its key — a key the journal still holds answers
+    [Replayed] and executes nothing ([chirp.geo.dedup_hit]), so a
+    segment re-delivered after a link reset is a byte-identical no-op;
+    a fresh one fires the local hooks, since it is new to this region
+    ([chirp.geo.apply]). *)
 
 type snapshot_entry =
   | Snap_dir of { path : string; acl : string }

@@ -30,6 +30,7 @@ module Wal = Idbox_chirp.Wal
 module Wire = Idbox_chirp.Wire
 module Protocol = Idbox_chirp.Protocol
 module Principal = Idbox_identity.Principal
+module Revocations = Idbox_auth.Delegation.Revocations
 module Errno = Idbox_vfs.Errno
 
 type role = Primary | Secondary
@@ -248,15 +249,13 @@ let apply_record t rg ~lsn record =
        (match owner_members rg.rg_world key with
         | [] -> metric t "cluster.geo.apply.error"
         | m :: _ ->
-          let server = World.server rg.rg_world m in
-          let _, fresh =
-            Server.apply_shipped server
-              ~identity:(Principal.of_string principal)
-              ~req_id:("geo:" ^ string_of_int lsn)
-              op
-          in
-          metric t
-            (if fresh then "cluster.geo.apply" else "cluster.geo.apply.dup")))
+          (match
+             Server.apply (World.server rg.rg_world m)
+               (Server.Shipped ("geo:" ^ string_of_int lsn))
+               ~identity:(Principal.of_string principal) op
+           with
+           | Server.Applied _ -> metric t "cluster.geo.apply"
+           | Server.Replayed _ -> metric t "cluster.geo.apply.dup")))
   | Ok _ | Error _ -> metric t "cluster.geo.apply.error"
 
 (* {1 Revocation epochs}
@@ -278,16 +277,6 @@ let epoch_union rg =
         (Server.epoch_entries (World.server rg.rg_world m)))
     (World.members rg.rg_world);
   List.sort compare (Hashtbl.fold (fun d e acc -> (d, e) :: acc) tbl [])
-
-let flatten_epochs entries =
-  List.concat_map (fun (d, e) -> [ d; string_of_int e ]) entries
-
-let rec epoch_pairs acc = function
-  | delegator :: ep :: rest ->
-    (match int_of_string_opt ep with
-     | Some e -> epoch_pairs ((delegator, e) :: acc) rest
-     | None -> acc)
-  | _ -> acc
 
 let merge_epoch_pairs rg pairs =
   if pairs <> [] then
@@ -329,74 +318,77 @@ let shard_root_union rg =
    [roots] / [digest] (read-only reconcile probes), [repair] (a Merkle
    push), [reconciled] (reconcile complete: adopt the primary's tip). *)
 
-let handle_exn t rg payload =
+(* Integer fields ride the wire as decimal text; a corrupting fault
+   profile can damage them without breaking the Wire framing, so each is
+   parsed to an option and a bad one is answered [EINVAL]. *)
+let einval = Wire.encode [ "error"; "EINVAL" ]
+
+let int_field s k = match int_of_string_opt s with Some n -> k n | None -> einval
+
+let behind t =
+  metric t "cluster.geo.behind";
+  Wire.encode [ "behind" ]
+
+(* Adopt the primary's tip as heard: the staleness lease is fresh while
+   the applied LSN has caught it.  Answers with the applied LSN. *)
+let heard_tip t rg tp =
+  rg.rg_primary_tip <- max rg.rg_primary_tip tp;
+  if rg.rg_applied_lsn >= rg.rg_primary_tip then rg.rg_fresh_at <- now t;
+  Wire.encode [ "ok"; string_of_int rg.rg_applied_lsn ]
+
+let handle t rg payload =
   match Wire.decode payload with
   | Ok [ "seg"; from; ep; base; tp; blob ] ->
-    let ep = int_of_string ep and base = int_of_string base in
-    let tp = int_of_string tp in
+    int_field ep @@ fun ep ->
+    int_field base @@ fun base ->
+    int_field tp @@ fun tp ->
     (match check_epoch t rg ~from ~epoch:ep with
      | Some reply -> reply
+     | None when rg.rg_reconcile -> behind t
+     | None when base > rg.rg_applied_lsn + 1 ->
+       (* A gap: the primary's idea of our progress is ahead of the
+          truth (its state, not ours, is suspect — e.g. a fresh
+          promotion with a thinner log).  Ask for a reconcile. *)
+       behind t
      | None ->
-       if rg.rg_reconcile then begin
-         metric t "cluster.geo.behind";
-         Wire.encode [ "behind" ]
-       end
-       else if base > rg.rg_applied_lsn + 1 then begin
-         (* A gap: the primary's idea of our progress is ahead of the
-            truth (its state, not ours, is suspect — e.g. a fresh
-            promotion with a thinner log).  Ask for a reconcile. *)
-         metric t "cluster.geo.behind";
-         Wire.encode [ "behind" ]
-       end
-       else (
-         match Wal.parse_segment blob with
-         | Error `Damaged ->
-           metric t "cluster.geo.segment.damaged";
-           Wire.encode [ "bad" ]
-         | Ok records ->
-           List.iteri
-             (fun i record ->
-               let lsn = base + i in
-               if lsn > rg.rg_applied_lsn then begin
-                 apply_record t rg ~lsn record;
-                 rg.rg_applied_lsn <- lsn
-               end
-               else metric t "cluster.geo.segment.skip")
-             records;
-           rg.rg_primary_tip <- max rg.rg_primary_tip tp;
-           if rg.rg_applied_lsn >= rg.rg_primary_tip then
-             rg.rg_fresh_at <- now t;
-           metric t "cluster.geo.segment.apply";
-           Wire.encode [ "ok"; string_of_int rg.rg_applied_lsn ]))
+       (match Wal.parse_segment blob with
+        | Error `Damaged ->
+          metric t "cluster.geo.segment.damaged";
+          Wire.encode [ "bad" ]
+        | Ok records ->
+          List.iteri
+            (fun i record ->
+              let lsn = base + i in
+              if lsn > rg.rg_applied_lsn then begin
+                apply_record t rg ~lsn record;
+                rg.rg_applied_lsn <- lsn
+              end
+              else metric t "cluster.geo.segment.skip")
+            records;
+          metric t "cluster.geo.segment.apply";
+          heard_tip t rg tp))
   | Ok [ "hb"; from; ep; tp ] ->
-    let ep = int_of_string ep and tp = int_of_string tp in
+    int_field ep @@ fun ep ->
+    int_field tp @@ fun tp ->
     (match check_epoch t rg ~from ~epoch:ep with
      | Some reply -> reply
+     | None when rg.rg_reconcile -> behind t
      | None ->
-       if rg.rg_reconcile then begin
-         metric t "cluster.geo.behind";
-         Wire.encode [ "behind" ]
-       end
-       else begin
-         rg.rg_primary_tip <- max rg.rg_primary_tip tp;
-         if rg.rg_applied_lsn >= rg.rg_primary_tip then
-           rg.rg_fresh_at <- now t;
-         metric t "cluster.geo.hb";
-         Wire.encode [ "ok"; string_of_int rg.rg_applied_lsn ]
-       end)
+       metric t "cluster.geo.hb";
+       heard_tip t rg tp)
   | Ok ("epochs" :: fields) ->
-    merge_epoch_pairs rg (epoch_pairs [] fields);
+    merge_epoch_pairs rg (Revocations.of_fields fields);
     metric t "cluster.geo.epochs";
-    Wire.encode ("ok" :: flatten_epochs (epoch_union rg))
+    Wire.encode ("ok" :: Revocations.to_fields (epoch_union rg))
   | Ok [ "roots" ] -> Wire.encode ("ok" :: shard_root_union rg)
   | Ok [ "digest"; key ] -> Wire.encode [ "ok"; local_digest rg key ]
   | Ok ("repair" :: from :: ep :: key :: blobs) ->
-    let ep = int_of_string ep in
+    int_field ep @@ fun ep ->
     (match check_epoch t rg ~from ~epoch:ep with
      | Some reply -> reply
      | None ->
        (match Replica.decode_entries blobs with
-        | Error _ -> Wire.encode [ "error"; "EINVAL" ]
+        | Error _ -> einval
         | Ok entries ->
           metric t "cluster.geo.repair.key";
           if String.equal key "/" then (
@@ -417,7 +409,8 @@ let handle_exn t rg payload =
             Wire.encode [ "ok" ]
           end))
   | Ok [ "reconciled"; from; ep; tp ] ->
-    let ep = int_of_string ep and tp = int_of_string tp in
+    int_field ep @@ fun ep ->
+    int_field tp @@ fun tp ->
     (match check_epoch t rg ~from ~epoch:ep with
      | Some reply -> reply
      | None ->
@@ -432,14 +425,7 @@ let handle_exn t rg payload =
        Hashtbl.reset rg.rg_log;
        metric t "cluster.geo.reconciled";
        Wire.encode [ "ok" ])
-  | Ok _ | Error _ -> Wire.encode [ "error"; "EINVAL" ]
-
-(* Integer fields ride the wire as decimal text; a corrupting fault
-   profile can damage them without breaking the Wire framing, so a
-   parse failure is answered, not raised into the dispatcher. *)
-let handle t rg payload =
-  try handle_exn t rg payload
-  with Failure _ -> Wire.encode [ "error"; "EINVAL" ]
+  | Ok _ | Error _ -> einval
 
 (* {1 Shipping} *)
 
@@ -464,14 +450,14 @@ let reconcile_peer t rg peer =
      halfway, no revocation can be lost to the failover. *)
   match
     gcall t rg ~addr:peer.rg_addr
-      (Wire.encode ("epochs" :: flatten_epochs (epoch_union rg)))
+      (Wire.encode ("epochs" :: Revocations.to_fields (epoch_union rg)))
   with
   | Error _ ->
     metric t "cluster.geo.reconcile.fail";
     false
   | Ok reply ->
     (match Wire.decode reply with
-     | Ok ("ok" :: fields) -> merge_epoch_pairs rg (epoch_pairs [] fields)
+     | Ok ("ok" :: fields) -> merge_epoch_pairs rg (Revocations.of_fields fields)
      | Ok _ | Error _ -> ());
     let theirs =
       match gcall t rg ~addr:peer.rg_addr (Wire.encode [ "roots" ]) with
@@ -543,6 +529,22 @@ let reconcile_peer t rg peer =
 
 let rec range a b = if a > b then [] else a :: range (a + 1) b
 
+(* A peer's answer to a segment or a heartbeat.  Only a segment can be
+   answered [bad]: checksum damage in flight, so the ack stays where it
+   was and the next cadence re-frames and re-sends. *)
+let note_ack t rg peer = function
+  | Ok reply when note_fenced t rg reply -> ()
+  | Ok reply ->
+    (match Wire.decode reply with
+     | Ok [ "ok"; n ] ->
+       (match int_of_string_opt n with
+        | Some n -> Hashtbl.replace rg.rg_acked peer.rg_name n
+        | None -> ())
+     | Ok [ "behind" ] -> Hashtbl.replace rg.rg_stale peer.rg_name ()
+     | Ok [ "bad" ] -> metric t "cluster.geo.ship.damaged"
+     | Ok _ | Error _ -> metric t "cluster.geo.ship.fail")
+  | Error _ -> metric t "cluster.geo.ship.fail"
+
 let ship_to t rg peer =
   let tp = tip rg in
   match Hashtbl.find_opt rg.rg_acked peer.rg_name with
@@ -556,50 +558,24 @@ let ship_to t rg peer =
          secondary once): incremental shipping cannot serve this peer —
          fall back to a full reconcile. *)
       Hashtbl.replace rg.rg_stale peer.rg_name ()
-    else (
+    else begin
       metric t "cluster.geo.ship";
-      match
-        gcall t rg ~addr:peer.rg_addr
-          (Wire.encode
-             [ "seg"; rg.rg_name; string_of_int rg.rg_epoch;
-               string_of_int (acked + 1); string_of_int tp;
-               Wal.frame_segment records ])
-      with
-      | Ok reply when note_fenced t rg reply -> ()
-      | Ok reply ->
-        (match Wire.decode reply with
-         | Ok [ "ok"; n ] ->
-           (match int_of_string_opt n with
-            | Some n -> Hashtbl.replace rg.rg_acked peer.rg_name n
-            | None -> ())
-         | Ok [ "behind" ] -> Hashtbl.replace rg.rg_stale peer.rg_name ()
-         | Ok [ "bad" ] ->
-           (* Checksum damage in flight: leave the ack where it was;
-              the next cadence re-frames and re-sends. *)
-           metric t "cluster.geo.ship.damaged"
-         | Ok _ | Error _ -> metric t "cluster.geo.ship.fail")
-      | Error _ -> metric t "cluster.geo.ship.fail")
-  | ack ->
+      note_ack t rg peer
+        (gcall t rg ~addr:peer.rg_addr
+           (Wire.encode
+              [ "seg"; rg.rg_name; string_of_int rg.rg_epoch;
+                string_of_int (acked + 1); string_of_int tp;
+                Wal.frame_segment records ]))
+    end
+  | Some _ | None ->
     (* Caught up — or progress unknown (a fresh promotion): heartbeat
        to refresh the peer's staleness lease and learn its applied
        LSN. *)
-    ignore ack;
     metric t "cluster.geo.hb.send";
-    (match
-       gcall t rg ~addr:peer.rg_addr
+    note_ack t rg peer
+      (gcall t rg ~addr:peer.rg_addr
          (Wire.encode
-            [ "hb"; rg.rg_name; string_of_int rg.rg_epoch; string_of_int tp ])
-     with
-     | Ok reply when note_fenced t rg reply -> ()
-     | Ok reply ->
-       (match Wire.decode reply with
-        | Ok [ "ok"; n ] ->
-          (match int_of_string_opt n with
-           | Some n -> Hashtbl.replace rg.rg_acked peer.rg_name n
-           | None -> ())
-        | Ok [ "behind" ] -> Hashtbl.replace rg.rg_stale peer.rg_name ()
-        | Ok _ | Error _ -> metric t "cluster.geo.ship.fail")
-     | Error _ -> metric t "cluster.geo.ship.fail")
+            [ "hb"; rg.rg_name; string_of_int rg.rg_epoch; string_of_int tp ]))
 
 let ship_all t rg =
   List.iter

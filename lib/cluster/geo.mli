@@ -13,7 +13,7 @@
     group-commit cadence ({!tick}).  A damaged segment is rejected
     whole and re-sent; an intact one is applied {e idempotently}: the
     LSN travels as the dedup request id
-    ({!Idbox_chirp.Server.apply_shipped}), so a segment re-delivered
+    ({!Idbox_chirp.Server.apply}), so a segment re-delivered
     after a link reset replays recorded responses without executing —
     a byte-identical no-op.
 

@@ -3,6 +3,7 @@ module Clock = Idbox_kernel.Clock
 module Metrics = Idbox_kernel.Metrics
 module Server = Idbox_chirp.Server
 module Wire = Idbox_chirp.Wire
+module Revocations = Idbox_auth.Delegation.Revocations
 module Errno = Idbox_vfs.Errno
 
 type t = {
@@ -183,16 +184,6 @@ let dispatch t key ~extra =
 let gossip_epochs t =
   let self = Replica.name t.rp_node in
   let server = Replica.server t.rp_node in
-  let flatten entries =
-    List.concat_map (fun (d, e) -> [ d; string_of_int e ]) entries
-  in
-  let rec pairs acc = function
-    | delegator :: epoch :: rest ->
-      (match int_of_string_opt epoch with
-       | Some e -> pairs ((delegator, e) :: acc) rest
-       | None -> acc)
-    | _ -> acc
-  in
   List.iter
     (fun peer ->
       if not (String.equal peer self) then
@@ -202,12 +193,13 @@ let gossip_epochs t =
           metric t "cluster.revocation.gossip";
           (match
              call t ~addr
-               (Wire.encode ("epochs" :: flatten (Server.epoch_entries server)))
+               (Wire.encode
+                  ("epochs" :: Revocations.to_fields (Server.epoch_entries server)))
            with
            | Ok reply ->
              (match Wire.decode reply with
               | Ok ("ok" :: fields) ->
-                ignore (Server.merge_epochs server (pairs [] fields))
+                ignore (Server.merge_epochs server (Revocations.of_fields fields))
               | Ok _ | Error _ -> metric t "cluster.repair.fail")
            | Error _ -> metric t "cluster.repair.fail"))
     (Ring.nodes (Replica.ring t.rp_node))

@@ -8,6 +8,7 @@ module Server = Idbox_chirp.Server
 module Protocol = Idbox_chirp.Protocol
 module Wire = Idbox_chirp.Wire
 module Principal = Idbox_identity.Principal
+module Revocations = Idbox_auth.Delegation.Revocations
 module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
 
@@ -265,11 +266,12 @@ let handle node payload =
      | Error _ -> Wire.encode [ "error"; "EINVAL" ]
      | Ok op ->
        (match
-          Server.apply_replicated node.nd_server
+          Server.apply node.nd_server Server.Peer
             ~identity:(Principal.of_string principal) op
         with
-        | Protocol.R_error (e, _) -> Wire.encode [ "error"; Errno.to_string e ]
-        | _ -> Wire.encode [ "ok" ]))
+        | Server.Applied (Protocol.R_error (e, _)) ->
+          Wire.encode [ "error"; Errno.to_string e ]
+        | Server.Applied _ | Server.Replayed _ -> Wire.encode [ "ok" ]))
   | Ok [ "snapshot"; prefix; depth ] ->
     let recurse = not (String.equal depth "dir") in
     (match Server.snapshot_subtree ~recurse node.nd_server prefix with
@@ -317,20 +319,10 @@ let handle node payload =
        (delegator, epoch) entries, reply with the local ones.  Both
        sides only grow, so one exchange converges the pair regardless
        of who initiated or how often it repeats. *)
-    let rec pairs acc = function
-      | delegator :: epoch :: rest ->
-        (match int_of_string_opt epoch with
-         | Some e -> pairs ((delegator, e) :: acc) rest
-         | None -> acc)
-      | _ -> acc
-    in
-    if Server.merge_epochs node.nd_server (pairs [] fields) then
+    if Server.merge_epochs node.nd_server (Revocations.of_fields fields) then
       metric node "cluster.revocation.merge";
     Wire.encode
-      ("ok"
-      :: List.concat_map
-           (fun (delegator, epoch) -> [ delegator; string_of_int epoch ])
-           (Server.epoch_entries node.nd_server))
+      ("ok" :: Revocations.to_fields (Server.epoch_entries node.nd_server))
   | Ok ("repair" :: prefix :: blobs) ->
     (* Authoritative content from the shard's primary: make the local
        subtree exactly equal, deletions included. *)

@@ -239,11 +239,13 @@ let delegate t req =
    name-cache cost per step, like dcache hits ({!Fs.canonical_parents}
    counts them).  Charging the steps at once adds up to the same clock
    as charging them one by one. *)
-let canonical_parents t path =
-  let p, steps = Fs.canonical_parents (Kernel.fs t.kernel) path in
+let charge_steps t (p, steps) =
   Kernel.charge t.kernel
     (Int64.mul (Int64.of_int steps) (Kernel.cost t.kernel).Cost.name_cache_ns);
   p
+
+let canonical_parents t path =
+  charge_steps t (Fs.canonical_parents (Kernel.fs t.kernel) path)
 
 (* Follow the symlink chain of [path] itself (ancestors are made
    canonical first).  Also returns the final object's stat so callers
@@ -255,9 +257,11 @@ let resolve_final_ex t path =
       when st.Fs.st_kind = Idbox_vfs.Inode.Symlink && depth < Fs.symlink_limit ->
       (match delegate t (Syscall.Readlink path) with
        | Ok (Syscall.Str target) ->
-         (* The expanded target may itself live behind symlinked
-            ancestors: canonicalize before the next hop. *)
-         go (canonical_parents t (Path.join (Path.dirname path) target)) (depth + 1)
+         (* Expanded as the kernel will, ".." included, and charged
+            like [canonical_parents]. *)
+         go
+           (charge_steps t (Fs.expand_link (Kernel.fs t.kernel) ~link:path target))
+           (depth + 1)
        | Ok _ | Error _ -> (path, Some st))
     | Ok (Syscall.Stat_v st) -> (path, Some st)
     | Ok _ | Error _ -> (path, None)

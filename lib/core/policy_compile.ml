@@ -65,17 +65,15 @@ let rights_mask rights =
    symlink chain with the supervisor's uid and the shared budget;
    ancestors are canonicalised by the walk [Enforce] charges for. *)
 let resolve_final fs ~uid path =
-  let canonical path = fst (Fs.canonical_parents fs path) in
   let rec go path depth =
     match Fs.lstat fs ~uid path with
     | Ok st when st.Fs.st_kind = Inode.Symlink && depth < Fs.symlink_limit ->
       (match Fs.readlink fs ~uid path with
-       | Ok target ->
-         go (canonical (Path.join (Path.dirname path) target)) (depth + 1)
+       | Ok target -> go (fst (Fs.expand_link fs ~link:path target)) (depth + 1)
        | Error _ -> path)
     | Ok _ | Error _ -> path
   in
-  go (canonical path) 0
+  go (fst (Fs.canonical_parents fs path)) 0
 
 (* Mirror of [Enforce.read_acl_file] + [dir_acl] fail-closed rules:
    unreadable (or absent) ACL file -> no ACL; unparseable -> deny-all. *)

@@ -257,6 +257,19 @@ let canonical_parents t path =
   let steps = canonical_scan p (String.length p) (Some t.fs_root) 1 0 in
   if steps >= 0 then (p, steps) else canonical_walk t (Path.components p)
 
+(* A ".." in a link target pops to the real parent, as in [walk]: a
+   lexical join would cancel it against a symlink's name, and the check
+   would judge one directory while the kernel opens another (§6,
+   pitfall #2).  Without a "..", the join walks the same components. *)
+let expand_link t ~link target =
+  let dir = Path.dirname link in
+  let comps = Path.components target in
+  if Path.is_normal dir && not (List.exists (String.equal "..") comps) then
+    canonical_parents t (Path.join dir target)
+  else
+    let from = if Path.is_absolute target then [] else Path.components dir in
+    canonical_walk t (from @ comps)
+
 let writable_dir ~uid dir =
   Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.W
   && searchable ~uid dir
@@ -272,26 +285,25 @@ let acl_token t path = dir_stamp t path Inode.acl_gen
 (* The entry an open or a chmod of [path] reaches, as (directory, name):
    the final symlink chain is followed as root, within [symlink_limit].
    This is bookkeeping, not an access check.  When the final component is
-   a symlink, each hop is re-walked with [canonical_walk] so that a
-   relative target's ".." pops to the real parent, as in [walk]. *)
+   a symlink, the path is made canonical and each hop is taken with
+   [expand_link], so a target's ".." pops to the real parent, as in
+   [walk]. *)
 let landing t path =
   let entry p =
     match resolve_parent t ~uid:0 p with
     | Ok (dir, name) -> Some (dir, name, Inode.dir_find dir name)
     | Error _ -> None
   in
-  let rec follow comps depth =
-    let p, _ = canonical_walk t comps in
+  let rec follow p depth =
     match entry p with
     | Some (_, _, Some e) when Inode.kind e = Inode.Symlink && depth < symlink_limit ->
-      let target = Inode.link_target e in
-      let from = if Path.is_absolute target then [] else Path.components (Path.dirname p) in
-      follow (from @ Path.components target) (depth + 1)
+      follow (fst (expand_link t ~link:p (Inode.link_target e))) (depth + 1)
     | Some (dir, name, _) -> Some (dir, name)
     | None -> None
   in
   match entry path with
-  | Some (_, _, Some e) when Inode.kind e = Inode.Symlink -> follow (Path.components path) 0
+  | Some (_, _, Some e) when Inode.kind e = Inode.Symlink ->
+    follow (fst (canonical_walk t (Path.components path))) 0
   | Some (dir, name, _) -> Some (dir, name)
   | None -> None
 
@@ -354,9 +366,9 @@ let rec open_file_depth t ~uid ~flags ~mode ~depth path =
                target of the attacker's choosing. *)
             if flags.excl then Error Errno.EEXIST
             else
-              (* Dangling symlink: creation happens at the link target. *)
-              let target = Inode.link_target entry in
-              let expanded = Path.join (Path.dirname path) target in
+              (* Dangling symlink: creation happens at the link target,
+                 the same path the supervisor's check expands it to. *)
+              let expanded, _ = expand_link t ~link:path (Inode.link_target entry) in
               open_file_depth t ~uid ~flags ~mode ~depth:(depth + 1) expanded
           | Some _ ->
             (* The entry exists but resolve said ENOENT: traversal race is

@@ -151,6 +151,15 @@ val canonical_parents : t -> string -> string * int
     lookup, not a walk from ["/"].  Host-side: performs no simulated
     syscalls; a caller that models the walk charges the steps. *)
 
+val expand_link : t -> link:string -> string -> string * int
+(** [expand_link t ~link target] is where the symlink at [link] with
+    [target] points, and the steps taken, as {!canonical_parents}
+    counts them.  It walks the components of [link]'s directory (none
+    for an absolute target) followed by [target]'s, so a [".."] in the
+    target pops to the real parent, as the kernel's resolution does —
+    never lexically.  The one expansion for checks, ACL-write
+    bookkeeping and a create through a dangling link. *)
+
 val open_file : t -> uid:int -> flags:open_flags -> mode:int -> string -> Inode.t r
 (** Open (and possibly create) a regular file, enforcing permissions. *)
 

@@ -1319,6 +1319,69 @@ let geo_regions ~seed () =
   Geo.ship_now geo;
   (clock, net, geo, east, west)
 
+(* The peer endpoints' decoders are total as well.  Every verb a geo
+   endpoint or a replica endpoint speaks is sent mangled — the whole
+   payload, so the framing breaks, and one field at a time, so an epoch
+   or an LSN stops being a number while the framing holds.  Each is
+   answered with a Wire-framed reply; a handler that raised would show
+   up as a connection reset instead. *)
+let endpoints_total_under_mangling () =
+  let _clock, net, _geo, _east, west = geo_regions ~seed:0L () in
+  let rng = Fault.rng 42L in
+  let alice = World.principal_of "Alice" in
+  let op = Protocol.operation_to_wire (Protocol.Mkdir "/mangled") in
+  let entry =
+    Replica.encode_entry (Server.Snap_dir { path = "/mangled"; acl = "" })
+  in
+  let member = World.server west (List.hd (World.members west)) in
+  let endpoints =
+    [
+      ( "geo.west.grid.edu:9098",
+        [
+          [ "seg"; "east"; "1"; "1"; "1";
+            Idbox_chirp.Wal.frame_segment [ Wire.encode [ "m"; alice; op ] ] ];
+          [ "hb"; "east"; "1"; "1" ];
+          [ "repair"; "east"; "1"; "/mangled"; entry ];
+          [ "reconciled"; "east"; "1"; "1" ];
+          [ "epochs"; alice; "2" ];
+        ] );
+      ( Replica.repl_addr (Server.addr member),
+        [
+          [ "apply"; alice; op ];
+          [ "install"; entry ];
+          [ "digest"; "/mangled"; "dir" ];
+          [ "epochs"; alice; "2" ];
+        ] );
+    ]
+  in
+  let send addr payload =
+    match Network.call net ~src:"fuzzer.grid.edu" ~addr payload with
+    | Ok reply ->
+      (match Wire.decode reply with
+       | Ok _ -> ()
+       | Error m -> Alcotest.failf "%s: reply does not decode: %s" addr m)
+    | Error e -> Alcotest.failf "%s: no reply (%s)" addr (Errno.to_string e)
+  in
+  List.iter
+    (fun (addr, verbs) ->
+      List.iter
+        (fun fields ->
+          for _ = 1 to 40 do
+            send addr (Fault.mangle rng (Wire.encode fields))
+          done;
+          List.iteri
+            (fun i _ ->
+              for _ = 1 to 8 do
+                send addr
+                  (Wire.encode
+                     (List.mapi
+                        (fun j f -> if i = j then Fault.mangle rng f else f)
+                        fields))
+              done)
+            fields)
+        verbs)
+    endpoints
+
 let geo_reader geo w ~region ?policy ?bound_ns () =
   match
     Geo.connect geo ~region
@@ -1754,8 +1817,9 @@ let suite =
       catalog_eviction_and_heartbeat_recovery;
     Alcotest.test_case "two seeded runs byte-identical" `Quick
       deterministic_chaos_run;
-    Alcotest.test_case "decoders total under mangling" `Quick
-      decoders_total_under_mangling;
+    Alcotest.test_case "decoders total under mangling" `Quick (fun () ->
+        decoders_total_under_mangling ();
+        endpoints_total_under_mangling ());
     Alcotest.test_case "acl holds under corruption" `Quick
       acl_holds_under_corruption;
     Alcotest.test_case "3-node cluster chaos matches oracle, twice" `Quick

@@ -37,14 +37,20 @@ type op =
           must fail identically. *)
 
 (* Paths mix protected objects, system areas, the visitor's own home
-   (via $HOME), relative escapes, symlink-laundering components, and the
-   ACL file of /shared, where the attacker holds w but not a: as a name,
-   through a link beside it, and as a relative link target. *)
+   (via $HOME), relative escapes, symlink-laundering components, the
+   ACL file of /shared, where the attacker holds w but not a (as a name,
+   through a link beside it, and as a relative link target), and link
+   targets whose ".." follows a symlink ("sub/../..."), including the
+   one the fixture already planted at /shared/evil. *)
 let path_pool =
   [
     "/shared/.__acl";
     "/shared/alias";
+    "/shared/evil";
     ".__acl";
+    "sub/../data";
+    "sub/../secret.txt";
+    "/home/victim/deep";
     "/protected/secret.txt";
     "/protected";
     "/etc/passwd";
@@ -183,9 +189,19 @@ let run_attack ops =
   seed "v"
     (Fs.write_file fs ~uid:victim.Idbox_kernel.Account.uid ~mode:0o600
        "/home/victim/data" "victim bytes");
+  seed "v"
+    (Fs.mkdir_p fs ~uid:victim.Idbox_kernel.Account.uid "/home/victim/deep");
   seed "s" (Fs.mkdir_p fs ~uid:0 ~mode:0o777 "/tmp/scratchpad");
   seed "sh" (Fs.mkdir_p fs ~uid:0 "/shared");
   seed "sh" (Fs.chown fs ~uid:0 ~owner:victim.Idbox_kernel.Account.uid "/shared");
+  (* Links someone planted in the shared area: one into the victim's
+     home, and one whose ".." comes after it, so /shared/evil names
+     /home/victim/data — never /shared/data. *)
+  List.iter
+    (fun (target, link) ->
+      seed "ln"
+        (Fs.symlink fs ~uid:victim.Idbox_kernel.Account.uid ~target link))
+    [ ("/home/victim/deep", "/shared/sub"); ("sub/../data", "/shared/evil") ];
   let box =
     match
       Box.create k ~supervisor_uid:victim.Idbox_kernel.Account.uid

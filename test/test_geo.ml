@@ -250,11 +250,16 @@ let apply_shipped_dedups_by_req_id () =
   let server = World.server west (List.hd (World.members west)) in
   let identity = Principal.of_string (World.principal_of "Alice") in
   let op = Protocol.Mkdir "/dup" in
-  let r1, fresh1 = Server.apply_shipped server ~identity ~req_id:"geo:9" op in
-  let r2, fresh2 = Server.apply_shipped server ~identity ~req_id:"geo:9" op in
-  Alcotest.(check bool) "first apply is fresh" true fresh1;
-  Alcotest.(check bool) "second apply is a replay" false fresh2;
-  Alcotest.(check string) "replayed response byte-identical" r1 r2;
+  let ship () = Server.apply server (Server.Shipped "geo:9") ~identity op in
+  let r1 = ship () in
+  let r2 = ship () in
+  (match (r1, r2) with
+   | Server.Applied r1, Server.Replayed r2 ->
+     Alcotest.(check string) "replayed response byte-identical"
+       (Protocol.encode_response r1) r2
+   | Server.Replayed _, _ -> Alcotest.fail "first apply is not fresh"
+   | Server.Applied _, Server.Applied _ ->
+     Alcotest.fail "second apply is not a replay");
   (* Server-side counters land in the region's own kernel registry. *)
   Alcotest.(check bool) "dedup hit counted" true
     (Metrics.counter_value_of

@@ -90,6 +90,47 @@ let acl_file_protected_in_kernel () =
   Alcotest.(check (option int)) "every attempt refused" (Some 0) (Kernel.exit_code k pid);
   Alcotest.(check string) "acl bytes unchanged" before (acl_bytes ())
 
+(* Paper §6, pitfall #2, ".." flavour, in the kernel: with
+   [/srv/area/sub -> /protected/deep], the link [/srv/area/evil ->
+   sub/../secret.txt] names /protected/secret.txt, which the in-kernel
+   check must judge at /protected (no ACL: nobody), not at a lexical
+   /srv/area/secret.txt. *)
+let dotdot_after_symlink_in_kernel () =
+  let k, kbox = setup () in
+  let fs = Kernel.fs k in
+  let sup =
+    match Account.find (Kernel.accounts k) "operator" with
+    | Some e -> e.Account.uid
+    | None -> Alcotest.fail "no supervisor account"
+  in
+  ok "protected" (Fs.mkdir_p fs ~uid:0 "/protected/deep");
+  ok "chown" (Fs.chown fs ~uid:0 ~owner:sup "/protected");
+  ok "chown deep" (Fs.chown fs ~uid:0 ~owner:sup "/protected/deep");
+  ok "chmod" (Fs.chmod fs ~uid:0 ~mode:0o700 "/protected");
+  ok "secret"
+    (Fs.write_file fs ~uid:sup ~mode:0o600 "/protected/secret.txt" "classified");
+  let pid =
+    Kbox.spawn_main kbox ~identity:fred
+      ~main:(fun _ ->
+        List.iter
+          (fun (target, link) ->
+            match Libc.symlink ~target link with
+            | Ok () -> ()
+            | Error _ -> Libc.exit 1)
+          [
+            ("/protected/deep", "/srv/area/sub");
+            ("sub/../secret.txt", "/srv/area/evil");
+          ];
+        match Libc.read_file "/srv/area/evil" with
+        | Error Errno.EACCES -> 0
+        | Ok _ -> 42
+        | Error _ -> 2)
+      ~args:[ "attack" ]
+  in
+  Kernel.run k;
+  Alcotest.(check (option int)) "dot-dot laundering blocked in-kernel" (Some 0)
+    (Kernel.exit_code k pid)
+
 let identity_inherited_by_children () =
   let k, kbox = setup () in
   Kernel.with_fresh_programs (fun () ->
@@ -238,6 +279,8 @@ let suite =
   [
     Alcotest.test_case "enforcement without traps" `Quick enforcement_without_traps;
     Alcotest.test_case "acl file protected in-kernel" `Quick acl_file_protected_in_kernel;
+    Alcotest.test_case "dot-dot after a symlink does not launder" `Quick
+      dotdot_after_symlink_in_kernel;
     Alcotest.test_case "children inherit identity" `Quick identity_inherited_by_children;
     Alcotest.test_case "kill policy" `Quick kill_policy_by_identity;
     Alcotest.test_case "spawn checks x" `Quick spawn_checks_execute_right;

@@ -106,6 +106,44 @@ let symlinked_parent_does_not_launder_access () =
   Alcotest.(check bool) "nothing created in /protected" false
     (Fs.exists (Kernel.fs k) ~uid:0 "/protected/evil")
 
+(* Pitfall #2, ".." flavour: a ".." in a link target that follows a
+   symlink pops to the parent of that symlink's target, not of its name.
+   With [/shared/sub -> /protected/deep], the link [/shared/evil ->
+   sub/../secret.txt] names /protected/secret.txt, and the check must
+   judge it there rather than at a lexical /shared/secret.txt.  A
+   create through such a dangling link is judged, and would land, at
+   the same place. *)
+let dotdot_after_symlink_does_not_launder_access () =
+  let k, sup, box = setup () in
+  let fs = Kernel.fs k in
+  ok "deep" (Fs.mkdir_p fs ~uid:sup "/protected/deep");
+  let code =
+    run_in box (fun _ ->
+        List.iter
+          (fun (target, link) ->
+            match Libc.symlink ~target link with
+            | Ok () -> ()
+            | Error _ -> Libc.exit 1)
+          [
+            ("/protected/deep", "/shared/sub");
+            ("sub/../secret.txt", "/shared/evil");
+            ("sub/../planted.txt", "/shared/plant");
+          ];
+        (match Libc.read_file "/shared/evil" with
+         | Error Errno.EACCES -> ()
+         | Ok _ -> Libc.exit 42
+         | Error _ -> Libc.exit 2);
+        match Libc.write_file "/shared/plant" ~contents:"x" with
+        | Error Errno.EACCES -> 0
+        | Ok () -> 43
+        | Error _ -> 3)
+  in
+  Alcotest.(check int) "dot-dot laundering blocked" 0 code;
+  Alcotest.(check bool) "nothing planted in /protected" false
+    (Fs.exists fs ~uid:0 "/protected/planted.txt");
+  Alcotest.(check bool) "nor in /shared" false
+    (Fs.exists fs ~uid:0 "/shared/planted.txt")
+
 (* Pitfall #2, hard-link flavour: a hard link cannot be traced back to
    its origin, so creating one to an unreadable target is refused
    outright. *)
@@ -338,6 +376,8 @@ let suite =
     Alcotest.test_case "symlink laundering blocked" `Quick symlink_does_not_launder_access;
     Alcotest.test_case "parent-symlink laundering blocked" `Quick
       symlinked_parent_does_not_launder_access;
+    Alcotest.test_case "dot-dot after a symlink does not launder" `Quick
+      dotdot_after_symlink_does_not_launder_access;
     Alcotest.test_case "hard link to protected refused" `Quick hard_link_to_protected_refused;
     Alcotest.test_case "full interface available" `Quick full_interface_available;
     Alcotest.test_case "denied calls side-effect free" `Quick denied_calls_have_no_side_effects;

@@ -202,6 +202,29 @@ let create_through_dangling_symlink () =
   Alcotest.(check string) "landed at target" "created"
     (ok "read" (Fs.read_file fs ~uid:0 "/t/real"))
 
+(* A create through a dangling link whose target has a ".." after a
+   symlink lands where the kernel's own walk takes that "..": in the
+   parent of the symlink's target, not beside the link.  [expand_link]
+   names the same place, so the supervisor's check and the create agree;
+   a target without ".." expands as its lexical join would. *)
+let create_through_dangling_dotdot_symlink () =
+  let fs = fresh () in
+  ok "mkdir" (Fs.mkdir_p fs ~uid:0 "/a");
+  ok "mkdir" (Fs.mkdir_p fs ~uid:0 "/x/y");
+  ok "sub" (Fs.symlink fs ~uid:0 ~target:"/x/y" "/a/sub");
+  ok "ln" (Fs.symlink fs ~uid:0 ~target:"sub/../new" "/a/d");
+  Alcotest.(check (pair string int)) "expanded physically" ("/x/new", 5)
+    (Fs.expand_link fs ~link:"/a/d" "sub/../new");
+  Alcotest.(check (pair string int)) "no dot-dot: the joined path"
+    (Fs.canonical_parents fs "/a/sub/f")
+    (Fs.expand_link fs ~link:"/a/l" "sub/f");
+  ok "create" (Fs.write_file fs ~uid:0 "/a/d" "created");
+  Alcotest.(check string) "landed in the real parent" "created"
+    (ok "read" (Fs.read_file fs ~uid:0 "/x/new"));
+  expect_err "nothing beside the link" Errno.ENOENT (Fs.stat fs ~uid:0 "/a/new");
+  Alcotest.(check string) "read back through the link" "created"
+    (ok "read" (Fs.read_file fs ~uid:0 "/a/d"))
+
 (* O_CREAT|O_EXCL on a symlink must fail EEXIST even when the link
    dangles — following it would let a visitor-planted link redirect a
    "fresh" file to a target of the attacker's choosing. *)
@@ -466,6 +489,8 @@ let suite =
     Alcotest.test_case "symlink loops" `Quick symlink_loops;
     Alcotest.test_case "symlink ..-target" `Quick symlink_dotdot_target;
     Alcotest.test_case "create through dangling link" `Quick create_through_dangling_symlink;
+    Alcotest.test_case "create through dangling dot-dot link" `Quick
+      create_through_dangling_dotdot_symlink;
     Alcotest.test_case "excl create on dangling link" `Quick excl_create_on_dangling_symlink;
     Alcotest.test_case "EACCES before existence probe" `Quick errno_ordering_probe;
     Alcotest.test_case "shared ELOOP limit" `Quick shared_eloop_limit;

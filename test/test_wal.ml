@@ -15,6 +15,8 @@ module Wal = Idbox_chirp.Wal
 module Wire = Idbox_chirp.Wire
 module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
+module Protocol = Idbox_chirp.Protocol
+module Principal = Idbox_identity.Principal
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
@@ -161,7 +163,7 @@ let crash_is_deterministic () =
 
 let server_addr = "wal.nowhere.edu:9094"
 
-let make_server ?wal ?checkpoint_every () =
+let make_server ?wal ?checkpoint_every ?flush_interval_ns () =
   let clock = Clock.create () in
   let kernel = Kernel.create ~clock () in
   let net =
@@ -187,17 +189,20 @@ let make_server ?wal ?checkpoint_every () =
   let server =
     match
       Server.create ~kernel ~net ~addr:server_addr ~owner_uid:owner.Account.uid
-        ~export:"/tmp/export" ~acceptor ~root_acl ?wal ?checkpoint_every ()
+        ~export:"/tmp/export" ~acceptor ~root_acl ?wal ?checkpoint_every
+        ?flush_interval_ns ()
     with
     | Ok s -> s
     | Error e -> Alcotest.fail (Errno.to_string e)
   in
   (server, net, kernel, ca)
 
+let fred_cert ca = Ca.issue ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred")
+
 let connect net ca =
-  let cert = Ca.issue ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred") in
   match
-    Client.connect net ~addr:server_addr ~credentials:[ Credential.Gsi cert ]
+    Client.connect net ~addr:server_addr
+      ~credentials:[ Credential.Gsi (fred_cert ca) ]
   with
   | Ok c -> c
   | Error m -> Alcotest.fail m
@@ -332,6 +337,119 @@ let undecodable_records_counted () =
   Alcotest.(check int) "and one undecodable entry" 2 (m "chirp.recovery.undecodable");
   files ()
 
+
+(* Every origin of a logged mutation is durable before it answers.  The
+   two server-to-server origins are called the way the cluster layer
+   calls them: a peer forward ([Replica]) and a geo shipment ([Geo],
+   which answers whether the apply was fresh). *)
+let forward server ~identity op =
+  ignore (Server.apply server Server.Peer ~identity op)
+
+let ship server ~identity ~req_id op =
+  match Server.apply server (Server.Shipped req_id) ~identity op with
+  | Server.Applied _ -> true
+  | Server.Replayed _ -> false
+
+(* A client request carrying an explicit request id, over the network:
+   with a flush window the reply leaves only when the batch flushes. *)
+let client_op net ca ~req_id op =
+  let call payload =
+    match Network.call net ~addr:server_addr payload with
+    | Ok reply -> reply
+    | Error e -> Alcotest.failf "call: %s" (Errno.to_string e)
+  in
+  let token =
+    match
+      Protocol.decode_response
+        (call
+           (Protocol.encode_request
+              (Protocol.Auth [ Credential.Gsi (fred_cert ca) ])))
+    with
+    | Ok (Protocol.R_auth { token; _ }) -> token
+    | Ok _ | Error _ -> Alcotest.fail "auth refused"
+  in
+  call (Protocol.encode_request (Protocol.Op { token; req_id; op }))
+
+(* For each origin, as soon as the call returns: every record is synced,
+   and the log holds exactly [op] (a forward) or [op; done] (a shipment,
+   a client op with a request id).  A crash on a device that damages
+   whatever it can then loses nothing: the effect is back after
+   recovery, and a repeat of the request id is a dedup hit. *)
+let origins_durable_before_answer () =
+  let fred = Principal.of_string "globus:/O=UnivNowhere/CN=Fred" in
+  let case ~flush_interval_ns origin =
+    let name =
+      match origin with
+      | `Peer -> "peer"
+      | `Shipped -> "shipped"
+      | `Client -> Printf.sprintf "client-%Ld" flush_interval_ns
+    in
+    let profile =
+      Fault.storage_profile ~torn_write:1.0 ~lose_tail:1.0 ~flip:1.0 ()
+    in
+    let wal = Wal.create ~seed:3L ~profile () in
+    let server, net, kernel, ca =
+      make_server ~wal ~checkpoint_every:10_000 ~flush_interval_ns ()
+    in
+    let m key = Metrics.counter_value_of (Kernel.metrics kernel) key in
+    ok "mkdir" (Client.mkdir (connect net ca) "/work");
+    ok "checkpoint" (Server.checkpoint_now server);
+    let path = "/work/" ^ name in
+    let op = Protocol.Put { path; data = name } in
+    let req_id = match origin with `Client -> "fred#1" | `Peer | `Shipped -> "geo:7" in
+    let expected =
+      match origin with
+      | `Peer ->
+        forward server ~identity:fred op;
+        [ "op" ]
+      | `Shipped ->
+        Alcotest.(check bool) (name ^ ": fresh apply") true
+          (ship server ~identity:fred ~req_id op);
+        [ "op"; "done" ]
+      | `Client ->
+        Alcotest.(check bool) (name ^ ": answered ok") true
+          (Protocol.decode_response (client_op net ca ~req_id op)
+          = Ok Protocol.R_ok);
+        [ "op"; "done" ]
+    in
+    Alcotest.(check int) (name ^ ": every record synced") (Wal.records wal)
+      (Wal.synced_records wal);
+    let records = (Wal.recover wal).Wal.rc_records in
+    Alcotest.(check (list string)) (name ^ ": record sequence") expected
+      (List.map
+         (fun r -> match Wire.decode r with Ok (tag :: _) -> tag | _ -> "?")
+         records);
+    Alcotest.(check string) (name ^ ": the op record") (List.hd records)
+      (Wire.encode
+         [ "op"; Principal.to_string fred; Protocol.operation_to_wire op ]);
+    (match records with
+     | [ _; done_ ] ->
+       (match Wire.decode done_ with
+        | Ok [ "done"; rid; _; _ ] ->
+          Alcotest.(check string) (name ^ ": journal key") req_id rid
+        | _ -> Alcotest.failf "%s: malformed done record" name)
+     | _ -> ());
+    Server.crash server;
+    Server.restart server;
+    Alcotest.(check string) (name ^ ": effect survives") name
+      (ok "get" (Client.get (connect net ca) path));
+    match origin with
+    | `Peer -> ()
+    | `Shipped ->
+      Alcotest.(check bool) (name ^ ": re-shipped LSN replays") false
+        (ship server ~identity:fred ~req_id op);
+      Alcotest.(check int) (name ^ ": dedup hit") 1 (m "chirp.geo.dedup_hit")
+    | `Client ->
+      Alcotest.(check bool) (name ^ ": retry answered ok") true
+        (Protocol.decode_response (client_op net ca ~req_id op)
+        = Ok Protocol.R_ok);
+      Alcotest.(check int) (name ^ ": dedup hit") 1 (m "chirp.dedup_hit")
+  in
+  case ~flush_interval_ns:0L `Peer;
+  case ~flush_interval_ns:0L `Shipped;
+  case ~flush_interval_ns:0L `Client;
+  case ~flush_interval_ns:50_000L `Client
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick roundtrip;
@@ -347,4 +465,6 @@ let suite =
     Alcotest.test_case "checkpoint bounds replay" `Quick checkpoint_bounds_replay;
     Alcotest.test_case "unlogged state dies" `Quick unlogged_state_dies;
     Alcotest.test_case "undecodable records counted" `Quick undecodable_records_counted;
+    Alcotest.test_case "every origin durable before it answers" `Quick
+      origins_durable_before_answer;
   ]
