@@ -143,14 +143,41 @@ let decode_credential fields =
    [["q"|"r"; md5(body); body]].  The simulated network can flip or cut
    response bytes; without the envelope a corrupted [R_data] would be
    indistinguishable from a good one.  With it, damage surfaces as a
-   decode error the caller can retry. *)
-let seal tag body = Wire.encode [ tag; Digest.string body; body ]
+   decode error the caller can retry.
 
+   [seal] lays the frame out in one buffer: the body's fields are
+   encoded in place and digested where they lie.  [unseal] checks the
+   digest over the received frame and decodes the body from its span,
+   so a payload is copied once per side. *)
+let sum_size = 16
+
+let seal tag fields =
+  let body = Wire.size fields in
+  let buf =
+    Bytes.create
+      (Wire.field_size (String.length tag)
+      + Wire.field_size sum_size + Wire.field_size body)
+  in
+  let sum_at = Wire.write_header buf (Wire.write buf 0 [ tag ]) sum_size in
+  let body_at = Wire.write_header buf (sum_at + sum_size) body in
+  ignore (Wire.write buf body_at fields);
+  Bytes.blit_string (Digest.subbytes buf body_at body) 0 buf sum_at sum_size;
+  Bytes.unsafe_to_string buf
+
+let span_is text (at, len) s =
+  len = String.length s
+  &&
+  let rec same i = i = len || (text.[at + i] = s.[i] && same (i + 1)) in
+  same 0
+
+(* Errors come in the order a whole-frame decode finds them: a framing
+   fault anywhere, then the frame's shape, then its digest. *)
 let unseal tag text =
-  match Wire.decode text with
+  match Wire.spans text ~pos:0 ~len:(String.length text) with
   | Error e -> Error e
-  | Ok [ t; sum; body ] when String.equal t tag ->
-    if String.equal sum (Digest.string body) then Ok body
+  | Ok [ t; sum; (body_at, body_len) ] when span_is text t tag ->
+    if span_is text sum (Digest.substring text body_at body_len) then
+      Wire.decode_range text ~pos:body_at ~len:body_len
     else Error "checksum mismatch (frame damaged in flight)"
   | Ok _ -> Error "not a sealed frame"
 
@@ -183,15 +210,11 @@ and operation_to_wire op = Wire.encode (operation_fields op)
 (* Each credential is itself a wire-framed blob so the outer message
    stays a flat field list. *)
 let encode_request req =
-  let body =
-    match req with
-    | Auth creds ->
-      Wire.encode
-        ("auth" :: List.map (fun c -> Wire.encode (encode_credential c)) creds)
-    | Op { token; req_id; op } ->
-      Wire.encode ("op" :: token :: req_id :: operation_fields op)
-  in
-  seal "q" body
+  seal "q"
+    (match req with
+     | Auth creds ->
+       "auth" :: List.map (fun c -> Wire.encode (encode_credential c)) creds
+     | Op { token; req_id; op } -> "op" :: token :: req_id :: operation_fields op)
 
 let rec decode_operation = function
   | [ "mkdir"; p ] -> Ok (Mkdir p)
@@ -254,9 +277,8 @@ let decode_request text =
   match unseal "q" text with
   | Error e -> Error e
   | Ok body ->
-    (match Wire.decode body with
-     | Error e -> Error e
-     | Ok ("auth" :: blobs) ->
+    (match body with
+     | "auth" :: blobs ->
        let rec decode_all acc = function
          | [] -> Ok (Auth (List.rev acc))
          | blob :: rest ->
@@ -268,67 +290,58 @@ let decode_request text =
                | Error e -> Error e))
        in
        decode_all [] blobs
-     | Ok ("op" :: token :: req_id :: fields) ->
+     | "op" :: token :: req_id :: fields ->
        (match decode_operation fields with
         | Ok op -> Ok (Op { token; req_id; op })
         | Error e -> Error e)
-     | Ok _ -> Error "unrecognized request")
+     | _ -> Error "unrecognized request")
 
-let rec response_body r =
-  match r with
-  | R_ok -> Wire.encode [ "ok" ]
-  | R_error (errno, msg) -> Wire.encode [ "error"; Errno.to_string errno; msg ]
-  | R_auth { token; principal; method_ } ->
-    Wire.encode [ "auth"; token; principal; method_ ]
-  | R_data data -> Wire.encode [ "data"; data ]
+let rec response_fields = function
+  | R_ok -> [ "ok" ]
+  | R_error (errno, msg) -> [ "error"; Errno.to_string errno; msg ]
+  | R_auth { token; principal; method_ } -> [ "auth"; token; principal; method_ ]
+  | R_data data -> [ "data"; data ]
   | R_stat { ws_kind; ws_size; ws_mtime } ->
-    Wire.encode
-      [ "stat"; ws_kind; string_of_int ws_size; Int64.to_string ws_mtime ]
-  | R_names names -> Wire.encode ("names" :: names)
-  | R_exit code -> Wire.encode [ "exit"; string_of_int code ]
-  | R_str s -> Wire.encode [ "str"; s ]
-  | R_batch rs -> Wire.encode ("batch" :: List.map response_body rs)
+    [ "stat"; ws_kind; string_of_int ws_size; Int64.to_string ws_mtime ]
+  | R_names names -> "names" :: names
+  | R_exit code -> [ "exit"; string_of_int code ]
+  | R_str s -> [ "str"; s ]
+  | R_batch rs -> "batch" :: List.map (fun r -> Wire.encode (response_fields r)) rs
 
 (* One seal around the whole body: a batch pays a single checksum. *)
-let encode_response r = seal "r" (response_body r)
+let encode_response r = seal "r" (response_fields r)
 
-let rec decode_response_body body =
-  match Wire.decode body with
-  | Error e -> Error e
-  | Ok [ "ok" ] -> Ok R_ok
-  | Ok [ "error"; errno; msg ] ->
+let rec decode_response_fields = function
+  | [ "ok" ] -> Ok R_ok
+  | [ "error"; errno; msg ] ->
     (match Errno.of_string errno with
      | Some e -> Ok (R_error (e, msg))
      | None -> Error (Printf.sprintf "unknown errno %S" errno))
-  | Ok [ "auth"; token; principal; method_ ] ->
-    Ok (R_auth { token; principal; method_ })
-  | Ok [ "data"; data ] -> Ok (R_data data)
-  | Ok [ "stat"; ws_kind; size; mtime ] ->
+  | [ "auth"; token; principal; method_ ] -> Ok (R_auth { token; principal; method_ })
+  | [ "data"; data ] -> Ok (R_data data)
+  | [ "stat"; ws_kind; size; mtime ] ->
     (match (int_of_string_opt size, Int64.of_string_opt mtime) with
      | Some ws_size, Some ws_mtime -> Ok (R_stat { ws_kind; ws_size; ws_mtime })
      | _ -> Error "bad stat fields")
-  | Ok ("names" :: names) -> Ok (R_names names)
-  | Ok [ "exit"; code ] ->
+  | "names" :: names -> Ok (R_names names)
+  | [ "exit"; code ] ->
     (match int_of_string_opt code with
      | Some code -> Ok (R_exit code)
      | None -> Error "bad exit code")
-  | Ok [ "str"; s ] -> Ok (R_str s)
-  | Ok ("batch" :: blobs) ->
+  | [ "str"; s ] -> Ok (R_str s)
+  | "batch" :: blobs ->
     let rec members acc = function
       | [] -> Ok (R_batch (List.rev acc))
       | blob :: rest ->
-        (match decode_response_body blob with
+        (match Result.bind (Wire.decode blob) decode_response_fields with
          | Ok (R_batch _) -> Error "nested batch response"
          | Ok r -> members (r :: acc) rest
          | Error e -> Error e)
     in
     members [] blobs
-  | Ok _ -> Error "unrecognized response"
+  | _ -> Error "unrecognized response"
 
-let decode_response text =
-  match unseal "r" text with
-  | Error e -> Error e
-  | Ok body -> decode_response_body body
+let decode_response text = Result.bind (unseal "r" text) decode_response_fields
 
 (* {1 Shed responses}
 

@@ -413,17 +413,7 @@ let rec serve_as t caller op =
              match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
              | Error e -> err e
              | Ok (Syscall.Int fd) ->
-               let buf = Buffer.create 65536 in
-               let rec slurp () =
-                 match delegate t (Syscall.Read { fd; len = 65536 }) with
-                 | Ok (Syscall.Data "") -> Ok (Buffer.contents buf)
-                 | Ok (Syscall.Data chunk) ->
-                   Buffer.add_string buf chunk;
-                   slurp ()
-                 | Ok _ -> Error Errno.EINVAL
-                 | Error e -> Error e
-               in
-               let res = slurp () in
+               let res = Kernel.read_to_end (delegate t) fd ~chunk:65536 in
                ignore (delegate t (Syscall.Close fd));
                (match res with Ok data -> R_data data | Error e -> err e)
              | Ok _ -> err Errno.EINVAL))

@@ -8,7 +8,7 @@ let sum_width = 32
 let header_len = String.length magic + len_width + sum_width
 
 type t = {
-  mutable dv_log : string;  (* the byte image of the record log *)
+  dv_log : Buffer.t;  (* the byte image of the record log *)
   mutable dv_synced : int;  (* bytes covered by the last sync *)
   mutable dv_ckpt : string option;
   mutable dv_records : int;  (* records in dv_log *)
@@ -20,7 +20,7 @@ type t = {
 
 let create ?(seed = 0L) ?(profile = Fault.calm_storage) () =
   {
-    dv_log = "";
+    dv_log = Buffer.create 1024;
     dv_synced = 0;
     dv_ckpt = None;
     dv_records = 0;
@@ -30,28 +30,30 @@ let create ?(seed = 0L) ?(profile = Fault.calm_storage) () =
     dv_profile = profile;
   }
 
-let frame payload =
-  Printf.sprintf "%s%08x%s%s" magic (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
+(* Appends write the frame straight onto the log, so a record costs one
+   copy of its payload however long the log has grown. *)
+let add_frame buf payload =
+  Printf.bprintf buf "%s%08x%s" magic (String.length payload)
+    (Digest.to_hex (Digest.string payload));
+  Buffer.add_string buf payload
 
 let append t payload =
-  t.dv_log <- t.dv_log ^ frame payload;
+  add_frame t.dv_log payload;
   t.dv_records <- t.dv_records + 1;
   t.dv_appends <- t.dv_appends + 1
 
 let sync t =
-  t.dv_synced <- String.length t.dv_log;
+  t.dv_synced <- Buffer.length t.dv_log;
   t.dv_synced_records <- t.dv_records
 
 let records t = t.dv_records
 let synced_records t = t.dv_synced_records
-let log_bytes t = String.length t.dv_log
+let log_bytes t = Buffer.length t.dv_log
 let appends t = t.dv_appends
 
 let checkpoint t blob =
   t.dv_ckpt <- Some blob;
-  t.dv_log <- "";
+  Buffer.clear t.dv_log;
   t.dv_synced <- 0;
   t.dv_records <- 0;
   t.dv_synced_records <- 0
@@ -77,28 +79,29 @@ let boundaries s from =
 
 let crash t =
   let p = t.dv_profile in
-  let n = String.length t.dv_log in
+  let log = t.dv_log in
+  let n = Buffer.length log in
   if n > t.dv_synced then begin
     (* Unsynced suffix: lose whole records from the end... *)
     if Fault.chance t.dv_rng p.Fault.lose_tail then begin
-      let cuts = t.dv_synced :: boundaries t.dv_log t.dv_synced in
-      let keep = List.nth cuts (Fault.int_below t.dv_rng (List.length cuts)) in
-      t.dv_log <- String.sub t.dv_log 0 keep
+      let cuts = t.dv_synced :: boundaries (Buffer.contents log) t.dv_synced in
+      Buffer.truncate log
+        (List.nth cuts (Fault.int_below t.dv_rng (List.length cuts)))
     end;
     (* ...tear the last surviving unsynced record mid-write... *)
-    let n = String.length t.dv_log in
+    let n = Buffer.length log in
     if n > t.dv_synced && Fault.chance t.dv_rng p.Fault.torn_write then begin
       let cut =
         t.dv_synced + 1 + Fault.int_below t.dv_rng (n - t.dv_synced)
       in
-      t.dv_log <- String.sub t.dv_log 0 (min cut n)
+      Buffer.truncate log (min cut n)
     end;
     (* ...and flip bytes in whatever unsynced bytes remain. *)
-    let n = String.length t.dv_log in
+    let n = Buffer.length log in
     if n > t.dv_synced && Fault.chance t.dv_rng p.Fault.flip then begin
-      let suffix = String.sub t.dv_log t.dv_synced (n - t.dv_synced) in
-      t.dv_log <-
-        String.sub t.dv_log 0 t.dv_synced ^ Fault.flip_bytes t.dv_rng suffix
+      let suffix = Buffer.sub log t.dv_synced (n - t.dv_synced) in
+      Buffer.truncate log t.dv_synced;
+      Buffer.add_string log (Fault.flip_bytes t.dv_rng suffix)
     end
   end
   else if Fault.chance t.dv_rng p.Fault.torn_write then begin
@@ -110,10 +113,10 @@ let crash t =
       String.init junk_len (fun _ ->
           Char.chr (Int64.to_int (Int64.logand (Fault.bits t.dv_rng) 0xffL)))
     in
-    t.dv_log <- t.dv_log ^ Printf.sprintf "%s%08x%s" magic (junk_len + 64) junk
+    Printf.bprintf t.dv_log "%s%08x%s" magic (junk_len + 64) junk
   end;
   (* Whatever survived is what is on the platter now. *)
-  t.dv_synced <- String.length t.dv_log
+  t.dv_synced <- Buffer.length t.dv_log
 
 (* {1 Segment export / import}
 
@@ -124,7 +127,13 @@ let crash t =
    segment claiming [n] records must parse as exactly [n] intact
    frames or be rejected whole, so the shipper re-sends it. *)
 
-let frame_segment payloads = String.concat "" (List.map frame payloads)
+let frame_segment payloads =
+  let buf =
+    Buffer.create
+      (List.fold_left (fun n p -> n + header_len + String.length p) 0 payloads)
+  in
+  List.iter (add_frame buf) payloads;
+  Buffer.contents buf
 
 let parse_segment s =
   let n = String.length s in
@@ -155,7 +164,7 @@ type recovery = {
 }
 
 let recover t =
-  let s = t.dv_log in
+  let s = Buffer.contents t.dv_log in
   let n = String.length s in
   let rec go pos acc =
     if pos >= n then (pos, List.rev acc)
@@ -180,7 +189,7 @@ let recover t =
   (* A torn tail is one interrupted write; count it as one discarded
      record (there is no framing left to count more precisely). *)
   let torn_records = if torn_bytes > 0 then 1 else 0 in
-  t.dv_log <- String.sub s 0 valid_end;
+  Buffer.truncate t.dv_log valid_end;
   t.dv_synced <- valid_end;
   t.dv_records <- List.length payloads;
   t.dv_synced_records <- t.dv_records;

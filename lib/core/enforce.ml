@@ -303,36 +303,24 @@ let read_acl_file t dir =
   match delegate t (Syscall.Open { path = acl_path; flags = Fs.rdonly; mode = 0 }) with
   | Error _ -> None
   | Ok (Syscall.Int fd) ->
-    (* Accumulate in a Buffer: with [acc ^ chunk] a large ACL costs
-       O(n²) in host time, which the large-ACL bench case makes
-       visible. *)
-    let buf = Buffer.create 4096 in
-    let truncated = ref false in
-    let rec slurp () =
-      match delegate t (Syscall.Read { fd; len = 4096 }) with
-      | Ok (Syscall.Data "") -> ()
-      | Ok (Syscall.Data chunk) ->
-        Buffer.add_string buf chunk;
-        slurp ()
-      | Ok _ | Error _ ->
-        (* A read error mid-slurp leaves a silently truncated text — and
-           a truncated ACL can parse as a smaller but *valid* one.  Fail
-           closed instead of granting from a partial list. *)
-        truncated := true
-    in
-    slurp ();
-    let text = Buffer.contents buf in
+    (* [read_to_end] joins the chunks once: with [acc ^ chunk] a large
+       ACL costs O(n²) in host time, which the large-ACL bench case
+       makes visible. *)
+    let text = Kernel.read_to_end (delegate t) fd ~chunk:4096 in
     ignore (delegate t (Syscall.Close fd));
-    if !truncated then begin
-      Metrics.incr t.m_read_fail;
-      Some Acl.empty
-    end
-    else (
-      match Acl.of_string text with
-      | Ok acl -> Some acl
-      | Error _ ->
-        (* A corrupt ACL file grants nothing: fail closed. *)
-        Some Acl.empty)
+    (match text with
+     | Error _ ->
+       (* A read error part-way leaves a silently truncated text — and
+          a truncated ACL can parse as a smaller but *valid* one.  Fail
+          closed instead of granting from a partial list. *)
+       Metrics.incr t.m_read_fail;
+       Some Acl.empty
+     | Ok text ->
+       (match Acl.of_string text with
+        | Ok acl -> Some acl
+        | Error _ ->
+          (* A corrupt ACL file grants nothing: fail closed. *)
+          Some Acl.empty))
   | Ok _ -> None
 
 let acl_token t dir =

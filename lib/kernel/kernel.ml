@@ -198,8 +198,8 @@ let impl_file t (view : View.t) req : Syscall.result option =
        if not f.Fd_table.flags.Fs.rd then some (Error Errno.EBADF)
        else begin
          let data = Inode.read f.Fd_table.inode ~off:f.Fd_table.pos ~len in
-         f.Fd_table.pos <- f.Fd_table.pos + Bytes.length data;
-         some (Ok (Syscall.Data (Bytes.to_string data)))
+         f.Fd_table.pos <- f.Fd_table.pos + String.length data;
+         some (Ok (Syscall.Data data))
        end)
   | Syscall.Write { fd; data } ->
     (match Fd_table.find view.View.fds fd with
@@ -211,7 +211,7 @@ let impl_file t (view : View.t) req : Syscall.result option =
            if f.Fd_table.flags.Fs.append then Inode.size f.Fd_table.inode
            else f.Fd_table.pos
          in
-         let n = Inode.write f.Fd_table.inode ~off (Bytes.of_string data) in
+         let n = Inode.write f.Fd_table.inode ~off data in
          f.Fd_table.pos <- off + n;
          Inode.set_mtime f.Fd_table.inode (now t);
          some (Ok (Syscall.Int n))
@@ -223,8 +223,7 @@ let impl_file t (view : View.t) req : Syscall.result option =
        if not f.Fd_table.flags.Fs.rd then some (Error Errno.EBADF)
        else if off < 0 then some (Error Errno.EINVAL)
        else
-         let data = Inode.read f.Fd_table.inode ~off ~len in
-         some (Ok (Syscall.Data (Bytes.to_string data))))
+         some (Ok (Syscall.Data (Inode.read f.Fd_table.inode ~off ~len))))
   | Syscall.Pwrite { fd; off; data } ->
     (match Fd_table.find view.View.fds fd with
      | None -> some (Error Errno.EBADF)
@@ -232,7 +231,7 @@ let impl_file t (view : View.t) req : Syscall.result option =
        if not f.Fd_table.flags.Fs.wr then some (Error Errno.EBADF)
        else if off < 0 then some (Error Errno.EINVAL)
        else begin
-         let n = Inode.write f.Fd_table.inode ~off (Bytes.of_string data) in
+         let n = Inode.write f.Fd_table.inode ~off data in
          Inode.set_mtime f.Fd_table.inode (now t);
          some (Ok (Syscall.Int n))
        end)
@@ -349,6 +348,20 @@ let delegate t view req =
   t.k_stats.context_switches <- t.k_stats.context_switches + 2;
   charge t (Int64.mul 2L t.k_cost.Cost.context_switch);
   execute t view req
+
+let read_to_end call fd ~chunk =
+  let rec go chunks =
+    match call (Syscall.Read { fd; len = chunk }) with
+    | Ok (Syscall.Data "") ->
+      Ok
+        (match chunks with
+         | [ data ] -> data
+         | _ -> String.concat "" (List.rev chunks))
+    | Ok (Syscall.Data data) -> go (data :: chunks)
+    | Ok _ -> Error Errno.EINVAL
+    | Error e -> Error e
+  in
+  go []
 
 (* ------------------------------------------------------------------ *)
 (* Process lifecycle.                                                  *)

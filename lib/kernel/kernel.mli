@@ -80,6 +80,15 @@ val delegate : t -> View.t -> Syscall.request -> Syscall.result
 (** {!execute}, plus the two context switches a userspace supervisor
     pays to enter and leave the kernel for its own call. *)
 
+val read_to_end :
+  (Syscall.request -> Syscall.result) -> int -> chunk:int ->
+  (string, Idbox_vfs.Errno.t) result
+(** [read_to_end call fd ~chunk] issues [Read { fd; len = chunk }]
+    through [call] until one returns no data, and returns what was
+    read.  A file that arrives in one chunk comes back as that chunk,
+    uncopied; a longer one is joined once.  Stops at the first error,
+    and answers [EINVAL] to a reply that is not data. *)
+
 (** {1 Processes} *)
 
 val spawn :

@@ -59,10 +59,10 @@ let stage t data =
   let off = reserve t len in
   (* The supervisor has the channel mapped: staging is a memcpy, not a
      system call. *)
-  ignore (Inode.write t.inode ~off (Bytes.of_string data));
+  ignore (Inode.write t.inode ~off data);
   Kernel.note_channel_copy t.kernel ~bytes:len;
   off
 
 let collect t ~off ~len =
   Kernel.note_channel_copy t.kernel ~bytes:len;
-  Bytes.to_string (Inode.read t.inode ~off ~len)
+  Inode.read t.inode ~off ~len

@@ -134,10 +134,8 @@ let size t =
 
 let read t ~off ~len =
   let s = store t "Inode.read" in
-  if off >= s.len || len <= 0 then Bytes.create 0
-  else
-    let n = min len (s.len - off) in
-    Bytes.sub s.data off n
+  if off >= s.len || len <= 0 then ""
+  else Bytes.sub_string s.data off (min len (s.len - off))
 
 let ensure_capacity s wanted =
   if Bytes.length s.data < wanted then begin
@@ -151,10 +149,10 @@ let ensure_capacity s wanted =
 let write t ~off data =
   if off < 0 then invalid_arg "Inode.write: negative offset";
   let s = store t "Inode.write" in
-  let n = Bytes.length data in
+  let n = String.length data in
   ensure_capacity s (off + n);
   if off > s.len then Bytes.fill s.data s.len (off - s.len) '\000';
-  Bytes.blit data 0 s.data off n;
+  Bytes.blit_string data 0 s.data off n;
   s.len <- max s.len (off + n);
   n
 

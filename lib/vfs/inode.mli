@@ -85,15 +85,15 @@ val pipe_drop_writer : pipe -> unit
 val size : t -> int
 (** Byte length of a regular file; 0 for others. *)
 
-val read : t -> off:int -> len:int -> bytes
-(** [read t ~off ~len] returns up to [len] bytes starting at [off]; the
-    result is shorter at end-of-file, and empty past it.  Raises
-    [Invalid_argument] on directories. *)
+val read : t -> off:int -> len:int -> string
+(** [read t ~off ~len] returns up to [len] bytes starting at [off], in
+    one copy out of the file; the result is shorter at end-of-file, and
+    empty past it.  Raises [Invalid_argument] on directories. *)
 
-val write : t -> off:int -> bytes -> int
-(** [write t ~off data] writes all of [data] at [off], growing the file
-    (zero-filling any gap) and returning the byte count.  Raises
-    [Invalid_argument] on non-regular files. *)
+val write : t -> off:int -> string -> int
+(** [write t ~off data] copies all of [data] into the file at [off] in
+    one blit, growing the file (zero-filling any gap) and returning the
+    byte count.  Raises [Invalid_argument] on non-regular files. *)
 
 val truncate : t -> len:int -> unit
 (** Shrink or zero-extend a regular file to [len]. *)

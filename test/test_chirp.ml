@@ -570,6 +570,32 @@ let lease_serves_and_flushes () =
   Alcotest.(check int) "expired lease goes to the wire" 2
     (Network.total_messages w.net - m1)
 
+(* A get longer than one 64 KB server read, and an empty one, come back
+   byte for byte.  The server makes one open, one read per 64 KB plus
+   the read that finds end of file, and one close; the repeat get is
+   counted so that the name and ACL caches are warm. *)
+let multi_chunk_and_empty_get () =
+  let w = make_world () in
+  let c = connect_fred w in
+  ok "mkdir" (Client.mkdir c "/bulk");
+  List.iter
+    (fun n ->
+      let path = Printf.sprintf "/bulk/f%d" n in
+      let data = String.init n (fun i -> Char.chr ((i + (i / 251)) land 0xff)) in
+      ok "put" (Client.put c ~path ~data);
+      Alcotest.(check bool) "first get exact" true
+        (String.equal data (ok "get" (Client.get c path)));
+      let before = (Kernel.stats w.kernel).Kernel.delegated in
+      let got = ok "get again" (Client.get c path) in
+      let calls = (Kernel.stats w.kernel).Kernel.delegated - before in
+      Alcotest.(check int) (Printf.sprintf "%d bytes back" n) n (String.length got);
+      Alcotest.(check bool) "bytes exact" true (String.equal data got);
+      Alcotest.(check int)
+        (Printf.sprintf "open, reads and close for %d bytes" n)
+        (1 + ((n + 65535) / 65536) + 1 + 1)
+        calls)
+    [ 150_000; 0 ]
+
 let suite =
   [
     Alcotest.test_case "figure 3 full scenario" `Quick figure3_full_scenario;
@@ -592,4 +618,5 @@ let suite =
     Alcotest.test_case "remote mount through box" `Quick remote_mount_through_box;
     Alcotest.test_case "batch one round trip" `Quick batch_one_round_trip;
     Alcotest.test_case "lease serves and flushes" `Quick lease_serves_and_flushes;
+    Alcotest.test_case "multi-chunk and empty get" `Quick multi_chunk_and_empty_get;
   ]

@@ -32,7 +32,11 @@ let wire_rejects_garbage () =
         (* A decode may only succeed if re-encoding gives the input back. *)
         if not (String.equal (Wire.encode fields) text) then
           Alcotest.failf "%S decoded loosely" text)
-    [ "5:ab"; "x:ab"; "3ab"; "-1:"; "2:ab3:c" ]
+    [ "5:ab"; "x:ab"; "3ab"; "-1:"; "2:ab3:c";
+      (* Lengths [encode] never writes: a sign, a radix prefix, an
+         underscore, a leading zero. *)
+      "0x3:abc"; "+3:abc"; "0_3:abc"; "0o3:abc"; "0b11:abc"; "0u3:abc";
+      "03:abc"; "-0:" ]
 
 let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip on arbitrary fields" ~count:300
@@ -42,6 +46,167 @@ let prop_wire_roundtrip =
       match Wire.decode (Wire.encode fields) with
       | Ok decoded -> decoded = fields
       | Error _ -> false)
+
+(* Inputs for the decoder properties: arbitrary strings over an
+   alphabet rich in length syntax, and encodings mangled at one spot —
+   a byte inserted, deleted or replaced, or the tail cut. *)
+let gen_fields =
+  QCheck.Gen.(
+    list_size (int_range 0 5)
+      (string_size ~gen:(oneof [ char_range '0' ':'; printable ]) (int_range 0 30)))
+
+let gen_wire_input =
+  let open QCheck.Gen in
+  let syntax = oneofl [ '0'; '1'; '9'; ':'; '+'; '-'; '_'; 'x'; 'o'; 'b'; 'u'; '\000' ] in
+  let mangled =
+    let* s = map Wire.encode gen_fields in
+    let n = String.length s in
+    let* i = int_range 0 n in
+    let* c = syntax in
+    let* kind = int_range 0 4 in
+    let tail = String.sub s i (n - i) in
+    return
+      (match kind with
+       | 0 -> s
+       | 1 -> String.sub s 0 i ^ String.make 1 c ^ tail
+       | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+       | 3 when i < n -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+       | _ -> String.sub s 0 i)
+  in
+  oneof [ mangled; string_size ~gen:(oneof [ syntax; printable ]) (int_range 0 24) ]
+
+let arb_wire_input = QCheck.make ~print:(Printf.sprintf "%S") gen_wire_input
+
+let prop_decode_canonical =
+  QCheck.Test.make ~name:"wire decode succeeds only on canonical input" ~count:2000
+    arb_wire_input (fun s ->
+      match Wire.decode s with
+      | Ok fields -> String.equal (Wire.encode fields) s
+      | Error _ -> true)
+
+(* A range is decoded exactly as the substring it spans, and never
+   raises: the range decoder is the only parser. *)
+let prop_range_is_substring =
+  QCheck.Test.make ~name:"wire range decode equals substring decode" ~count:2000
+    QCheck.(
+      triple arb_wire_input (make Gen.(int_range 0 8)) (make Gen.(int_range 0 8)))
+    (fun (body, before, after) ->
+      let s = String.make before '7' ^ body ^ String.make after ':' in
+      let len = String.length body in
+      let expected = Wire.decode body in
+      Wire.decode_range s ~pos:before ~len = expected
+      && Result.map
+           (List.map (fun (at, n) -> String.sub s at n))
+           (Wire.spans s ~pos:before ~len)
+         = expected)
+
+(* --- reference oracle ------------------------------------------------- *)
+
+(* The codec and envelope as they were before the sized writer: a
+   growing Buffer per message, the seal as the encoding of
+   [tag; md5 body; body] around an already-encoded body, and a decoder
+   that copies each length out for [int_of_string_opt], to which only
+   the canonical-length rule and an overflow-safe truncation test are
+   added.  Every frame must stay byte-identical to what these give, and
+   every decode error keeps its text, which a server sends back in its
+   reply. *)
+module Oracle = struct
+  let encode fields =
+    let buf = Buffer.create 64 in
+    List.iter
+      (fun field ->
+        Buffer.add_string buf (string_of_int (String.length field));
+        Buffer.add_char buf ':';
+        Buffer.add_string buf field)
+      fields;
+    Buffer.contents buf
+
+  let decode s =
+    let n = String.length s in
+    let rec fields i acc =
+      if i >= n then Ok (List.rev acc)
+      else
+        match String.index_from_opt s i ':' with
+        | None -> Error "missing ':' after field length"
+        | Some j ->
+          let len_text = String.sub s i (j - i) in
+          (match int_of_string_opt len_text with
+           | None -> Error (Printf.sprintf "bad field length %S" len_text)
+           | Some len when len < 0 -> Error "negative field length"
+           | Some len when len > n - (j + 1) -> Error "truncated field"
+           | Some len when not (String.equal (string_of_int len) len_text) ->
+             Error (Printf.sprintf "non-canonical field length %S" len_text)
+           | Some len -> fields (j + 1 + len) (String.sub s (j + 1) len :: acc))
+    in
+    fields 0 []
+
+  let seal tag body = encode [ tag; Digest.string body; body ]
+
+  let credential_fields = function
+    | Credential.Gsi cert ->
+      [ "gsi"; Subject.to_string cert.Ca.subject; cert.Ca.issuer;
+        string_of_int cert.Ca.serial; cert.Ca.signature ]
+    | Credential.Krb ticket ->
+      [ "krb"; ticket.Kerberos.user; ticket.Kerberos.realm;
+        Int64.to_string ticket.Kerberos.issued_at;
+        Int64.to_string ticket.Kerberos.expires_at; ticket.Kerberos.stamp ]
+    | Credential.Unix_account name -> [ "unix"; name ]
+    | Credential.Host host -> [ "host"; host ]
+
+  let rec operation_fields = function
+    | Protocol.Mkdir p -> [ "mkdir"; p ]
+    | Protocol.Rmdir p -> [ "rmdir"; p ]
+    | Protocol.Unlink p -> [ "unlink"; p ]
+    | Protocol.Put { path; data } -> [ "put"; path; data ]
+    | Protocol.Get p -> [ "get"; p ]
+    | Protocol.Stat p -> [ "stat"; p ]
+    | Protocol.Readdir p -> [ "readdir"; p ]
+    | Protocol.Getacl p -> [ "getacl"; p ]
+    | Protocol.Setacl { path; entry } -> [ "setacl"; path; entry ]
+    | Protocol.Rename { src; dst } -> [ "rename"; src; dst ]
+    | Protocol.Exec { path; args; cwd } -> "exec" :: path :: cwd :: args
+    | Protocol.Checksum p -> [ "checksum"; p ]
+    | Protocol.Whoami -> [ "whoami" ]
+    | Protocol.Batch ops -> "batch" :: List.map (fun op -> encode (operation_fields op)) ops
+    | Protocol.Delegated { chain; op } ->
+      "delegated" :: encode (operation_fields op)
+      :: List.map (fun tok -> encode (Idbox_auth.Delegation.token_fields tok)) chain
+    | Protocol.Revoke p -> [ "revoke"; p ]
+    | Protocol.Epoch p -> [ "epoch"; p ]
+
+  let request = function
+    | Protocol.Auth creds ->
+      seal "q" (encode ("auth" :: List.map (fun c -> encode (credential_fields c)) creds))
+    | Protocol.Op { token; req_id; op } ->
+      seal "q" (encode ("op" :: token :: req_id :: operation_fields op))
+
+  let rec response_body = function
+    | Protocol.R_ok -> encode [ "ok" ]
+    | Protocol.R_error (errno, msg) -> encode [ "error"; Errno.to_string errno; msg ]
+    | Protocol.R_auth { token; principal; method_ } ->
+      encode [ "auth"; token; principal; method_ ]
+    | Protocol.R_data data -> encode [ "data"; data ]
+    | Protocol.R_stat { Protocol.ws_kind; ws_size; ws_mtime } ->
+      encode [ "stat"; ws_kind; string_of_int ws_size; Int64.to_string ws_mtime ]
+    | Protocol.R_names names -> encode ("names" :: names)
+    | Protocol.R_exit code -> encode [ "exit"; string_of_int code ]
+    | Protocol.R_str s -> encode [ "str"; s ]
+    | Protocol.R_batch rs -> encode ("batch" :: List.map response_body rs)
+
+  let response r = seal "r" (response_body r)
+end
+
+let prop_decode_matches_oracle =
+  QCheck.Test.make ~name:"wire decode agrees with the reference decoder" ~count:2000
+    arb_wire_input (fun s -> Wire.decode s = Oracle.decode s)
+
+let prop_encode_matches_oracle =
+  QCheck.Test.make ~name:"wire encode and seal match the reference oracle" ~count:500
+    (QCheck.make gen_fields) (fun fields ->
+      String.equal (Wire.encode fields) (Oracle.encode fields)
+      && String.equal
+           (Protocol.encode_response (Protocol.R_names fields))
+           (Oracle.response (Protocol.R_names fields)))
 
 (* --- protocol messages ------------------------------------------------ *)
 
@@ -263,6 +428,75 @@ let malformed_messages_rejected () =
       | Ok _ -> Alcotest.failf "response %S accepted" text)
     [ ""; Wire.encode [ "error"; "EWAT"; "m" ]; Wire.encode [ "exit"; "NaN" ] ]
 
+(* Payload sizes at the edges of the copy path: empty, one byte, and
+   more than one 64 KB server read. *)
+let payloads = [ ""; "\000"; String.init 70_000 (fun i -> Char.chr (i * 31 land 0xff)) ]
+
+let frames_match_oracle () =
+  let ca = Ca.create ~name:"Grid CA" in
+  let tok =
+    Idbox_auth.Delegation.mint ca ~delegator:"globus:/O=Grid/CN=A"
+      ~delegatee:"globus:/O=Grid/CN=B"
+      ~rights:(Idbox_acl.Rights.of_string_exn "rx")
+      ~prefix:"/work" ~now:3L ~ttl_ns:100L ~hops:2 ()
+  in
+  let realm = Kerberos.create ~realm:"R" in
+  Kerberos.add_user realm "u" ~password:"p";
+  let ticket =
+    match Kerberos.login realm ~user:"u" ~password:"p" ~now:5L with
+    | Ok t -> t
+    | Error m -> Alcotest.fail m
+  in
+  let op_of op = Protocol.Op { token = "tok123"; req_id = "tok123#9"; op } in
+  let requests =
+    List.map op_of ops
+    @ List.map (fun data -> op_of (Protocol.Put { path = "/work/p"; data })) payloads
+    @ [
+        op_of (Protocol.Batch ops);
+        op_of (Protocol.Batch []);
+        op_of (Protocol.Delegated { chain = [ tok; tok ]; op = Protocol.Get "/work/x" });
+        op_of (Protocol.Revoke "globus:/O=Grid/CN=A");
+        op_of (Protocol.Epoch "globus:/O=Grid/CN=A");
+        Protocol.Auth [];
+        Protocol.Auth
+          [ Credential.Gsi (Ca.issue ca (Subject.of_string_exn "/O=X/CN=F"));
+            Credential.Krb ticket; Credential.Unix_account "dthain";
+            Credential.Host "laptop.nowhere.edu" ];
+      ]
+  in
+  List.iteri
+    (fun i req ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d" i)
+        (Oracle.request req) (Protocol.encode_request req))
+    requests;
+  let singles =
+    [
+      Protocol.R_ok;
+      Protocol.R_error (Errno.EACCES, "denied");
+      Protocol.R_auth { token = "t"; principal = "globus:/O=X/CN=F"; method_ = "globus" };
+      Protocol.R_stat { Protocol.ws_kind = "file"; ws_size = 70_000; ws_mtime = -7L };
+      Protocol.R_names [ "a"; ""; "c" ];
+      Protocol.R_names [];
+      Protocol.R_exit 255;
+      Protocol.R_str "globus:/O=X/CN=F";
+    ]
+    @ List.map (fun d -> Protocol.R_data d) payloads
+  in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check string)
+        (Printf.sprintf "response %d" i)
+        (Oracle.response r) (Protocol.encode_response r))
+    (singles @ [ Protocol.R_batch singles; Protocol.R_batch [] ])
+
+(* The new properties draw from the chaos seed, so CI's seed loop
+   reruns them under extra seeds. *)
+let seed =
+  match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+  | Some s -> ( try int_of_string s with _ -> 2005)
+  | None -> 2005
+
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick wire_roundtrip_cases;
@@ -276,4 +510,9 @@ let suite =
     Alcotest.test_case "nested batch rejected" `Quick nested_batch_rejected;
     Alcotest.test_case "delegated roundtrip and structural guards" `Quick
       delegated_roundtrip_and_guards;
+    Alcotest.test_case "frames match the reference oracle" `Quick frames_match_oracle;
   ]
+  @ List.map
+      (fun test -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test)
+      [ prop_decode_canonical; prop_range_is_substring; prop_decode_matches_oracle;
+        prop_encode_matches_oracle ]

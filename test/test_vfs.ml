@@ -327,15 +327,15 @@ let mkdir_p_idempotent () =
 
 let inode_offset_io () =
   let ino = Inode.make_file ~ino:1 ~uid:0 ~mode:0o644 ~now:0L in
-  ignore (Inode.write ino ~off:0 (Bytes.of_string "hello world"));
+  ignore (Inode.write ino ~off:0 "hello world");
   Alcotest.(check string) "middle" "world"
-    (Bytes.to_string (Inode.read ino ~off:6 ~len:5));
-  Alcotest.(check string) "past eof" "" (Bytes.to_string (Inode.read ino ~off:100 ~len:5));
+    (Inode.read ino ~off:6 ~len:5);
+  Alcotest.(check string) "past eof" "" (Inode.read ino ~off:100 ~len:5);
   (* Sparse write zero-fills the gap. *)
-  ignore (Inode.write ino ~off:15 (Bytes.of_string "end"));
+  ignore (Inode.write ino ~off:15 "end");
   Alcotest.(check int) "size" 18 (Inode.size ino);
   Alcotest.(check string) "gap zeros" "\000\000\000\000"
-    (Bytes.to_string (Inode.read ino ~off:11 ~len:4));
+    (Inode.read ino ~off:11 ~len:4);
   Inode.truncate ino ~len:5;
   Alcotest.(check string) "truncated" "hello" (Inode.contents ino);
   Inode.truncate ino ~len:8;
@@ -347,10 +347,8 @@ let prop_inode_write_read =
        (QCheck.int_range 0 64))
     (fun (data, off) ->
       let ino = Inode.make_file ~ino:1 ~uid:0 ~mode:0o644 ~now:0L in
-      ignore (Inode.write ino ~off (Bytes.of_string data));
-      String.equal
-        (Bytes.to_string (Inode.read ino ~off ~len:(String.length data)))
-        data)
+      ignore (Inode.write ino ~off data);
+      String.equal (Inode.read ino ~off ~len:(String.length data)) data)
 
 let prop_fs_write_read_roundtrip =
   QCheck.Test.make ~name:"fs whole-file roundtrip" ~count:100
@@ -391,7 +389,7 @@ let generation_table () =
   let in_place path fs =
     let flags = { Fs.rdonly with rd = false; wr = true } in
     Result.map
-      (fun inode -> ignore (Inode.write inode ~off:0 (Bytes.of_string "unix:* r")))
+      (fun inode -> ignore (Inode.write inode ~off:0 "unix:* r"))
       (Fs.open_file fs ~uid:0 ~flags ~mode:0 path)
   in
   (* call, its action on the fixture,
