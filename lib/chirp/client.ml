@@ -287,8 +287,8 @@ let call t op =
 (* {1 Prepared exchanges}
 
    The raw halves of one idempotent exchange, for callers that drive
-   the network themselves (the cluster router's hedged reads issue
-   several prepared requests concurrently via [Network.submit]).
+   the network themselves (benchmarks and tests that issue many
+   prepared requests concurrently via [Network.submit]).
    Idempotent operations carry no request ID, so preparing is pure:
    the same operation prepares to the same bytes, and sending it twice
    is harmless by construction. *)

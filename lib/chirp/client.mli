@@ -137,11 +137,10 @@ val batch : t -> Protocol.operation list -> Protocol.response list r
 (** {1 Prepared exchanges}
 
     The raw halves of one exchange, for callers that drive the network
-    themselves — the cluster router submits several prepared requests
-    concurrently ({!Idbox_net.Network.submit}) to hedge a read across
-    replicas.  Only idempotent operations belong here: they carry no
-    request ID, so preparing is pure and sending the same bytes twice
-    is harmless by construction. *)
+    themselves — benchmarks and tests that submit many prepared
+    requests concurrently ({!Idbox_net.Network.submit}).  Idempotent
+    operations belong here: they carry no request ID, so preparing is
+    pure and sending the same bytes twice is harmless by construction. *)
 
 val prepare : t -> Protocol.operation -> string
 (** The wire payload of [op] under this session's token, with no

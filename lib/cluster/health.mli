@@ -12,8 +12,8 @@
     sampling is explicit ({!observe}), never background. *)
 
 type level =
-  | Healthy  (** Full member: takes reads, writes, hedges. *)
-  | Degraded  (** Under pressure: avoid hedging onto it. *)
+  | Healthy  (** Full member: takes reads and writes. *)
+  | Degraded  (** Under pressure: still serving, scored down. *)
   | Unhealthy  (** Shedding or near-dead: candidate for replacement. *)
 
 val level_name : level -> string

@@ -29,7 +29,7 @@ let metric t m =
 let call t ~addr payload =
   Network.call (Replica.net t.rp_node)
     ~src:(Replica.src t.rp_node)
-    ~timeout_ns:(Replica.fwd_timeout_ns t.rp_node)
+    ~timeout_ns:Replica.fwd_timeout_ns
     ~addr:(Replica.repl_addr addr) payload
 
 (* The replica set responsible for a key under the node's current ring.

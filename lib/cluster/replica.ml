@@ -42,6 +42,17 @@ let decode_entries blobs =
 
 (* {1 The attached node} *)
 
+(* A node re-reads the catalog at most this often to track membership. *)
+let refresh_interval_ns = 5_000_000_000L
+
+(* Forwards and the node's own catalog polls wait this long: an
+   intra-cluster LAN budget, so a partitioned peer or catalog costs
+   bounded time per mutation. *)
+let fwd_timeout_ns = 50_000_000L
+
+(* The most entries the pending-repair set holds. *)
+let pending_cap = 64
+
 (* A shard key known (or suspected) to be diverged on some peer: the
    anti-entropy pass checks these first, without waiting for its sweep
    cadence.  Fed by forward failures and by untrusted hints. *)
@@ -60,11 +71,8 @@ type node = {
   nd_membership : Membership.t;
   nd_replicas : int;
   nd_vnodes : int;
-  nd_refresh_ns : int64;
-  nd_fwd_timeout_ns : int64;
   nd_trace : Trace.ring option;
   nd_pending : (string, pending) Hashtbl.t;  (* keyed on key ^ "@" ^ peer *)
-  nd_pending_cap : int;
   (* Per-peer circuit breakers on the forward path: a peer that keeps
      timing out is skipped (straight to the pending-repair set) instead
      of charging every mutation a forward timeout. *)
@@ -80,7 +88,6 @@ let membership node = node.nd_membership
 let src node = node.nd_src
 let net node = node.nd_net
 let replicas node = node.nd_replicas
-let fwd_timeout_ns node = node.nd_fwd_timeout_ns
 
 let metric node m =
   Metrics.incr (Metrics.counter (Network.metrics node.nd_net) m)
@@ -103,7 +110,7 @@ let note_pending_admitted node ~key ~peer ~errno =
       { pd_key = key; pd_peer = peer; pd_errno = errno };
     true
   end
-  else if Hashtbl.length node.nd_pending >= node.nd_pending_cap then begin
+  else if Hashtbl.length node.nd_pending >= pending_cap then begin
     metric node "cluster.repair.pending.drop";
     false
   end
@@ -161,7 +168,7 @@ let maybe_refresh node =
   let now = Clock.now (Network.clock node.nd_net) in
   if
     Ring.is_empty node.nd_ring
-    || Int64.sub now node.nd_last_refresh >= node.nd_refresh_ns
+    || Int64.sub now node.nd_last_refresh >= refresh_interval_ns
   then begin
     node.nd_last_refresh <- now;
     match Membership.refresh node.nd_membership with
@@ -227,7 +234,7 @@ let forward node ~identity op =
               ( peer,
                 t0,
                 Network.submit node.nd_net ~src:node.nd_src
-                  ~timeout_ns:node.nd_fwd_timeout_ns ~addr:(repl_addr addr)
+                  ~timeout_ns:fwd_timeout_ns ~addr:(repl_addr addr)
                   payload )
           end)
       peers
@@ -335,8 +342,7 @@ let handle node payload =
   | Ok _ | Error _ -> Wire.encode [ "error"; "EINVAL" ]
 
 let attach ~net ~server ~name ~catalog ?(replicas = 2) ?(vnodes = 64)
-    ?(refresh_interval_ns = 5_000_000_000L) ?(fwd_timeout_ns = 50_000_000L)
-    ?(pending_cap = 64) ?trace () =
+    ?trace () =
   let addr = Server.addr server in
   let src = Fault.host_of addr in
   let node =
@@ -349,11 +355,8 @@ let attach ~net ~server ~name ~catalog ?(replicas = 2) ?(vnodes = 64)
       nd_membership = Membership.create ~src ~timeout_ns:fwd_timeout_ns net ~catalog;
       nd_replicas = max 1 replicas;
       nd_vnodes = vnodes;
-      nd_refresh_ns = refresh_interval_ns;
-      nd_fwd_timeout_ns = fwd_timeout_ns;
       nd_trace = trace;
       nd_pending = Hashtbl.create 16;
-      nd_pending_cap = max 1 pending_cap;
       nd_breakers = Hashtbl.create 8;
       nd_ring = Ring.create ~vnodes [];
       nd_last_refresh = Int64.min_int;

@@ -54,9 +54,6 @@ val attach :
   catalog:string ->
   ?replicas:int ->
   ?vnodes:int ->
-  ?refresh_interval_ns:int64 ->
-  ?fwd_timeout_ns:int64 ->
-  ?pending_cap:int ->
   ?trace:Idbox_kernel.Trace.ring ->
   unit ->
   node
@@ -64,11 +61,10 @@ val attach :
     listen on the replication endpoint and start forwarding mutations.
     [replicas] (default 2) is the replica-set size R; [vnodes] (default
     64) must match the routers'.  The node re-reads the catalog at most
-    every [refresh_interval_ns] (default 5 s) to track membership;
-    forwards and the node's own catalog polls use the short
-    [fwd_timeout_ns] (default 50 ms, an intra-cluster LAN budget) so a
-    partitioned peer or catalog costs bounded time per mutation.
-    [pending_cap] (default 64) bounds the pending-repair set. *)
+    every 5 s to track membership; forwards and the node's own catalog
+    polls use the short {!fwd_timeout_ns} so a partitioned peer or
+    catalog costs bounded time per mutation.  The pending-repair set
+    holds at most 64 entries. *)
 
 val detach : node -> unit
 (** Stop forwarding and close the replication endpoint. *)
@@ -80,18 +76,20 @@ val membership : node -> Membership.t
 val src : node -> string
 val net : node -> Idbox_net.Network.t
 val replicas : node -> int
-val fwd_timeout_ns : node -> int64
+val fwd_timeout_ns : int64
+(** 50 ms: the intra-cluster LAN budget for forwards, catalog polls and
+    anti-entropy exchanges. *)
 
 (** {1 The pending-repair set}
 
     Shard keys known or suspected to be diverged somewhere, so
     anti-entropy can check them {e before} its sweep cadence comes
     around.  Fed by two sources: a failed forward records the failing
-    member and errno; an untrusted ["hint"] (e.g. from a router that
-    saw a hedged read fail over) records the key alone.  Bounded at
-    [pending_cap] — under a long partition every forward fails, and the
-    cadence sweep covers every key regardless; overflow just loses
-    priority, counted as [cluster.repair.pending.drop]. *)
+    member and errno; an untrusted ["hint"] (e.g. from a router whose
+    read failed over) records the key alone.  Bounded at 64 entries —
+    under a long partition every forward fails, and the cadence sweep
+    covers every key regardless; overflow just loses priority, counted
+    as [cluster.repair.pending.drop]. *)
 
 val note_pending : node -> key:string -> peer:string -> errno:string -> unit
 (** Record a suspect [(key, peer)] pair ([peer = ""] when unknown).

@@ -8,19 +8,23 @@
     cluster-wide: if two shards negotiate {e different} principals for
     the same credentials, the router refuses to proceed ([EPERM],
     counted as [cluster.identity.mismatch]) — one global identity, or
-    no service.  Reads fail over between a shard's replicas on
-    transport faults (hedged, counted as [cluster.failover]); writes go
-    to the primary, whose server-side hook fans them out (see
-    {!Replica}).  When a primary is unreachable, the router re-reads
-    the catalog, rebalances the affected ranges, and retries once on
-    the new ring ([cluster.route.retry]).
+    no service.  Reads sweep a shard's replicas in ring order, failing
+    over to the next on a transport fault ([cluster.failover]); writes
+    go to the primary, whose server-side hook fans them out (see
+    {!Replica}).  Every exchange feeds the node's circuit breaker, and
+    a read skips a node whose breaker is open ([cluster.breaker.skip])
+    — unless every owner is skipped, when one request is forced at the
+    primary anyway ([cluster.breaker.forced]).  When every owner is out
+    of reach, the router re-reads the catalog, rebalances the affected
+    ranges, and retries once on the new ring ([cluster.route.retry]).
 
-    A hedged read that succeeds only after failing over also sends the
-    key's primary an untrusted repair {e hint}
-    ([cluster.read_repair.hint]): some copy of that key is unreachable
-    or behind, so the primary schedules a digest check of its replicas
-    (see {!Repair}).  The hint carries no data — the primary verifies
-    divergence itself — so the router never becomes a write path.
+    A read that succeeds only after failing over also sends the key's
+    primary an untrusted repair {e hint} ([cluster.read_repair.hint])
+    and does not wait for its answer: some copy of that key is
+    unreachable or behind, so the primary schedules a digest check of
+    its replicas (see {!Repair}).  The hint carries no data — the
+    primary verifies divergence itself — so the router never becomes a
+    write path.
 
     Every routing decision is counted ([cluster.route],
     [cluster.route.<node>]) and spanned in the trace ring when one is
@@ -39,7 +43,6 @@ val connect :
   ?policy:Idbox_chirp.Client.retry_policy ->
   ?replicas:int ->
   ?vnodes:int ->
-  ?hedge_ns:int64 ->
   ?trace:Idbox_kernel.Trace.ring ->
   Idbox_net.Network.t ->
   catalog:string ->
@@ -50,19 +53,7 @@ val connect :
     everywhere.  Fails when the catalog is unreachable, no servers are
     advertised, or the identity invariant does not hold.  [replicas]
     (default 2) and [vnodes] (default 64) must match the values the
-    nodes were attached with.
-
-    [hedge_ns], when given, turns reads into {e concurrently} hedged
-    exchanges: the prepared request ({!Idbox_chirp.Client.prepare})
-    goes to the key's primary immediately, and if no answer has
-    arrived [hedge_ns] later the identical read launches on the next
-    replica ([cluster.hedge.launched]) — first success wins.  The
-    losing leg is abandoned, never cancelled: its reply is discarded
-    when it straggles in ([cluster.hedge.late]) and balances the
-    in-flight gauge exactly once.  Anything the hedged path cannot
-    settle — no negotiated session yet, a stale token — falls back to
-    the serial failover sweep.  Without [hedge_ns] reads fail over
-    serially, as before. *)
+    nodes were attached with. *)
 
 val principal : t -> string
 (** The single cluster-wide principal, verified across all shards. *)
@@ -83,18 +74,8 @@ val routes : t -> int
 (** Routing decisions made so far. *)
 
 val failovers : t -> int
-(** Hedged read failovers so far. *)
-
-val inflight : t -> int
-(** Hedge legs currently in flight (including abandoned losers whose
-    replies have not yet been reaped).  Returns to [0] once the world
-    quiesces and {!reap} has observed every straggler. *)
-
-val reap : t -> unit
-(** Observe abandoned hedge legs that have completed since: their
-    replies are discarded ([cluster.hedge.late]) and the in-flight
-    gauge balanced.  Runs implicitly at the head of every read; tests
-    call it after pumping the network to assert quiescence. *)
+(** Read failovers so far: owners a read moved past, whether they
+    failed in transport or were skipped by an open breaker. *)
 
 (** {1 The Chirp client API, routed} *)
 
@@ -110,10 +91,11 @@ val setacl : t -> path:string -> entry:string -> unit r
 
 val read_repair_hint : t -> string -> unit
 (** Nudge [key]'s primary to digest-check its replicas (the router
-    sends this itself after a read that needed failover).  Bounded and
-    deduped: at most one hint per key per two retry-timeout windows and
-    at most 16 distinct keys in flight — a flapping link cannot grow
-    the replica's pending set without limit.  Suppressed hints count
+    sends this itself after a read that needed failover), without
+    waiting for the answer.  Bounded and deduped: at most one hint per
+    key per two retry-timeout windows and at most 16 distinct keys
+    outstanding — a flapping link cannot grow the replica's pending set
+    without limit.  Suppressed hints count
     [cluster.repair.hint_dropped]; sent ones
     [cluster.read_repair.hint].  Exposed for tests. *)
 

@@ -36,7 +36,6 @@ type t = {
   w_replicas : int;
   w_vnodes : int;
   w_hb_interval_ns : int64;
-  w_refresh_ns : int64;
   w_repair_ns : int64;
   w_trace : Trace.ring option;
   mutable w_members : member list;
@@ -60,7 +59,6 @@ let default_root_acl =
    universe, exactly as before. *)
 let create ?clock ?net ?ca ?(catalog_addr = catalog_address) ?staleness_ns
     ?(heartbeat_interval_ns = 60_000_000_000L)
-    ?(refresh_interval_ns = 5_000_000_000L)
     ?(repair_interval_ns = 30_000_000_000L) ?(replicas = 2) ?(vnodes = 64)
     ?(root_acl = default_root_acl) ?trace () =
   let clock =
@@ -82,7 +80,6 @@ let create ?clock ?net ?ca ?(catalog_addr = catalog_address) ?staleness_ns
     w_replicas = max 1 replicas;
     w_vnodes = vnodes;
     w_hb_interval_ns = heartbeat_interval_ns;
-    w_refresh_ns = refresh_interval_ns;
     w_repair_ns = repair_interval_ns;
     w_trace = trace;
     w_members = [];
@@ -144,8 +141,7 @@ let add_node ?acceptor t ~host =
          let replica =
            Replica.attach ~net:t.w_net ~server ~name
              ~catalog:(Catalog.addr t.w_catalog)
-             ~replicas:t.w_replicas ~vnodes:t.w_vnodes
-             ~refresh_interval_ns:t.w_refresh_ns ?trace:t.w_trace ()
+             ~replicas:t.w_replicas ~vnodes:t.w_vnodes ?trace:t.w_trace ()
          in
          let m =
            {
@@ -238,7 +234,7 @@ let delegate ?(ttl_ns = 3_600_000_000_000L) ?(hops = 4) ?epoch t ~delegator
     ~delegatee:(principal_of delegatee) ~rights ~prefix
     ~now:(Clock.now t.w_clock) ~ttl_ns ~hops ?epoch ()
 
-let connect ?src ?policy ?hedge_ns t ~credentials =
+let connect ?src ?policy t ~credentials =
   Router.connect ?src ?policy ~replicas:t.w_replicas ~vnodes:t.w_vnodes
-    ?hedge_ns ?trace:t.w_trace t.w_net ~catalog:(Catalog.addr t.w_catalog)
+    ?trace:t.w_trace t.w_net ~catalog:(Catalog.addr t.w_catalog)
     ~credentials

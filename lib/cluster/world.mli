@@ -18,7 +18,6 @@ val create :
   ?catalog_addr:string ->
   ?staleness_ns:int64 ->
   ?heartbeat_interval_ns:int64 ->
-  ?refresh_interval_ns:int64 ->
   ?repair_interval_ns:int64 ->
   ?replicas:int ->
   ?vnodes:int ->
@@ -134,10 +133,8 @@ val delegate :
 val connect :
   ?src:string ->
   ?policy:Idbox_chirp.Client.retry_policy ->
-  ?hedge_ns:int64 ->
   t ->
   credentials:Idbox_auth.Credential.t list ->
   (Router.t, string) result
 (** {!Router.connect} against this world's catalog, with the world's
-    replica count, vnode count and trace ring.  [hedge_ns] enables
-    concurrently hedged reads (see {!Router.connect}). *)
+    replica count, vnode count and trace ring. *)

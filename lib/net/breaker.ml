@@ -16,18 +16,16 @@ type t = {
   br_subject : string;
   br_threshold : int;
   br_reset_ns : int64;
-  br_probe_budget : int;
   br_on_transition : (string -> state -> unit) option;
   mutable br_state : state;
   mutable br_failures : int;  (* consecutive failures while closed *)
   mutable br_opened_at : int64;
-  mutable br_probes_left : int;  (* probe grants remaining while half-open *)
   mutable br_last_errno : Errno.t;
   mutable br_trips : int;
 }
 
-let create ?(threshold = 3) ?(reset_ns = 500_000_000L) ?(probe_budget = 1)
-    ?(prefix = "breaker") ?on_transition ~clock ~metrics subject =
+let create ?(threshold = 3) ?(reset_ns = 500_000_000L) ?(prefix = "breaker")
+    ?on_transition ~clock ~metrics subject =
   {
     br_clock = clock;
     br_metrics = metrics;
@@ -35,12 +33,10 @@ let create ?(threshold = 3) ?(reset_ns = 500_000_000L) ?(probe_budget = 1)
     br_subject = subject;
     br_threshold = max 1 threshold;
     br_reset_ns = Int64.max 1L reset_ns;
-    br_probe_budget = max 1 probe_budget;
     br_on_transition = on_transition;
     br_state = Closed;
     br_failures = 0;
     br_opened_at = 0L;
-    br_probes_left = 0;
     br_last_errno = Errno.EHOSTUNREACH;
     br_trips = 0;
   }
@@ -74,11 +70,10 @@ let allow t =
   | Open ->
     if Int64.sub (Clock.now t.br_clock) t.br_opened_at >= t.br_reset_ns
     then begin
-      (* Reset window elapsed: go half-open and spend the first probe on
+      (* Reset window elapsed: go half-open and spend the one probe on
          this very request. *)
       metric t "half_open";
       transition t Half_open;
-      t.br_probes_left <- t.br_probe_budget - 1;
       metric t "probe";
       true
     end
@@ -87,15 +82,9 @@ let allow t =
       false
     end
   | Half_open ->
-    if t.br_probes_left > 0 then begin
-      t.br_probes_left <- t.br_probes_left - 1;
-      metric t "probe";
-      true
-    end
-    else begin
-      metric t "short_circuit";
-      false
-    end
+    (* The probe is out: everything else waits for its verdict. *)
+    metric t "short_circuit";
+    false
 
 let success t =
   match t.br_state with

@@ -7,14 +7,15 @@
     trip the breaker open; for [reset_ns] thereafter {!allow} refuses
     ({e short-circuits}) so the caller can skip the peer instead of
     waiting out another timeout.  Once the window elapses the breaker
-    goes {e half-open} and grants [probe_budget] trial requests: one
-    success closes it, one failure re-opens it with a fresh window.
+    goes {e half-open} and grants one trial request, the probe: its
+    success closes the breaker, its failure re-opens it with a fresh
+    window, and every other request short-circuits until then.
 
     Deliberately not a retry policy: the breaker never sleeps, never
     retries, and holds no request state.  It is a memory of recent
-    failure shared by all requests to one peer, so hedged reads,
-    replica fan-out and failover sweeps can skip known-bad nodes and
-    still probe them back to health.
+    failure shared by all requests to one peer, so replica fan-out and
+    failover sweeps can skip known-bad nodes and still probe them back
+    to health.
 
     Every decision is counted under [<prefix>.<event>]:
     [open] (tripped), [half_open], [probe], [close], [short_circuit].
@@ -30,7 +31,6 @@ type t
 val create :
   ?threshold:int ->
   ?reset_ns:int64 ->
-  ?probe_budget:int ->
   ?prefix:string ->
   ?on_transition:(string -> state -> unit) ->
   clock:Idbox_kernel.Clock.t ->
@@ -40,11 +40,10 @@ val create :
 (** [create ~clock ~metrics subject] — [subject] names the guarded
     peer (for transition callbacks and debugging).  [threshold]
     (default 3) consecutive failures trip open; [reset_ns] (default
-    500 ms) is the open window; [probe_budget] (default 1) bounds
-    half-open trial requests; [prefix] (default ["breaker"]) namespaces
-    the counters.  [on_transition] fires on every state change with
-    the subject and the new state — how callers span transitions into
-    their trace ring. *)
+    500 ms) is the open window; [prefix] (default ["breaker"])
+    namespaces the counters.  [on_transition] fires on every state
+    change with the subject and the new state — how callers span
+    transitions into their trace ring. *)
 
 val state : t -> state
 val subject : t -> string

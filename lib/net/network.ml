@@ -300,10 +300,10 @@ let respond t conn response =
   let addr = conn.cn_addr in
   match tok.tk_result with
   | Some _ ->
-    (* The caller gave up (timeout, or a hedged race it lost) before
-       this response left the server: discard it without burning any
-       fault RNG — lateness is deterministic, the stream must be too.
-       The server still did the work, so it still gets charged. *)
+    (* The caller gave up (its timeout fired) before this response left
+       the server: discard it without burning any fault RNG — lateness
+       is deterministic, the stream must be too.  The server still did
+       the work, so it still gets charged. *)
     charge_busy t conn 0L;
     note_late t addr
   | None ->

@@ -5,10 +5,8 @@
    [Server.handle] dispatch (byte-identical requests and responses,
    identical WAL modulo done-record timestamps, identical chirp counters
    modulo async bookkeeping and group-commit syncs);
-   the session-slot churn regression (a session expiring or crashing
-   mid-batch releases its slot exactly once); and hedged-read late
-   replies (the losing leg's straggler is discarded, never counted as
-   a result, and balances the in-flight gauge exactly once). *)
+   and the session-slot churn regression (a session expiring or
+   crashing mid-batch releases its slot exactly once). *)
 
 module Clock = Idbox_kernel.Clock
 module Kernel = Idbox_kernel.Kernel
@@ -17,7 +15,6 @@ module Metrics = Idbox_kernel.Metrics
 module Sysent = Idbox_kernel.Sysent
 module Syscall = Idbox_kernel.Syscall
 module Network = Idbox_net.Network
-module Fault = Idbox_net.Fault
 module Ca = Idbox_auth.Ca
 module Credential = Idbox_auth.Credential
 module Negotiate = Idbox_auth.Negotiate
@@ -26,8 +23,6 @@ module Client = Idbox_chirp.Client
 module Protocol = Idbox_chirp.Protocol
 module Wal = Idbox_chirp.Wal
 module Wire = Idbox_chirp.Wire
-module Router = Idbox_cluster.Router
-module Cworld = Idbox_cluster.World
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
@@ -401,69 +396,6 @@ let slot_churn () =
   Alcotest.(check string) "recovery kept the durable put" "survives"
     (ok "get after restart" (Client.get (connect w) "/late"))
 
-(* --- hedged-read late replies (the regression) ----------------------- *)
-
-let hedge_late_reply () =
-  List.iter
-    (fun seed ->
-      let w = Cworld.create () in
-      List.iter
-        (fun h -> ok_s "add_node" (Cworld.add_node w ~host:h))
-        [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ];
-      Cworld.settle w;
-      let r =
-        ok_s "router"
-          (Cworld.connect w ~hedge_ns:200_000L
-             ~credentials:[ Cworld.issue w "Alice" ])
-      in
-      ok "mkdir" (Router.mkdir r "/h");
-      ok "put" (Router.put r ~path:"/h/hot" ~data:"payload");
-      Network.pump (Cworld.net w);
-      let primary = Option.get (Router.node_for r "/h/hot") in
-      (* Delay — never drop — everything to the primary: its replies
-         straggle in long after the hedge has won. *)
-      Network.set_fault_plan (Cworld.net w)
-        (Fault.plan ~seed:(Int64.of_int seed)
-           ~per_endpoint:
-             [
-               ( primary ^ ".grid.edu:9094",
-                 Fault.profile ~jitter:1.0 ~max_jitter_ns:50_000_000L () );
-             ]
-           ());
-      let m name = Metrics.counter_value_of (Network.metrics (Cworld.net w)) name in
-      let launched0 = m "cluster.hedge.launched" in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: hedged read is correct" seed)
-        "payload" (ok "get" (Router.get r "/h/hot"));
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: hedge launched" seed)
-        true
-        (m "cluster.hedge.launched" > launched0);
-      (* The loser's delayed reply: drain it, then reap.  It must be
-         discarded as late — never surfaced as a result — and the
-         in-flight gauge must return to zero, not go negative via a
-         double decrement. *)
-      Network.pump (Cworld.net w);
-      Router.reap r;
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: straggler discarded as late" seed)
-        true
-        (m "cluster.hedge.late" >= 1);
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: in-flight gauge balanced" seed)
-        0 (Router.inflight r);
-      (* The answer a straggler carried never leaks into a later read. *)
-      Network.clear_fault_plan (Cworld.net w);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: subsequent read unpolluted" seed)
-        "payload" (ok "get2" (Router.get r "/h/hot"));
-      Network.pump (Cworld.net w);
-      Router.reap r;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: still balanced" seed)
-        0 (Router.inflight r))
-    [ 3; 11; 27 ]
-
 let suite =
   [
     Alcotest.test_case "sysent table shape" `Quick sysent_table_shape;
@@ -475,6 +407,4 @@ let suite =
     Alcotest.test_case "sync/async byte-identical wire exchanges" `Quick
       raw_byte_equivalence;
     Alcotest.test_case "session slots survive churn" `Quick slot_churn;
-    Alcotest.test_case "hedged-read stragglers discarded" `Quick
-      hedge_late_reply;
   ]

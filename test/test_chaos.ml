@@ -655,9 +655,9 @@ let cluster_chaos_run () =
   Alcotest.(check bool) "drops injected" true (c "net.drop" > 0);
   Alcotest.(check bool) "isolated node ejected" true
     (c "cluster.member.leave" > 0);
-  (* (Hedged-read failover has its own dedicated test in the cluster
-     suite; here the ejection usually reroutes before a read needs to
-     hedge.) *)
+  (* (Read failover has its own dedicated test in the cluster suite;
+     here the ejection usually reroutes before a read needs to fail
+     over.) *)
   Alcotest.(check bool) "writes replicated" true (c "cluster.replicate" > 0);
   ( transcript,
     Metrics.to_json (Network.metrics (World.net w)),

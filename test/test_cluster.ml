@@ -1,12 +1,16 @@
 (* The cluster layer end to end: identity-aware routing over the
    consistent-hash ring, write-through-primary replication carrying the
-   caller's principal, hedged read failover, lease-driven ejection and
-   re-admission, rebalance locality, and the cluster-wide
-   consistency-of-identity invariant. *)
+   caller's principal, read failover, lease-driven ejection and
+   re-admission, rebalance locality, the cluster-wide
+   consistency-of-identity invariant, and one pin for each branch of
+   the router's request path (breaker skip and forced probe, retry
+   after sync, write-path breaker feed, identity mismatch, a slow but
+   live primary, and a repair hint nobody waits for). *)
 
 module Clock = Idbox_kernel.Clock
 module Metrics = Idbox_kernel.Metrics
 module Network = Idbox_net.Network
+module Fault = Idbox_net.Fault
 module Credential = Idbox_auth.Credential
 module Negotiate = Idbox_auth.Negotiate
 module Server = Idbox_chirp.Server
@@ -106,7 +110,7 @@ let routing_shards_and_replicates () =
     (counter w "cluster.replicate" > 0);
   Alcotest.(check bool) "routing counted" true (counter w "cluster.route" > 0)
 
-(* Crash a shard's primary: reads hedge over to the replica and still
+(* Crash a shard's primary: reads fail over to the replica and still
    answer; the failover is counted. *)
 let reads_fail_over_on_crash () =
   let w = three_node_world () in
@@ -120,6 +124,13 @@ let reads_fail_over_on_crash () =
   Alcotest.(check bool) "failover counted" true (Router.failovers r > 0);
   Alcotest.(check bool) "failover metric" true (counter w "cluster.failover" > 0)
 
+(* A shard that does not trust the CA: it falls back to the hostname
+   credential and negotiates a different principal. *)
+let hostname_only =
+  Negotiate.acceptor
+    ~host_ok:(fun h -> Idbox_identity.Wildcard.literal_matches "*.grid.edu" h)
+    ()
+
 (* The paper's consistency-of-identity invariant, cluster-wide: if one
    shard negotiates a different principal for the same credentials, the
    router refuses service rather than act under two names. *)
@@ -128,13 +139,6 @@ let identity_mismatch_refused () =
   (match World.add_node w ~host:"alpha.grid.edu" with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
-  (* beta does not trust the CA: it will fall back to the hostname
-     credential and negotiate a different principal. *)
-  let hostname_only =
-    Negotiate.acceptor
-      ~host_ok:(fun h -> Idbox_identity.Wildcard.literal_matches "*.grid.edu" h)
-      ()
-  in
   (match World.add_node ~acceptor:hostname_only w ~host:"beta.grid.edu" with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
@@ -310,6 +314,230 @@ let read_repair_hints_bounded_and_deduped () =
   Alcotest.(check bool) "in-flight hints capped" true (sent () <= 17);
   Alcotest.(check bool) "overflow counted" true (dropped () > 4)
 
+(* {1 The router's request path, branch by branch} *)
+
+let addr_of name = name ^ ".grid.edu:9094"
+
+(* A shard key's owners, primary first, as the router's ring sees them. *)
+let owners_of w key =
+  Ring.successors (Ring.create (World.members w)) key (World.replicas w)
+
+let calls w name =
+  match Network.stats (World.net w) ~addr:(addr_of name) with
+  | Some st -> st.Network.calls
+  | None -> 0
+
+let expect_errno ctx want = function
+  | Error e when e = want -> ()
+  | Error e ->
+    Alcotest.failf "%s: want %s, got %s" ctx (Errno.to_string want)
+      (Errno.to_string e)
+  | Ok _ -> Alcotest.failf "%s: want %s, got an answer" ctx (Errno.to_string want)
+
+(* Every owner's breaker open: the sweep skips both, then forces exactly
+   one request at the primary and returns that request's verdict — a
+   breaker may reorder who pays the timeouts, never brick a key.  One
+   attempt per client call keeps the clock still, so the breakers stay
+   inside their reset window. *)
+let forced_probe_when_every_breaker_open () =
+  let w = three_node_world () in
+  let r =
+    match
+      World.connect w
+        ~policy:{ Client.default_policy with Client.max_attempts = 1 }
+        ~credentials:[ World.issue w "Alice" ]
+    with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  ok "mkdir" (Router.mkdir r "/f0");
+  ok "put" (Router.put r ~path:"/f0/x" ~data:"forced");
+  let primary, secondary =
+    match owners_of w "f0" with
+    | [ p; s ] -> (p, s)
+    | _ -> Alcotest.fail "two owners"
+  in
+  List.iter
+    (fun n -> Network.crash (World.net w) ~addr:(addr_of n))
+    [ primary; secondary ];
+  (* Each read feeds each owner two failures (the sweep, then the
+     sweep after sync): the second read trips both breakers. *)
+  for _ = 1 to 2 do
+    expect_errno "read with both owners down" Errno.ECONNREFUSED
+      (Router.get r "/f0/x")
+  done;
+  Alcotest.(check int) "both breakers open" 2 (counter w "cluster.breaker.open");
+  Network.restart (World.net w) ~addr:(addr_of primary);
+  let forced0 = counter w "cluster.breaker.forced" in
+  let skips0 = counter w "cluster.breaker.skip" in
+  let p0 = calls w primary and s0 = calls w secondary in
+  Alcotest.(check string) "the forced request's verdict" "forced"
+    (ok "get" (Router.get r "/f0/x"));
+  Alcotest.(check int) "one forced request" (forced0 + 1)
+    (counter w "cluster.breaker.forced");
+  Alcotest.(check int) "both owners skipped first" (skips0 + 2)
+    (counter w "cluster.breaker.skip");
+  Alcotest.(check int) "it went to the primary" (p0 + 1) (calls w primary);
+  Alcotest.(check int) "nothing reached the secondary" s0 (calls w secondary)
+
+(* Every owner unreachable: the sweep fails over, finds nobody, re-reads
+   the catalog once and sweeps again, then surfaces the transport
+   errno. *)
+let every_owner_unreachable () =
+  let w = three_node_world () in
+  let r = connect_alice w in
+  ok "mkdir" (Router.mkdir r "/u0");
+  ok "put" (Router.put r ~path:"/u0/x" ~data:"v");
+  List.iter (World.crash w) (owners_of w "u0");
+  let retries0 = counter w "cluster.route.retry" in
+  expect_errno "read with every owner crashed" Errno.ECONNREFUSED
+    (Router.get r "/u0/x");
+  Alcotest.(check int) "one retry after sync" (retries0 + 1)
+    (counter w "cluster.route.retry")
+
+(* A write to an unreachable primary retries once after sync, fails with
+   the transport errno, and feeds the primary's breaker: the read that
+   follows adds one failure of its own and trips it. *)
+let write_to_unreachable_primary () =
+  let w = three_node_world () in
+  let r = connect_alice w in
+  ok "mkdir" (Router.mkdir r "/w0");
+  ok "put" (Router.put r ~path:"/w0/x" ~data:"kept");
+  let primary = List.hd (owners_of w "w0") in
+  World.crash w primary;
+  let retries0 = counter w "cluster.route.retry" in
+  expect_errno "write to a crashed primary" Errno.ECONNREFUSED
+    (Router.put r ~path:"/w0/y" ~data:"lost");
+  Alcotest.(check int) "one retry after sync" (retries0 + 1)
+    (counter w "cluster.route.retry");
+  Alcotest.(check int) "breaker still closed" 0 (counter w "cluster.breaker.open");
+  Alcotest.(check string) "read fails over to the replica" "kept"
+    (ok "get" (Router.get r "/w0/x"));
+  Alcotest.(check int) "the write's failures counted toward the trip" 1
+    (counter w "cluster.breaker.open")
+
+(* A member that joins after connect and negotiates a different
+   principal for the router's credentials is refused call by call:
+   reads and writes routed to it answer EPERM, the mismatch is counted,
+   and — the node being up — its breaker never opens. *)
+let mismatch_on_member_added_after_connect () =
+  let w = World.create () in
+  List.iter
+    (fun h ->
+      match World.add_node w ~host:h with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ "alpha.grid.edu"; "gamma.grid.edu" ];
+  World.settle w;
+  let r =
+    match
+      World.connect w
+        ~credentials:[ World.issue w "Alice"; Credential.Host "visitor.grid.edu" ]
+    with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  (match World.add_node ~acceptor:hostname_only w ~host:"beta.grid.edu" with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  World.settle w;
+  Router.sync r;
+  Alcotest.(check int) "beta joined the ring" 3 (List.length (Router.nodes r));
+  let dir =
+    List.find
+      (fun d -> Router.node_for r d = Some "beta")
+      (List.init 64 (Printf.sprintf "/m%d"))
+  in
+  let mismatches0 = counter w "cluster.identity.mismatch" in
+  for _ = 1 to 4 do
+    expect_errno "read routed to beta" Errno.EPERM (Router.get r (dir ^ "/f"));
+    expect_errno "write routed to beta" Errno.EPERM (Router.mkdir r dir)
+  done;
+  Alcotest.(check bool) "mismatch counted" true
+    (counter w "cluster.identity.mismatch" > mismatches0);
+  Alcotest.(check int) "beta's breaker never opened" 0
+    (counter w "cluster.breaker.open")
+
+(* A primary whose traffic is delayed, never dropped, is slow but live:
+   the read waits for it, with no failover and no repair hint. *)
+let delayed_primary_still_answers () =
+  List.iter
+    (fun seed ->
+      let w = three_node_world () in
+      let r = connect_alice w in
+      ok "mkdir" (Router.mkdir r "/h");
+      ok "put" (Router.put r ~path:"/h/hot" ~data:"payload");
+      Network.pump (World.net w);
+      let primary = Option.get (Router.node_for r "/h/hot") in
+      Network.set_fault_plan (World.net w)
+        (Fault.plan ~seed:(Int64.of_int seed)
+           ~per_endpoint:
+             [
+               ( addr_of primary,
+                 Fault.profile ~jitter:1.0 ~max_jitter_ns:50_000_000L () );
+             ]
+           ());
+      let failovers0 = counter w "cluster.failover" in
+      let hints0 = counter w "cluster.read_repair.hint" in
+      let ctx what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check string) (ctx "delayed read answers") "payload"
+        (ok "get" (Router.get r "/h/hot"));
+      Alcotest.(check bool) (ctx "delay injected") true
+        (counter w "net.jitter" > 0);
+      Alcotest.(check int) (ctx "no failover") failovers0
+        (counter w "cluster.failover");
+      Alcotest.(check int) (ctx "no hint") hints0
+        (counter w "cluster.read_repair.hint");
+      Network.clear_fault_plan (World.net w);
+      Alcotest.(check string) (ctx "later read") "payload"
+        (ok "get2" (Router.get r "/h/hot")))
+    [ 3; 11; 27 ]
+
+(* Regression: a read that fails over sends its repair hint to the
+   key's primary — the node it just failed to reach — and must not wait
+   for that hint to time out.  Waiting outlasted the breaker's reset
+   window on every read, so the breaker never short-circuited and every
+   read paid the primary's timeouts again.  With the hint sent and not
+   awaited, the breaker trips on the third read and the fourth and
+   fifth go straight to the replica. *)
+let failover_read_does_not_wait_for_hint () =
+  let w = three_node_world () in
+  let r = connect_alice w in
+  ok "mkdir" (Router.mkdir r "/far");
+  ok "put" (Router.put r ~path:"/far/f" ~data:"v");
+  let primary = Option.get (Router.node_for r "/far") in
+  let clock = World.clock w in
+  let now = Clock.now clock in
+  Network.set_fault_plan (World.net w)
+    (Fault.plan
+       ~partitions:
+         [
+           Fault.window ~from_ns:now
+             ~until_ns:(Int64.add now 3_600_000_000_000L)
+             ~between:("client", primary ^ ".grid.edu")
+             ();
+         ]
+       ());
+  let elapsed =
+    List.init 5 (fun i ->
+        let t0 = Clock.now clock in
+        Alcotest.(check string)
+          (Printf.sprintf "read %d served by the replica" (i + 1))
+          "v"
+          (ok "get" (Router.get r "/far/f"));
+        Int64.sub (Clock.now clock) t0)
+  in
+  List.iteri
+    (fun i ns ->
+      if i >= 3 then
+        Alcotest.(check bool)
+          (Printf.sprintf "read %d under 1 ms (took %Ld ns)" (i + 1) ns)
+          true
+          (Int64.compare ns 1_000_000L < 0))
+    elapsed;
+  Alcotest.(check bool) "the breaker short-circuits the primary" true
+    (counter w "cluster.breaker.skip" > 0)
+
 let suite =
   [
     Alcotest.test_case "routing shards and replicates with identity" `Quick
@@ -327,4 +555,16 @@ let suite =
       gossip_runs_on_empty_sweep;
     Alcotest.test_case "read-repair hints bounded and deduped" `Quick
       read_repair_hints_bounded_and_deduped;
+    Alcotest.test_case "every breaker open: one forced probe" `Quick
+      forced_probe_when_every_breaker_open;
+    Alcotest.test_case "every owner unreachable: one retry" `Quick
+      every_owner_unreachable;
+    Alcotest.test_case "write to unreachable primary feeds its breaker"
+      `Quick write_to_unreachable_primary;
+    Alcotest.test_case "mismatch on a later member: EPERM, no trip" `Quick
+      mismatch_on_member_added_after_connect;
+    Alcotest.test_case "delayed primary answers, no failover" `Quick
+      delayed_primary_still_answers;
+    Alcotest.test_case "failover read does not wait for its hint" `Quick
+      failover_read_does_not_wait_for_hint;
   ]
