@@ -140,16 +140,75 @@ let decode_credential fields =
   | _ -> Error "unrecognized credential"
 
 (* Every protocol message travels inside a checksummed envelope:
-   [["q"|"r"; md5(body); body]].  The simulated network can flip or cut
+   [["q"|"r"; sum(body); body]].  The simulated network can flip or cut
    response bytes; without the envelope a corrupted [R_data] would be
    indistinguishable from a good one.  With it, damage surfaces as a
    decode error the caller can retry.
 
+   The sum is MurmurHash3_x64_128 (seed 0; h1 then h2, little-endian):
+   128 bits that catch damage in flight at a fraction of MD5's cost.
+   It carries no key, so it detects damage, not tampering.
+
    [seal] lays the frame out in one buffer: the body's fields are
-   encoded in place and digested where they lie.  [unseal] checks the
-   digest over the received frame and decodes the body from its span,
+   encoded in place and summed where they lie.  [unseal] checks the
+   sum over the received frame and decodes the body from its span,
    so a payload is copied once per side. *)
 let sum_size = 16
+
+let c1 = 0x87c37b91114253d5L
+let c2 = 0x4cf5ad432745937fL
+
+let[@inline] rotl x r =
+  Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
+
+let[@inline] mix_k1 k = Int64.mul (rotl (Int64.mul k c1) 31) c2
+let[@inline] mix_k2 k = Int64.mul (rotl (Int64.mul k c2) 33) c1
+
+let[@inline] fmix k =
+  let k = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 33)) 0xff51afd7ed558ccdL in
+  let k = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 33)) 0xc4ceb9fe1a85ec53L in
+  Int64.logxor k (Int64.shift_right_logical k 33)
+
+(* The [n < 8] bytes of [src] from [pos] as a little-endian word. *)
+let tail_word src pos n =
+  let w = ref 0L in
+  for i = pos + n - 1 downto pos do
+    w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code (Bytes.get src i)))
+  done;
+  !w
+
+(* Sum [len] bytes of [src] from [pos] into the 16 bytes of [dst] at
+   [at]: 16-byte blocks as two 8-byte loads, then the 0–15 byte tail. *)
+let sum_into src ~pos ~len dst ~at =
+  let h1 = ref 0L and h2 = ref 0L in
+  let stop = pos + (len land lnot 15) in
+  let i = ref pos in
+  while !i < stop do
+    h1 := Int64.logxor !h1 (mix_k1 (Bytes.get_int64_le src !i));
+    h1 := Int64.add (Int64.mul (Int64.add (rotl !h1 27) !h2) 5L) 0x52dce729L;
+    h2 := Int64.logxor !h2 (mix_k2 (Bytes.get_int64_le src (!i + 8)));
+    h2 := Int64.add (Int64.mul (Int64.add (rotl !h2 31) !h1) 5L) 0x38495ab5L;
+    i := !i + 16
+  done;
+  let rest = len land 15 in
+  if rest > 8 then h2 := Int64.logxor !h2 (mix_k2 (tail_word src (stop + 8) (rest - 8)));
+  if rest >= 8 then h1 := Int64.logxor !h1 (mix_k1 (Bytes.get_int64_le src stop))
+  else if rest > 0 then h1 := Int64.logxor !h1 (mix_k1 (tail_word src stop rest));
+  let n = Int64.of_int len in
+  let a = Int64.logxor !h1 n and b = Int64.logxor !h2 n in
+  let a = Int64.add a b in
+  let b = Int64.add b a in
+  let a = fmix a and b = fmix b in
+  let a = Int64.add a b in
+  Bytes.set_int64_le dst at a;
+  Bytes.set_int64_le dst (at + 8) (Int64.add b a)
+
+let frame_sum s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Protocol.frame_sum";
+  let out = Bytes.create sum_size in
+  sum_into (Bytes.unsafe_of_string s) ~pos ~len out ~at:0;
+  Bytes.unsafe_to_string out
 
 let seal tag fields =
   let body = Wire.size fields in
@@ -161,7 +220,7 @@ let seal tag fields =
   let sum_at = Wire.write_header buf (Wire.write buf 0 [ tag ]) sum_size in
   let body_at = Wire.write_header buf (sum_at + sum_size) body in
   ignore (Wire.write buf body_at fields);
-  Bytes.blit_string (Digest.subbytes buf body_at body) 0 buf sum_at sum_size;
+  sum_into buf ~pos:body_at ~len:body buf ~at:sum_at;
   Bytes.unsafe_to_string buf
 
 let span_is text (at, len) s =
@@ -171,12 +230,12 @@ let span_is text (at, len) s =
   same 0
 
 (* Errors come in the order a whole-frame decode finds them: a framing
-   fault anywhere, then the frame's shape, then its digest. *)
+   fault anywhere, then the frame's shape, then its sum. *)
 let unseal tag text =
   match Wire.spans text ~pos:0 ~len:(String.length text) with
   | Error e -> Error e
   | Ok [ t; sum; (body_at, body_len) ] when span_is text t tag ->
-    if span_is text sum (Digest.substring text body_at body_len) then
+    if span_is text sum (frame_sum text ~pos:body_at ~len:body_len) then
       Wire.decode_range text ~pos:body_at ~len:body_len
     else Error "checksum mismatch (frame damaged in flight)"
   | Ok _ -> Error "not a sealed frame"

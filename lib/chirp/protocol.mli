@@ -86,7 +86,14 @@ val decode_response : string -> (response, string) result
 (** Messages travel in a checksummed envelope, so bytes flipped or cut
     by the (fault-injected) network surface as a decode [Error] — which
     retry layers treat as a transport fault — never as a silently wrong
-    value. *)
+    value.  The envelope's sum is {!frame_sum} of the body. *)
+
+val frame_sum : string -> pos:int -> len:int -> string
+(** The envelope's 16-byte sum of the [len] bytes of [s] from [pos]:
+    MurmurHash3_x64_128 with seed 0, h1 then h2, each little-endian.
+    It catches damage in flight; it carries no key, so it does not
+    detect tampering ([Checksum] answers MD5).  Raises
+    [Invalid_argument] if the range is not within [s]. *)
 
 val operation_name : operation -> string
 (** For logging and per-op accounting. *)

@@ -321,6 +321,7 @@ let rec serve_as t caller op =
   | Mkdir wire_path ->
     (match map_path t wire_path with
      | Error e -> err e
+     | Ok abs when Enforce.is_acl_file abs -> err Errno.EACCES
      | Ok abs ->
        let parent = Path.dirname abs in
        (match Enforce.plan_mkdir t.enforce ~identity:caller.cl_id ~parent with
@@ -486,13 +487,13 @@ let rec serve_as t caller op =
          check t caller abs Right.Read (fun () ->
              (* The digest is computed server-side over the stored bytes:
                 one metadata-sized reply instead of re-fetching the file. *)
-             match Fs.read_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
-             | Ok data ->
+             match Fs.digest_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
+             | Ok digest ->
                (* Charge the server's sequential read of the file. *)
                ignore
                  (Kernel.delegate t.sv_kernel t.sv_owner
                     (Syscall.Stat abs));
-               R_str (Digest.to_hex (Digest.string data))
+               R_str (Digest.to_hex digest)
              | Error e -> err e))
   | Exec { path = wire_path; args; cwd } ->
     (match (map_path t wire_path, map_path t cwd) with
@@ -1453,18 +1454,16 @@ let local_digest t abs =
                | Error _ -> fold fields subdirs rest
                | Ok (Syscall.Stat_v st) when st.Fs.st_kind = Inode.Directory ->
                  fold (("d:" ^ name) :: fields) (child :: subdirs) rest
-               | Ok (Syscall.Stat_v _) ->
+               | Ok (Syscall.Stat_v st) ->
                  (match
-                    Fs.read_file (Kernel.fs t.sv_kernel)
+                    Fs.digest_file (Kernel.fs t.sv_kernel)
                       ~uid:t.sv_owner.View.uid child
                   with
-                  | Ok data ->
+                  | Ok digest ->
                     charge t
-                      (Idbox_kernel.Cost.copy_bytes (cost t)
-                         (String.length data));
+                      (Idbox_kernel.Cost.copy_bytes (cost t) st.Fs.st_size);
                     fold
-                      (("f:" ^ name ^ ":" ^ Digest.to_hex (Digest.string data))
-                       :: fields)
+                      (("f:" ^ name ^ ":" ^ Digest.to_hex digest) :: fields)
                       subdirs rest
                   | Error _ -> fold fields subdirs rest)
                | Ok _ -> fold fields subdirs rest)
@@ -1508,9 +1507,8 @@ let rec subtree_digest_abs t abs =
   | Ok (Syscall.Stat_v _) ->
     (* A bare file at the prefix (a top-level file shards on its own
        name): its digest is its content hash. *)
-    (match Fs.read_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
-     | Ok data -> Ok (Digest.to_hex (Digest.string data))
-     | Error e -> Error e)
+    Result.map Digest.to_hex
+      (Fs.digest_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs)
   | Ok _ -> Error Errno.EINVAL
 
 let subtree_digest ?(recurse = true) t wire_prefix =

@@ -623,9 +623,10 @@ let write_file t ~uid ?(mode = Perm.default_file_mode) path contents =
     Ok ()
 
 let read_file t ~uid path =
-  match open_file t ~uid ~flags:rdonly ~mode:0 path with
-  | Error e -> Error e
-  | Ok inode -> Ok (Inode.contents inode)
+  Result.map Inode.contents (open_file t ~uid ~flags:rdonly ~mode:0 path)
+
+let digest_file t ~uid path =
+  Result.map Inode.digest (open_file t ~uid ~flags:rdonly ~mode:0 path)
 
 let mkdir_p t ~uid ?(mode = Perm.default_dir_mode) path =
   let rec go prefix = function

@@ -201,5 +201,10 @@ val write_file : t -> uid:int -> ?mode:int -> string -> string -> unit r
 val read_file : t -> uid:int -> string -> string r
 (** Whole-file read. *)
 
+val digest_file : t -> uid:int -> string -> Digest.t r
+(** [Digest.string] of what {!read_file} would return, with the same
+    permission walk and errors, without copying the file: the inode
+    keeps the MD5 until its bytes change ({!Inode.digest}). *)
+
 val mkdir_p : t -> uid:int -> ?mode:int -> string -> unit r
 (** Create every missing directory along the path. *)

@@ -17,6 +17,8 @@ type kind =
 type file_store = {
   mutable data : Bytes.t;
   mutable len : int;
+  mutable md5 : Digest.t option;
+      (* Of [data[0, len)]; cleared by every change to those bytes. *)
 }
 
 type pipe = {
@@ -77,7 +79,7 @@ let make ~ino ~uid ~mode ~now payload =
     i_mtime = now; i_ctime = now; i_gen = 0; i_acl_gen = 0 }
 
 let make_file ~ino ~uid ~mode ~now =
-  make ~ino ~uid ~mode ~now (File { data = Bytes.create 0; len = 0 })
+  make ~ino ~uid ~mode ~now (File { data = Bytes.create 0; len = 0; md5 = None })
 
 let make_dir ~ino ~uid ~mode ~now =
   (* nlink for directories is left at 1: the simulation does not count
@@ -149,6 +151,7 @@ let ensure_capacity s wanted =
 let write t ~off data =
   if off < 0 then invalid_arg "Inode.write: negative offset";
   let s = store t "Inode.write" in
+  s.md5 <- None;
   let n = String.length data in
   ensure_capacity s (off + n);
   if off > s.len then Bytes.fill s.data s.len (off - s.len) '\000';
@@ -159,6 +162,7 @@ let write t ~off data =
 let truncate t ~len =
   if len < 0 then invalid_arg "Inode.truncate: negative length";
   let s = store t "Inode.truncate" in
+  s.md5 <- None;
   if len <= s.len then s.len <- len
   else begin
     ensure_capacity s len;
@@ -172,10 +176,20 @@ let contents t =
 
 let set_contents t text =
   let s = store t "Inode.set_contents" in
+  s.md5 <- None;
   let n = String.length text in
   ensure_capacity s n;
   Bytes.blit_string text 0 s.data 0 n;
   s.len <- n
+
+let digest t =
+  let s = store t "Inode.digest" in
+  match s.md5 with
+  | Some d -> d
+  | None ->
+    let d = Digest.subbytes s.data 0 s.len in
+    s.md5 <- Some d;
+    d
 
 let table t op =
   match t.payload with

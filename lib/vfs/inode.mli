@@ -104,6 +104,13 @@ val contents : t -> string
 val set_contents : t -> string -> unit
 (** Replace a regular file's contents. *)
 
+val digest : t -> Digest.t
+(** MD5 of a regular file's contents, computed over its store in place
+    (no copy) on first use and kept until the bytes change: {!write},
+    {!truncate} and {!set_contents}, the only functions that change
+    them, each drop it.  Raises [Invalid_argument] on non-regular
+    files. *)
+
 (** {1 Directories} *)
 
 val dir_find : t -> string -> t option

@@ -469,11 +469,30 @@ let deterministic_chaos_run () =
   Alcotest.(check string) "metrics byte-identical" m1 m2;
   Alcotest.(check int64) "clock identical" c1 c2
 
+(* [IDBOX_CHAOS_SEED] when set (CI's seed loop sets it), else [default]. *)
+let chaos_seed default =
+  match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+  | Some s -> ( try Int64.of_string s with _ -> default)
+  | None -> default
+
 (* Satellite: decoders stay total under exactly the damage the network
    can inflict.  No exception, and a damaged checksummed envelope is
    never accepted as a different message. *)
 let decoders_total_under_mangling () =
-  let rng = Fault.rng 99L in
+  let rng = Fault.rng (chaos_seed 99L) in
+  let body_length frame =
+    match Wire.decode frame with Ok [ _; _; body ] -> String.length body | _ -> -1
+  in
+  (* Sealed bodies that end at every offset 0-15 of the sum's 16-byte
+     block, so every tail length is mangled. *)
+  let tails =
+    List.init 16 (fun tail ->
+        let rec pick n =
+          let frame = Protocol.encode_response (Protocol.R_str (String.make n 's')) in
+          if body_length frame mod 16 = tail then frame else pick (n + 1)
+        in
+        pick 0)
+  in
   let victims =
     [
       Wire.encode [ "register"; "alpha"; server_addr; "chirpuser" ];
@@ -483,7 +502,9 @@ let decoders_total_under_mangling () =
              op = Protocol.Put { path = "/work/f"; data = String.make 64 'q' } });
       Protocol.encode_response (Protocol.R_data (String.make 128 'd'));
       Protocol.encode_response Protocol.R_ok;
+      Protocol.encode_response (Protocol.R_data (String.make 70_000 'd'));
     ]
+    @ tails
   in
   for _ = 1 to 400 do
     List.iter
@@ -1281,11 +1302,6 @@ let contains ~sub s =
   in
   find 0
 
-let geo_seed default =
-  match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
-  | Some s -> ( try Int64.of_string s with _ -> default)
-  | None -> default
-
 (* Two region worlds on one network under one clock: separate
    catalogs, kernels and exports; one CA (one grid, two sites).  A 2 s
    shipping cadence so a scenario's clock-stepping loop crosses many
@@ -1411,7 +1427,7 @@ let geo_metrics net east west =
    cannot bound, and never blocks on the dead link.  Two runs of the
    same seed are byte-identical. *)
 let geo_partition_serves_in_bound_reads () =
-  let seed = geo_seed 1977L in
+  let seed = chaos_seed 1977L in
   let run () =
     let clock, net, geo, east, west = geo_regions ~seed () in
     Network.set_fault_plan net
@@ -1507,7 +1523,7 @@ let geo_partition_serves_in_bound_reads () =
    regions afterwards: zero lost acked mutations.  Byte-identical
    across reruns of the seed. *)
 let geo_promotion_races_partition () =
-  let seed = geo_seed 424242L in
+  let seed = chaos_seed 424242L in
   let run () =
     let clock, net, geo, east, west = geo_regions ~seed () in
     Network.set_fault_plan net
@@ -1609,7 +1625,7 @@ let geo_promotion_races_partition () =
    single-region oracle that ran the same script with no geo layer at
    all.  Byte-identical across reruns of the seed. *)
 let geo_failback_matches_oracle () =
-  let seed = geo_seed 7L in
+  let seed = chaos_seed 7L in
   (* The script, as (phase, op) steps both the geo deployment and the
      oracle run in the same order. *)
   let phase1 = [ ("/d0/a", "v1-a"); ("/d1/b", "v1-b"); ("/d2/c", "v1-c") ] in

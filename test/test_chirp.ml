@@ -274,7 +274,16 @@ let acl_file_invisible_remotely () =
   (match Client.put c ~path:"/v/.__acl" ~data:"unix:eve rwlxad" with
    | Error Errno.EACCES -> ()
    | Ok () -> Alcotest.fail "overwrote acl file remotely"
-   | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e))
+   | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e));
+  (* The name is refused before the filesystem sees it, in a namespace
+     Fred owns and at the export root alike. *)
+  List.iter
+    (fun path ->
+      match Client.mkdir c path with
+      | Error Errno.EACCES -> ()
+      | Ok () -> Alcotest.failf "mkdir %s made a directory named like an acl file" path
+      | Error e -> Alcotest.failf "mkdir %s: unexpected %s" path (Errno.to_string e))
+    [ "/v/.__acl"; "/.__acl" ]
 
 let checksum_integrity () =
   let w = make_world () in
@@ -285,6 +294,15 @@ let checksum_integrity () =
   let remote_sum = ok "checksum" (Client.checksum c "/sum/blob") in
   Alcotest.(check string) "matches local md5" (Digest.to_hex (Digest.string data))
     remote_sum;
+  (* An overwrite of the same length moves the answer: the server's
+     per-file memo is cleared by the write, whatever the size. *)
+  let data' = String.map (fun ch -> Char.chr ((Char.code ch + 1) land 0xff)) data in
+  ok "overwrite" (Client.put c ~path:"/sum/blob" ~data:data');
+  let second = ok "checksum" (Client.checksum c "/sum/blob") in
+  Alcotest.(check bool) "overwrite changes the checksum" false
+    (String.equal remote_sum second);
+  Alcotest.(check string) "matches the new md5" (Digest.to_hex (Digest.string data'))
+    second;
   (* Still subject to ACLs: a read-only-less user cannot checksum. *)
   (match Client.checksum c "/sum/.__acl" with
    | Error Errno.EACCES -> ()

@@ -102,15 +102,61 @@ let prop_range_is_substring =
 
 (* --- reference oracle ------------------------------------------------- *)
 
-(* The codec and envelope as they were before the sized writer: a
-   growing Buffer per message, the seal as the encoding of
-   [tag; md5 body; body] around an already-encoded body, and a decoder
+(* The codec and envelope written the plain way the sized writer
+   replaced: a growing Buffer per message, the seal as the encoding of
+   [tag; sum body; body] around an already-encoded body, and a decoder
    that copies each length out for [int_of_string_opt], to which only
    the canonical-length rule and an overflow-safe truncation test are
-   added.  Every frame must stay byte-identical to what these give, and
-   every decode error keeps its text, which a server sends back in its
-   reply. *)
+   added.  The sum is MurmurHash3_x64_128 written out a byte at a time,
+   sharing no code with the library's 8-byte loads.  Every frame must
+   stay byte-identical to what these give, and every decode error keeps
+   its text, which a server sends back in its reply. *)
 module Oracle = struct
+  (* MurmurHash3_x64_128 (seed 0 unless given): each little-endian
+     word assembled from [Char.code] of its bytes, the 128-bit result
+     emitted h1 then h2, lowest byte first. *)
+  let murmur3 ?(seed = 0L) s =
+    let n = String.length s in
+    let ( ^^ ) = Int64.logxor and ( ++ ) = Int64.add and ( ** ) = Int64.mul in
+    let rotl x r =
+      Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
+    in
+    let word at count =
+      let w = ref 0L in
+      for j = 0 to count - 1 do
+        w := !w ^^ Int64.shift_left (Int64.of_int (Char.code s.[at + j])) (8 * j)
+      done;
+      !w
+    in
+    let c1 = 0x87c37b91114253d5L and c2 = 0x4cf5ad432745937fL in
+    let mix1 k = rotl (k ** c1) 31 ** c2 and mix2 k = rotl (k ** c2) 33 ** c1 in
+    let fmix k =
+      let k = (k ^^ Int64.shift_right_logical k 33) ** 0xff51afd7ed558ccdL in
+      let k = (k ^^ Int64.shift_right_logical k 33) ** 0xc4ceb9fe1a85ec53L in
+      k ^^ Int64.shift_right_logical k 33
+    in
+    let h1 = ref seed and h2 = ref seed in
+    for block = 0 to (n / 16) - 1 do
+      h1 := !h1 ^^ mix1 (word (16 * block) 8);
+      h1 := ((rotl !h1 27 ++ !h2) ** 5L) ++ 0x52dce729L;
+      h2 := !h2 ^^ mix2 (word ((16 * block) + 8) 8);
+      h2 := ((rotl !h2 31 ++ !h1) ** 5L) ++ 0x38495ab5L
+    done;
+    let tail = n / 16 * 16 and rest = n mod 16 in
+    if rest > 8 then h2 := !h2 ^^ mix2 (word (tail + 8) (rest - 8));
+    if rest > 0 then h1 := !h1 ^^ mix1 (word tail (min rest 8));
+    h1 := !h1 ^^ Int64.of_int n;
+    h2 := !h2 ^^ Int64.of_int n;
+    h1 := !h1 ++ !h2;
+    h2 := !h2 ++ !h1;
+    h1 := fmix !h1;
+    h2 := fmix !h2;
+    h1 := !h1 ++ !h2;
+    h2 := !h2 ++ !h1;
+    String.init 16 (fun i ->
+        let h = if i < 8 then !h1 else !h2 in
+        Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical h (8 * (i mod 8))) 0xffL)))
+
   let encode fields =
     let buf = Buffer.create 64 in
     List.iter
@@ -140,7 +186,7 @@ module Oracle = struct
     in
     fields 0 []
 
-  let seal tag body = encode [ tag; Digest.string body; body ]
+  let seal tag body = encode [ tag; murmur3 body; body ]
 
   let credential_fields = function
     | Credential.Gsi cert ->
@@ -490,6 +536,131 @@ let frames_match_oracle () =
         (Oracle.response r) (Protocol.encode_response r))
     (singles @ [ Protocol.R_batch singles; Protocol.R_batch [] ])
 
+(* --- the envelope's sum ------------------------------------------------ *)
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* A fixed pattern whose every prefix up to 33 bytes is pinned: each
+   tail length 0-15 of the 16-byte block, twice, and both block
+   boundaries.  The sums come from a separate implementation that also
+   reproduces SMHasher's verification value. *)
+let pattern = String.init 33 (fun i -> Char.chr (((i * 73) + 41) land 0xff))
+
+let pattern_sums =
+  [ "00000000000000000000000000000000"; "eca6719b8f8a23ce9daad6fa006a75a1";
+    "96674837d296ddc693a2f5cbad248b4a"; "cb718f2e714160080240fe23c70bc7e2";
+    "179d366bd72b918002d26fa9ccd79896"; "0acdea793a119444238cc011f2d80c44";
+    "84faf00f9abe793a78ad2b83990831e3"; "24dee7399a903a21612f8fc5640241ff";
+    "3bf61fdae801e87f409c54cc13670139"; "a96ceca9e9d9c1d190500339409acf91";
+    "95f3c9f8f0c02741c66ab587d5afbc07"; "2744f500a0f94d1b4a95c19553ba6ea2";
+    "cfb5ae6cb97391dce20b344a7fe0f34e"; "70511af5ce9fc7f81b0d5a6b12e01ace";
+    "b911707d9145ffc31a209593d28b7801"; "ec684a80c98315e39e193b29cc4231f8";
+    "d80b2255bc6d7f49ddc4fc34df06fea4"; "3c0b67b9afc4fa9b4d6661124a6eb145";
+    "3ff7e45cff34241eb0bbad9e30cf8e7c"; "8480cd57acdb18082affbd8e97e14fb0";
+    "4ca7a16dc3f81b32275d82cedea9d67f"; "d4446d854c11e68b1d3b8203e5e7d378";
+    "b7d6db861d2912909a21141d1996cf3e"; "a80e60027d3e37653ad07c9e593e32ba";
+    "ed9e10bce3c78d05a413ffb27b9f6abc"; "cc345ed55da26a8afd0d9635639ae67b";
+    "fd8d34b1bc050f4df61ae7da7d837070"; "6a71cd7f7b5e075c9227abd0f04ec435";
+    "82e8c6d7d5e8b989f762abc4d01ec3ac"; "c2684decb56fadf3b29183d284573f4d";
+    "87af2bcf4f56d95200b29656d00452f8"; "84033629f0452485321e2f1dc55e1ec7";
+    "3b987a2fba56ce06edaf3251881f46c3"; "29b9b05249f65d2e8d7d976ba0343152" ]
+
+let frame_sum_known_answers () =
+  let sum s = hex (Protocol.frame_sum s ~pos:0 ~len:(String.length s)) in
+  Alcotest.(check string) "empty input" (String.make 32 '0') (sum "");
+  (* The published MurmurHash3_x64_128 vector. *)
+  Alcotest.(check string) "quick brown fox" "6c1b07bc7bbc4be347939ac4a93c437a"
+    (sum "The quick brown fox jumps over the lazy dog");
+  (* SMHasher's check of the oracle itself: the keys {}, {0}, {0,1},
+     ... {0..254} summed with seed 256 - length, their sums concatenated
+     and summed with seed 0; the first four bytes, little-endian, are
+     the published verification value. *)
+  let keys = String.init 256 Char.chr in
+  let sums =
+    String.concat ""
+      (List.init 256 (fun n ->
+           Oracle.murmur3 ~seed:(Int64.of_int (256 - n)) (String.sub keys 0 n)))
+  in
+  Alcotest.(check int32) "oracle verification value" 0x6384BA69l
+    (String.get_int32_le (Oracle.murmur3 sums) 0);
+  List.iteri
+    (fun n want ->
+      let prefix = String.sub pattern 0 n in
+      Alcotest.(check string) (Printf.sprintf "pattern length %d" n) want (sum prefix);
+      Alcotest.(check string) (Printf.sprintf "oracle length %d" n) want
+        (hex (Oracle.murmur3 prefix)))
+    pattern_sums;
+  (* A range is summed where it lies: the same bytes at any offset of a
+     longer string give the same sum. *)
+  let text = String.concat "" [ pattern; "The quick brown fox"; pattern ] in
+  for pos = 1 to 40 do
+    List.iter
+      (fun len ->
+        Alcotest.(check string)
+          (Printf.sprintf "range %d+%d" pos len)
+          (sum (String.sub text pos len))
+          (hex (Protocol.frame_sum text ~pos ~len)))
+      [ 0; 1; 7; 8; 9; 15; 16; 17; 31; 32; 33 ]
+  done;
+  match Protocol.frame_sum "abc" ~pos:2 ~len:2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a range past the end was summed"
+
+(* Every byte of [frame] XORed with each of [masks] must fail to decode.
+   One copy is flipped in place and back, and read through a string
+   view: a decoder copies out what it keeps, so no view outlives its
+   decode. *)
+let reject_damage what decodes frame ~masks =
+  let buf = Bytes.of_string frame in
+  let view = Bytes.unsafe_to_string buf in
+  for i = 0 to Bytes.length buf - 1 do
+    List.iter
+      (fun mask ->
+        let c = Bytes.get buf i in
+        Bytes.set buf i (Char.chr (Char.code c lxor mask));
+        let accepted = decodes view in
+        Bytes.set buf i c;
+        if accepted then Alcotest.failf "%s: byte %d xor 0x%02x accepted" what i mask)
+      masks
+  done
+
+let decodes_request s = Result.is_ok (Protocol.decode_request s)
+let decodes_response s = Result.is_ok (Protocol.decode_response s)
+
+let put_frame size =
+  Protocol.encode_request
+    (Protocol.Op
+       { token = "tok"; req_id = "tok#1";
+         op = Protocol.Put { path = "/work/f"; data = String.make size 'q' } })
+
+(* Every single-byte change to a small frame -- all 255 masks at every
+   offset, in the tag, the sum, the headers and the body -- fails to
+   decode, and so does every proper prefix. *)
+let single_byte_damage_rejected () =
+  let every_mask = List.init 255 (fun m -> m + 1) in
+  List.iter
+    (fun (what, decodes, frame) ->
+      Alcotest.(check bool) (what ^ " decodes intact") true (decodes frame);
+      reject_damage what decodes frame ~masks:every_mask;
+      for n = 0 to String.length frame - 1 do
+        if decodes (String.sub frame 0 n) then
+          Alcotest.failf "%s: prefix of %d bytes accepted" what n
+      done)
+    [
+      ("R_ok", decodes_response, Protocol.encode_response Protocol.R_ok);
+      ("128 B R_data", decodes_response,
+       Protocol.encode_response (Protocol.R_data (String.init 128 (fun i -> Char.chr i))));
+      ("64 B put", decodes_request, put_frame 64);
+    ]
+
+(* A frame larger than one 64 KB server read: the lowest and highest
+   bit of every byte. *)
+let large_frame_bit_flips_rejected () =
+  let frame = put_frame 70_000 in
+  Alcotest.(check bool) "decodes intact" true (decodes_request frame);
+  reject_damage "70,000 B put" decodes_request frame ~masks:[ 0x01; 0x80 ]
+
 (* The new properties draw from the chaos seed, so CI's seed loop
    reruns them under extra seeds. *)
 let seed =
@@ -511,6 +682,11 @@ let suite =
     Alcotest.test_case "delegated roundtrip and structural guards" `Quick
       delegated_roundtrip_and_guards;
     Alcotest.test_case "frames match the reference oracle" `Quick frames_match_oracle;
+    Alcotest.test_case "frame sum known answers" `Quick frame_sum_known_answers;
+    Alcotest.test_case "every single-byte change rejected" `Quick
+      single_byte_damage_rejected;
+    Alcotest.test_case "70 KB frame bit flips rejected" `Slow
+      large_frame_bit_flips_rejected;
   ]
   @ List.map
       (fun test -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test)

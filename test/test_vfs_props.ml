@@ -212,7 +212,7 @@ module Ref = struct
     (canonical, !steps)
 end
 
-let walk_seeds =
+let seeds =
   let base = [ 1; 7; 42; 2005; 90210 ] in
   match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
   | Some s -> ( try (int_of_string s mod 1_000_000) :: base with _ -> base)
@@ -341,7 +341,7 @@ let resolvers_match_list_walk () =
                   ("resolve_no_follow", false, Fs.resolve_no_follow fs ~uid path) ])
             [ 0; visitor ])
         (probes rng made))
-    walk_seeds;
+    seeds;
   require_seen "resolved to"
     (List.map
        (fun o -> (o, Hashtbl.mem outcomes o))
@@ -364,9 +364,121 @@ let canonicaliser_matches_root_walk () =
           if not (String.equal got_path (Ref.normalize path)) then moved := true;
           if got_steps > Fs.symlink_limit then capped := true)
         (probes rng made))
-    walk_seeds;
+    seeds;
   require_seen "canonicalised"
     [ ("through an ancestor symlink", !moved); ("past the expansion budget", !capped) ]
+
+(* {1 The file-digest memo}
+
+   [Fs.digest_file] answers from an MD5 the inode keeps until its bytes
+   change.  Seeded content changes go through kernel syscalls, and after
+   each one every name's digest must equal the MD5 of what the name
+   reads as, errors included, for root and for a visitor who may not
+   read every name.  Each check re-warms every memo, so the next change
+   always meets a kept digest. *)
+
+module Kernel = Idbox_kernel.Kernel
+module Syscall = Idbox_kernel.Syscall
+
+let memo_targets = [| "/m/f0"; "/m/f1"; "/m/f2"; "/m/locked" |]
+let memo_names = Array.to_list memo_targets @ [ "/m/alias"; "/m/dir"; "/m/none" ]
+
+let digest_memo_never_stale () =
+  let changed = Hashtbl.create 16 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xd1e5 |] in
+      let k = Kernel.create () in
+      let fs = Kernel.fs k in
+      let call = Kernel.execute k (Kernel.make_view k ~uid:0 ()) in
+      let ign (_ : Syscall.result) = () in
+      let mode_of path = if String.equal path "/m/locked" then 0o600 else 0o644 in
+      let wr = { Fs.rdonly with rd = false; wr = true } in
+      let with_fd ?(mode = 0o644) path flags f =
+        match call (Syscall.Open { path; flags; mode }) with
+        | Ok (Syscall.Int fd) ->
+          f fd;
+          ign (call (Syscall.Close fd))
+        | Ok _ | Error _ -> ()
+      in
+      let data () =
+        String.init (Random.State.int rng 40) (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      let size path = match Fs.stat fs ~uid:0 path with Ok st -> st.Fs.st_size | Error _ -> 0 in
+      let write fd = ign (call (Syscall.Write { fd; data = data () })) in
+      let changes =
+        [
+          ("write at or past EOF", fun p ->
+              with_fd p wr (fun fd ->
+                  ign
+                    (call
+                       (Syscall.Lseek
+                          { fd; off = size p + Random.State.int rng 3 * Random.State.int rng 9;
+                            whence = Syscall.Seek_set }));
+                  write fd));
+          ("pwrite", fun p ->
+              with_fd p wr (fun fd ->
+                  ign
+                    (call
+                       (Syscall.Pwrite
+                          { fd; off = Random.State.int rng (size p + 8); data = data () }))));
+          ("O_APPEND write", fun p -> with_fd p { wr with append = true } write);
+          ("truncate", fun p ->
+              ign (call (Syscall.Truncate { path = p; len = Random.State.int rng (size p + 24) })));
+          ("truncating open", fun p -> with_fd p { wr with trunc = true } (fun _ -> ()));
+          ("write through a hard link", fun p ->
+              ign (call (Syscall.Unlink "/m/alias"));
+              ign (call (Syscall.Link { target = p; path = "/m/alias" }));
+              with_fd "/m/alias" wr (fun fd ->
+                  ign (call (Syscall.Pwrite { fd; off = Random.State.int rng 16; data = data () }))));
+          ("rename over the name", fun p ->
+              with_fd ~mode:(mode_of p) "/m/tmp" Fs.wronly_create write;
+              ign (call (Syscall.Rename { src = "/m/tmp"; dst = p })));
+          ("unlink and re-create", fun p ->
+              ign (call (Syscall.Unlink p));
+              with_fd ~mode:(mode_of p) p Fs.wronly_create write);
+          ("Fs.write_file", fun p -> ignore (Fs.write_file fs ~uid:0 ~mode:(mode_of p) p (data ())));
+          (* [Fs.write_file] truncates on open before it sets the
+             contents, so the set itself also meets a kept digest. *)
+          ("Inode.set_contents", fun p ->
+              match Fs.resolve fs ~uid:0 p with
+              | Ok inode -> Inode.set_contents inode (data ())
+              | Error _ -> ());
+        ]
+      in
+      List.iter
+        (fun (what, _) -> if not (Hashtbl.mem changed what) then Hashtbl.replace changed what false)
+        changes;
+      ignore (Fs.mkdir_p fs ~uid:0 "/m/dir");
+      Array.iter
+        (fun p -> ignore (Fs.write_file fs ~uid:0 ~mode:(mode_of p) p "seed contents"))
+        memo_targets;
+      ignore (Fs.link fs ~uid:0 ~target:"/m/f0" "/m/alias");
+      let show = function Ok d -> Digest.to_hex d | Error e -> Errno.to_string e in
+      let check step what =
+        List.concat_map
+          (fun uid ->
+            List.map
+              (fun name ->
+                let got = show (Fs.digest_file fs ~uid name) in
+                let want = show (Result.map Digest.string (Fs.read_file fs ~uid name)) in
+                if not (String.equal got want) then
+                  Alcotest.failf "seed %d step %d (%s): %s as uid %d: digest %s, contents hash to %s"
+                    seed step what name uid got want;
+                got)
+              memo_names)
+          [ 0; visitor ]
+      in
+      let before = ref (check 0 "set-up") in
+      for step = 1 to 200 do
+        let what, change = List.nth changes (Random.State.int rng (List.length changes)) in
+        change memo_targets.(Random.State.int rng (Array.length memo_targets));
+        let after = check step what in
+        if after <> !before then Hashtbl.replace changed what true;
+        before := after
+      done)
+    seeds;
+  require_seen "changed a digest by" (List.of_seq (Hashtbl.to_seq changed))
 
 let suite =
   [
@@ -375,4 +487,5 @@ let suite =
     Alcotest.test_case "resolvers match list walk" `Quick resolvers_match_list_walk;
     Alcotest.test_case "canonicaliser matches root walk" `Quick
       canonicaliser_matches_root_walk;
+    Alcotest.test_case "file digest memo never stale" `Quick digest_memo_never_stale;
   ]
