@@ -35,6 +35,7 @@ let empty = { rev_entries = []; matcher = None }
 let of_entries entries = { rev_entries = List.rev entries; matcher = None }
 
 let entries t = List.rev t.rev_entries
+let length t = List.length t.rev_entries
 
 let is_empty t = t.rev_entries = []
 

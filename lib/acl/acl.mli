@@ -27,6 +27,9 @@ val empty : t
 val of_entries : Entry.t list -> t
 val entries : t -> Entry.t list
 
+val length : t -> int
+(** [List.length (entries t)], without building the list. *)
+
 val is_empty : t -> bool
 
 val rights_of : t -> Idbox_identity.Principal.t -> Rights.t

@@ -51,6 +51,7 @@ type t = {
   mutable cl_retries : int;
   mutable cl_req_counter : int;
   cl_leases : (string, lease) Hashtbl.t;
+  cl_counters : Metrics.handles;  (* interned on first use *)
   (* A circuit breaker over this client's one server: repeated
      transport failures trip it, and while it is open calls fail fast
      with the last seen errno instead of burning a timeout each.
@@ -66,7 +67,7 @@ let budget_left t = t.cl_budget
 let breaker t = t.cl_breaker
 
 let metric_on net name = Metrics.incr (Metrics.counter (Network.metrics net) name)
-let metric t name = metric_on t.cl_net name
+let metric t name = Metrics.incr (Metrics.handle t.cl_counters name)
 
 let leases_on t = Int64.compare t.cl_policy.lease_ns 0L > 0
 
@@ -174,6 +175,7 @@ let connect ?(src = "client") ?(policy = default_policy) net ~addr ~credentials 
         cl_retries = 0;
         cl_req_counter = 0;
         cl_leases = Hashtbl.create 16;
+        cl_counters = Metrics.handles (Network.metrics net);
         cl_breaker =
           Breaker.create ~threshold:8 ~reset_ns:800_000_000L
             ~prefix:"chirp.breaker" ~clock:(Network.clock net)

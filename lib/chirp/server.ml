@@ -71,6 +71,10 @@ type parked = {
 
 type t = {
   sv_kernel : Kernel.t;
+  (* Counter handles, interned on first use: by name, and by operation
+     name for [chirp.rpc.<op>]. *)
+  sv_counters : Idbox_kernel.Metrics.handles;
+  sv_rpc_counters : Idbox_kernel.Metrics.handles;
   sv_net : Network.t;
   sv_addr : string;
   sv_owner : View.t;
@@ -131,14 +135,11 @@ let sessions t =
 let delegate t req = Kernel.delegate t.sv_kernel t.sv_owner req
 
 let metric t name =
-  Idbox_kernel.Metrics.incr
-    (Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name)
+  Idbox_kernel.Metrics.incr (Idbox_kernel.Metrics.handle t.sv_counters name)
 
 let metric_add t name n =
   if n > 0 then
-    Idbox_kernel.Metrics.add
-      (Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name)
-      n
+    Idbox_kernel.Metrics.add (Idbox_kernel.Metrics.handle t.sv_counters name) n
 
 let cost t = Kernel.cost t.sv_kernel
 let charge t ns = Kernel.charge t.sv_kernel ns
@@ -289,7 +290,8 @@ let wire_stat_of (st : Fs.stat) =
 
 let rec serve_as t caller op =
   let open Protocol in
-  metric t ("chirp.rpc." ^ Protocol.operation_name op);
+  Idbox_kernel.Metrics.incr
+    (Idbox_kernel.Metrics.handle t.sv_rpc_counters (Protocol.operation_name op));
   match op with
   | Batch ops ->
     (* The decoder already refuses nested batches on the wire; re-check
@@ -1121,6 +1123,9 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
   let t =
     {
       sv_kernel = kernel;
+      sv_counters = Idbox_kernel.Metrics.handles (Kernel.metrics kernel);
+      sv_rpc_counters =
+        Idbox_kernel.Metrics.handles ~prefix:"chirp.rpc." (Kernel.metrics kernel);
       sv_net = net;
       sv_addr = addr;
       sv_owner;

@@ -126,17 +126,21 @@ let note_pending node ~key ~peer ~errno =
 
 let pending_count node = Hashtbl.length node.nd_pending
 
-(* Drain the set in deterministic (sorted) order. *)
+(* Drain the set in deterministic (sorted) order.  Every tick drains
+   every member, and the set is almost always empty. *)
 let take_pending node =
-  let all = Hashtbl.fold (fun _ p acc -> p :: acc) node.nd_pending [] in
-  Hashtbl.reset node.nd_pending;
-  List.sort
-    (fun a b ->
-      match String.compare a.pd_key b.pd_key with
-      | 0 -> String.compare a.pd_peer b.pd_peer
-      | c -> c)
-    all
-  |> List.map (fun p -> (p.pd_key, p.pd_peer, p.pd_errno))
+  if Hashtbl.length node.nd_pending = 0 then []
+  else begin
+    let all = Hashtbl.fold (fun _ p acc -> p :: acc) node.nd_pending [] in
+    Hashtbl.reset node.nd_pending;
+    List.sort
+      (fun a b ->
+        match String.compare a.pd_key b.pd_key with
+        | 0 -> String.compare a.pd_peer b.pd_peer
+        | c -> c)
+      all
+    |> List.map (fun p -> (p.pd_key, p.pd_peer, p.pd_errno))
+  end
 
 let span node ~identity ~syscall ~verdict ~cost_ns =
   match node.nd_trace with

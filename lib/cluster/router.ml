@@ -21,7 +21,7 @@ type t = {
   mutable rt_ring : Ring.t;
   mutable rt_view : (string * string) list;
   mutable rt_principal : string;
-  mutable rt_prefixes : string list;  (* shard keys touched, for rebalance *)
+  rt_prefixes : (string, unit) Hashtbl.t;  (* shard keys touched, for rebalance *)
   mutable rt_routes : int;
   mutable rt_failovers : int;
   (* Route cache: shard key -> owner list, valid for one membership
@@ -34,6 +34,10 @@ type t = {
      steer sweeps away from known-bad replicas. *)
   rt_breakers : (string, Breaker.t) Hashtbl.t;
   rt_hint_recent : (string, int64) Hashtbl.t;  (* key -> suppress until *)
+  (* Counter handles, interned on first use: [rt_counters] by name,
+     [rt_primary] by primary for [cluster.route.<primary>]. *)
+  rt_counters : Metrics.handles;
+  rt_primary : Metrics.handles;
 }
 
 let principal t = t.rt_principal
@@ -41,8 +45,7 @@ let nodes t = Ring.nodes t.rt_ring
 let routes t = t.rt_routes
 let failovers t = t.rt_failovers
 
-let metric t name =
-  Metrics.incr (Metrics.counter (Network.metrics t.rt_net) name)
+let metric t name = Metrics.incr (Metrics.handle t.rt_counters name)
 
 let span t ~syscall ~verdict =
   match t.rt_trace with
@@ -75,9 +78,7 @@ let breaker_for t name =
     Hashtbl.replace t.rt_breakers name b;
     b
 
-let note_prefix t key =
-  if not (List.mem key t.rt_prefixes) then
-    t.rt_prefixes <- List.sort String.compare (key :: t.rt_prefixes)
+let note_prefix t key = Hashtbl.replace t.rt_prefixes key ()
 
 let node_for t path =
   Ring.lookup t.rt_ring (Replica.shard_key path)
@@ -151,7 +152,10 @@ let sync t =
     let migrations =
       Replica.rebalance t.rt_net ~src:t.rt_src ~before:t.rt_ring ~after
         ~old_view:t.rt_view ~new_view ~replicas:t.rt_replicas
-        ~prefixes:t.rt_prefixes ()
+        ~prefixes:
+          (List.sort String.compare
+             (Hashtbl.fold (fun key () acc -> key :: acc) t.rt_prefixes []))
+        ()
     in
     span t ~syscall:"cluster.rebalance"
       ~verdict:(Printf.sprintf "members=%d migrations=%d"
@@ -189,7 +193,7 @@ let route t key =
   in
   (match owners with
    | primary :: _ ->
-     metric t ("cluster.route." ^ primary);
+     Metrics.incr (Metrics.handle t.rt_primary primary);
      span t ~syscall:"cluster.route" ~verdict:(key ^ "->" ^ primary)
    | [] -> ());
   owners
@@ -332,13 +336,15 @@ let connect ?(src = "client") ?(policy = Client.default_policy) ?(replicas = 2)
           rt_ring = Ring.create ~vnodes (List.map fst view);
           rt_view = view;
           rt_principal = "";
-          rt_prefixes = [];
+          rt_prefixes = Hashtbl.create 32;
           rt_routes = 0;
           rt_failovers = 0;
           rt_route_cache = Hashtbl.create 32;
           rt_route_epoch = Membership.generation membership;
           rt_breakers = Hashtbl.create 8;
           rt_hint_recent = Hashtbl.create 8;
+          rt_counters = Metrics.handles (Network.metrics net);
+          rt_primary = Metrics.handles ~prefix:"cluster.route." (Network.metrics net);
         }
       in
       (* Authenticate to every shard up front and require one

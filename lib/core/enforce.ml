@@ -16,29 +16,48 @@ module Policy = Idbox_kernel.Policy
 module Delegation = Idbox_auth.Delegation
 module Expiry = Idbox_auth.Expiry
 
+(* The engine's tables, keyed by path: compared with [String.equal]
+   rather than polymorphic compare. *)
+module Paths = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 (* How a cached ACL is known to still be current.  With caching on, the
-   token is the governing directory's (ino, ACL generation)
-   ({!Fs.acl_token}): the VFS bumps that generation on every change that
-   can alter what the directory's ACL file reads as, and on nothing
-   else, so one host-side integer compare revalidates — no delegated
-   syscall — and content writes or plain-file churn in the directory do
-   not evict its ACL.  With caching off, it is the legacy attribute
-   check against the ACL file's (ino, mtime), which pays a delegated
-   [Lstat] per check. *)
+   token is the governing directory's (ino, ACL generation), read off
+   its inode ({!Fs.dir_inode}): the VFS bumps that generation on every
+   change that can alter what the directory's ACL file reads as, and on
+   nothing else, so one host-side integer compare revalidates — no
+   delegated syscall — and content writes or plain-file churn in the
+   directory do not evict its ACL.  With caching off, it is the legacy
+   attribute check against the ACL file's (ino, mtime), which pays a
+   delegated [Lstat] per check. *)
 type token =
   | Dir_gen of (int * int) option  (** [None]: no such directory. *)
   | Acl_attr of (int * int64) option  (** [None]: no ACL file existed. *)
 
+(* A cached ACL.  With caching on, the entry also remembers which inode
+   its directory path resolved to, and in which {!Fs.generation}: while
+   that generation stands still the path resolves to the same inode, so
+   a later check takes the token straight off it instead of walking the
+   path from "/" again. *)
 type cached = {
-  token : token;
-  acl : Acl.t option;
+  mutable token : token;
+  mutable acl : Acl.t option;
+  mutable at_gen : int;
+  mutable inode : Idbox_vfs.Inode.t option;
 }
 
-(* A cached name resolution, valid while the global mutation generation
-   is unchanged (any rename/link/unlink anywhere may retarget a path). *)
+(* A cached name resolution: the canonical path of the whole resolution
+   and its directory, the one whose ACL governs the object.  A
+   resolution holds while {!Fs.generation} stands still (any
+   rename/link/unlink anywhere may retarget a path), so the table keeps
+   the entries of one generation only and is emptied when it moves. *)
 type name_cached = {
-  nc_gen : int;
   nc_final : string;
+  nc_dir : string;
 }
 
 (* A memoized delegation-chain verdict, valid while the revocation
@@ -53,9 +72,14 @@ type chain_cached = {
 
 type t = {
   kernel : Kernel.t;
+  fs : Fs.t;
   sup : View.t;
-  cache : (string, cached) Hashtbl.t;
-  names : (string, name_cached) Hashtbl.t;
+  cache : cached Paths.t;
+  names : name_cached Paths.t;
+  (* [canonical_parents] answers, (path, steps), for the same generation
+     as [names]. *)
+  canon : (string * int) Paths.t;
+  mutable names_gen : int;  (* the generation [names] and [canon] hold *)
   chains : (string, chain_cached) Hashtbl.t;
   in_kernel : bool;
   caching : bool;
@@ -106,9 +130,12 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
   let c name = Metrics.counter (Kernel.metrics kernel) name in
   {
     kernel;
+    fs = Kernel.fs kernel;
     sup = supervisor;
-    cache = Hashtbl.create 64;
-    names = Hashtbl.create 64;
+    cache = Paths.create 64;
+    names = Paths.create 64;
+    canon = Paths.create 64;
+    names_gen = Fs.generation (Kernel.fs kernel);
     chains = Hashtbl.create 16;
     in_kernel;
     caching;
@@ -233,19 +260,65 @@ let delegate t req =
   if t.in_kernel then Kernel.execute t.kernel t.sup req
   else Kernel.delegate t.kernel t.sup req
 
+(* {2 Bounds}
+
+   The name cache, the canonical memo and the ACL cache each gain an
+   entry per distinct path or directory checked, and a boxed visitor or
+   a Chirp client chooses those paths.  A table at its capacity is
+   emptied before the next insert, as the ACL matcher's memo is
+   ({!Acl.memo_capacity}); flushed entries are simply resolved again.
+   The capacities sit well above the working sets of the workloads
+   (box-read: about 2,100 names and 70 directories per box). *)
+
+let name_capacity = 8192
+let acl_capacity = 1024
+
+(* The discarded entries are counted under [evicted], registered on the
+   first eviction: an engine that never evicts leaves the registry as it
+   found it. *)
+let insert_bounded t tbl ~capacity ~evicted key v =
+  let n = Paths.length tbl in
+  if n >= capacity && not (Paths.mem tbl key) then begin
+    Metrics.add (Metrics.counter (Kernel.metrics t.kernel) evicted) n;
+    Paths.reset tbl
+  end;
+  Paths.replace tbl key v
+
+(* Empty the name cache and the canonical memo when {!Fs.generation}
+   has moved since they were filled: their entries could only miss. *)
+let sync_generation t =
+  let gen = Fs.generation t.fs in
+  if gen <> t.names_gen then begin
+    Paths.reset t.names;
+    Paths.reset t.canon;
+    t.names_gen <- gen
+  end
+
 (* Resolve every ancestor symlink of [path], leaving the final component
    alone.  This is the supervisor's name-cache walk: lookups go straight
    at the (supervisor-mirrored) filesystem structure and are charged one
    name-cache cost per step, like dcache hits ({!Fs.canonical_parents}
    counts them).  Charging the steps at once adds up to the same clock
-   as charging them one by one. *)
+   as charging them one by one.  With caching on, the answer is memoized
+   for the current generation, and a memoized answer is charged its
+   steps again. *)
 let charge_steps t (p, steps) =
   Kernel.charge t.kernel
     (Int64.mul (Int64.of_int steps) (Kernel.cost t.kernel).Cost.name_cache_ns);
   p
 
 let canonical_parents t path =
-  charge_steps t (Fs.canonical_parents (Kernel.fs t.kernel) path)
+  if not t.caching then charge_steps t (Fs.canonical_parents t.fs path)
+  else begin
+    sync_generation t;
+    match Paths.find t.canon path with
+    | answer -> charge_steps t answer
+    | exception Not_found ->
+      let answer = Fs.canonical_parents t.fs path in
+      insert_bounded t t.canon ~capacity:name_capacity
+        ~evicted:"enforce.canon.evict" path answer;
+      charge_steps t answer
+  end
 
 (* Follow the symlink chain of [path] itself (ancestors are made
    canonical first).  Also returns the final object's stat so callers
@@ -260,7 +333,7 @@ let resolve_final_ex t path =
          (* Expanded as the kernel will, ".." included, and charged
             like [canonical_parents]. *)
          go
-           (charge_steps t (Fs.expand_link (Kernel.fs t.kernel) ~link:path target))
+           (charge_steps t (Fs.expand_link t.fs ~link:path target))
            (depth + 1)
        | Ok _ | Error _ -> (path, Some st))
     | Ok (Syscall.Stat_v st) -> (path, Some st)
@@ -268,35 +341,38 @@ let resolve_final_ex t path =
   in
   go (canonical_parents t path) 0
 
-(* The name cache: canonical path of the whole resolution, validated
-   against the global mutation generation.  A hit replaces the ancestor
-   walk plus the delegated final-lstat loop with one generation check;
-   it does not know the final object's stat (the [bool] is false), so
-   callers needing one must fetch it lazily.  [key] is the normalized
-   path. *)
-let resolved t key =
-  if not t.caching then
-    let final, st = resolve_final_ex t key in
-    (final, st, true)
-  else begin
-    let gen = Fs.generation (Kernel.fs t.kernel) in
-    match Hashtbl.find_opt t.names key with
-    | Some n when n.nc_gen = gen ->
-      Metrics.incr t.m_name_hit;
-      Kernel.charge t.kernel t.c_gen_check;
-      (n.nc_final, None, false)
-    | Some _ | None ->
-      Metrics.incr t.m_name_miss;
-      let final, st = resolve_final_ex t key in
-      Hashtbl.replace t.names key { nc_gen = gen; nc_final = final };
-      (final, st, true)
-  end
+(* The name cache (caching on), keyed by normalized path.  A hit
+   replaces the ancestor walk plus the delegated final-lstat loop with
+   one generation check; it does not know the final object's stat, so
+   callers needing one fetch it lazily.  A miss resolves the path and
+   also returns the stat it read, [None] when that proved the object
+   absent.  Callers run [sync_generation] first. *)
+let name_hit t n =
+  Metrics.incr t.m_name_hit;
+  Kernel.charge t.kernel t.c_gen_check;
+  n
+
+let name_miss t key =
+  Metrics.incr t.m_name_miss;
+  let final, st = resolve_final_ex t key in
+  let n = { nc_final = final; nc_dir = Path.dirname final } in
+  insert_bounded t t.names ~capacity:name_capacity ~evicted:"enforce.name.evict" key n;
+  (n, st)
+
+let name_entry t key =
+  sync_generation t;
+  match Paths.find t.names key with
+  | n -> name_hit t n
+  | exception Not_found -> fst (name_miss t key)
 
 let resolve_final t path =
-  let final, _, _ = resolved t (Path.normalize path) in
-  final
+  let key = Path.normalize path in
+  if t.caching then (name_entry t key).nc_final else fst (resolve_final_ex t key)
 
-let governing_dir t path = Path.dirname (resolve_final t path)
+let governing_dir t path =
+  let key = Path.normalize path in
+  if t.caching then (name_entry t key).nc_dir
+  else Path.dirname (fst (resolve_final_ex t key))
 
 let read_acl_file t dir =
   let acl_path = Path.join dir acl_filename in
@@ -329,37 +405,86 @@ let acl_token t dir =
   | Ok (Syscall.Stat_v st) -> Some (st.Fs.st_ino, st.Fs.st_mtime)
   | Ok _ | Error _ -> None
 
-(* The current validation token for [dir] under this engine's mode. *)
-let dir_token t dir =
+let gen_token inode =
+  Dir_gen
+    (match inode with
+     | Some d -> Some (Idbox_vfs.Inode.ino d, Idbox_vfs.Inode.acl_gen d)
+     | None -> None)
+
+(* [gen_token inode = token], without building the token. *)
+let gen_token_holds token inode =
+  match (token, inode) with
+  | Dir_gen (Some (ino, gen)), Some d ->
+    ino = Idbox_vfs.Inode.ino d && gen = Idbox_vfs.Inode.acl_gen d
+  | Dir_gen None, None -> true
+  | Dir_gen _, _ | Acl_attr _, _ -> false
+
+(* A fresh ACL-cache entry for [dir] under this engine's mode, holding
+   [acl] (computed by [acl_of] from the entry's token).  With caching on,
+   the token check is charged one {!Cost.t.gen_check_ns}. *)
+let fresh_entry t dir acl_of =
   if t.caching then begin
     Kernel.charge t.kernel t.c_gen_check;
-    Dir_gen (Fs.acl_token (Kernel.fs t.kernel) dir)
+    let inode = Fs.dir_inode t.fs dir in
+    let token = gen_token inode in
+    { token; acl = acl_of token; at_gen = t.names_gen; inode }
   end
-  else Acl_attr (acl_token t dir)
+  else
+    let token = Acl_attr (acl_token t dir) in
+    { token; acl = acl_of token; at_gen = -1; inode = None }
+
+let read_if_present t dir = function
+  | Acl_attr None -> None (* no ACL file *)
+  | Dir_gen None -> None (* no such directory *)
+  | Acl_attr (Some _) | Dir_gen (Some _) -> read_acl_file t dir
+
+let store t dir entry =
+  insert_bounded t t.cache ~capacity:acl_capacity ~evicted:"acl.cache.evict" dir
+    entry
+
+(* [None] while [c], the entry of [dir], is current; else the token
+   that replaces it.  With caching on, the token is taken off the inode
+   [dir] resolved to in the current generation: resolved now if the
+   entry's inode is from an earlier one, kept for the next check
+   otherwise. *)
+let stale_token t dir c =
+  if t.caching then begin
+    Kernel.charge t.kernel t.c_gen_check;
+    if c.at_gen <> t.names_gen then begin
+      c.inode <- Fs.dir_inode t.fs dir;
+      c.at_gen <- t.names_gen
+    end;
+    if gen_token_holds c.token c.inode then None else Some (gen_token c.inode)
+  end
+  else
+    let token = Acl_attr (acl_token t dir) in
+    if c.token = token then None else Some token
 
 (* [dir] is normalized. *)
 let dir_acl_of t dir =
-  let token = dir_token t dir in
-  match Hashtbl.find_opt t.cache dir with
-  | Some cached when cached.token = token ->
-    Metrics.incr t.m_acl_hit;
-    cached.acl
-  | Some _ | None ->
+  if t.caching then sync_generation t;
+  match Paths.find t.cache dir with
+  | c -> (
+    match stale_token t dir c with
+    | None ->
+      Metrics.incr t.m_acl_hit;
+      c.acl
+    | Some token ->
+      Metrics.incr t.m_acl_miss;
+      c.token <- token;
+      c.acl <- read_if_present t dir token;
+      c.acl)
+  | exception Not_found ->
     Metrics.incr t.m_acl_miss;
-    let acl =
-      match token with
-      | Acl_attr None -> None (* no ACL file *)
-      | Dir_gen None -> None (* no such directory *)
-      | Acl_attr (Some _) | Dir_gen (Some _) -> read_acl_file t dir
-    in
-    Hashtbl.replace t.cache dir { token; acl };
-    acl
+    let entry = fresh_entry t dir (read_if_present t dir) in
+    store t dir entry;
+    entry.acl
 
 let dir_acl t dir = dir_acl_of t (Path.normalize dir)
 
 let charge_acl_eval t acl =
   let cost = Kernel.cost t.kernel in
-  let entries = List.length (Acl.entries acl) in
+  let entries = Acl.length acl in
   Metrics.incr t.m_eval;
   Metrics.add t.m_eval_entries entries;
   Kernel.charge t.kernel
@@ -384,42 +509,61 @@ let stat_of t path =
   | Ok (Syscall.Stat_v st) -> Some st
   | Ok _ | Error _ -> None
 
-(* [dir] is normalized. *)
-let check_with_fallback t ~identity ~dir ~object_stat right =
-  match dir_acl_of t dir with
-  | Some acl ->
-    charge_acl_eval t acl;
-    if Acl.check acl identity right then Ok () else Error Errno.EACCES
-  | None ->
-    (match object_stat () with
-     | Some st when nobody_allows_stat st right -> Ok ()
-     | Some _ | None -> Error Errno.EACCES)
+let acl_verdict t acl ~identity right =
+  charge_acl_eval t acl;
+  if Acl.check acl identity right then Ok () else Error Errno.EACCES
+
+let nobody_verdict st right =
+  match st with
+  | Some st when nobody_allows_stat st right -> Ok ()
+  | Some _ | None -> Error Errno.EACCES
 
 let check_in_dir t ~identity ~dir right =
   let dir = Path.normalize dir in
   match bytecode_consult t (`Dir dir) ~identity right with
   | Some verdict -> verdict
-  | None ->
-    check_with_fallback t ~identity ~dir
-      ~object_stat:(fun () -> stat_of t dir)
-      right
+  | None -> (
+    match dir_acl_of t dir with
+    | Some acl -> acl_verdict t acl ~identity right
+    | None -> nobody_verdict (stat_of t dir) right)
 
-let check_object_interp t ~identity ~key right =
-  let final, st, authoritative = resolved t key in
+(* The object resolved to [final] in [dir].  Without an ACL, [nobody] is
+   judged against the object itself when it exists, else against the
+   directory that would contain it.  [st] is the final stat when this
+   check resolved the name; after a name-cache hit it is unknown
+   ([known] is false) and fetched lazily, while after a fresh resolve
+   [None] already proved the object absent. *)
+let check_resolved t ~identity ~final ~dir ~st ~known right =
   if is_acl_file final then Error Errno.EACCES
   else
-    let dir = Path.dirname final in
-    let object_stat () =
-      (* Fall back against the object itself when it exists, else against
-         the directory that would contain it.  After a name-cache hit the
-         final stat is unknown and fetched lazily; after a fresh resolve,
-         [st = None] already proved the object absent. *)
-      match st with
-      | Some _ -> st
-      | None when authoritative -> stat_of t dir
-      | None -> (match stat_of t final with Some s -> Some s | None -> stat_of t dir)
-    in
-    check_with_fallback t ~identity ~dir ~object_stat right
+    match dir_acl_of t dir with
+    | Some acl -> acl_verdict t acl ~identity right
+    | None ->
+      let st =
+        match st with
+        | Some _ -> st
+        | None when known -> stat_of t dir
+        | None -> (match stat_of t final with Some s -> Some s | None -> stat_of t dir)
+      in
+      nobody_verdict st right
+
+let check_object_interp t ~identity ~key right =
+  if t.caching then begin
+    sync_generation t;
+    match Paths.find t.names key with
+    | n ->
+      let n = name_hit t n in
+      check_resolved t ~identity ~final:n.nc_final ~dir:n.nc_dir ~st:None
+        ~known:false right
+    | exception Not_found ->
+      let n, st = name_miss t key in
+      check_resolved t ~identity ~final:n.nc_final ~dir:n.nc_dir ~st ~known:true
+        right
+  end
+  else
+    let final, st = resolve_final_ex t key in
+    check_resolved t ~identity ~final ~dir:(Path.dirname final) ~st ~known:true
+      right
 
 (* An ACL file is reachable only through getacl and setacl.  It is
    refused by name before any tier answers, and again after the symlink
@@ -459,7 +603,7 @@ let plan_mkdir t ~identity ~parent =
 let invalidate t ~dir =
   let dir = Path.normalize dir in
   Metrics.incr t.m_acl_inval;
-  Hashtbl.remove t.cache dir
+  Paths.remove t.cache dir
 
 let write_acl t ~dir acl =
   let dir = Path.normalize dir in
@@ -476,7 +620,8 @@ let write_acl t ~dir acl =
        (* Re-prime with a post-write token: the open bumped the
           directory's ACL generation, so the fresh ACL is served from
           cache. *)
-       Hashtbl.replace t.cache dir { token = dir_token t dir; acl = Some acl };
+       if t.caching then sync_generation t;
+       store t dir (fresh_entry t dir (fun _ -> Some acl));
        (* The open bumped the policy generation too: the program is
           rebuilt lazily, once, at the next check. *)
        Ok ()

@@ -17,18 +17,31 @@
 
     With caching on (the default), two generation-validated caches
     serve the warm path with {e zero} delegated syscalls, dcache-style:
-    a name cache (canonical path of a full resolution, validated against
-    the global VFS mutation generation) and the per-directory ACL cache
-    (validated against the governing directory's (ino, ACL generation),
-    {!Idbox_vfs.Fs.acl_token}, instead of a delegated [Lstat] of the ACL
-    file; content writes and plain-file churn leave it valid).  Each warm hit
-    charges one {!Idbox_kernel.Cost.t.gen_check_ns}; the cached ACL is
-    then evaluated (charged {!Idbox_kernel.Cost.t.acl_check_base} plus
+    a name cache (the canonical path of a full resolution and its
+    governing directory, valid while the global VFS mutation generation
+    {!Idbox_vfs.Fs.generation} stands still) and the per-directory ACL
+    cache (validated against the governing directory's (ino, ACL
+    generation) instead of a delegated [Lstat] of the ACL file; content
+    writes and plain-file churn leave it valid).  An ACL-cache entry
+    also keeps the inode its directory resolved to in the current
+    generation, so a warm check — of an object or of a directory —
+    takes that token straight off the inode, with no re-walk of the
+    path from "/".  Each warm hit charges one
+    {!Idbox_kernel.Cost.t.gen_check_ns}; the cached ACL is then
+    evaluated (charged {!Idbox_kernel.Cost.t.acl_check_base} plus
     {!Idbox_kernel.Cost.t.acl_check_entry} per entry), its matcher
     memoizing each principal's effective rights.  Verdicts are
     byte-identical to the uncached engine: the VFS bumps a generation on
     every mutation that could change an answer.  Hit/miss counters:
-    [acl.cache.*], [enforce.name.*]. *)
+    [acl.cache.*], [enforce.name.*].
+
+    The tables are bounded.  The name cache and the {!canonical_parents}
+    memo hold one generation's entries and are emptied when it moves;
+    each is also flushed at 8,192 entries, and the ACL cache (which
+    keeps its own token, so that it outlives plain-file churn) at 1,024
+    directories.  Flushed entries are resolved again; the discarded ones
+    are counted in [enforce.name.evict], [enforce.canon.evict] and
+    [acl.cache.evict], registered at the first eviction. *)
 
 type t
 
@@ -102,7 +115,10 @@ val canonical_parents : t -> string -> string
     Cost: one name-cache component charge per step of
     {!Idbox_vfs.Fs.canonical_parents} — the supervisor, like a kernel,
     keeps the directory structure of paths it has resolved in memory
-    (Parrot "may be thought of as an augmented operating system", §3). *)
+    (Parrot "may be thought of as an augmented operating system", §3).
+    With caching on, the answer is memoized for the current
+    {!Idbox_vfs.Fs.generation} and a memoized answer is charged the
+    same steps. *)
 
 val resolve_final : t -> string -> string
 (** Follow the symlink chain of [path] itself (bounded depth) to the

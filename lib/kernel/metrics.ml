@@ -128,6 +128,23 @@ let histogram t name =
     Hashtbl.replace t.m_histograms name h;
     h
 
+type handles = {
+  hs_registry : t;
+  hs_prefix : string;
+  hs_table : (string, counter) Hashtbl.t;
+}
+
+let handles ?(prefix = "") t =
+  { hs_registry = t; hs_prefix = prefix; hs_table = Hashtbl.create 16 }
+
+let handle hs name =
+  match Hashtbl.find hs.hs_table name with
+  | c -> c
+  | exception Not_found ->
+    let c = counter hs.hs_registry (hs.hs_prefix ^ name) in
+    Hashtbl.replace hs.hs_table name c;
+    c
+
 let find_counter t name =
   t.m_lookups <- t.m_lookups + 1;
   Hashtbl.find_opt t.m_counters name

@@ -22,6 +22,20 @@ val counter : t -> string -> counter
 (** Get or create the counter named [name].  Hold on to the handle in
     hot code; lookup hashes the name. *)
 
+type handles
+(** Counter handles interned by name on first use, for code whose
+    counter names are not all known up front (per-peer or per-operation
+    names).  A name reaches the registry once, the first time it is
+    counted, so a counter that never fires is never registered. *)
+
+val handles : ?prefix:string -> t -> handles
+(** An empty handle table over a registry.  [handle hs name] stands for
+    the counter [prefix ^ name] ([prefix] defaults to [""]). *)
+
+val handle : handles -> string -> counter
+(** The counter for [name]: a registry {!counter} call the first time,
+    a table hit after that. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 (** [add c n] adds [n] (ignored when [n <= 0]); saturates at [max_int]. *)

@@ -38,13 +38,25 @@ type span = {
 
 type sink = span -> unit
 
-(* A fixed-capacity ring.  The span array is allocated lazily on the
-   first emit, so a kernel that never traces pays one word per field
-   here and nothing else.  [head] is the index of the next write; once
-   [total >= capacity] the oldest span lives at [head]. *)
+(* A fixed-capacity ring stored as columns: the identity, syscall and
+   verdict strings by reference, the pids in an int array, and the
+   simulated time and cost as raw 64-bit words in a byte column, so
+   recording a span writes its fields in place and allocates nothing
+   the ring keeps.  A [span] record is built only when the ring is
+   read, and for sinks.  The columns are allocated lazily on the first
+   span, so a ring that never records pays one word per field here and
+   nothing else.  [head] is the slot of the next write; once
+   [total >= capacity] the oldest span lives at [head], and the spans
+   retained are the last [length] ones recorded, so a slot's sequence
+   number follows from its age. *)
 type ring = {
   capacity : int;
-  mutable spans : span array;
+  mutable times : Bytes.t;
+  mutable costs : Bytes.t;
+  mutable pids : int array;
+  mutable identities : string array;
+  mutable syscalls : string array;
+  mutable verdicts : string array;
   mutable head : int;
   mutable total : int;
   mutable sinks : sink list;
@@ -54,7 +66,9 @@ let default_capacity = 1024
 
 let ring ?(capacity = default_capacity) () =
   let capacity = if capacity < 1 then 1 else capacity in
-  { capacity; spans = [||]; head = 0; total = 0; sinks = [] }
+  { capacity; times = Bytes.empty; costs = Bytes.empty; pids = [||];
+    identities = [||]; syscalls = [||]; verdicts = [||]; head = 0; total = 0;
+    sinks = [] }
 
 let capacity r = r.capacity
 let total r = r.total
@@ -64,33 +78,51 @@ let dropped r = r.total - length r
 let add_sink r sink = r.sinks <- r.sinks @ [ sink ]
 let clear_sinks r = r.sinks <- []
 
-let emit r span =
-  if Array.length r.spans = 0 then
-    r.spans <- Array.make r.capacity span
-  else r.spans.(r.head) <- span;
-  r.head <- (r.head + 1) mod r.capacity;
-  r.total <- r.total + 1;
-  List.iter (fun sink -> sink span) r.sinks
+let allocate r =
+  let n = r.capacity in
+  r.times <- Bytes.make (8 * n) '\000';
+  r.costs <- Bytes.make (8 * n) '\000';
+  r.pids <- Array.make n 0;
+  r.identities <- Array.make n "";
+  r.syscalls <- Array.make n "";
+  r.verdicts <- Array.make n ""
+
+let read_slot r slot ~seq =
+  {
+    sp_seq = seq;
+    sp_time = Bytes.get_int64_le r.times (8 * slot);
+    sp_pid = r.pids.(slot);
+    sp_identity = r.identities.(slot);
+    sp_syscall = r.syscalls.(slot);
+    sp_verdict = r.verdicts.(slot);
+    sp_cost_ns = Bytes.get_int64_le r.costs (8 * slot);
+  }
 
 let span r ~time ~pid ~identity ~syscall ~verdict ~cost_ns =
-  emit r
-    {
-      sp_seq = r.total;
-      sp_time = time;
-      sp_pid = pid;
-      sp_identity = identity;
-      sp_syscall = syscall;
-      sp_verdict = verdict;
-      sp_cost_ns = cost_ns;
-    }
+  if Array.length r.pids = 0 then allocate r;
+  let slot = r.head in
+  Bytes.set_int64_le r.times (8 * slot) time;
+  Bytes.set_int64_le r.costs (8 * slot) cost_ns;
+  r.pids.(slot) <- pid;
+  r.identities.(slot) <- identity;
+  r.syscalls.(slot) <- syscall;
+  r.verdicts.(slot) <- verdict;
+  r.head <- (if slot + 1 = r.capacity then 0 else slot + 1);
+  r.total <- r.total + 1;
+  match r.sinks with
+  | [] -> ()
+  | sinks ->
+    let s = read_slot r slot ~seq:(r.total - 1) in
+    List.iter (fun sink -> sink s) sinks
 
 (* Oldest-first iteration.  When the ring has wrapped, the oldest
    retained span sits at [head]; before wrap, at 0. *)
 let iter r f =
   let n = length r in
   let start = if r.total < r.capacity then 0 else r.head in
+  let first_seq = r.total - n in
   for i = 0 to n - 1 do
-    f r.spans.((start + i) mod r.capacity)
+    f (read_slot r ((start + i) mod r.capacity) ~seq:(first_seq + i))
   done
 
 let to_list r =
@@ -98,10 +130,10 @@ let to_list r =
   iter r (fun s -> acc := s :: !acc);
   List.rev !acc
 
+(* The columns stay allocated: with [total] at 0 no slot is read. *)
 let reset r =
   r.head <- 0;
-  r.total <- 0;
-  r.spans <- [||]
+  r.total <- 0
 
 let span_json s =
   Printf.sprintf

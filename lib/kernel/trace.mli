@@ -48,10 +48,16 @@ val pass_through : handler
     structured records, one per serviced system call, that the kernel
     (and any instrumented layer) appends to.  The ring never grows —
     once full, the oldest span is overwritten and counted in
-    {!dropped} — so tracing is safe to leave on in long runs. *)
+    {!dropped} — so tracing is safe to leave on in long runs.
+
+    The ring keeps its spans as columns: the identity, syscall and
+    verdict strings by reference, the pid, and the time and cost as
+    64-bit words.  Recording a span into a ring with no sinks allocates
+    nothing; {!span} records are built only when the ring is read
+    ({!iter}, {!to_list}, {!to_json}) and for sinks. *)
 
 type span = {
-  sp_seq : int;  (** Monotonic emit sequence number (0-based). *)
+  sp_seq : int;  (** Monotonic record sequence number (0-based). *)
   sp_time : int64;  (** Simulated clock at syscall entry, ns. *)
   sp_pid : int;
   sp_identity : string;  (** Acting principal, or ["-"] when unknown. *)
@@ -61,8 +67,8 @@ type span = {
 }
 
 type sink = span -> unit
-(** Sinks observe every span at emit time — even ones later overwritten
-    in the ring — so a streaming sink loses nothing. *)
+(** Sinks observe every span as it is recorded — even ones later
+    overwritten in the ring — so a streaming sink loses nothing. *)
 
 type ring
 
@@ -70,21 +76,19 @@ val default_capacity : int
 (** 1024 spans. *)
 
 val ring : ?capacity:int -> unit -> ring
-(** A fresh ring.  [capacity] is clamped to at least 1.  The span
-    storage is allocated lazily on the first emit. *)
+(** A fresh ring.  [capacity] is clamped to at least 1.  The column
+    storage is allocated lazily on the first span. *)
 
 val capacity : ring -> int
 
 val total : ring -> int
-(** Spans ever emitted (including overwritten ones). *)
+(** Spans ever recorded (including overwritten ones). *)
 
 val length : ring -> int
 (** Spans currently retained, [<= capacity]. *)
 
 val dropped : ring -> int
 (** [total - length]: spans overwritten by wraparound. *)
-
-val emit : ring -> span -> unit
 
 val span :
   ring ->
@@ -95,7 +99,9 @@ val span :
   verdict:string ->
   cost_ns:int64 ->
   unit
-(** Build and {!emit} a span, assigning the next sequence number. *)
+(** Record a span, assigning it the next sequence number: the fields
+    are written into the ring's columns in place.  Sinks, if any, each
+    receive the span as a record. *)
 
 val add_sink : ring -> sink -> unit
 val clear_sinks : ring -> unit

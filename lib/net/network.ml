@@ -154,7 +154,7 @@ type t = {
   (* Counter handles interned once per name: the fault/timeout hot
      paths update them without re-hashing the name in the registry on
      every call (per-endpoint names are interned at first use). *)
-  nw_counters : (string, Metrics.counter) Hashtbl.t;
+  nw_counters : Metrics.handles;
   c_timeout : Metrics.counter;
   c_hedge : Metrics.counter;
   c_late : Metrics.counter;
@@ -179,7 +179,7 @@ let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.)
     rng = Fault.rng 0L;
     messages = 0;
     bytes = 0;
-    nw_counters = Hashtbl.create 32;
+    nw_counters = Metrics.handles m;
     c_timeout = Metrics.counter m "net.timeout";
     c_hedge = Metrics.counter m "net.hedge";
     c_late = Metrics.counter m "net.late_reply";
@@ -190,13 +190,7 @@ let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.)
 let clock t = t.nw_clock
 let metrics t = t.nw_metrics
 
-let interned t name =
-  match Hashtbl.find_opt t.nw_counters name with
-  | Some c -> c
-  | None ->
-    let c = Metrics.counter t.nw_metrics name in
-    Hashtbl.replace t.nw_counters name c;
-    c
+let interned t name = Metrics.handle t.nw_counters name
 
 let fresh_stats () = { calls = 0; bytes_in = 0; bytes_out = 0; busy_ns = 0L }
 

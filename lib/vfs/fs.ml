@@ -274,13 +274,13 @@ let writable_dir ~uid dir =
   Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.W
   && searchable ~uid dir
 
-let dir_stamp t path gen =
+let dir_inode t path =
   match resolve t ~uid:0 path with
-  | Ok inode when Inode.kind inode = Inode.Directory -> Some (Inode.ino inode, gen inode)
+  | Ok inode when Inode.kind inode = Inode.Directory -> Some inode
   | Ok _ | Error _ -> None
 
-let dir_token t path = dir_stamp t path Inode.gen
-let acl_token t path = dir_stamp t path Inode.acl_gen
+let dir_token t path =
+  Option.map (fun dir -> (Inode.ino dir, Inode.gen dir)) (dir_inode t path)
 
 (* The entry an open or a chmod of [path] reaches, as (directory, name):
    the final symlink chain is followed as root, within [symlink_limit].
@@ -614,8 +614,11 @@ let chown t ~uid ~owner path =
 let exists t ~uid path =
   match resolve t ~uid path with Ok _ -> true | Error _ -> false
 
+(* No [trunc] on the open: [set_contents] replaces every byte and sets
+   the length itself, and is then the one place the file's digest memo
+   is dropped. *)
 let write_file t ~uid ?(mode = Perm.default_file_mode) path contents =
-  match open_file t ~uid ~flags:wronly_create ~mode path with
+  match open_file t ~uid ~flags:{ wronly_create with trunc = false } ~mode path with
   | Error e -> Error e
   | Ok inode ->
     Inode.set_contents inode contents;

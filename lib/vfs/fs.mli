@@ -77,12 +77,13 @@ val root : t -> Inode.t
       directory's content is about to change (anti-entropy digests over
       file contents must revalidate) but its namespace is not, so
       neither global counter moves.
-    - A directory's [(ino, acl_gen)] token ({!acl_token}) moves only
-      when what its ACL file reads as can change: a create, unlink,
-      mkdir, rmdir or rename (either end) of the entry with the watched
-      name in it; an open-for-write that lands on that entry after the
-      final symlink chain is followed; and a chmod or chown of any entry
-      in it (the entry reached, symlinks followed).  Each of these bumps
+    - A directory's [(ino, acl_gen)] token ({!Inode.ino} and
+      {!Inode.acl_gen} of its {!dir_inode}) moves only when what its
+      ACL file reads as can change: a create, unlink, mkdir, rmdir or
+      rename (either end) of the entry with the watched name in it; an
+      open-for-write that lands on that entry after the final symlink
+      chain is followed; and a chmod or chown of any entry in it (the
+      entry reached, symlinks followed).  Each of these bumps
       the three counters above as well.  Content writes to other files
       and every other namespace change leave it alone.  A directory
       that is moved, replaced or re-pointed through a symlink changes
@@ -103,10 +104,12 @@ val dir_token : t -> string -> (int * int) option
     following symlinks), or [None] when it does not resolve to a
     directory.  Host-side: performs no simulated syscalls. *)
 
-val acl_token : t -> string -> (int * int) option
-(** [(ino, acl_gen)] of the directory the path resolves to, resolved as
-    {!dir_token} resolves it.  It validates a cached copy of that
-    directory's ACL file. *)
+val dir_inode : t -> string -> Inode.t option
+(** The directory the path resolves to, resolved as {!dir_token}
+    resolves it.  Its [(ino, acl_gen)] validates a cached copy of that
+    directory's ACL file.  While {!generation} stands still, the same
+    path resolves to the same inode, and its [acl_gen] stays put: every
+    change that could move either bumps {!generation}. *)
 
 val watch_basename : t -> string -> unit
 (** Register the ACL file's basename.  Namespace changes to an entry of
@@ -196,7 +199,8 @@ val exists : t -> uid:int -> string -> bool
 (** {1 Convenience for tests and fixtures} *)
 
 val write_file : t -> uid:int -> ?mode:int -> string -> string -> unit r
-(** Create-or-truncate a file with the given contents. *)
+(** Create a file, or replace an existing one's contents, with the
+    given contents. *)
 
 val read_file : t -> uid:int -> string -> string r
 (** Whole-file read. *)

@@ -28,9 +28,17 @@ type pipe = {
   mutable p_writers : int;
 }
 
-type payload =
+(* A directory's entries, and their sorted names once someone has
+   listed them: [dir_add] and [dir_remove], the only functions that
+   change the table, each drop the listing. *)
+type dir = {
+  entries : t Names.t;
+  mutable listing : string list option;
+}
+
+and payload =
   | File of file_store
-  | Dir of t Names.t
+  | Dir of dir
   | Link of string
   | Pipe_end of pipe
 
@@ -84,7 +92,7 @@ let make_file ~ino ~uid ~mode ~now =
 let make_dir ~ino ~uid ~mode ~now =
   (* nlink for directories is left at 1: the simulation does not count
      the "." and ".." pseudo-entries. *)
-  make ~ino ~uid ~mode ~now (Dir (Names.create 8))
+  make ~ino ~uid ~mode ~now (Dir { entries = Names.create 8; listing = None })
 
 let make_symlink ~ino ~uid ~target ~now =
   make ~ino ~uid ~mode:0o777 ~now (Link target)
@@ -191,22 +199,35 @@ let digest t =
     s.md5 <- Some d;
     d
 
-let table t op =
+let directory t op =
   match t.payload with
-  | Dir tbl -> tbl
+  | Dir d -> d
   | File _ | Link _ | Pipe_end _ -> invalid_arg (op ^ ": not a directory")
 
-let dir_find t name = Names.find_opt (table t "Inode.dir_find") name
+let dir_find t name = Names.find_opt (directory t "Inode.dir_find").entries name
 
-let dir_add t name child = Names.replace (table t "Inode.dir_add") name child
+let dir_add t name child =
+  let d = directory t "Inode.dir_add" in
+  d.listing <- None;
+  Names.replace d.entries name child
 
-let dir_remove t name = Names.remove (table t "Inode.dir_remove") name
+let dir_remove t name =
+  let d = directory t "Inode.dir_remove" in
+  d.listing <- None;
+  Names.remove d.entries name
 
 let dir_entries t =
-  Names.fold (fun name _ acc -> name :: acc) (table t "Inode.dir_entries") []
-  |> List.sort String.compare
+  let d = directory t "Inode.dir_entries" in
+  match d.listing with
+  | Some names -> names
+  | None ->
+    let names =
+      Names.fold (fun name _ acc -> name :: acc) d.entries [] |> List.sort String.compare
+    in
+    d.listing <- Some names;
+    names
 
-let dir_is_empty t = Names.length (table t "Inode.dir_is_empty") = 0
+let dir_is_empty t = Names.length (directory t "Inode.dir_is_empty").entries = 0
 
 let link_target t =
   match t.payload with

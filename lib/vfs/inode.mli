@@ -28,7 +28,7 @@ val bump_gen : t -> unit
 val acl_gen : t -> int
 (** ACL generation, starting at 0.  Meaningful for directories: [Fs]
     bumps it only on changes that can alter what the directory's ACL
-    file reads as (see {!Fs.acl_token}), so [(ino, acl_gen)] pairs
+    file reads as (see {!Fs.dir_inode}), so [(ino, acl_gen)] pairs
     validate cached ACLs across content writes and plain-file churn. *)
 
 val bump_acl_gen : t -> unit
@@ -122,7 +122,9 @@ val dir_add : t -> string -> t -> unit
 val dir_remove : t -> string -> unit
 
 val dir_entries : t -> string list
-(** Entry names, sorted. *)
+(** Entry names, sorted.  The directory keeps the sorted list until
+    {!dir_add} or {!dir_remove} changes its entries, so listing an
+    unchanged directory again costs nothing. *)
 
 val dir_is_empty : t -> bool
 

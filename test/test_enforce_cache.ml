@@ -5,10 +5,14 @@
    rewritten through the engine, through raw fd-path writes to
    [.__acl], through symlinks in the same and in another directory and
    through opens that do not truncate, ACL files renamed in, unlinked,
-   re-created and chmodded, a subdirectory made and removed.  After
-   every mutation, every (path, principal, right) verdict must be
-   byte-identical across the two engines: the caches may only ever
-   change the cost of an answer, never the answer.  Seeded and
+   re-created and chmodded, a subdirectory made and removed, a probed
+   directory renamed away and another renamed into its place, a
+   directory swapped for a symlink to another one, and an ancestor
+   symlink retargeted under the probes that go through it.  After every
+   mutation, every (path, principal, right) verdict — of the object and
+   of the directory — and every canonical path and governing directory
+   must be byte-identical across the two engines: the caches may only
+   ever change the cost of an answer, never the answer.  Seeded and
    deterministic. *)
 
 module Kernel = Idbox_kernel.Kernel
@@ -43,16 +47,28 @@ let ok ctx = function
 
 let dirs = [ "/w/a"; "/w/b"; "/w/c" ]
 
+(* Where a directory goes when it is renamed away, or set aside while
+   a symlink takes its name; and a symlink to a directory, which the
+   storm retargets under the probes that go through it. *)
+let away = "/w/away"
+let saved = "/w/saved"
+let dir_link = "/w/dl"
+
 (* The probe set deliberately includes objects that may or may not
    exist at any moment, the symlinks (among them the links to ACL
    files), the directories themselves, a subdirectory that comes and
-   goes and a child of it. *)
+   goes and a child of it, and paths through the directory symlink and
+   through the places directories are moved to. *)
 let probes =
   ("/w/ln" :: "/w/acl_ln" :: "/w/a/sub" :: "/w/a/sub/f0" :: dirs)
   @ List.concat_map
       (fun d ->
         (d ^ "/acl_ln") :: List.init 3 (fun i -> Printf.sprintf "%s/f%d" d i))
-      dirs
+      (dir_link :: dirs)
+  @ [ dir_link; dir_link ^ "/sub/f0"; away ^ "/f0"; saved ^ "/f1" ]
+
+(* The directories [check_in_dir] is asked about. *)
+let probe_dirs = dirs @ [ "/w"; "/w/a/sub"; dir_link; dir_link ^ "/sub"; away; saved ]
 
 let patterns =
   [ "globus:/O=UnivNowhere/CN=Fred"; "globus:/O=UnivNowhere/*"; "kerberos:*" ]
@@ -145,36 +161,100 @@ let setup () =
           [ Entry.make ~pattern:"globus:/O=UnivNowhere/*"
               (Rights.of_string_exn "rwl") ]));
   ok "symlink" (Fs.symlink (Kernel.fs k) ~uid:0 ~target:"/w/a/f0" "/w/ln");
+  ok "dir symlink" (Fs.symlink (Kernel.fs k) ~uid:0 ~target:"a" dir_link);
   (k, cached, uncached)
 
-let verdict e identity path right =
-  match Enforce.check_object e ~identity ~path right with
+let show = function
   | Ok () -> "ok"
   | Error e -> Errno.to_string e
 
+let verdict e identity path right = show (Enforce.check_object e ~identity ~path right)
+
+let dir_verdict e identity dir right =
+  show (Enforce.check_in_dir e ~identity ~dir right)
+
 let compare_engines cached uncached ~seed ~step =
+  let agree what path want got =
+    if not (String.equal want got) then
+      Alcotest.failf "seed %d step %d: %s %s: uncached=%s cached=%s" seed step
+        what path want got
+  in
+  let each_question ask paths =
+    List.iter
+      (fun path ->
+        List.iter
+          (fun identity ->
+            List.iter
+              (fun right ->
+                agree
+                  (Printf.sprintf "%s %c" (Principal.to_string identity)
+                     (Right.to_char right))
+                  path (ask uncached identity path right)
+                  (ask cached identity path right))
+              rights)
+          identities)
+      paths
+  in
+  each_question verdict probes;
+  each_question dir_verdict probe_dirs;
   List.iter
     (fun path ->
-      List.iter
-        (fun identity ->
-          List.iter
-            (fun right ->
-              let want = verdict uncached identity path right in
-              let got = verdict cached identity path right in
-              if not (String.equal want got) then
-                Alcotest.failf
-                  "seed %d step %d: %s %s %c: uncached=%s cached=%s" seed step
-                  (Principal.to_string identity)
-                  path (Right.to_char right) want got)
-            rights)
-        identities)
+      agree "canonical parents" path
+        (Enforce.canonical_parents uncached path)
+        (Enforce.canonical_parents cached path);
+      agree "governing dir" path
+        (Enforce.governing_dir uncached path)
+        (Enforce.governing_dir cached path))
     probes
+
+(* The moves a kept directory inode must survive: a path that resolved
+   to one directory inode in some generation resolves to another, or to
+   a symlink, in a later one. *)
+let directory_move st k =
+  let fs = Kernel.fs k in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let kind path =
+    match Fs.lstat fs ~uid:0 path with
+    | Ok st -> Some st.Fs.st_kind
+    | Error _ -> None
+  in
+  let is_dir path = kind path = Some Idbox_vfs.Inode.Directory in
+  match Random.State.int st 3 with
+  | 0 -> (
+    (* A probed directory renamed away, or another directory (or the one
+       renamed away) renamed into its place. *)
+    match List.filter (fun d -> kind d = None) dirs with
+    | [] -> if not (is_dir away) then ignore (Fs.rename fs ~uid:0 ~src:(pick dirs) ~dst:away)
+    | hole :: _ ->
+      let movable = List.filter is_dir (away :: dirs) in
+      if movable <> [] then ignore (Fs.rename fs ~uid:0 ~src:(pick movable) ~dst:hole))
+  | 1 -> (
+    (* A directory swapped for a symlink to another directory, or the
+       swap undone. *)
+    let d = pick dirs in
+    match kind d with
+    | Some Idbox_vfs.Inode.Symlink ->
+      ignore (Fs.unlink fs ~uid:0 d);
+      if is_dir saved then ignore (Fs.rename fs ~uid:0 ~src:saved ~dst:d)
+    | Some Idbox_vfs.Inode.Directory when kind saved = None ->
+      ignore (Fs.rename fs ~uid:0 ~src:d ~dst:saved);
+      let target = pick (List.filter (fun o -> not (String.equal o d)) dirs) in
+      ignore (Fs.symlink fs ~uid:0 ~target d)
+    | Some _ | None -> ())
+  | _ ->
+    (* The ancestor symlink retargeted: absolute, relative, through
+       "..", into a subdirectory, or at nothing. *)
+    ignore (Fs.unlink fs ~uid:0 dir_link);
+    ignore
+      (Fs.symlink fs ~uid:0
+         ~target:(pick [ "a"; "/w/b"; "c/../a"; "a/sub"; "/w/c"; "missing"; "saved" ])
+         dir_link)
 
 let mutate st k cached =
   let fs = Kernel.fs k in
   let dir () = List.nth dirs (Random.State.int st 3) in
   let file () = Printf.sprintf "%s/f%d" (dir ()) (Random.State.int st 3) in
-  match Random.State.int st (7 + acl_mutation_kinds) with
+  match Random.State.int st (10 + acl_mutation_kinds) with
   | 0 -> ignore (Fs.write_file fs ~uid:0 (file ()) "data")
   | 1 -> ignore (Fs.unlink fs ~uid:0 (file ()))
   | 2 -> ignore (Fs.rename fs ~uid:0 ~src:(file ()) ~dst:(file ()))
@@ -196,7 +276,8 @@ let mutate st k cached =
   | 6 ->
     let mode = if Random.State.bool st then 0o755 else 0o700 in
     ignore (Fs.chmod fs ~uid:0 ~mode (file ()))
-  | n -> acl_mutation st k (n - 7)
+  | 7 | 8 | 9 -> directory_move st k
+  | n -> acl_mutation st k (n - 10)
 
 let coherent_under_mutation () =
   List.iter
@@ -204,7 +285,7 @@ let coherent_under_mutation () =
       let st = Random.State.make [| seed |] in
       let k, cached, uncached = setup () in
       compare_engines cached uncached ~seed ~step:(-1);
-      for step = 0 to 59 do
+      for step = 0 to 79 do
         mutate st k cached;
         compare_engines cached uncached ~seed ~step
       done;
@@ -256,6 +337,45 @@ let content_write_keeps_acl () =
   Alcotest.(check int) "acl cache hit" (acl0 + 1) (value "acl.cache.hit");
   Alcotest.(check int) "no acl cache miss" miss0 (value "acl.cache.miss")
 
+(* The engine's tables are bounded: a stream of distinct paths — as a
+   visitor or a Chirp client can send — grows no table past its
+   capacity, and every verdict still matches the uncached engine's.
+   Unbounded tables grow by about 23 words per probe of this stream
+   (2.3 M words over the run), bounded ones peak near 150 k, so the
+   1 M limit tells the two apart.  Probes cover the name cache and
+   canonical memo (objects in one ACL'd directory), the ACL cache
+   (objects in distinct missing directories) and [check_in_dir]. *)
+let bounded_under_distinct_probes () =
+  let k, cached, uncached = setup () in
+  let footprint () = Obj.reachable_words (Obj.repr cached) in
+  let base = footprint () in
+  let peak = ref base in
+  for i = 0 to 99_999 do
+    let want, got =
+      match i mod 3 with
+      | 0 ->
+        let path = Printf.sprintf "/w/a/nx%d" i in
+        (verdict uncached fred path Right.Read, verdict cached fred path Right.Read)
+      | 1 ->
+        let path = Printf.sprintf "/w/nd%d/f" i in
+        (verdict uncached jane path Right.List, verdict cached jane path Right.List)
+      | _ ->
+        let dir = Printf.sprintf "/w/nd%d" i in
+        (dir_verdict uncached alice dir Right.Write, dir_verdict cached alice dir Right.Write)
+    in
+    if not (String.equal want got) then
+      Alcotest.failf "probe %d: uncached=%s cached=%s" i want got;
+    if i mod 10_000 = 9_999 then peak := max !peak (footprint ())
+  done;
+  let grown = !peak - base in
+  if grown > 1_000_000 then
+    Alcotest.failf "engine grew by %d words over 100,000 distinct probes" grown;
+  let value name = Metrics.counter_value_of (Kernel.metrics k) name in
+  List.iter
+    (fun name ->
+      if value name = 0 then Alcotest.failf "%s: no eviction counted" name)
+    [ "enforce.name.evict"; "enforce.canon.evict"; "acl.cache.evict" ]
+
 let suite =
   [
     Alcotest.test_case "cached = uncached under random mutation" `Quick
@@ -264,4 +384,6 @@ let suite =
       warm_hit_is_free;
     Alcotest.test_case "content write keeps the cached ACL" `Quick
       content_write_keeps_acl;
+    Alcotest.test_case "distinct probes: bounded tables, same verdicts" `Quick
+      bounded_under_distinct_probes;
   ]

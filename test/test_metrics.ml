@@ -183,6 +183,89 @@ let ring_json () =
     "{\"capacity\":2,\"total\":1,\"dropped\":0,\"spans\":[{\"seq\":0,\"time_ns\":7,\"pid\":3,\"identity\":\"g:\\\"x\\\"\",\"syscall\":\"open\",\"verdict\":\"EACCES\",\"cost_ns\":11}]}"
     (Trace.to_json ring)
 
+(* The ring keeps columns and builds records when read; a reference
+   that keeps every span as a record must read the same.  Over a seeded
+   stream — capacities from 1 to 9 (so most runs wrap), resets part-way,
+   time and cost over the whole int64 range, strings that need JSON
+   escaping — the retained spans, their [sp_seq], the counts, every
+   sink delivery and the JSON render all match. *)
+let ring_matches_record_reference () =
+  let pool = [| "unix:alice"; "g:\"x\""; "-"; "open"; "stat"; "ok"; "EACCES"; "back\\slash\n" |] in
+  let int64s = [| 0L; 7L; 1_000_000_007L; Int64.max_int; Int64.min_int; -1L |] in
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed; 0x7ace |] in
+    let capacity = 1 + Random.State.int rng 9 in
+    let ring = Trace.ring ~capacity () in
+    let seen = ref [] in
+    Trace.add_sink ring (fun s -> seen := s :: !seen);
+    (* The reference: every span since the last reset, newest first. *)
+    let emitted = ref [] in
+    let delivered = ref [] in
+    let check what =
+      let retained =
+        List.filteri (fun i _ -> i < capacity) !emitted |> List.rev
+      in
+      let ctx = Printf.sprintf "seed %d, %s" seed what in
+      Alcotest.(check int) (ctx ^ ": total") (List.length !emitted) (Trace.total ring);
+      Alcotest.(check int) (ctx ^ ": length") (List.length retained) (Trace.length ring);
+      Alcotest.(check int) (ctx ^ ": dropped")
+        (List.length !emitted - List.length retained) (Trace.dropped ring);
+      Alcotest.(check bool) (ctx ^ ": retained spans") true (Trace.to_list ring = retained);
+      Alcotest.(check bool) (ctx ^ ": sink deliveries") true (!seen = !delivered);
+      Alcotest.(check string) (ctx ^ ": JSON")
+        (Printf.sprintf "{\"capacity\":%d,\"total\":%d,\"dropped\":%d,\"spans\":[%s]}"
+           capacity (List.length !emitted)
+           (List.length !emitted - List.length retained)
+           (String.concat "," (List.map Trace.span_json retained)))
+        (Trace.to_json ring)
+    in
+    check "fresh";
+    for step = 1 to Random.State.int rng 40 do
+      if Random.State.int rng 25 = 0 then begin
+        Trace.reset ring;
+        emitted := [];
+        check (Printf.sprintf "reset at step %d" step)
+      end
+      else begin
+        let pick a = a.(Random.State.int rng (Array.length a)) in
+        let s =
+          {
+            Trace.sp_seq = List.length !emitted;
+            sp_time = pick int64s;
+            sp_pid = Random.State.int rng 1000 - 10;
+            sp_identity = pick pool;
+            sp_syscall = pick pool;
+            sp_verdict = pick pool;
+            sp_cost_ns = pick int64s;
+          }
+        in
+        Trace.span ring ~time:s.sp_time ~pid:s.sp_pid ~identity:s.sp_identity
+          ~syscall:s.sp_syscall ~verdict:s.sp_verdict ~cost_ns:s.sp_cost_ns;
+        emitted := s :: !emitted;
+        delivered := s :: !delivered;
+        check (Printf.sprintf "step %d" step)
+      end
+    done
+  done
+
+(* Recording a span writes the ring's columns in place: with no sinks,
+   10,000 spans allocate nothing on the minor heap. *)
+let span_allocates_nothing () =
+  let ring = Trace.ring ~capacity:64 () in
+  let time = 1_000_000L and cost_ns = 250L in
+  (* The first span allocates the columns. *)
+  Trace.span ring ~time ~pid:0 ~identity:"unix:alice" ~syscall:"open"
+    ~verdict:"ok" ~cost_ns;
+  let before = Gc.minor_words () in
+  for pid = 1 to 10_000 do
+    Trace.span ring ~time ~pid ~identity:"unix:alice" ~syscall:"open"
+      ~verdict:"ok" ~cost_ns
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words per span" 0 (int_of_float words / 10_000);
+  Alcotest.(check bool) "under one word per hundred spans" true (words < 100.);
+  Alcotest.(check int) "spans recorded" 10_001 (Trace.total ring)
+
 (* --- kernel integration ---------------------------------------------- *)
 
 let kernel_records () =
@@ -294,6 +377,51 @@ let warm_check_zero_registry_lookups () =
   Alcotest.(check int) "zero registry lookups across 100 warm checks" 0
     (Metrics.lookups m - l0)
 
+(* The Chirp read path holds its counter handles too: once a route, a
+   session and a lease are warm, neither the network's registry nor the
+   members' kernel registry sees a by-name lookup, whether the read is
+   served from the client's lease ([stat]) or crosses the network to a
+   server and its enforcement engine ([get]). *)
+let warm_chirp_reads_zero_registry_lookups () =
+  let module Kernel = Idbox_kernel.Kernel in
+  let module Network = Idbox_net.Network in
+  let module World = Idbox_cluster.World in
+  let module Router = Idbox_cluster.Router in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (Idbox_vfs.Errno.to_string e)
+  in
+  let w = World.create () in
+  List.iter
+    (fun host ->
+      match World.add_node w ~host with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ];
+  World.settle w;
+  let r =
+    match World.connect w ~credentials:[ World.issue w "Alice" ] with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  ok "mkdir" (Router.mkdir r "/d");
+  ok "put" (Router.put r ~path:"/d/f" ~data:"contents");
+  let read () =
+    ignore (ok "stat" (Router.stat r "/d/f"));
+    Alcotest.(check string) "get" "contents" (ok "get" (Router.get r "/d/f"))
+  in
+  (* The first read takes the lease and the second hits it: every
+     counter the loop touches has been counted once. *)
+  read ();
+  read ();
+  let registries = [ Network.metrics (World.net w); Kernel.metrics (World.kernel w) ] in
+  let before = List.map Metrics.lookups registries in
+  for _ = 1 to 100 do
+    read ()
+  done;
+  Alcotest.(check (list int)) "zero registry lookups across 100 warm stat + get"
+    before (List.map Metrics.lookups registries)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick counter_basics;
@@ -308,9 +436,14 @@ let suite =
     Alcotest.test_case "ring before wrap" `Quick ring_before_wrap;
     Alcotest.test_case "ring sinks see every span" `Quick ring_sinks;
     Alcotest.test_case "ring JSON" `Quick ring_json;
+    Alcotest.test_case "column ring matches a record reference" `Quick
+      ring_matches_record_reference;
+    Alcotest.test_case "span allocates no minor words" `Quick span_allocates_nothing;
     Alcotest.test_case "kernel records syscall metrics" `Quick kernel_records;
     Alcotest.test_case "warm check: zero registry lookups" `Quick
       warm_check_zero_registry_lookups;
     Alcotest.test_case "stats dump covers the delegation counters" `Quick
       stats_dump_covers_delegation;
+    Alcotest.test_case "warm Chirp reads: zero registry lookups" `Quick
+      warm_chirp_reads_zero_registry_lookups;
   ]

@@ -438,8 +438,16 @@ let digest_memo_never_stale () =
               ign (call (Syscall.Unlink p));
               with_fd ~mode:(mode_of p) p Fs.wronly_create write);
           ("Fs.write_file", fun p -> ignore (Fs.write_file fs ~uid:0 ~mode:(mode_of p) p (data ())));
-          (* [Fs.write_file] truncates on open before it sets the
-             contents, so the set itself also meets a kept digest. *)
+          (* [Fs.write_file] opens without truncating: over a longer
+             file whose digest is kept, only [Inode.set_contents] can
+             both shorten it and drop the digest. *)
+          ("Fs.write_file, longer then shorter", fun p ->
+              let long = data () ^ String.make 64 'L' in
+              ignore (Fs.write_file fs ~uid:0 ~mode:(mode_of p) p long);
+              ignore (Fs.digest_file fs ~uid:0 p);
+              ignore
+                (Fs.write_file fs ~uid:0 ~mode:(mode_of p) p
+                   (String.sub long 0 (Random.State.int rng (String.length long)))));
           ("Inode.set_contents", fun p ->
               match Fs.resolve fs ~uid:0 p with
               | Ok inode -> Inode.set_contents inode (data ())
@@ -480,6 +488,66 @@ let digest_memo_never_stale () =
     seeds;
   require_seen "changed a digest by" (List.of_seq (Hashtbl.to_seq changed))
 
+(* A directory keeps its sorted listing until an entry is added or
+   removed.  Over a seeded storm of creates, unlinks, renames (within a
+   directory and across two), mkdirs, rmdirs, hard links and symlinks,
+   every directory's listing — read after every step, so a kept one
+   meets the next change — equals the sorted names [Inode.dir_find]
+   finds among every name the storm uses. *)
+let listing_dirs = [| "/"; "/p"; "/q"; "/p/r" |]
+let listing_names = [| "a"; "b"; "c"; "p"; "q"; "r"; ".__acl" |]
+
+let listing_tracks_entries () =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x1157 |] in
+      let fs = Fs.create () in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let path () =
+        let d = pick listing_dirs in
+        (if String.equal d "/" then "" else d) ^ "/" ^ pick listing_names
+      in
+      let ops =
+        [|
+          ("create", fun () -> Fs.write_file fs ~uid:0 (path ()) "x" |> Result.map ignore);
+          ("unlink", fun () -> Fs.unlink fs ~uid:0 (path ()));
+          ("rename", fun () -> Fs.rename fs ~uid:0 ~src:(path ()) ~dst:(path ()));
+          ("mkdir", fun () -> Fs.mkdir fs ~uid:0 ~mode:0o755 (path ()) |> Result.map ignore);
+          ("rmdir", fun () -> Fs.rmdir fs ~uid:0 (path ()));
+          ("link", fun () -> Fs.link fs ~uid:0 ~target:(path ()) (path ()));
+          ("symlink", fun () -> Fs.symlink fs ~uid:0 ~target:(path ()) (path ()));
+        |]
+      in
+      for step = 1 to 400 do
+        let what, op = pick ops in
+        (match op () with
+         | Ok () -> Hashtbl.replace seen what ()
+         | Error _ -> ());
+        Array.iter
+          (fun d ->
+            match Fs.resolve fs ~uid:0 d with
+            | Ok dir when Inode.kind dir = Inode.Directory ->
+              let want =
+                Array.to_list listing_names
+                |> List.filter (fun n -> Inode.dir_find dir n <> None)
+                |> List.sort String.compare
+              in
+              let got = Inode.dir_entries dir in
+              if got <> want then
+                Alcotest.failf "seed %d step %d (%s): %s lists [%s], holds [%s]" seed step what d
+                  (String.concat " " got) (String.concat " " want);
+              (match Fs.readdir fs ~uid:0 d with
+               | Ok names when names = want -> ()
+               | Ok _ | Error _ -> Alcotest.failf "seed %d step %d: readdir %s" seed step d)
+            | Ok _ | Error _ -> ())
+          listing_dirs
+      done)
+    seeds;
+  List.iter
+    (fun what -> if not (Hashtbl.mem seen what) then Alcotest.failf "no %s succeeded" what)
+    [ "create"; "unlink"; "rename"; "mkdir"; "rmdir"; "link"; "symlink" ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_invariants;
@@ -488,4 +556,5 @@ let suite =
     Alcotest.test_case "canonicaliser matches root walk" `Quick
       canonicaliser_matches_root_walk;
     Alcotest.test_case "file digest memo never stale" `Quick digest_memo_never_stale;
+    Alcotest.test_case "directory listing tracks its entries" `Quick listing_tracks_entries;
   ]
