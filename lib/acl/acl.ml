@@ -63,12 +63,14 @@ let matcher t =
     t.matcher <- Some m;
     m
 
+(* A memo hit allocates nothing: the key is the principal's own
+   canonical string, and the lookup builds no option. *)
 let rights_of t who =
   let m = matcher t in
   let key = Principal.to_string who in
-  match Hashtbl.find_opt m.mx_memo key with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find m.mx_memo key with
+  | r -> r
+  | exception Not_found ->
     let base =
       Option.value (Hashtbl.find_opt m.mx_exact key) ~default:Rights.empty
     in

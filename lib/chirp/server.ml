@@ -1,17 +1,16 @@
 module Kernel = Idbox_kernel.Kernel
 module View = Idbox_kernel.View
 module Syscall = Idbox_kernel.Syscall
-module Clock = Idbox_kernel.Clock
 module Network = Idbox_net.Network
 module Negotiate = Idbox_auth.Negotiate
 module Delegation = Idbox_auth.Delegation
 module Principal = Idbox_identity.Principal
 module Acl = Idbox_acl.Acl
-module Right = Idbox_acl.Right
 module Rights = Idbox_acl.Rights
 module Enforce = Idbox.Enforce
 module Audit = Idbox.Audit
 module Box = Idbox.Box
+module Rights_table = Idbox.Rights_table
 module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
 module Fs = Idbox_vfs.Fs
@@ -211,58 +210,27 @@ let map_path t wire_path =
 
 let err e = Protocol.R_error (e, Errno.message e)
 
+let with_path t wire_path k =
+  match map_path t wire_path with Ok abs -> k abs | Error e -> err e
+
 (* The authority an operation runs under.  A directly authenticated
-   session holds its principal's full authority; a delegated operation
-   runs as the chain's {e root} delegator, attenuated to the chain's
-   intersected grant mask and narrowest path-prefix scope (absolute,
-   export-anchored).  Every check below intersects the grant and scope
-   with the principal's own ACL verdict, so a delegated caller can
-   never do what the delegator could not. *)
-type caller = {
-  cl_id : Principal.t;
-  cl_grant : Rights.t;
-  cl_scope : string;  (* absolute prefix; the export root = unscoped *)
-}
-
+   session holds its principal's full authority within the export; a
+   delegated operation runs as the chain's {e root} delegator,
+   attenuated to the chain's intersected grant mask and narrowest
+   path-prefix scope (absolute, export-anchored).  The rights table
+   checks the grant and scope with every question it asks, so a
+   delegated caller can never do what the delegator could not. *)
 let caller_of t identity =
-  { cl_id = identity; cl_grant = Rights.full; cl_scope = t.sv_export }
+  {
+    Rights_table.identity;
+    limit = Some { Rights_table.grant = Rights.full; scope = t.sv_export };
+  }
 
-let in_scope caller abs = Delegation.scope_contains ~prefix:caller.cl_scope abs
+let answer reply = function Ok v -> reply v | Error e -> err e
+let ok _ = Protocol.R_ok
 
-let check t caller abs right k =
-  match
-    Enforce.check_delegated t.enforce ~identity:caller.cl_id
-      ~grant:caller.cl_grant ~prefix:caller.cl_scope ~path:abs right
-  with
-  | Ok () -> k ()
-  | Error e -> err e
-
-let check_dir t caller dir right k =
-  if not (Rights.mem right caller.cl_grant && in_scope caller dir) then
-    err Errno.EACCES
-  else
-    match Enforce.check_in_dir t.enforce ~identity:caller.cl_id ~dir right with
-    | Ok () -> k ()
-    | Error e -> err e
-
-let check_delete t caller dir k =
-  if
-    not
-      ((Rights.mem Right.Delete caller.cl_grant
-        || Rights.mem Right.Write caller.cl_grant)
-       && in_scope caller dir)
-  then err Errno.EACCES
-  else
-    match
-      Enforce.check_in_dir t.enforce ~identity:caller.cl_id ~dir Right.Delete
-    with
-    | Ok () -> k ()
-    | Error _ ->
-      (match
-         Enforce.check_in_dir t.enforce ~identity:caller.cl_id ~dir Right.Write
-       with
-       | Ok () -> k ()
-       | Error e -> err e)
+let authorized t caller row paths k =
+  answer k (Rights_table.authorize t.enforce caller row paths)
 
 let box_for t identity =
   let key = Principal.to_string identity in
@@ -306,13 +274,13 @@ let rec serve_as t caller op =
          had arrived alone (per-op metrics included), but the round trip
          and checksum are paid once. *)
       R_batch (List.map (fun op -> serve_as t caller op) ops)
-  | Whoami -> R_str (Principal.to_string caller.cl_id)
+  | Whoami -> R_str (Principal.to_string caller.Rights_table.identity)
   | Epoch who ->
     R_str (string_of_int (Delegation.Revocations.epoch t.sv_revocations who))
   | Revoke who ->
     (* Only the delegator retires their own chains: revocation is an
        assertion about tokens [who] minted, so only [who] may make it. *)
-    if not (String.equal (Principal.to_string caller.cl_id) who) then
+    if not (String.equal (Principal.to_string caller.Rights_table.identity) who) then
       err Errno.EACCES
     else begin
       let epoch = Delegation.Revocations.revoke t.sv_revocations who in
@@ -321,194 +289,89 @@ let rec serve_as t caller op =
     end
   | Delegated { chain; op = inner } -> serve_delegated t caller chain inner
   | Mkdir wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs when Enforce.is_acl_file abs -> err Errno.EACCES
-     | Ok abs ->
-       let parent = Path.dirname abs in
-       (match Enforce.plan_mkdir t.enforce ~identity:caller.cl_id ~parent with
-        | Error e -> err e
-        | Ok plan ->
-          (match delegate t (Syscall.Mkdir { path = abs; mode = 0o755 }) with
-           | Error e -> err e
-           | Ok _ ->
-             let acl =
-               match plan with
-               | Enforce.Fresh_acl acl -> Some acl
-               | Enforce.Inherit_acl inherited -> inherited
-             in
-             (match acl with
-              | None -> R_ok
-              | Some acl ->
-                (match Enforce.write_acl t.enforce ~dir:abs acl with
-                 | Ok () -> R_ok
-                 | Error e -> err e)))))
+    with_path t wire_path (fun abs ->
+        answer ok
+          (Rights_table.mkdir t.enforce caller ~delegate:(delegate t) abs ~mode:0o755))
   | Rmdir wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       if String.equal abs t.sv_export then err Errno.EACCES
-       else
-         (* Delete in the parent, or — for reserved namespaces the caller
-            owns — delete inside the directory itself. *)
-         let check_either k =
-           match
-             Enforce.check_in_dir t.enforce ~identity:caller.cl_id
-               ~dir:(Path.dirname abs) Right.Delete
-           with
-           | Ok () -> k ()
-           | Error _ ->
-             (match
-                Enforce.check_in_dir t.enforce ~identity:caller.cl_id
-                  ~dir:(Path.dirname abs) Right.Write
-              with
-              | Ok () -> k ()
-              | Error _ -> check_delete t caller abs k)
-         in
-         check_either (fun () ->
-             match delegate t (Syscall.Readdir abs) with
-             | Error e -> err e
-             | Ok (Syscall.Names names) ->
-               let real =
-                 List.filter (fun n -> not (String.equal n Acl.filename)) names
-               in
-               if real <> [] then err Errno.ENOTEMPTY
-               else begin
-                 ignore (delegate t (Syscall.Unlink (Path.join abs Acl.filename)));
-                 Enforce.invalidate t.enforce ~dir:abs;
-                 match delegate t (Syscall.Rmdir abs) with
-                 | Ok _ -> R_ok
-                 | Error e -> err e
-               end
-             | Ok _ -> err Errno.EINVAL))
+    with_path t wire_path (fun abs ->
+        if String.equal abs t.sv_export then err Errno.EACCES
+        else answer ok (Rights_table.rmdir t.enforce caller ~delegate:(delegate t) abs))
   | Unlink wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       if Enforce.is_acl_file abs then err Errno.EACCES
-       else
-         check_delete t caller (Enforce.governing_dir t.enforce abs) (fun () ->
-             match delegate t (Syscall.Unlink abs) with
-             | Ok _ -> R_ok
-             | Error e -> err e))
+    with_path t wire_path (fun abs ->
+        authorized t caller Rights_table.unlink [ abs ] (fun () ->
+            answer ok (delegate t (Syscall.Unlink abs))))
   | Put { path = wire_path; data } ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       if Enforce.is_acl_file abs then err Errno.EACCES
-       else
-         check t caller abs Right.Write (fun () ->
-             let flags = Fs.wronly_create in
-             match delegate t (Syscall.Open { path = abs; flags; mode = 0o755 }) with
-             | Error e -> err e
-             | Ok (Syscall.Int fd) ->
-               let res = delegate t (Syscall.Write { fd; data }) in
-               ignore (delegate t (Syscall.Close fd));
-               (match res with Ok _ -> R_ok | Error e -> err e)
-             | Ok _ -> err Errno.EINVAL))
+    with_path t wire_path (fun abs ->
+        authorized t caller Rights_table.write [ abs ] (fun () ->
+            let flags = Fs.wronly_create in
+            match delegate t (Syscall.Open { path = abs; flags; mode = 0o755 }) with
+            | Error e -> err e
+            | Ok (Syscall.Int fd) ->
+              let res = delegate t (Syscall.Write { fd; data }) in
+              ignore (delegate t (Syscall.Close fd));
+              (match res with Ok _ -> R_ok | Error e -> err e)
+            | Ok _ -> err Errno.EINVAL))
   | Get wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       if Enforce.is_acl_file abs then err Errno.EACCES
-       else
-         check t caller abs Right.Read (fun () ->
-             match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
-             | Error e -> err e
-             | Ok (Syscall.Int fd) ->
-               let res = Kernel.read_to_end (delegate t) fd ~chunk:65536 in
-               ignore (delegate t (Syscall.Close fd));
-               (match res with Ok data -> R_data data | Error e -> err e)
-             | Ok _ -> err Errno.EINVAL))
+    with_path t wire_path (fun abs ->
+        authorized t caller Rights_table.read [ abs ] (fun () ->
+            match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
+            | Error e -> err e
+            | Ok (Syscall.Int fd) ->
+              let res = Kernel.read_to_end (delegate t) fd ~chunk:65536 in
+              ignore (delegate t (Syscall.Close fd));
+              (match res with Ok data -> R_data data | Error e -> err e)
+            | Ok _ -> err Errno.EINVAL))
   | Stat wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       check t caller abs Right.List (fun () ->
-           match delegate t (Syscall.Stat abs) with
-           | Ok (Syscall.Stat_v st) -> R_stat (wire_stat_of st)
-           | Ok _ -> err Errno.EINVAL
-           | Error e -> err e))
+    with_path t wire_path (fun abs ->
+        authorized t caller Rights_table.stat [ abs ] (fun () ->
+            match delegate t (Syscall.Stat abs) with
+            | Ok (Syscall.Stat_v st) -> R_stat (wire_stat_of st)
+            | Ok _ -> err Errno.EINVAL
+            | Error e -> err e))
   | Readdir wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       check_dir t caller abs Right.List (fun () ->
-           match delegate t (Syscall.Readdir abs) with
-           | Ok (Syscall.Names names) ->
-             R_names
-               (List.filter (fun n -> not (String.equal n Acl.filename)) names)
-           | Ok _ -> err Errno.EINVAL
-           | Error e -> err e))
+    with_path t wire_path (fun abs ->
+        answer
+          (fun names -> R_names names)
+          (Rights_table.readdir t.enforce caller ~delegate:(delegate t) abs))
   | Getacl wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       let dir =
-         match delegate t (Syscall.Stat abs) with
-         | Ok (Syscall.Stat_v st) when st.Fs.st_kind = Inode.Directory -> abs
-         | Ok _ | Error _ -> Enforce.governing_dir t.enforce abs
-       in
-       check_dir t caller dir Right.List (fun () ->
-           match Enforce.dir_acl t.enforce dir with
-           | Some acl -> R_str (Acl.to_string acl)
-           | None -> R_str ""))
+    with_path t wire_path (fun abs ->
+        answer
+          (fun text -> R_str text)
+          (Rights_table.getacl t.enforce caller ~delegate:(delegate t) abs))
   | Setacl { path = wire_path; entry } ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       (match Idbox_acl.Entry.of_line entry with
-        | Error _ -> err Errno.EINVAL
-        | Ok parsed ->
-          check_dir t caller abs Right.Admin (fun () ->
-              let current =
-                match Enforce.dir_acl t.enforce abs with
-                | Some acl -> acl
-                | None -> Acl.empty
-              in
-              match Enforce.write_acl t.enforce ~dir:abs (Acl.set_entry current parsed) with
-              | Ok () -> R_ok
-              | Error e -> err e)))
+    with_path t wire_path (fun abs ->
+        answer ok (Rights_table.setacl t.enforce caller abs ~entry))
   | Rename { src; dst } ->
     (match (map_path t src, map_path t dst) with
      | Error e, _ | _, Error e -> err e
      | Ok asrc, Ok adst ->
-       if Enforce.is_acl_file asrc || Enforce.is_acl_file adst then err Errno.EACCES
-       else
-         check_delete t caller (Path.dirname asrc) (fun () ->
-             check_dir t caller (Path.dirname adst) Right.Write (fun () ->
-                 match delegate t (Syscall.Rename { src = asrc; dst = adst }) with
-                 | Ok _ -> R_ok
-                 | Error e -> err e)))
+       authorized t caller Rights_table.rename [ asrc; adst ] (fun () ->
+           answer ok (delegate t (Syscall.Rename { src = asrc; dst = adst }))))
   | Checksum wire_path ->
-    (match map_path t wire_path with
-     | Error e -> err e
-     | Ok abs ->
-       if Enforce.is_acl_file abs then err Errno.EACCES
-       else
-         check t caller abs Right.Read (fun () ->
-             (* The digest is computed server-side over the stored bytes:
-                one metadata-sized reply instead of re-fetching the file. *)
-             match Fs.digest_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
-             | Ok digest ->
-               (* Charge the server's sequential read of the file. *)
-               ignore
-                 (Kernel.delegate t.sv_kernel t.sv_owner
-                    (Syscall.Stat abs));
-               R_str (Digest.to_hex digest)
-             | Error e -> err e))
+    with_path t wire_path (fun abs ->
+        authorized t caller Rights_table.read [ abs ] (fun () ->
+            (* The digest is computed server-side over the stored bytes:
+               one metadata-sized reply instead of re-fetching the file. *)
+            match Fs.digest_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
+            | Ok digest ->
+              (* Charge the server's sequential read of the file. *)
+              ignore
+                (Kernel.delegate t.sv_kernel t.sv_owner
+                   (Syscall.Stat abs));
+              R_str (Digest.to_hex digest)
+            | Error e -> err e))
   | Exec { path = wire_path; args; cwd } ->
     (match (map_path t wire_path, map_path t cwd) with
      | Error e, _ | _, Error e -> err e
      | Ok abs, Ok acwd ->
-       (* The attenuation gate: a delegated caller must hold the execute
+       (* The delegation gate: a delegated caller must hold the execute
           right in the chain's grant and the program must sit inside the
-          chain's scope.  The box's own ACL check (as the principal)
-          still runs inside [Box.spawn]. *)
-       if not (Rights.mem Right.Execute caller.cl_grant && in_scope caller abs)
+          chain's scope.  The box's own ACL question (as the principal)
+          is asked inside [Box.spawn]. *)
+       if not (Rights_table.permits t.enforce caller Rights_table.execute [ abs ])
        then err Errno.EACCES
        else
-         (match box_for t caller.cl_id with
+         (match box_for t caller.Rights_table.identity with
           | Error e -> err e
           | Ok box ->
             (match Box.spawn box ~check_exec:true ~path:abs ~args () with
@@ -536,18 +399,23 @@ let rec serve_as t caller op =
 and serve_delegated t caller chain inner =
   let open Protocol in
   let now = Kernel.now t.sv_kernel in
-  let holder = Principal.to_string caller.cl_id in
+  let holder = Principal.to_string caller.Rights_table.identity in
+  (* Exec, or one operation that changes nothing: what admission counts
+     as read-only ([Protocol.idempotent]), alone. *)
   let inner_ok =
     match inner with
-    | Exec _ | Get _ | Stat _ | Readdir _ | Getacl _ | Checksum _ | Whoami
-    | Epoch _ -> true
-    | Mkdir _ | Rmdir _ | Unlink _ | Put _ | Setacl _ | Rename _ | Revoke _
+    | Exec _ -> true
     | Batch _ | Delegated _ -> false
+    | op -> Protocol.idempotent op
   in
   (* A caller already running under a chain cannot present another one:
      re-delegation happens by extending the chain, not by nesting. *)
-  if (not inner_ok) || not (Rights.equal caller.cl_grant Rights.full) then
-    err Errno.EINVAL
+  let undelegated =
+    match caller.Rights_table.limit with
+    | Some { Rights_table.grant; _ } -> Rights.equal grant Rights.full
+    | None -> true
+  in
+  if (not inner_ok) || not undelegated then err Errno.EINVAL
   else
     match
       Enforce.admit_chain t.enforce
@@ -574,9 +442,8 @@ and serve_delegated t caller chain inner =
            chain;
          let delegated =
            {
-             cl_id = Principal.of_string s.Delegation.sum_root;
-             cl_grant = s.Delegation.sum_grant;
-             cl_scope = scope;
+             Rights_table.identity = Principal.of_string s.Delegation.sum_root;
+             limit = Some { Rights_table.grant = s.Delegation.sum_grant; scope };
            }
          in
          let r = serve_as t delegated inner in
@@ -640,11 +507,9 @@ let snapshot_subtree ?(recurse = true) t wire_prefix =
            (fun acc name ->
              match acc with
              | Error _ -> acc
-             | Ok acc ->
-               if String.equal name Acl.filename then Ok acc
-               else walk (Path.join abs name) acc)
+             | Ok acc -> walk (Path.join abs name) acc)
            (Ok acc)
-           (List.sort String.compare names)
+           (List.sort String.compare (Rights_table.visible names))
        | Ok _ -> Error Errno.EINVAL)
     | Ok (Syscall.Stat_v _) ->
       (match Fs.read_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs with
@@ -1405,9 +1270,7 @@ let install_subtree_exact t ~prefix entries =
           | Ok abs ->
             (match entry with
              | Snap_dir _ ->
-               ignore (delegate t (Syscall.Unlink (Path.join abs Acl.filename)));
-               Enforce.invalidate t.enforce ~dir:abs;
-               ignore (delegate t (Syscall.Rmdir abs))
+               ignore (Rights_table.remove_dir t.enforce ~delegate:(delegate t) abs)
              | Snap_file _ -> ignore (delegate t (Syscall.Unlink abs))))
       (List.rev current);
     (match install_entries t entries with
@@ -1443,8 +1306,7 @@ let local_digest t abs =
         | Error e -> Error e
         | Ok (Syscall.Names names) ->
           let names =
-            List.sort String.compare
-              (List.filter (fun n -> not (String.equal n Acl.filename)) names)
+            List.sort String.compare (Rights_table.visible names)
           in
           let acl =
             match Enforce.dir_acl t.enforce abs with
@@ -1542,7 +1404,6 @@ let shard_roots t =
   match delegate t (Syscall.Readdir t.sv_export) with
   | Ok (Syscall.Names names) ->
     Ok
-      (List.sort String.compare
-         (List.filter (fun n -> not (String.equal n Acl.filename)) names))
+      (List.sort String.compare (Rights_table.visible names))
   | Ok _ -> Error Errno.EINVAL
   | Error e -> Error e

@@ -3,15 +3,9 @@ module View = Idbox_kernel.View
 module Syscall = Idbox_kernel.Syscall
 module Trace = Idbox_kernel.Trace
 module Metrics = Idbox_kernel.Metrics
-module Program = Idbox_kernel.Program
-module Account = Idbox_kernel.Account
-module Fd_table = Idbox_kernel.Fd_table
 module Tracer = Idbox_ptrace.Tracer
 module Iochannel = Idbox_ptrace.Iochannel
 module Acl = Idbox_acl.Acl
-module Entry = Idbox_acl.Entry
-module Right = Idbox_acl.Right
-module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
@@ -50,6 +44,7 @@ type t = {
   bx_kernel : Kernel.t;
   sup : View.t;
   bx_identity : Principal.t;
+  caller : Rights_table.caller;  (* the identity, with its full authority *)
   enforce : Enforce.t;
   channel : Iochannel.t;
   vprocs : (int, vproc) Hashtbl.t;
@@ -129,25 +124,38 @@ let emulate t pid result =
 
 let deny e = Trace.Deny e
 
-let check t right ~object_path k =
-  match Enforce.check_object t.enforce ~identity:t.bx_identity ~path:object_path right with
-  | Ok () -> k ()
-  | Error e -> deny e
-
-let check_dir t right ~dir k =
-  match Enforce.check_in_dir t.enforce ~identity:t.bx_identity ~dir right with
-  | Ok () -> k ()
-  | Error e -> deny e
-
-(* Delete rights: the delete right, or write for the paper's plain
-   [rwlax] ACLs where deletion falls under write. *)
-let check_delete t ~dir k =
-  match Enforce.check_in_dir t.enforce ~identity:t.bx_identity ~dir Right.Delete with
-  | Ok () -> k ()
-  | Error _ ->
-    (match Enforce.check_in_dir t.enforce ~identity:t.bx_identity ~dir Right.Write with
+(* Ask the rights table about [req], whose paths are canonical, and go
+   on with [k] when it allows. *)
+let authorized t req k =
+  match Rights_table.of_request req with
+  | Rights_table.Ask row, paths ->
+    (match Rights_table.authorize t.enforce t.caller row paths with
      | Ok () -> k ()
      | Error e -> deny e)
+  | Rights_table.Refuse e, _ -> deny e
+  | (Rights_table.Signal _ | Rights_table.Free), _ -> k ()
+
+(* The table's name guard alone: a remote mount's driver never sees a
+   call that names an ACL file either. *)
+let guarded req k =
+  match Rights_table.of_request req with
+  | Rights_table.Ask row, paths when Result.is_error (Rights_table.guard row paths) ->
+    deny Errno.EACCES
+  | _ -> k ()
+
+(* Inject [r]'s value, made a call result by [value], or deny its
+   errno. *)
+let answer t pid value = function
+  | Ok x -> emulate t pid (Ok (value x))
+  | Error e -> deny e
+
+let unit _ = Syscall.Unit
+let stat_v st = Syscall.Stat_v st
+let names ns = Syscall.Names ns
+let str s = Syscall.Str s
+
+(* Authorize [req] and make it as the supervisor. *)
+let perform t pid req = authorized t req (fun () -> answer t pid Fun.id (delegate t req))
 
 let words_of_bytes n = (n + 7) / 8
 
@@ -168,45 +176,37 @@ let pass_or_badf vp fd =
 
 let handle_open t pid vp path flags mode =
   let abs = canon t vp path in
-  if Enforce.is_acl_file abs then deny Errno.EACCES
-  else
-    match mount_of t abs with
-    | Some (driver, rpath) ->
-      if flags.Fs.wr && flags.Fs.rd then deny Errno.EINVAL
-      else if flags.Fs.wr then
-        let vfile =
-          { backing = Remote_write { rpath; driver; buf = Buffer.create 256 };
-            vpos = 0 }
-        in
-        emulate t pid (Ok (Syscall.Int (alloc_vfd vp vfile)))
-      else
-        (match driver.Remote.r_read rpath with
-         | Error e -> deny e
-         | Ok data ->
-           let vfile = { backing = Remote_read { rpath; driver; data }; vpos = 0 } in
-           emulate t pid (Ok (Syscall.Int (alloc_vfd vp vfile))))
-    | None ->
-      let do_open () =
-        match delegate t (Syscall.Open { path = abs; flags; mode }) with
-        | Error e -> deny e
-        | Ok (Syscall.Int sfd) ->
-          let vfd = alloc_vfd vp { backing = Local sfd; vpos = 0 } in
-          emulate t pid (Ok (Syscall.Int vfd))
-        | Ok _ -> deny Errno.EINVAL
-      in
-      if String.equal abs t.bx_passwd then
-        (* The box's private /etc/passwd copy: readable by design (the
-           redirection exists so whoami works), never writable. *)
-        if flags.Fs.wr || flags.Fs.creat then deny Errno.EACCES else do_open ()
-      else
-        let need_read = flags.Fs.rd in
-        let need_write = flags.Fs.wr || flags.Fs.creat in
-        let after_read_check () =
-          if need_write then check t Right.Write ~object_path:abs do_open
-          else do_open ()
-        in
-        if need_read then check t Right.Read ~object_path:abs after_read_check
-        else after_read_check ()
+  let req = Syscall.Open { path = abs; flags; mode } in
+  match mount_of t abs with
+  | Some (driver, rpath) ->
+    guarded req (fun () ->
+        if flags.Fs.wr && flags.Fs.rd then deny Errno.EINVAL
+        else if flags.Fs.wr then
+          let vfile =
+            { backing = Remote_write { rpath; driver; buf = Buffer.create 256 };
+              vpos = 0 }
+          in
+          emulate t pid (Ok (Syscall.Int (alloc_vfd vp vfile)))
+        else
+          match driver.Remote.r_read rpath with
+          | Error e -> deny e
+          | Ok data ->
+            let vfile = { backing = Remote_read { rpath; driver; data }; vpos = 0 } in
+            emulate t pid (Ok (Syscall.Int (alloc_vfd vp vfile))))
+  | None ->
+    let do_open () =
+      match delegate t req with
+      | Error e -> deny e
+      | Ok (Syscall.Int sfd) ->
+        let vfd = alloc_vfd vp { backing = Local sfd; vpos = 0 } in
+        emulate t pid (Ok (Syscall.Int vfd))
+      | Ok _ -> deny Errno.EINVAL
+    in
+    if String.equal abs t.bx_passwd then
+      (* The box's private /etc/passwd copy: readable by design (the
+         redirection exists so whoami works), never writable. *)
+      if flags.Fs.wr || flags.Fs.creat then deny Errno.EACCES else do_open ()
+    else authorized t req do_open
 
 let handle_close t pid vp vfd =
   match Hashtbl.find_opt vp.vfds vfd with
@@ -219,15 +219,10 @@ let handle_close t pid vp vfd =
   | Some vfile ->
     Hashtbl.remove vp.vfds vfd;
     (match vfile.backing with
-     | Local sfd ->
-       (match delegate t (Syscall.Close sfd) with
-        | Ok _ -> emulate t pid (Ok Syscall.Unit)
-        | Error e -> deny e)
+     | Local sfd -> answer t pid unit (delegate t (Syscall.Close sfd))
      | Remote_read _ -> emulate t pid (Ok Syscall.Unit)
      | Remote_write { rpath; driver; buf } ->
-       (match driver.Remote.r_write rpath (Buffer.contents buf) with
-        | Ok () -> emulate t pid (Ok Syscall.Unit)
-        | Error e -> deny e))
+       answer t pid unit (driver.Remote.r_write rpath (Buffer.contents buf)))
 
 (* Serve a read of [len] bytes at the backing's notion of position.
    [advance] moves the sequential position on success. *)
@@ -282,17 +277,14 @@ let handle_write t pid vp vfd ~data ~at =
     let len = String.length data in
     (match vfile.backing with
      | Local sfd ->
-       let req off =
-         match off with
+       let req_at ~data = function
          | None -> Syscall.Write { fd = sfd; data }
          | Some off -> Syscall.Pwrite { fd = sfd; off; data }
        in
        if len <= t.small_io then begin
          (* Small transfer: peek the bytes out of the tracee. *)
          Kernel.note_peek_poke t.bx_kernel ~words:(words_of_bytes len);
-         match delegate t (req at) with
-         | Ok v -> emulate t pid (Ok v)
-         | Error e -> deny e
+         answer t pid Fun.id (delegate t (req_at ~data at))
        end
        else begin
          (* Bulk transfer: the tracee pwrites into the channel; at the
@@ -302,15 +294,7 @@ let handle_write t pid vp vfd ~data ~at =
          Hashtbl.replace t.pending pid (fun res ->
              match res with
              | Ok (Syscall.Int n) ->
-               let payload = Iochannel.collect t.channel ~off:coff ~len:n in
-               (match
-                  delegate t
-                    (match at with
-                     | None -> Syscall.Write { fd = sfd; data = payload }
-                     | Some off -> Syscall.Pwrite { fd = sfd; off; data = payload })
-                with
-                | Ok v -> Ok v
-                | Error e -> Error e)
+               delegate t (req_at ~data:(Iochannel.collect t.channel ~off:coff ~len:n) at)
              | other -> other);
          Trace.Rewrite
            (Syscall.Pwrite { fd = Iochannel.channel_fd; off = coff; data })
@@ -330,10 +314,7 @@ let handle_lseek t pid vp vfd ~off ~whence =
   | None -> pass_or_badf vp vfd
   | Some vfile ->
     (match vfile.backing with
-     | Local sfd ->
-       (match delegate t (Syscall.Lseek { fd = sfd; off; whence }) with
-        | Ok v -> emulate t pid (Ok v)
-        | Error e -> deny e)
+     | Local sfd -> answer t pid Fun.id (delegate t (Syscall.Lseek { fd = sfd; off; whence }))
      | Remote_read { data; _ } ->
        let basepos =
          match whence with
@@ -354,14 +335,9 @@ let handle_fstat t pid vp vfd =
   | None -> pass_or_badf vp vfd
   | Some vfile ->
     (match vfile.backing with
-     | Local sfd ->
-       (match delegate t (Syscall.Fstat sfd) with
-        | Ok v -> emulate t pid (Ok v)
-        | Error e -> deny e)
+     | Local sfd -> answer t pid Fun.id (delegate t (Syscall.Fstat sfd))
      | Remote_read { rpath; driver; _ } | Remote_write { rpath; driver; _ } ->
-       (match driver.Remote.r_stat rpath with
-        | Ok st -> emulate t pid (Ok (Syscall.Stat_v st))
-        | Error e -> deny e))
+       answer t pid stat_v (driver.Remote.r_stat rpath))
 
 (* ------------------------------------------------------------------ *)
 (* Directory and metadata operations.                                  *)
@@ -370,164 +346,63 @@ let handle_fstat t pid vp vfd =
 let handle_stat t pid vp path ~follow =
   let abs = canon t vp path in
   match mount_of t abs with
-  | Some (driver, rpath) ->
-    (match driver.Remote.r_stat rpath with
-     | Ok st -> emulate t pid (Ok (Syscall.Stat_v st))
-     | Error e -> deny e)
+  | Some (driver, rpath) -> answer t pid stat_v (driver.Remote.r_stat rpath)
   | None ->
-    let do_stat () =
-      let req = if follow then Syscall.Stat abs else Syscall.Lstat abs in
-      match delegate t req with
-      | Ok v -> emulate t pid (Ok v)
-      | Error e -> deny e
-    in
-    if String.equal abs t.bx_passwd then do_stat ()
-    else check t Right.List ~object_path:abs do_stat
+    let req = if follow then Syscall.Stat abs else Syscall.Lstat abs in
+    if String.equal abs t.bx_passwd then answer t pid Fun.id (delegate t req)
+    else perform t pid req
 
 let handle_mkdir t pid vp path mode =
   let abs = canon t vp path in
-  if Enforce.is_acl_file abs then deny Errno.EACCES
-  else
-    match mount_of t abs with
-    | Some (driver, rpath) ->
-      (match driver.Remote.r_mkdir rpath with
-       | Ok () -> emulate t pid (Ok Syscall.Unit)
-       | Error e -> deny e)
-    | None ->
-      let dir = Path.dirname abs in
-      let proceed acl_for_new =
-        match delegate t (Syscall.Mkdir { path = abs; mode }) with
-        | Error e -> deny e
-        | Ok _ ->
-          (match acl_for_new with
-           | None -> emulate t pid (Ok Syscall.Unit)
-           | Some acl ->
-             (match Enforce.write_acl t.enforce ~dir:abs acl with
-              | Ok () -> emulate t pid (Ok Syscall.Unit)
-              | Error e -> deny e))
-      in
-      (match Enforce.plan_mkdir t.enforce ~identity:t.bx_identity ~parent:dir with
-       | Error e -> deny e
-       | Ok (Enforce.Fresh_acl acl) -> proceed (Some acl)
-       | Ok (Enforce.Inherit_acl inherited) -> proceed inherited)
+  match mount_of t abs with
+  | Some (driver, rpath) ->
+    guarded (Syscall.Mkdir { path = abs; mode }) (fun () ->
+        answer t pid unit (driver.Remote.r_mkdir rpath))
+  | None ->
+    answer t pid unit
+      (Rights_table.mkdir t.enforce t.caller ~delegate:(delegate t) abs ~mode)
 
 let handle_rmdir t pid vp path =
   let abs = canon t vp path in
   match mount_of t abs with
-  | Some (driver, rpath) ->
-    (match driver.Remote.r_rmdir rpath with
-     | Ok () -> emulate t pid (Ok Syscall.Unit)
-     | Error e -> deny e)
-  | None ->
-    (* Deletion is governed by the parent, but the owner of a reserved
-       namespace holds delete inside it and may retire it too. *)
-    let check_either k =
-      match check_delete t ~dir:(Path.dirname abs) (fun () -> Trace.Pass) with
-      | Trace.Pass -> k ()
-      | Trace.Deny _ | Trace.Rewrite _ -> check_delete t ~dir:abs k
-    in
-    check_either (fun () ->
-        match delegate t (Syscall.Readdir abs) with
-        | Error e -> deny e
-        | Ok (Syscall.Names names) ->
-          let real =
-            List.filter (fun n -> not (String.equal n Enforce.acl_filename)) names
-          in
-          if real <> [] then deny Errno.ENOTEMPTY
-          else begin
-            ignore
-              (delegate t (Syscall.Unlink (Path.join abs Enforce.acl_filename)));
-            Enforce.invalidate t.enforce ~dir:abs;
-            match delegate t (Syscall.Rmdir abs) with
-            | Ok _ -> emulate t pid (Ok Syscall.Unit)
-            | Error e -> deny e
-          end
-        | Ok _ -> deny Errno.EINVAL)
+  | Some (driver, rpath) -> answer t pid unit (driver.Remote.r_rmdir rpath)
+  | None -> answer t pid unit (Rights_table.rmdir t.enforce t.caller ~delegate:(delegate t) abs)
 
 let handle_unlink t pid vp path =
   let abs = canon t vp path in
-  if Enforce.is_acl_file abs then deny Errno.EACCES
-  else
-    match mount_of t abs with
-    | Some (driver, rpath) ->
-      (match driver.Remote.r_unlink rpath with
-       | Ok () -> emulate t pid (Ok Syscall.Unit)
-       | Error e -> deny e)
-    | None ->
-      let dir = Enforce.governing_dir t.enforce abs in
-      check_delete t ~dir (fun () ->
-          match delegate t (Syscall.Unlink abs) with
-          | Ok _ -> emulate t pid (Ok Syscall.Unit)
-          | Error e -> deny e)
+  match mount_of t abs with
+  | Some (driver, rpath) ->
+    guarded (Syscall.Unlink abs) (fun () -> answer t pid unit (driver.Remote.r_unlink rpath))
+  | None -> perform t pid (Syscall.Unlink abs)
 
 let handle_readdir t pid vp path =
   let abs = canon t vp path in
   match mount_of t abs with
-  | Some (driver, rpath) ->
-    (match driver.Remote.r_readdir rpath with
-     | Ok names -> emulate t pid (Ok (Syscall.Names names))
-     | Error e -> deny e)
+  | Some (driver, rpath) -> answer t pid names (driver.Remote.r_readdir rpath)
   | None ->
-    check_dir t Right.List ~dir:abs (fun () ->
-        match delegate t (Syscall.Readdir abs) with
-        | Ok (Syscall.Names names) ->
-          let visible =
-            List.filter (fun n -> not (String.equal n Enforce.acl_filename)) names
-          in
-          emulate t pid (Ok (Syscall.Names visible))
-        | Ok _ -> deny Errno.EINVAL
-        | Error e -> deny e)
+    answer t pid names (Rights_table.readdir t.enforce t.caller ~delegate:(delegate t) abs)
 
-let handle_link t pid vp ~target ~path =
-  let atarget = canon t vp target and apath = canon t vp path in
-  if Enforce.is_acl_file apath || Enforce.is_acl_file atarget then deny Errno.EACCES
-  else if mount_of t atarget <> None || mount_of t apath <> None then
-    deny Errno.EXDEV
-  else
-    (* Hard links cannot be traced back to their target directory's ACL
-       once created, so the box refuses links to objects the visitor
-       cannot already read (Garfinkel pitfall #2). *)
-    check t Right.Read ~object_path:atarget (fun () ->
-        check_dir t Right.Write ~dir:(Path.dirname apath) (fun () ->
-            match delegate t (Syscall.Link { target = atarget; path = apath }) with
-            | Ok _ -> emulate t pid (Ok Syscall.Unit)
-            | Error e -> deny e))
-
-let handle_symlink t pid vp ~target ~path =
-  let apath = canon t vp path in
-  if Enforce.is_acl_file apath then deny Errno.EACCES
-  else if mount_of t apath <> None then deny Errno.EXDEV
-  else
-    check_dir t Right.Write ~dir:(Path.dirname apath) (fun () ->
-        match delegate t (Syscall.Symlink { target; path = apath }) with
-        | Ok _ -> emulate t pid (Ok Syscall.Unit)
-        | Error e -> deny e)
+(* Links are local: across a remote mount the names would live in
+   different stores. *)
+let perform_local t pid req =
+  let _, paths = Rights_table.of_request req in
+  if List.exists (fun p -> mount_of t p <> None) paths then
+    guarded req (fun () -> deny Errno.EXDEV)
+  else perform t pid req
 
 let handle_readlink t pid vp path =
   let abs = canon t vp path in
   if mount_of t abs <> None then deny Errno.EINVAL
-  else
-    check_dir t Right.List ~dir:(Path.dirname abs) (fun () ->
-        match delegate t (Syscall.Readlink abs) with
-        | Ok v -> emulate t pid (Ok v)
-        | Error e -> deny e)
+  else perform t pid (Syscall.Readlink abs)
 
 let handle_rename t pid vp ~src ~dst =
   let asrc = canon t vp src and adst = canon t vp dst in
-  if Enforce.is_acl_file asrc || Enforce.is_acl_file adst then deny Errno.EACCES
-  else
-    match (mount_of t asrc, mount_of t adst) with
-    | Some (d1, r1), Some (d2, r2) when d1 == d2 ->
-      (match d1.Remote.r_rename r1 r2 with
-       | Ok () -> emulate t pid (Ok Syscall.Unit)
-       | Error e -> deny e)
-    | Some _, _ | _, Some _ -> deny Errno.EXDEV
-    | None, None ->
-      check_delete t ~dir:(Path.dirname asrc) (fun () ->
-          check_dir t Right.Write ~dir:(Path.dirname adst) (fun () ->
-              match delegate t (Syscall.Rename { src = asrc; dst = adst }) with
-              | Ok _ -> emulate t pid (Ok Syscall.Unit)
-              | Error e -> deny e))
+  let req = Syscall.Rename { src = asrc; dst = adst } in
+  match (mount_of t asrc, mount_of t adst) with
+  | Some (d1, r1), Some (d2, r2) when d1 == d2 ->
+    guarded req (fun () -> answer t pid unit (d1.Remote.r_rename r1 r2))
+  | Some _, _ | _, Some _ -> guarded req (fun () -> deny Errno.EXDEV)
+  | None, None -> perform t pid req
 
 let handle_chdir t pid vp path =
   let abs = canon t vp path in
@@ -542,7 +417,7 @@ let handle_chdir t pid vp path =
      | Ok _ -> deny Errno.ENOTDIR
      | Error e -> deny e)
   | None ->
-    check_dir t Right.List ~dir:abs (fun () ->
+    authorized t (Syscall.Chdir abs) (fun () ->
         match delegate t (Syscall.Stat abs) with
         | Ok (Syscall.Stat_v st) when st.Fs.st_kind = Inode.Directory -> enter ()
         | Ok (Syscall.Stat_v _) -> deny Errno.ENOTDIR
@@ -552,45 +427,14 @@ let handle_chdir t pid vp path =
 let handle_getacl t pid vp path =
   let abs = canon t vp path in
   match mount_of t abs with
-  | Some (driver, rpath) ->
-    (match driver.Remote.r_getacl rpath with
-     | Ok text -> emulate t pid (Ok (Syscall.Str text))
-     | Error e -> deny e)
-  | None ->
-    let dir =
-      match delegate t (Syscall.Stat abs) with
-      | Ok (Syscall.Stat_v st) when st.Fs.st_kind = Inode.Directory -> abs
-      | Ok _ | Error _ -> Enforce.governing_dir t.enforce abs
-    in
-    check_dir t Right.List ~dir (fun () ->
-        let text =
-          match Enforce.dir_acl t.enforce dir with
-          | Some acl -> Acl.to_string acl
-          | None -> ""
-        in
-        emulate t pid (Ok (Syscall.Str text)))
+  | Some (driver, rpath) -> answer t pid str (driver.Remote.r_getacl rpath)
+  | None -> answer t pid str (Rights_table.getacl t.enforce t.caller ~delegate:(delegate t) abs)
 
 let handle_setacl t pid vp ~path ~entry =
   let abs = canon t vp path in
   match mount_of t abs with
-  | Some (driver, rpath) ->
-    (match driver.Remote.r_setacl rpath entry with
-     | Ok () -> emulate t pid (Ok Syscall.Unit)
-     | Error e -> deny e)
-  | None ->
-    (match Entry.of_line entry with
-     | Error _ -> deny Errno.EINVAL
-     | Ok parsed ->
-       check_dir t Right.Admin ~dir:abs (fun () ->
-           let current =
-             match Enforce.dir_acl t.enforce abs with
-             | Some acl -> acl
-             | None -> Acl.empty
-           in
-           let updated = Acl.set_entry current parsed in
-           match Enforce.write_acl t.enforce ~dir:abs updated with
-           | Ok () -> emulate t pid (Ok Syscall.Unit)
-           | Error e -> deny e))
+  | Some (driver, rpath) -> answer t pid unit (driver.Remote.r_setacl rpath entry)
+  | None -> answer t pid unit (Rights_table.setacl t.enforce t.caller abs ~entry)
 
 let handle_spawn t vp ~path ~args =
   let abs = canon t vp path in
@@ -598,11 +442,10 @@ let handle_spawn t vp ~path ~args =
     (* Remote programs are staged in before execution (Fig. 3). *)
     deny Errno.EXDEV
   else
-    check t Right.Execute ~object_path:abs (fun () ->
-        (* The kernel spawns as the supervising account and inherits the
-           tracer; the child's box-side state appears at the Spawned
-           event. *)
-        Trace.Rewrite (Syscall.Spawn { path = abs; args }))
+    let req = Syscall.Spawn { path = abs; args } in
+    (* The kernel spawns as the supervising account and inherits the
+       tracer; the child's box-side state appears at the Spawned event. *)
+    authorized t req (fun () -> Trace.Rewrite req)
 
 let handle_kill t ~pid:_ ~target =
   (* A boxed process may signal only processes with the same identity:
@@ -613,29 +456,17 @@ let handle_kill t ~pid:_ ~target =
 (* The dispatch.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The object path(s) a request names, for the audit trail. *)
+(* The object path(s) a request names, for the audit trail: the paths
+   the rights table lists, canonical, plus a symlink's text and a
+   signal's target. *)
 let audit_paths t vp req =
   let c path = canon t vp path in
-  match req with
-  | Syscall.Chdir p | Syscall.Stat p | Syscall.Lstat p | Syscall.Rmdir p
-  | Syscall.Unlink p | Syscall.Readlink p | Syscall.Readdir p
-  | Syscall.Getacl p ->
-    (c p, None)
-  | Syscall.Open { path; _ } | Syscall.Mkdir { path; _ }
-  | Syscall.Chmod { path; _ } | Syscall.Chown { path; _ }
-  | Syscall.Truncate { path; _ } | Syscall.Setacl { path; _ }
-  | Syscall.Spawn { path; _ } ->
-    (c path, None)
-  | Syscall.Link { target; path } -> (c path, Some (c target))
-  | Syscall.Symlink { target; path } -> (c path, Some target)
-  | Syscall.Rename { src; dst } -> (c src, Some (c dst))
-  | Syscall.Kill { pid = target; _ } -> (Printf.sprintf "pid:%d" target, None)
-  | Syscall.Getpid | Syscall.Getppid | Syscall.Getuid | Syscall.Get_user_name
-  | Syscall.Getcwd | Syscall.Close _ | Syscall.Read _ | Syscall.Write _
-  | Syscall.Pread _ | Syscall.Pwrite _ | Syscall.Lseek _ | Syscall.Fstat _
-  | Syscall.Pipe | Syscall.Waitpid _ | Syscall.Exit _ | Syscall.Getenv _
-  | Syscall.Setenv _ | Syscall.Compute _ ->
-    ("", None)
+  match (req, Rights_table.of_request req) with
+  | Syscall.Kill { pid = target; _ }, _ -> (Printf.sprintf "pid:%d" target, None)
+  | Syscall.Symlink { target; path }, _ -> (c path, Some target)
+  | _, (_, [ path ]) -> (c path, None)
+  | _, (_, [ path; path2 ]) -> (c path, Some (c path2))
+  | _, (_, _) -> ("", None)
 
 let audit_record t ~pid vp req action =
   (match action with
@@ -715,26 +546,20 @@ and dispatch t ~pid vp req =
   | Syscall.Mkdir { path; mode } -> handle_mkdir t pid vp path mode
   | Syscall.Rmdir path -> handle_rmdir t pid vp path
   | Syscall.Unlink path -> handle_unlink t pid vp path
-  | Syscall.Link { target; path } -> handle_link t pid vp ~target ~path
-  | Syscall.Symlink { target; path } -> handle_symlink t pid vp ~target ~path
+  | Syscall.Link { target; path } ->
+    perform_local t pid (Syscall.Link { target = canon t vp target; path = canon t vp path })
+  | Syscall.Symlink { target; path } ->
+    perform_local t pid (Syscall.Symlink { target; path = canon t vp path })
   | Syscall.Readlink path -> handle_readlink t pid vp path
   | Syscall.Rename { src; dst } -> handle_rename t pid vp ~src ~dst
   | Syscall.Readdir path -> handle_readdir t pid vp path
-  | Syscall.Chmod { path; _ } ->
+  | Syscall.Chmod { path; mode } ->
     (* Unix mode bits are supervisor-side details; requiring write keeps
        visitors from locking the supervisor out of its own files. *)
-    let abs = canon t vp path in
-    check t Right.Write ~object_path:abs (fun () ->
-        match delegate t req with
-        | Ok _ -> emulate t pid (Ok Syscall.Unit)
-        | Error e -> deny e)
-  | Syscall.Chown _ -> deny Errno.EPERM
+    perform t pid (Syscall.Chmod { path = canon t vp path; mode })
+  | Syscall.Chown _ -> perform t pid req
   | Syscall.Truncate { path; len } ->
-    let abs = canon t vp path in
-    check t Right.Write ~object_path:abs (fun () ->
-        match delegate t (Syscall.Truncate { path = abs; len }) with
-        | Ok _ -> emulate t pid (Ok Syscall.Unit)
-        | Error e -> deny e)
+    perform t pid (Syscall.Truncate { path = canon t vp path; len })
   | Syscall.Spawn { path; args } -> handle_spawn t vp ~path ~args
   | Syscall.Kill { pid = target; _ } -> handle_kill t ~pid ~target
   | Syscall.Getacl path -> handle_getacl t pid vp path
@@ -835,6 +660,7 @@ let create kernel_ ~supervisor_uid ~identity ?(mounts = []) ?(small_io_threshold
       bx_kernel = kernel_;
       sup;
       bx_identity = identity;
+      caller = { Rights_table.identity; limit = None };
       enforce;
       channel;
       vprocs = Hashtbl.create 8;
@@ -879,9 +705,7 @@ let spawn t ?(check_exec = true) ~path ~args () =
       ~tracer:(handler t) ~path:abs ~args ()
   in
   if check_exec then
-    match Enforce.check_object t.enforce ~identity:t.bx_identity ~path:abs
-            Right.Execute
-    with
+    match Rights_table.authorize t.enforce t.caller Rights_table.execute [ abs ] with
     | Ok () -> proceed ()
     | Error e -> Error e
   else proceed ()

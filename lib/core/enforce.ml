@@ -5,7 +5,6 @@ module Cost = Idbox_kernel.Cost
 module Metrics = Idbox_kernel.Metrics
 module Acl = Idbox_acl.Acl
 module Right = Idbox_acl.Right
-module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
@@ -584,22 +583,6 @@ let reserve_in_dir t ~identity ~dir =
     charge_acl_eval t acl;
     Acl.reserve_for acl identity
 
-type mkdir_plan =
-  | Fresh_acl of Acl.t
-  | Inherit_acl of Acl.t option
-
-let plan_mkdir t ~identity ~parent =
-  match reserve_in_dir t ~identity ~dir:parent with
-  | Some grant ->
-    let entry =
-      Idbox_acl.Entry.make ~pattern:(Principal.to_string identity) grant
-    in
-    Ok (Fresh_acl (Acl.of_entries [ entry ]))
-  | None ->
-    (match check_in_dir t ~identity ~dir:parent Right.Write with
-     | Ok () -> Ok (Inherit_acl (dir_acl t parent))
-     | Error e -> Error e)
-
 let invalidate t ~dir =
   let dir = Path.normalize dir in
   Metrics.incr t.m_acl_inval;
@@ -684,8 +667,3 @@ let admit_chain t ~trusted ~revocations ~now ~holder chain =
    coincidentally validate against an unrelated generation value.  The
    recovering server drops the memo outright — fail-closed and cheap. *)
 let drop_chains t = Hashtbl.reset t.chains
-
-let check_delegated t ~identity ~grant ~prefix ~path right =
-  if not (Rights.mem right grant) then Error Errno.EACCES
-  else if not (Delegation.scope_contains ~prefix path) then Error Errno.EACCES
-  else check_object t ~identity ~path right

@@ -156,28 +156,13 @@ val check_object :
     An ACL file is refused ([EACCES]) for every right: when [path]
     names one, and when its final symlink chain lands on one. *)
 
-type mkdir_plan =
-  | Fresh_acl of Idbox_acl.Acl.t
-      (** Created under the reserve right: install this owner ACL. *)
-  | Inherit_acl of Idbox_acl.Acl.t option
-      (** Created under the write right: inherit the parent's ACL. *)
-
-val plan_mkdir :
-  t ->
-  identity:Idbox_identity.Principal.t ->
-  parent:string ->
-  (mkdir_plan, Idbox_vfs.Errno.t) result
-(** Authorize a [mkdir] in [parent] and say which ACL the new directory
-    gets: the reserve right (paper §4) takes precedence and mints a
-    fresh namespace owned by the caller; otherwise plain write access
-    inherits the parent ACL. *)
-
 val reserve_in_dir :
   t ->
   identity:Idbox_identity.Principal.t ->
   dir:string ->
   Idbox_acl.Rights.t option
-(** The reserve grant [v(...)] available to [identity] in [dir], if any. *)
+(** The reserve grant [v(...)] available to [identity] in [dir], if any:
+    the rights table's [mkdir] asks it before the write right. *)
 
 val write_acl :
   t -> dir:string -> Idbox_acl.Acl.t -> (unit, Idbox_vfs.Errno.t) result
@@ -194,8 +179,7 @@ val acl_filename : string
 val is_acl_file : string -> bool
 (** Does the normal path ({!Idbox_vfs.Path.is_normal}, as every
     canonicalised path is) name an ACL file: is its last component
-    {!acl_filename}?  The name guard every dispatch layer applies
-    before it creates, removes, renames or links an entry. *)
+    {!acl_filename}?  The {!Rights_table}'s name guard. *)
 
 val admit_chain :
   t ->
@@ -222,17 +206,3 @@ val drop_chains : t -> unit
 (** Drop every memoized chain verdict.  A recovering server calls this
     after rebuilding its revocation store, whose fresh generation
     counter could otherwise coincidentally validate a pre-crash memo. *)
-
-val check_delegated :
-  t ->
-  identity:Idbox_identity.Principal.t ->
-  grant:Idbox_acl.Rights.t ->
-  prefix:string ->
-  path:string ->
-  Idbox_acl.Right.t ->
-  (unit, Idbox_vfs.Errno.t) result
-(** {!check_object} under attenuated authority: the verdict is the
-    intersection of the delegated grant mask, the chain's path-prefix
-    scope ([prefix] and [path] both absolute, supervisor-side), and the
-    root delegator's own ACL verdict — a delegated caller can never do
-    what the delegator could not. *)

@@ -1,8 +1,7 @@
 module Kernel = Idbox_kernel.Kernel
 module View = Idbox_kernel.View
 module Syscall = Idbox_kernel.Syscall
-module Program = Idbox_kernel.Program
-module Right = Idbox_acl.Right
+module Sysent = Idbox_kernel.Sysent
 module Principal = Idbox_identity.Principal
 module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
@@ -62,88 +61,54 @@ let domain_for t principal =
     Hashtbl.replace t.domains key d;
     d
 
-(* Map a request to the ACL question it poses, if any.  fd-level calls
-   were authorized at open time, exactly as in the userspace box. *)
-let verdict t ~identity (view : View.t) req =
-  let abs path =
-    Enforce.canonical_parents t.kb_enforce (Path.join view.View.cwd path)
+(* The call's verdict from the rights table, each path made canonical
+   once against the caller's cwd.  The calls with ACL side effects the
+   kernel knows nothing of are answered here, through the table's own
+   functions at direct kernel cost. *)
+let table_verdict t ~identity (view : View.t) req =
+  let answer value = function
+    | Ok x -> Sysent.Answer (value x)
+    | Error e -> Sysent.Deny e
   in
-  let check_object path right =
-    Enforce.check_object t.kb_enforce ~identity ~path:(abs path) right
-  in
-  let check_dir dir right =
-    Enforce.check_in_dir t.kb_enforce ~identity ~dir:(abs dir) right
-  in
-  let check_delete path =
-    let dir = Enforce.governing_dir t.kb_enforce (abs path) in
-    match Enforce.check_in_dir t.kb_enforce ~identity ~dir Right.Delete with
-    | Ok () -> Ok ()
-    | Error _ -> Enforce.check_in_dir t.kb_enforce ~identity ~dir Right.Write
-  in
-  (* The name guard the userspace box applies: no call creates, removes,
-     renames or links an entry named as an ACL file. *)
-  let unless_acl_file paths k =
-    if List.exists (fun p -> Enforce.is_acl_file (abs p)) paths then
-      Error Errno.EACCES
-    else k ()
-  in
-  match req with
-  | Syscall.Open { path; flags; _ } ->
-    let r = if flags.Idbox_vfs.Fs.rd then check_object path Right.Read else Ok () in
-    (match r with
-     | Error _ as e -> e
-     | Ok () ->
-       if flags.Idbox_vfs.Fs.wr || flags.Idbox_vfs.Fs.creat then
-         check_object path Right.Write
-       else Ok ())
-  | Syscall.Stat path | Syscall.Lstat path | Syscall.Readlink path
-  | Syscall.Getacl path ->
-    check_object path Right.List
-  | Syscall.Readdir path | Syscall.Chdir path -> check_dir path Right.List
-  | Syscall.Mkdir { path; _ } ->
-    unless_acl_file [ path ] (fun () -> check_dir (Path.dirname (abs path)) Right.Write)
-  | Syscall.Unlink path -> unless_acl_file [ path ] (fun () -> check_delete path)
-  | Syscall.Rmdir path -> check_delete path
-  | Syscall.Rename { src; dst } ->
-    unless_acl_file [ src; dst ] (fun () ->
-        match check_delete src with
-        | Error _ as e -> e
-        | Ok () -> check_dir (Path.dirname (abs dst)) Right.Write)
-  | Syscall.Link { target; path } ->
-    unless_acl_file [ target; path ] (fun () ->
-        match check_object target Right.Read with
-        | Error _ as e -> e
-        | Ok () -> check_dir (Path.dirname (abs path)) Right.Write)
-  | Syscall.Symlink { path; _ } ->
-    unless_acl_file [ path ] (fun () -> check_dir (Path.dirname (abs path)) Right.Write)
-  | Syscall.Chmod { path; _ } | Syscall.Truncate { path; _ } ->
-    check_object path Right.Write
-  | Syscall.Chown _ -> Error Errno.EPERM
-  | Syscall.Setacl { path; _ } -> check_dir path Right.Admin
-  | Syscall.Spawn { path; _ } -> check_object path Right.Execute
-  | Syscall.Kill { pid = target; _ } ->
-    (match (identity_of t target : Principal.t option) with
-     | Some target_id when Principal.equal target_id identity -> Ok ()
-     | Some _ | None -> Error Errno.EPERM)
-  | Syscall.Getpid | Syscall.Getppid | Syscall.Getuid | Syscall.Get_user_name
-  | Syscall.Getcwd | Syscall.Close _ | Syscall.Read _ | Syscall.Write _
-  | Syscall.Pread _ | Syscall.Pwrite _ | Syscall.Lseek _ | Syscall.Fstat _
-  | Syscall.Pipe | Syscall.Waitpid _ | Syscall.Exit _ | Syscall.Getenv _
-  | Syscall.Setenv _ | Syscall.Compute _ ->
-    Ok ()
+  match Rights_table.of_request req with
+  | Rights_table.Free, _ -> Sysent.Allow
+  | Rights_table.Refuse e, _ -> Sysent.Deny e
+  | Rights_table.Signal target, _ ->
+    (match identity_of t target with
+     | Some target_id when Principal.equal target_id identity -> Sysent.Allow
+     | Some _ | None -> Sysent.Deny Errno.EPERM)
+  | Rights_table.Ask row, paths ->
+    let e = t.kb_enforce and caller = { Rights_table.identity; limit = None } in
+    let canon path = Enforce.canonical_parents e (Path.join view.View.cwd path) in
+    let delegate req = Kernel.execute t.kb_kernel view req in
+    let unit () = Syscall.Unit in
+    (match (req, List.map canon paths) with
+     | Syscall.Mkdir { mode; _ }, [ path ] ->
+       answer unit (Rights_table.mkdir e caller ~delegate path ~mode)
+     | Syscall.Rmdir _, [ path ] -> answer unit (Rights_table.rmdir e caller ~delegate path)
+     | Syscall.Readdir _, [ path ] ->
+       answer (fun ns -> Syscall.Names ns) (Rights_table.readdir e caller ~delegate path)
+     | Syscall.Getacl _, [ path ] ->
+       answer (fun s -> Syscall.Str s) (Rights_table.getacl e caller ~delegate path)
+     | Syscall.Setacl { entry; _ }, [ path ] ->
+       answer unit (Rights_table.setacl e caller path ~entry)
+     | _, abs ->
+       (match Rights_table.authorize e caller row abs with
+        | Ok () -> Sysent.Allow
+        | Error err -> Sysent.Deny err))
 
 let hook t ~pid view req =
   match Hashtbl.find_opt t.identities pid, identity_of t pid with
-  | None, None -> Ok ()  (* not a boxed process *)
+  | None, None -> Sysent.Allow  (* not a boxed process *)
   | _, Some identity ->
     (* Children inherit the domain: memoize the inherited binding. *)
     if not (Hashtbl.mem t.identities pid) then
       Hashtbl.replace t.identities pid identity;
     Idbox_kernel.Metrics.incr t.m_check;
-    let v = verdict t ~identity view req in
+    let v = table_verdict t ~identity view req in
     (match v with
-     | Ok () -> Idbox_kernel.Metrics.incr t.m_allow
-     | Error _ -> Idbox_kernel.Metrics.incr t.m_deny);
+     | Sysent.Allow | Sysent.Answer _ -> Idbox_kernel.Metrics.incr t.m_allow
+     | Sysent.Deny _ -> Idbox_kernel.Metrics.incr t.m_deny);
     v
   | Some _, None -> assert false
 
@@ -192,7 +157,11 @@ let uninstall t =
 
 let spawn t ~identity ~path ~args () =
   let abs = Path.normalize path in
-  match Enforce.check_object t.kb_enforce ~identity ~path:abs Right.Execute with
+  match
+    Rights_table.authorize t.kb_enforce
+      { Rights_table.identity; limit = None }
+      Rights_table.execute [ abs ]
+  with
   | Error e -> Error e
   | Ok () ->
     (match

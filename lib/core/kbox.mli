@@ -4,17 +4,18 @@
     Where {!Box} traps every system call through a userspace supervisor
     — paying context switches, register peek/poke, and channel copies —
     a [Kbox] registers a security hook {e inside} the kernel: processes
-    run untraced, every call is checked against the same per-directory
-    ACLs at direct kernel cost, and [get_user_name] is answered by an
-    in-kernel identity table keyed by pid (children inherit their
-    parent's identity through the process tree).  The Fig. 6 ablation
-    bench runs identical workloads under {!Box} and under [Kbox] to
+    run untraced, and [get_user_name] is answered by an in-kernel
+    identity table keyed by pid (children inherit their parent's
+    identity through the process tree).  The hook asks the same
+    {!Rights_table} as the box, at direct kernel cost: it allows or
+    denies every call, and answers [mkdir] (the reserve right included),
+    [rmdir], [readdir], [getacl] and [setacl] itself through the table's
+    ACL side effects, which the stock kernel does not know.  The Fig. 6
+    ablation runs identical workloads under {!Box} and under [Kbox] to
     quantify what moving identity boxing into the OS would save.
 
     Prototype limits (the paper's "open issues for future work"): one
-    [Kbox] per kernel; the reserve right, ACL mutation from inside
-    ([setacl]), and [/etc/passwd] redirection are not implemented —
-    enforcement and identity are, which is what the ablation measures. *)
+    [Kbox] per kernel, and no [/etc/passwd] redirection. *)
 
 type t
 

@@ -8,6 +8,7 @@ type scheme =
 type t = {
   scheme : scheme option;
   name : string;
+  canonical : string;
 }
 
 let scheme_to_string = function
@@ -29,32 +30,39 @@ let scheme_of_string s =
   | "unix" -> Some Unix
   | _ -> if is_scheme_token s then Some (Other s) else None
 
+(* The canonical string is built once, here, for every principal: the
+   ACL matcher keys its memo on it at every check. *)
+let v scheme name =
+  let canonical =
+    match scheme with
+    | None -> name
+    | Some scheme -> scheme_to_string scheme ^ ":" ^ name
+  in
+  { scheme; name; canonical }
+
 let make ?scheme name =
   if String.length name = 0 then invalid_arg "Principal.make: empty name";
-  { scheme; name }
+  v scheme name
 
 let of_string s =
   match String.index_opt s ':' with
-  | None -> { scheme = None; name = s }
+  | None -> v None s
   | Some i ->
     let prefix = String.sub s 0 i in
     (match scheme_of_string prefix with
      | Some scheme when i + 1 < String.length s ->
-       { scheme = Some scheme; name = String.sub s (i + 1) (String.length s - i - 1) }
-     | Some _ | None -> { scheme = None; name = s })
+       v (Some scheme) (String.sub s (i + 1) (String.length s - i - 1))
+     | Some _ | None -> v None s)
 
-let to_string t =
-  match t.scheme with
-  | None -> t.name
-  | Some scheme -> scheme_to_string scheme ^ ":" ^ t.name
+let to_string t = t.canonical
 
-let equal a b = String.equal (to_string a) (to_string b)
+let equal a b = String.equal a.canonical b.canonical
 
-let compare a b = String.compare (to_string a) (to_string b)
+let compare a b = String.compare a.canonical b.canonical
 
-let anonymous = { scheme = None; name = "anonymous" }
+let anonymous = v None "anonymous"
 
-let nobody = { scheme = Some Unix; name = "nobody" }
+let nobody = v (Some Unix) "nobody"
 
 let matches_pattern ~pattern t = Wildcard.literal_matches pattern (to_string t)
 

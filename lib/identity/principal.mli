@@ -20,9 +20,12 @@ type scheme =
   | Unix  (** A local Unix account name. *)
   | Other of string  (** Any other lowercase scheme token. *)
 
-type t = {
+type t = private {
   scheme : scheme option;  (** [None] for unqualified names. *)
   name : string;  (** The name proper, without the scheme prefix. *)
+  canonical : string;
+      (** The [scheme:name] (or bare name) form, built once by {!make}
+          and {!of_string}: {!to_string} returns it without allocating. *)
 }
 
 val make : ?scheme:scheme -> string -> t
@@ -36,7 +39,7 @@ val of_string : string -> t
     ["/O=X/CN=Y"] contain no [':'] and parse as unqualified. *)
 
 val to_string : t -> string
-(** [to_string t] renders the canonical [scheme:name] (or bare name) form. *)
+(** [to_string t] is the canonical [scheme:name] (or bare name) form. *)
 
 val scheme_to_string : scheme -> string
 (** The lowercase wire token for a scheme. *)

@@ -14,7 +14,7 @@ type stats = {
   mutable spawns : int;
 }
 
-type security_hook = pid:int -> View.t -> Syscall.request -> (unit, Errno.t) result
+type security_hook = pid:int -> View.t -> Syscall.request -> Sysent.verdict
 
 type exec_outcome =
   | Done of Syscall.result
@@ -765,7 +765,7 @@ let pipe_request t (pcb : Proc.t) req : exec_outcome option =
 let build_sysent t : (Proc.t, exec_outcome) Sysent.entry array =
   let enforce (pcb : Proc.t) req =
     match t.security with
-    | None -> Ok ()
+    | None -> Sysent.Allow
     | Some hook -> hook ~pid:pcb.Proc.pid pcb.Proc.view req
   in
   let done_charged req result =
@@ -973,12 +973,15 @@ let service t (pcb : Proc.t) req (k : Proc.continuation) =
      | None ->
        let security_verdict =
          match entry.Sysent.se_enforce with
-         | None -> Ok ()
+         | None -> Sysent.Allow
          | Some pre -> pre pcb req
        in
+       (* A denied or answered call is delivered like any completed one
+          (span and histogram), without the kernel's own handler. *)
        (match security_verdict with
-        | Error e -> deliver (Error e)
-        | Ok () ->
+        | Sysent.Deny e -> deliver (Error e)
+        | Sysent.Answer v -> deliver (Ok v)
+        | Sysent.Allow ->
        match entry.Sysent.se_call pcb req with
         | Done result -> deliver result
         | Blocks ->

@@ -169,8 +169,12 @@ val process_states : t -> (int * string) list
     switches and no data copies.  The Fig. 6 ablation compares a box
     built on these hooks against the ptrace-style agent. *)
 
-type security_hook = pid:int -> View.t -> Syscall.request -> (unit, Idbox_vfs.Errno.t) result
-(** Return [Error e] to deny the call with errno [e] before it executes.
+type security_hook = pid:int -> View.t -> Syscall.request -> Sysent.verdict
+(** Allow a call, deny it with an errno, or answer it with a result
+    before it executes.  A denied or answered call is delivered like any
+    completed one — counted, timed into its [syscall.<name>.ns]
+    histogram, spanned — and the kernel's handler does not run; a hook
+    that answers pays for its own work (e.g. through {!execute}).
     Consulted only for untraced processes (traced ones answer to their
     supervisor instead). *)
 

@@ -5,12 +5,16 @@
    path.  Generic in the handler context and outcome so the table can
    be built per kernel instance without circular dependencies. *)
 
+type verdict =
+  | Allow
+  | Deny of Idbox_vfs.Errno.t
+  | Answer of Syscall.value
+
 type ('ctx, 'outcome) entry = {
   se_number : int;
   se_name : string;
   se_narg : int;  (* argument registers at the trap boundary *)
-  se_enforce :
-    ('ctx -> Syscall.request -> (unit, Idbox_vfs.Errno.t) result) option;
+  se_enforce : ('ctx -> Syscall.request -> verdict) option;
       (* The pre-check run on the entry path before the handler; [None]
          marks calls that never trap (and so are never checked). *)
   se_call : 'ctx -> Syscall.request -> 'outcome;

@@ -8,12 +8,18 @@
     outcome ['outcome], so the table can be built per kernel instance
     and exercised in isolation by tests. *)
 
+(** What the pre-check decides: run the handler, fail the call with an
+    errno, or deliver a result it made itself, without the handler. *)
+type verdict =
+  | Allow
+  | Deny of Idbox_vfs.Errno.t
+  | Answer of Syscall.value
+
 type ('ctx, 'outcome) entry = {
   se_number : int;  (** Stable syscall number; the table index. *)
   se_name : string;
   se_narg : int;  (** Argument registers at the trap boundary. *)
-  se_enforce :
-    ('ctx -> Syscall.request -> (unit, Idbox_vfs.Errno.t) result) option;
+  se_enforce : ('ctx -> Syscall.request -> verdict) option;
       (** Pre-check run on the entry path before the handler; [None]
           for calls that never trap. *)
   se_call : 'ctx -> Syscall.request -> 'outcome;
@@ -23,7 +29,7 @@ val entry :
   number:int ->
   name:string ->
   narg:int ->
-  ?enforce:('ctx -> Syscall.request -> (unit, Idbox_vfs.Errno.t) result) ->
+  ?enforce:('ctx -> Syscall.request -> verdict) ->
   ('ctx -> Syscall.request -> 'outcome) ->
   ('ctx, 'outcome) entry
 

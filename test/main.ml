@@ -46,4 +46,5 @@ let () =
       ("async", Test_async.suite);
       ("control", Test_control.suite);
       ("geo", Test_geo.suite);
+      ("rights-table", Test_rights_table.suite);
     ]

@@ -237,6 +237,24 @@ let prop_check_is_union =
       in
       Acl.check acl who r = Rights.mem r (Acl.rights_of acl who))
 
+(* A warm check is one memo probe: the key is the principal's own
+   canonical string and the lookup builds no option, so a memo hit
+   allocates nothing. *)
+let memo_hit_allocates_nothing () =
+  let acl =
+    Acl.of_entries
+      [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rl") ]
+  in
+  (* The first check compiles the matcher and fills the memo. *)
+  Alcotest.(check bool) "fred reads" true (Acl.check acl fred Right.Read);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (Acl.check acl fred Right.Read))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words per check" 0 (int_of_float words / 100_000);
+  Alcotest.(check bool) "under one word per thousand checks" true (words < 100.)
+
 let suite =
   [
     Alcotest.test_case "rights parse/print" `Quick rights_parse_print;
@@ -258,6 +276,8 @@ let suite =
     Alcotest.test_case "for_owner full" `Quick for_owner_full;
     Alcotest.test_case "empty denies" `Quick empty_denies_everything;
     Alcotest.test_case "matcher memo capped" `Quick memo_capped_and_coherent;
+    Alcotest.test_case "memo hit allocates no minor words" `Quick
+      memo_hit_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_acl_roundtrip;
     QCheck_alcotest.to_alcotest prop_check_is_union;
   ]

@@ -10,6 +10,7 @@ module Negotiate = Idbox_auth.Negotiate
 module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
 module Catalog = Idbox_chirp.Catalog
+module Protocol = Idbox_chirp.Protocol
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
@@ -614,6 +615,85 @@ let multi_chunk_and_empty_get () =
         calls)
     [ 150_000; 0 ]
 
+(* The wire decoder accepts a delegated mutation, so the server's list
+   of delegable operations is the only guard: under a valid chain every
+   mutation answers EINVAL and changes nothing, while every read-only
+   operation, and exec, is served. *)
+let delegated_mutations_refused () =
+  Kernel.with_fresh_programs (fun () ->
+      let w = make_world () in
+      Program.register "noop" (fun _ -> 0);
+      let c = connect_fred w in
+      ok "mkdir" (Client.mkdir c "/work");
+      ok "mkdir sub" (Client.mkdir c "/work/sub");
+      ok "put" (Client.put c ~path:"/work/f" ~data:"bytes");
+      ok "stage" (Client.put c ~path:"/work/noop.exe" ~data:(Program.marker "noop"));
+      let fred = "globus:/O=UnivNowhere/CN=Fred" in
+      let jane_cert = Ca.issue w.ca (Subject.of_string_exn "/O=UnivNowhere/CN=Jane") in
+      let jane =
+        match
+          Client.connect w.net ~addr:"alpha.grid.edu:9094"
+            ~credentials:[ Credential.Gsi jane_cert ]
+        with
+        | Ok c -> c
+        | Error m -> Alcotest.fail m
+      in
+      let chain =
+        [
+          Idbox_auth.Delegation.mint w.ca ~delegator:fred
+            ~delegatee:"globus:/O=UnivNowhere/CN=Jane" ~rights:Rights.full
+            ~prefix:"/work" ~now:(Kernel.now w.kernel) ~ttl_ns:1_000_000_000_000L
+            ~hops:4 ();
+        ]
+      in
+      let send op =
+        Client.interpret
+          (Server.handle w.server
+             (Client.prepare jane (Protocol.Delegated { chain; op })))
+      in
+      let name = Protocol.operation_name in
+      let snapshot () =
+        match Server.snapshot_subtree w.server "/" with
+        | Ok entries -> entries
+        | Error e -> Alcotest.failf "snapshot: %s" (Errno.to_string e)
+      in
+      let before = snapshot () in
+      let epoch () = ok "epoch" (Client.delegation_epoch c fred) in
+      let epoch_before = epoch () in
+      List.iter
+        (fun op ->
+          match send op with
+          | Error e -> Alcotest.check errno (name op ^ " refused") Errno.EINVAL e
+          | Ok _ -> Alcotest.failf "delegated %s served" (name op))
+        Protocol.
+          [
+            Mkdir "/work/new";
+            Rmdir "/work/sub";
+            Unlink "/work/f";
+            Put { path = "/work/g"; data = "x" };
+            Setacl { path = "/work"; entry = "globus:/O=UnivNowhere/CN=Jane rwlxda" };
+            Rename { src = "/work/f"; dst = "/work/h" };
+            Revoke fred;
+          ];
+      Alcotest.(check bool) "export unchanged" true (before = snapshot ());
+      Alcotest.(check int) "no epoch moved" epoch_before (epoch ());
+      List.iter
+        (fun op ->
+          match send op with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "delegated %s: %s" (name op) (Errno.to_string e))
+        Protocol.
+          [
+            Get "/work/f";
+            Stat "/work/f";
+            Readdir "/work";
+            Getacl "/work";
+            Checksum "/work/f";
+            Whoami;
+            Epoch fred;
+            Exec { path = "/work/noop.exe"; args = [ "noop" ]; cwd = "/work" };
+          ])
+
 let suite =
   [
     Alcotest.test_case "figure 3 full scenario" `Quick figure3_full_scenario;
@@ -637,4 +717,5 @@ let suite =
     Alcotest.test_case "batch one round trip" `Quick batch_one_round_trip;
     Alcotest.test_case "lease serves and flushes" `Quick lease_serves_and_flushes;
     Alcotest.test_case "multi-chunk and empty get" `Quick multi_chunk_and_empty_get;
+    Alcotest.test_case "delegated mutations refused" `Quick delegated_mutations_refused;
   ]

@@ -13,6 +13,7 @@ module Libc = Idbox_kernel.Libc
 module Ca = Idbox_auth.Ca
 module Delegation = Idbox_auth.Delegation
 module Enforce = Idbox.Enforce
+module Rights_table = Idbox.Rights_table
 module Audit = Idbox.Audit
 module Server = Idbox_chirp.Server
 module Router = Idbox_cluster.Router
@@ -24,6 +25,15 @@ module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Fs = Idbox_vfs.Fs
 module Errno = Idbox_vfs.Errno
+
+(* A row of one question: [right] on the object at the first path. *)
+let object_row right =
+  {
+    Rights_table.guard = false;
+    reserve = false;
+    questions = [ { Rights_table.arg = 0; target = Rights_table.Object; right; or_write = false } ];
+    or_else = [];
+  }
 
 let ok ctx = function
   | Ok v -> v
@@ -232,8 +242,13 @@ let delegated_verdict_attenuates () =
           [ Entry.make ~pattern:"globus:/O=Grid/*" (rights "rwl") ]));
   let id = Principal.of_string alice in
   let check ~grant ~prefix ~path right =
-    Enforce.check_delegated e ~identity:id ~grant:(rights grant) ~prefix ~path
-      right
+    Rights_table.authorize e
+      {
+        Rights_table.identity = id;
+        limit = Some { Rights_table.grant = rights grant; scope = prefix };
+      }
+      (object_row right)
+      [ path ]
   in
   ok "granted right inside scope passes to the ACL"
     (check ~grant:"rl" ~prefix:"/data" ~path:"/data/sub" Right.Read);

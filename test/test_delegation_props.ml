@@ -19,6 +19,7 @@
 
 module Kernel = Idbox_kernel.Kernel
 module Enforce = Idbox.Enforce
+module Rights_table = Idbox.Rights_table
 module Ca = Idbox_auth.Ca
 module Delegation = Idbox_auth.Delegation
 module Acl = Idbox_acl.Acl
@@ -28,6 +29,15 @@ module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Fs = Idbox_vfs.Fs
 module Errno = Idbox_vfs.Errno
+
+(* A row of one question: [right] on the object at the first path. *)
+let object_row right =
+  {
+    Rights_table.guard = false;
+    reserve = false;
+    questions = [ { Rights_table.arg = 0; target = Rights_table.Object; right; or_write = false } ];
+    or_else = [];
+  }
 
 let seeds = [ 1; 7; 42; 2005; 90210 ]
 let steps = 40
@@ -136,9 +146,18 @@ let storm seed =
           List.iter
             (fun right ->
               let delegated e =
-                Enforce.check_delegated e ~identity:root
-                  ~grant:s.Delegation.sum_grant
-                  ~prefix:s.Delegation.sum_prefix ~path right
+                Rights_table.authorize e
+                  {
+                    Rights_table.identity = root;
+                    limit =
+                      Some
+                        {
+                          Rights_table.grant = s.Delegation.sum_grant;
+                          scope = s.Delegation.sum_prefix;
+                        };
+                  }
+                  (object_row right)
+                  [ path ]
               in
               let dc = delegated cached in
               let du = delegated uncached in

@@ -1,5 +1,6 @@
 module Kernel = Idbox_kernel.Kernel
 module Enforce = Idbox.Enforce
+module Rights_table = Idbox.Rights_table
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Right = Idbox_acl.Right
@@ -99,8 +100,17 @@ let cache_coherent_across_engines () =
    | Ok () -> ()
    | Error _ -> Alcotest.fail "stale cache in second engine")
 
-let plan_mkdir_reserve_precedence () =
+(* The rights table's mkdir, on one engine: the reserve right takes
+   precedence over write and mints a namespace the caller owns; write
+   alone inherits the parent's ACL; neither refuses. *)
+let mkdir_reserve_precedence () =
   let k, e = fresh () in
+  let sup = Kernel.make_view k ~uid:0 () in
+  let mkdir who path =
+    Rights_table.mkdir e
+      { Rights_table.identity = who; limit = None }
+      ~delegate:(Kernel.delegate k sup) path ~mode:0o755
+  in
   ok "mkdir" (Fs.mkdir_p (Kernel.fs k) ~uid:0 "/d");
   (* Both write and reserve present: reserve wins (fresh namespace). *)
   ok "acl"
@@ -111,26 +121,29 @@ let plan_mkdir_reserve_precedence () =
               ~reserve:(Rights.of_string_exn "rwl")
               (Rights.of_string_exn "rwl");
           ]));
-  (match Enforce.plan_mkdir e ~identity:fred ~parent:"/d" with
-   | Ok (Enforce.Fresh_acl acl) ->
+  ok "reserved mkdir" (mkdir fred "/d/reserved");
+  (match Enforce.dir_acl e "/d/reserved" with
+   | Some acl ->
      Alcotest.(check bool) "owner entry" true (Acl.check acl fred Right.Write);
      Alcotest.(check bool) "not jane" false (Acl.check acl jane Right.Read)
-   | Ok (Enforce.Inherit_acl _) -> Alcotest.fail "inherited despite reserve"
-   | Error e -> Alcotest.fail (Errno.to_string e));
+   | None -> Alcotest.fail "no fresh acl under the reserve right");
   (* Write only: inherit. *)
-  ok "acl2"
-    (Enforce.write_acl e ~dir:"/d"
-       (Acl.of_entries
-          [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rwl") ]));
-  (match Enforce.plan_mkdir e ~identity:fred ~parent:"/d" with
-   | Ok (Enforce.Inherit_acl (Some _)) -> ()
-   | Ok _ -> Alcotest.fail "expected inherited acl"
-   | Error e -> Alcotest.fail (Errno.to_string e));
-  (* Nothing: denied. *)
-  (match Enforce.plan_mkdir e ~identity:(Principal.of_string "unix:eve") ~parent:"/d" with
+  let parent =
+    Acl.of_entries
+      [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rwl") ]
+  in
+  ok "acl2" (Enforce.write_acl e ~dir:"/d" parent);
+  ok "written mkdir" (mkdir fred "/d/written");
+  (match Enforce.dir_acl e "/d/written" with
+   | Some acl -> Alcotest.(check bool) "inherited" true (Acl.equal acl parent)
+   | None -> Alcotest.fail "expected inherited acl");
+  (* Nothing: denied, and nothing made. *)
+  (match mkdir (Principal.of_string "unix:eve") "/d/eve" with
    | Error Errno.EACCES -> ()
-   | Ok _ -> Alcotest.fail "eve allowed"
-   | Error e -> Alcotest.fail (Errno.to_string e))
+   | Ok () -> Alcotest.fail "eve allowed"
+   | Error e -> Alcotest.fail (Errno.to_string e));
+  Alcotest.(check bool) "eve made nothing" false
+    (Fs.exists (Kernel.fs k) ~uid:0 "/d/eve")
 
 let in_kernel_mode_cheaper () =
   let k = Kernel.create () in
@@ -223,7 +236,7 @@ let suite =
     Alcotest.test_case "corrupt acl fails closed" `Quick corrupt_acl_fails_closed;
     Alcotest.test_case "governing dir follows symlinks" `Quick governing_dir_follows_symlinks;
     Alcotest.test_case "cache coherent across engines" `Quick cache_coherent_across_engines;
-    Alcotest.test_case "plan_mkdir precedence" `Quick plan_mkdir_reserve_precedence;
+    Alcotest.test_case "mkdir reserve precedence" `Quick mkdir_reserve_precedence;
     Alcotest.test_case "in-kernel mode cheaper" `Quick in_kernel_mode_cheaper;
     Alcotest.test_case "large acl read" `Quick large_acl_read;
     Alcotest.test_case "cache hit/miss counters" `Quick cache_counters;

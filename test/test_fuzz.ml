@@ -2,11 +2,14 @@
    sequence of system calls can never (a) modify any object outside the
    areas it was granted, nor (b) observe the contents of any protected
    file.  This is the containment claim of the paper tested not against
-   hand-picked attacks (test_security.ml) but against generated ones. *)
+   hand-picked attacks (test_security.ml) but against generated ones,
+   under both engines that box a process: the tracing supervisor ([Box])
+   and the in-kernel hook ([Kbox]), with the same programs. *)
 
 module Kernel = Idbox_kernel.Kernel
 module Libc = Idbox_kernel.Libc
 module Box = Idbox.Box
+module Kbox = Idbox.Kbox
 module Principal = Idbox_identity.Principal
 module Fs = Idbox_vfs.Fs
 module Inode = Idbox_vfs.Inode
@@ -168,10 +171,61 @@ let secret_content = "TOP-SECRET-DO-NOT-LEAK"
 
 let helper_program_name = "fuzz-attack-helper"
 
-let run_attack ops =
+let attacker = Principal.of_string "JoeHacker"
+
+(* How an engine boxes the attacker on a prepared kernel: it returns the
+   directory the attacker calls home, the prefix under which anything
+   may change (the box's own state), a way to grant ACLs, and a way to
+   start a program. *)
+type engine = {
+  e_name : string;
+  e_box :
+    Kernel.t ->
+    supervisor_uid:int ->
+    string * string * (dir:string -> Idbox_acl.Acl.t -> unit)
+    * (main:Idbox_kernel.Program.main -> int);
+}
+
+let fail_errno ctx = function Ok v -> v | Error e -> failwith (ctx ^ Errno.message e)
+
+let box_engine =
+  {
+    e_name = "boxed";
+    e_box =
+      (fun k ~supervisor_uid ->
+        let box = fail_errno "box" (Box.create k ~supervisor_uid ~identity:attacker ()) in
+        ( Box.home box,
+          Box.base box,
+          (fun ~dir acl -> fail_errno "acl" (Box.set_acl box ~dir acl)),
+          fun ~main -> Box.spawn_main box ~main ~args:[ "attack" ] ));
+  }
+
+(* The in-kernel box has no home of its own: the fixture gives it a
+   directory the attacker owns, which is also everything it may
+   change. *)
+let kbox_engine =
+  {
+    e_name = "in-kernel";
+    e_box =
+      (fun k ~supervisor_uid ->
+        let kbox = Kbox.install k ~supervisor_uid () in
+        let home = "/srv/joe" in
+        fail_errno "home" (Fs.mkdir_p (Kernel.fs k) ~uid:0 home);
+        fail_errno "home" (Fs.chown (Kernel.fs k) ~uid:0 ~owner:supervisor_uid home);
+        let set_acl ~dir acl =
+          fail_errno "acl" (Idbox.Enforce.write_acl (Kbox.enforcer kbox) ~dir acl)
+        in
+        set_acl ~dir:home (Idbox_acl.Acl.for_owner attacker);
+        ( home,
+          home,
+          set_acl,
+          fun ~main -> Kbox.spawn_main kbox ~identity:attacker ~main ~args:[ "attack" ] ));
+  }
+
+let run_attack engine ops =
   let k = Kernel.create () in
   (* The helper a generated program may stage and spawn: it attacks the
-     protected area from a traced child process. *)
+     protected area from a child process. *)
   Idbox_kernel.Program.register helper_program_name (fun _ ->
       ignore (Libc.write_file "/protected/from_child" ~contents:"boo");
       ignore (Libc.unlink "/protected/secret.txt");
@@ -202,29 +256,22 @@ let run_attack ops =
       seed "ln"
         (Fs.symlink fs ~uid:victim.Idbox_kernel.Account.uid ~target link))
     [ ("/home/victim/deep", "/shared/sub"); ("sub/../data", "/shared/evil") ];
-  let box =
-    match
-      Box.create k ~supervisor_uid:victim.Idbox_kernel.Account.uid
-        ~identity:(Principal.of_string "JoeHacker") ()
-    with
-    | Ok b -> b
-    | Error e -> failwith (Errno.message e)
+  let home, base, set_acl, start =
+    engine.e_box k ~supervisor_uid:victim.Idbox_kernel.Account.uid
   in
-  seed "sh"
-    (Box.set_acl box ~dir:"/shared"
-       (Idbox_acl.Acl.of_entries
-          [ Idbox_acl.Entry.make ~pattern:"JoeHacker"
-              (Idbox_acl.Rights.of_string_exn "rwlxd") ]));
-  let before = take_snapshot fs ~base:(Box.base box) in
+  set_acl ~dir:"/shared"
+    (Idbox_acl.Acl.of_entries
+       [ Idbox_acl.Entry.make ~pattern:"JoeHacker"
+           (Idbox_acl.Rights.of_string_exn "rwlxd") ]);
+  let before = take_snapshot fs ~base in
   let leaked = ref false in
-  let expand home p =
+  let expand p =
     if String.length p >= 1 && p.[0] = '~' then
       home ^ String.sub p 1 (String.length p - 1)
     else p
   in
   let main _args =
-    let home = Option.get (Libc.getenv "HOME") in
-    let e = expand home in
+    let e = expand in
     List.iter
       (fun op ->
         match op with
@@ -262,29 +309,31 @@ let run_attack ops =
       ops;
     0
   in
-  let pid = Box.spawn_main box ~main ~args:[ "attack" ] in
+  let pid = start ~main in
   Kernel.run k;
   (match Kernel.exit_code k pid with
    | Some _ -> ()
    | None -> failwith "attacker stuck");
-  let after = take_snapshot fs ~base:(Box.base box) in
+  let after = take_snapshot fs ~base in
   (before = after, !leaked)
 
-let prop_no_external_mutation =
-  QCheck.Test.make ~name:"random boxed attacks mutate nothing outside the box"
+let prop_no_external_mutation engine =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "random %s attacks mutate nothing outside the box" engine.e_name)
     ~count:60 program (fun ops ->
-      let unchanged, _ = run_attack ops in
+      let unchanged, _ = run_attack engine ops in
       unchanged)
 
-let prop_no_secret_leak =
-  QCheck.Test.make ~name:"random boxed attacks never read the secret" ~count:60
-    program (fun ops ->
-      let _, leaked = run_attack ops in
+let prop_no_secret_leak engine =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "random %s attacks never read the secret" engine.e_name)
+    ~count:60 program (fun ops ->
+      let _, leaked = run_attack engine ops in
       not leaked)
 
 (* The programs come from a fixed seed, so a run is reproducible; CI's
    seed loop reruns the suite under extra seeds via the knob the chaos
-   suites honour. *)
+   suites honour.  Each engine faces the same programs. *)
 let seed =
   match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
   | Some s -> ( try int_of_string s with _ -> 2005)
@@ -293,4 +342,6 @@ let seed =
 let suite =
   List.map
     (fun test -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test)
-    [ prop_no_external_mutation; prop_no_secret_leak ]
+    (List.concat_map
+       (fun engine -> [ prop_no_external_mutation engine; prop_no_secret_leak engine ])
+       [ box_engine; kbox_engine ])

@@ -463,8 +463,8 @@ let security_hook_denies () =
     (Some
        (fun ~pid:_ _view req ->
          match req with
-         | Syscall.Mkdir _ -> Error Errno.EPERM
-         | _ -> Ok ()));
+         | Syscall.Mkdir _ -> Idbox_kernel.Sysent.Deny Errno.EPERM
+         | _ -> Idbox_kernel.Sysent.Allow));
   let _, code =
     run_main k (fun _ ->
         match Libc.mkdir "/tmp/blocked" with
@@ -477,6 +477,39 @@ let security_hook_denies () =
   in
   Alcotest.(check (option int)) "hook denies mkdir only" (Some 0) code;
   Alcotest.(check bool) "nothing created" false (Fs.exists (Kernel.fs k) ~uid:0 "/tmp/blocked")
+
+(* The hook's third outcome: it serves the call itself.  The caller
+   gets the hook's result, the kernel's handler never runs, and the call
+   is still counted, timed and spanned like any other. *)
+let security_hook_answers () =
+  let k = Kernel.create () in
+  Kernel.set_security_hook k
+    (Some
+       (fun ~pid:_ _view req ->
+         match req with
+         | Syscall.Mkdir _ -> Idbox_kernel.Sysent.Answer Syscall.Unit
+         | Syscall.Getcwd -> Idbox_kernel.Sysent.Answer (Syscall.Str "/answered")
+         | _ -> Idbox_kernel.Sysent.Allow));
+  let _, code =
+    run_main k (fun _ ->
+        match (Libc.mkdir "/tmp/answered", Libc.getcwd ()) with
+        | Ok (), "/answered" -> 0
+        | _ -> 1)
+  in
+  Alcotest.(check (option int)) "the hook's answers delivered" (Some 0) code;
+  Alcotest.(check bool) "the handler never ran" false
+    (Fs.exists (Kernel.fs k) ~uid:0 "/tmp/answered");
+  let m = Kernel.metrics k in
+  Alcotest.(check int) "answered mkdir counted" 1
+    (Idbox_kernel.Metrics.counter_value_of m "syscall.mkdir");
+  (match Idbox_kernel.Metrics.find_histogram m "syscall.mkdir.ns" with
+   | Some h -> Alcotest.(check int) "and timed" 1 (Idbox_kernel.Metrics.count h)
+   | None -> Alcotest.fail "no mkdir histogram");
+  Alcotest.(check bool) "and spanned" true
+    (List.exists
+       (fun (sp : Idbox_kernel.Trace.span) ->
+         String.equal sp.Idbox_kernel.Trace.sp_syscall "mkdir")
+       (Idbox_kernel.Trace.to_list (Kernel.trace_ring k)))
 
 let identity_provider_overrides () =
   let k = Kernel.create () in
@@ -517,6 +550,7 @@ let suite =
     Alcotest.test_case "tracer rewrite redirects" `Quick tracer_rewrite_redirects;
     Alcotest.test_case "children inherit tracer" `Quick children_inherit_tracer;
     Alcotest.test_case "security hook" `Quick security_hook_denies;
+    Alcotest.test_case "security hook answers" `Quick security_hook_answers;
     Alcotest.test_case "identity provider" `Quick identity_provider_overrides;
     Alcotest.test_case "shared clock hosts" `Quick shared_clock_hosts;
   ]

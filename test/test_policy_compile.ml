@@ -19,6 +19,7 @@ module Kernel = Idbox_kernel.Kernel
 module Metrics = Idbox_kernel.Metrics
 module Policy = Idbox_kernel.Policy
 module Enforce = Idbox.Enforce
+module Rights_table = Idbox.Rights_table
 module Policy_compile = Idbox.Policy_compile
 module Ca = Idbox_auth.Ca
 module Delegation = Idbox_auth.Delegation
@@ -32,6 +33,15 @@ module Errno = Idbox_vfs.Errno
 
 (* CI reruns the storm under extra seeds via the same knob the chaos
    suites honour. *)
+(* A row of one question: [right] on the object at the first path. *)
+let object_row right =
+  {
+    Rights_table.guard = false;
+    reserve = false;
+    questions = [ { Rights_table.arg = 0; target = Rights_table.Object; right; or_write = false } ];
+    or_else = [];
+  }
+
 let seeds =
   let base = [ 1; 7; 42; 2005; 90210 ] in
   match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
@@ -99,8 +109,13 @@ let verdict e identity path right =
 
 let delegated_verdict e identity path right =
   match
-    Enforce.check_delegated e ~identity ~grant:(Rights.of_string_exn "rl")
-      ~prefix:"/w" ~path right
+    Rights_table.authorize e
+      {
+        Rights_table.identity;
+        limit = Some { Rights_table.grant = Rights.of_string_exn "rl"; scope = "/w" };
+      }
+      (object_row right)
+      [ path ]
   with
   | Ok () -> "ok"
   | Error e -> Errno.to_string e
