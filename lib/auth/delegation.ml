@@ -158,7 +158,7 @@ let verify_token ~trusted tok =
 let scope_contains ~prefix path =
   String.equal prefix "/" || String.equal prefix path
   || (String.length path > String.length prefix
-      && String.sub path 0 (String.length prefix) = prefix
+      && String.starts_with ~prefix path
       && path.[String.length prefix] = '/')
 
 (* Checked in a fixed order so a chain with several defects reports the

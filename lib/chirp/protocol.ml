@@ -155,59 +155,20 @@ let decode_credential fields =
    so a payload is copied once per side. *)
 let sum_size = 16
 
-let c1 = 0x87c37b91114253d5L
-let c2 = 0x4cf5ad432745937fL
-
-let[@inline] rotl x r =
-  Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
-
-let[@inline] mix_k1 k = Int64.mul (rotl (Int64.mul k c1) 31) c2
-let[@inline] mix_k2 k = Int64.mul (rotl (Int64.mul k c2) 33) c1
-
-let[@inline] fmix k =
-  let k = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 33)) 0xff51afd7ed558ccdL in
-  let k = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 33)) 0xc4ceb9fe1a85ec53L in
-  Int64.logxor k (Int64.shift_right_logical k 33)
-
-(* The [n < 8] bytes of [src] from [pos] as a little-endian word. *)
-let tail_word src pos n =
-  let w = ref 0L in
-  for i = pos + n - 1 downto pos do
-    w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code (Bytes.get src i)))
-  done;
-  !w
-
-(* Sum [len] bytes of [src] from [pos] into the 16 bytes of [dst] at
-   [at]: 16-byte blocks as two 8-byte loads, then the 0–15 byte tail. *)
-let sum_into src ~pos ~len dst ~at =
-  let h1 = ref 0L and h2 = ref 0L in
-  let stop = pos + (len land lnot 15) in
-  let i = ref pos in
-  while !i < stop do
-    h1 := Int64.logxor !h1 (mix_k1 (Bytes.get_int64_le src !i));
-    h1 := Int64.add (Int64.mul (Int64.add (rotl !h1 27) !h2) 5L) 0x52dce729L;
-    h2 := Int64.logxor !h2 (mix_k2 (Bytes.get_int64_le src (!i + 8)));
-    h2 := Int64.add (Int64.mul (Int64.add (rotl !h2 31) !h1) 5L) 0x38495ab5L;
-    i := !i + 16
-  done;
-  let rest = len land 15 in
-  if rest > 8 then h2 := Int64.logxor !h2 (mix_k2 (tail_word src (stop + 8) (rest - 8)));
-  if rest >= 8 then h1 := Int64.logxor !h1 (mix_k1 (Bytes.get_int64_le src stop))
-  else if rest > 0 then h1 := Int64.logxor !h1 (mix_k1 (tail_word src stop rest));
-  let n = Int64.of_int len in
-  let a = Int64.logxor !h1 n and b = Int64.logxor !h2 n in
-  let a = Int64.add a b in
-  let b = Int64.add b a in
-  let a = fmix a and b = fmix b in
-  let a = Int64.add a b in
-  Bytes.set_int64_le dst at a;
-  Bytes.set_int64_le dst (at + 8) (Int64.add b a)
+(* [sum_into src pos len dst at] sums the [len] bytes of [src] from
+   [pos] into the 16 bytes of [dst] at [at]: a C kernel
+   (frame_sum.c) over 16-byte blocks as two 8-byte loads.  It reads and
+   writes no OCaml value but those bytes, so its callers keep both
+   ranges inside their buffers. *)
+external sum_into : Bytes.t -> int -> int -> Bytes.t -> int -> unit
+  = "idbox_frame_sum"
+[@@noalloc]
 
 let frame_sum s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Protocol.frame_sum";
   let out = Bytes.create sum_size in
-  sum_into (Bytes.unsafe_of_string s) ~pos ~len out ~at:0;
+  sum_into (Bytes.unsafe_of_string s) pos len out 0;
   Bytes.unsafe_to_string out
 
 let seal tag fields =
@@ -220,7 +181,7 @@ let seal tag fields =
   let sum_at = Wire.write_header buf (Wire.write buf 0 [ tag ]) sum_size in
   let body_at = Wire.write_header buf (sum_at + sum_size) body in
   ignore (Wire.write buf body_at fields);
-  sum_into buf ~pos:body_at ~len:body buf ~at:sum_at;
+  sum_into buf body_at body buf sum_at;
   Bytes.unsafe_to_string buf
 
 let span_is text (at, len) s =
@@ -361,9 +322,9 @@ let rec response_fields = function
   | R_auth { token; principal; method_ } -> [ "auth"; token; principal; method_ ]
   | R_data data -> [ "data"; data ]
   | R_stat { ws_kind; ws_size; ws_mtime } ->
-    [ "stat"; ws_kind; string_of_int ws_size; Int64.to_string ws_mtime ]
+    [ "stat"; ws_kind; Wire.encode_int ws_size; Wire.encode_int64 ws_mtime ]
   | R_names names -> "names" :: names
-  | R_exit code -> [ "exit"; string_of_int code ]
+  | R_exit code -> [ "exit"; Wire.encode_int code ]
   | R_str s -> [ "str"; s ]
   | R_batch rs -> "batch" :: List.map (fun r -> Wire.encode (response_fields r)) rs
 

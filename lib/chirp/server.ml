@@ -197,14 +197,18 @@ let rec contains_exec = function
 (* Map a wire path into the export subtree, rejecting escapes.  Wire
    paths are absolute within the server's virtual namespace, so they are
    anchored under the export root (never substituted for it), and ".."
-   may not climb out. *)
+   may not climb out.  An absolute wire path brings its own '/': joined
+   without a second one, the common path is already normal. *)
 let map_path t wire_path =
+  let joined =
+    if String.starts_with ~prefix:"/" wire_path then t.sv_export ^ wire_path
+    else t.sv_export ^ "/" ^ wire_path
+  in
   let abs =
     (* Ancestor symlinks (e.g. planted by a remotely exec'd job) are
        resolved before the prefix check, so a link pointing out of the
        export tree cannot smuggle operations outside it. *)
-    Enforce.canonical_parents t.enforce
-      (Path.normalize (t.sv_export ^ "/" ^ wire_path))
+    Enforce.canonical_parents t.enforce (Path.normalize joined)
   in
   if Path.is_prefix ~prefix:t.sv_export abs then Ok abs else Error Errno.EACCES
 

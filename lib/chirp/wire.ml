@@ -3,33 +3,49 @@
    The encoder sizes a message first and then writes every byte of it
    once, into a buffer of exactly that size. *)
 
-let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+(* The decimal width of [n >= 0], by comparison: a field is rarely a
+   gigabyte long. *)
+let rec digits n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1_000 then 3
+  else if n < 10_000 then 4
+  else if n < 100_000 then 5
+  else if n < 1_000_000 then 6
+  else if n < 10_000_000 then 7
+  else if n < 100_000_000 then 8
+  else if n < 1_000_000_000 then 9
+  else 9 + digits (n / 1_000_000_000)
+
+(* The [d] decimal digits of [n >= 0] into [buf] from [pos]. *)
+let write_digits buf pos d n =
+  let n = ref n in
+  for i = pos + d - 1 downto pos do
+    Bytes.set buf i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done
 
 let field_size n = digits n + 1 + n
 
-let size fields =
-  List.fold_left (fun acc f -> acc + field_size (String.length f)) 0 fields
+let rec size_from acc = function
+  | [] -> acc
+  | f :: rest -> size_from (acc + field_size (String.length f)) rest
+
+let size fields = size_from 0 fields
 
 let write_header buf pos n =
   let d = digits n in
-  let rec put i n =
-    if i >= 0 then begin
-      Bytes.set buf (pos + i) (Char.chr (48 + (n mod 10)));
-      put (i - 1) (n / 10)
-    end
-  in
-  put (d - 1) n;
+  write_digits buf pos d n;
   Bytes.set buf (pos + d) ':';
   pos + d + 1
 
-let write buf pos fields =
-  List.fold_left
-    (fun pos f ->
-      let n = String.length f in
-      let at = write_header buf pos n in
-      Bytes.blit_string f 0 buf at n;
-      at + n)
-    pos fields
+let rec write buf pos = function
+  | [] -> pos
+  | f :: rest ->
+    let n = String.length f in
+    let at = write_header buf pos n in
+    Bytes.blit_string f 0 buf at n;
+    write buf (at + n) rest
 
 let encode fields =
   let buf = Bytes.create (size fields) in
@@ -99,7 +115,22 @@ let decode_range s ~pos ~len =
 
 let decode s = decode_range s ~pos:0 ~len:(String.length s)
 
-let encode_int = string_of_int
+(* [string_of_int n], its digits written straight into the string.
+   [min_int] alone has no positive magnitude to write. *)
+let encode_int n =
+  if n = min_int then string_of_int n
+  else
+    let sign = if n < 0 then 1 else 0 in
+    let m = abs n in
+    let d = digits m in
+    let buf = Bytes.create (sign + d) in
+    if sign = 1 then Bytes.set buf 0 '-';
+    write_digits buf sign d m;
+    Bytes.unsafe_to_string buf
+
+let encode_int64 v =
+  let n = Int64.to_int v in
+  if Int64.equal (Int64.of_int n) v then encode_int n else Int64.to_string v
 
 let decode_int s =
   match int_of_string_opt s with

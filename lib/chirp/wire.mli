@@ -52,4 +52,11 @@ val spans : string -> pos:int -> len:int -> ((int * int) list, string) result
     positions in [s] instead of copies; the same errors. *)
 
 val encode_int : int -> string
+(** [string_of_int], without the C formatter: the digits are written
+    straight into a string of their width. *)
+
+val encode_int64 : int64 -> string
+(** [Int64.to_string], the same way for any value a native [int]
+    holds. *)
+
 val decode_int : string -> (int, string) result

@@ -194,7 +194,10 @@ let route t key =
   (match owners with
    | primary :: _ ->
      Metrics.incr (Metrics.handle t.rt_primary primary);
-     span t ~syscall:"cluster.route" ~verdict:(key ^ "->" ^ primary)
+     (* The verdict is built only for a ring to keep it: as an argument
+        it would be built before [span] looks. *)
+     if Option.is_some t.rt_trace then
+       span t ~syscall:"cluster.route" ~verdict:(key ^ "->" ^ primary)
    | [] -> ());
   owners
 

@@ -101,9 +101,10 @@ let vproc_of t pid =
    delegated action always name the same object — the parent flavour of
    Garfinkel pitfall #2), and the paper's /etc/passwd redirection
    applied. *)
+let redirect t abs = if String.equal abs "/etc/passwd" then t.bx_passwd else abs
+
 let canon t vp path =
-  let abs = Enforce.canonical_parents t.enforce (Path.join vp.vcwd path) in
-  if String.equal abs "/etc/passwd" then t.bx_passwd else abs
+  redirect t (Enforce.canonical_parents t.enforce (Path.join vp.vcwd path))
 
 let mount_of t abs =
   List.find_map
@@ -458,9 +459,14 @@ let handle_kill t ~pid:_ ~target =
 
 (* The object path(s) a request names, for the audit trail: the paths
    the rights table lists, canonical, plus a symlink's text and a
-   signal's target. *)
+   signal's target.  They are taken before the dispatch, as it finds
+   them (a chdir moves the cwd), and made canonical as [canon] makes
+   them but host-side: the dispatch pays for its own walk, and the
+   trail adds no simulated time. *)
 let audit_paths t vp req =
-  let c path = canon t vp path in
+  let c path =
+    redirect t (fst (Fs.canonical_parents (Kernel.fs t.bx_kernel) (Path.join vp.vcwd path)))
+  in
   match (req, Rights_table.of_request req) with
   | Syscall.Kill { pid = target; _ }, _ -> (Printf.sprintf "pid:%d" target, None)
   | Syscall.Symlink { target; path }, _ -> (c path, Some target)
@@ -468,17 +474,16 @@ let audit_paths t vp req =
   | _, (_, [ path; path2 ]) -> (c path, Some (c path2))
   | _, (_, _) -> ("", None)
 
-let audit_record t ~pid vp req action =
+let audit_record t ~pid req audit action =
   (match action with
    | Trace.Deny e ->
      Log.debug (fun m ->
          m "deny pid=%d identity=%s %s -> %s" pid (identity_string t)
            (Syscall.name req) (Errno.to_string e))
    | Trace.Pass | Trace.Rewrite _ -> ());
-  match t.bx_audit with
+  match audit with
   | None -> ()
-  | Some trail ->
-    let path, path2 = audit_paths t vp req in
+  | Some (trail, (path, path2)) ->
     (* Record only object-naming operations: fd-level traffic was judged
        at open time and would drown the trail. *)
     if path <> "" then
@@ -507,9 +512,10 @@ let metric_action t ~pid action =
 
 let rec on_entry t ~pid req =
   let vp = vproc_of t pid in
+  let audit = Option.map (fun trail -> (trail, audit_paths t vp req)) t.bx_audit in
   let action = dispatch t ~pid vp req in
   metric_action t ~pid action;
-  audit_record t ~pid vp req action;
+  audit_record t ~pid req audit action;
   action
 
 and dispatch t ~pid vp req =

@@ -1,3 +1,20 @@
+(* The dentry cache's key: who resolves, whether a final symlink is
+   followed, and the path as given. *)
+type dentry_key = {
+  d_uid : int;
+  d_follow : bool;
+  d_path : string;
+}
+
+module Dentries = Hashtbl.Make (struct
+  type t = dentry_key
+
+  let equal a b =
+    a.d_uid = b.d_uid && a.d_follow = b.d_follow && String.equal a.d_path b.d_path
+
+  let hash k = (((Hashtbl.hash k.d_path * 31) + k.d_uid) * 2) + Bool.to_int k.d_follow
+end)
+
 type t = {
   fs_root : Inode.t;
   clock : unit -> int64;
@@ -5,7 +22,14 @@ type t = {
   mutable fs_gen : int;
       (* Global mutation generation: bumped on every namespace- or
          ACL-relevant change anywhere in the tree.  Validates caches keyed
-         on whole-path resolution (see [Enforce]'s name cache). *)
+         on whole-path resolution (see [Enforce]'s name cache, and
+         [dentries] below). *)
+  dentries : (Inode.t, Errno.t) result Dentries.t;
+      (* Successful resolutions of [fs_gen] = [dentry_gen]. *)
+  mutable dentry_gen : int;
+  mutable dentry_hits : int;
+  mutable dentry_misses : int;
+  mutable dentry_flushes : int;
   mutable policy_gen : int;
       (* Policy generation: bumped with [fs_gen] except when a plain file
          is created, unlinked or renamed (see [note_plain_change]).  Validates
@@ -54,7 +78,9 @@ let symlink_limit = 40
 
 let create ?(clock = fun () -> 0L) () =
   let root = Inode.make_dir ~ino:1 ~uid:0 ~mode:0o755 ~now:(clock ()) in
-  { fs_root = root; clock; next_ino = 2; fs_gen = 0; policy_gen = 0; watched = None }
+  { fs_root = root; clock; next_ino = 2; fs_gen = 0;
+    dentries = Dentries.create 64; dentry_gen = 0; dentry_hits = 0;
+    dentry_misses = 0; dentry_flushes = 0; policy_gen = 0; watched = None }
 
 let root t = t.fs_root
 
@@ -176,11 +202,64 @@ let rec scan t ~uid ~follow_last path n trail cur i =
 and walk_rest t ~uid ~follow_last path n trail cur i =
   walk t ~uid ~follow_last trail cur (Path.components (String.sub path i (n - i)))
 
-let resolve t ~uid path =
-  scan t ~uid ~follow_last:true path (String.length path) [] t.fs_root 0
+let resolve_uncached t ~uid ~follow_last path =
+  scan t ~uid ~follow_last path (String.length path) [] t.fs_root 0
 
-let resolve_no_follow t ~uid path =
-  scan t ~uid ~follow_last:false path (String.length path) [] t.fs_root 0
+(* {1 The dentry cache}
+
+   A resolution depends on the entries of the directories it passes,
+   their modes and owners, and the targets of the symlinks it follows.
+   Every change to any of these moves [fs_gen]: an entry added, removed
+   or renamed (a symlink's creation among them), and a chmod or chown.
+   A symlink's target never changes, and a content write changes no
+   entry.  So a successful answer holds while [fs_gen] stands still,
+   and the cache keeps those of one generation only, emptied when it
+   moves or when it is full, as [Enforce]'s tables are.  A failure is
+   scanned again each time.  The cache is host-side bookkeeping: the
+   kernel charges a syscall the same whatever answers it. *)
+
+let dentry_capacity = 8192
+
+(* [clear], not [reset]: the table keeps the buckets it grew, so
+   refilling it after a flush does not pay for growing it again. *)
+let flush_dentries t =
+  t.dentry_flushes <- t.dentry_flushes + 1;
+  Dentries.clear t.dentries
+
+let cached_resolve t ~uid ~follow_last path =
+  if t.dentry_gen <> t.fs_gen then begin
+    if Dentries.length t.dentries > 0 then flush_dentries t;
+    t.dentry_gen <- t.fs_gen
+  end;
+  let key = { d_uid = uid; d_follow = follow_last; d_path = path } in
+  match Dentries.find t.dentries key with
+  | found ->
+    t.dentry_hits <- t.dentry_hits + 1;
+    found
+  | exception Not_found ->
+    t.dentry_misses <- t.dentry_misses + 1;
+    let answer = resolve_uncached t ~uid ~follow_last path in
+    (match answer with
+     | Ok _ ->
+       if Dentries.length t.dentries >= dentry_capacity then flush_dentries t;
+       Dentries.add t.dentries key answer
+     | Error _ -> ());
+    answer
+
+type dentry_stats = {
+  entries : int;
+  hits : int;
+  misses : int;
+  flushes : int;
+}
+
+let dentry_stats t =
+  { entries = Dentries.length t.dentries; hits = t.dentry_hits;
+    misses = t.dentry_misses; flushes = t.dentry_flushes }
+
+let resolve t ~uid path = cached_resolve t ~uid ~follow_last:true path
+
+let resolve_no_follow t ~uid path = cached_resolve t ~uid ~follow_last:false path
 
 let resolve_parent t ~uid path =
   match List.rev (Path.components path) with

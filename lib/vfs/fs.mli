@@ -126,10 +126,44 @@ val make_pipe : t -> Inode.t
 type 'a r := ('a, Errno.t) result
 
 val resolve : t -> uid:int -> string -> Inode.t r
-(** Full resolution, following every symlink. *)
+(** Full resolution, following every symlink.  A successful answer is
+    kept in the dentry cache (below). *)
 
 val resolve_no_follow : t -> uid:int -> string -> Inode.t r
-(** Resolution that does not follow a final symlink ([lstat] flavour). *)
+(** Resolution that does not follow a final symlink ([lstat] flavour),
+    cached as {!resolve} is. *)
+
+(** {1 The dentry cache}
+
+    {!resolve} and {!resolve_no_follow}, and so every operation here
+    that names an existing object, answer a path from a cache of
+    successful resolutions keyed by (uid, follow-last, path).  An entry
+    holds while {!generation} stands still: every entry added, removed
+    or renamed, every symlink created and every chmod or chown moves
+    it, a symlink's target never changes, and a content write changes
+    no entry.  The cache keeps the entries of one generation only, at
+    most {!dentry_capacity} of them, and is emptied when the
+    generation moves or when it is full.  Failures are not kept.  It
+    is host-side bookkeeping with no simulated cost: a syscall is
+    charged the same whether the cache or the scan answers it. *)
+
+val dentry_capacity : int
+(** 8,192 entries, the bound of the enforcement engine's name tables. *)
+
+type dentry_stats = {
+  entries : int;  (** Held now. *)
+  hits : int;  (** Resolutions the cache answered. *)
+  misses : int;  (** Resolutions scanned (failures included). *)
+  flushes : int;  (** Times a non-empty cache was emptied. *)
+}
+
+val dentry_stats : t -> dentry_stats
+(** Counts since {!create}. *)
+
+val resolve_uncached : t -> uid:int -> follow_last:bool -> string -> Inode.t r
+(** The scan the cache keeps answers of: {!resolve} is
+    [resolve_uncached ~follow_last:true] and {!resolve_no_follow}
+    [~follow_last:false], answer for answer.  Touches no cache. *)
 
 val resolve_parent : t -> uid:int -> string -> (Inode.t * string) r
 (** [(parent directory inode, final component)] for a path that need not

@@ -90,14 +90,22 @@ let split p =
      | [] -> None
      | last :: parents -> Some (of_components (List.rev parents), last))
 
+(* Between normal paths, a prefix is a leading substring that ends the
+   path or stops at a '/'; other paths are compared component by
+   component. *)
 let is_prefix ~prefix p =
-  let rec go pre cs =
-    match (pre, cs) with
-    | [], _ -> true
-    | _ :: _, [] -> false
-    | a :: pre', b :: cs' -> String.equal a b && go pre' cs'
-  in
-  go (components prefix) (components p)
+  if is_normal prefix && is_normal p then
+    let n = String.length prefix in
+    String.equal prefix root
+    || (String.starts_with ~prefix p && (String.length p = n || p.[n] = '/'))
+  else
+    let rec go pre cs =
+      match (pre, cs) with
+      | [], _ -> true
+      | _ :: _, [] -> false
+      | a :: pre', b :: cs' -> String.equal a b && go pre' cs'
+    in
+    go (components prefix) (components p)
 
 let strip_prefix ~prefix p =
   let rec go pre cs =

@@ -59,7 +59,9 @@ val split : string -> (string * string) option
 
 val is_prefix : prefix:string -> string -> bool
 (** Component-wise prefix test on normalized absolute paths:
-    [is_prefix ~prefix:"/a/b" "/a/b/c"] but not ["/a/bc"]. *)
+    [is_prefix ~prefix:"/a/b" "/a/b/c"] but not ["/a/bc"].  When both
+    are normal ({!is_normal}) it compares them in place, allocating
+    nothing. *)
 
 val strip_prefix : prefix:string -> string -> string option
 (** [strip_prefix ~prefix:"/a" "/a/b/c"] is [Some "/b/c"];

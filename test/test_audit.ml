@@ -140,6 +140,49 @@ let disabled_by_default () =
   run_in (k, box) (fun _ -> 0);
   Alcotest.(check bool) "no trail" true (Box.audit_trail box = None)
 
+(* The trail is bookkeeping: an audited box ends at the same simulated
+   time as an unaudited one, with every call answered the same.  Each
+   stat walks four ancestors; a relative chdir is recorded as the
+   directory it enters. *)
+let audit_adds_no_time () =
+  let run ~audit =
+    let k, box = setup ~audit in
+    let home = Box.home box in
+    (match Fs.mkdir_p (Kernel.fs k) ~uid:0 "/home/alice/a/b/c/d" with
+     | Ok () -> ()
+     | Error e -> Alcotest.fail (Errno.to_string e));
+    let show = function Ok _ -> "ok" | Error e -> Errno.to_string e in
+    let answers = ref [] in
+    let note r = answers := show r :: !answers in
+    run_in (k, box) (fun _ ->
+        for _ = 1 to 100 do
+          note (Libc.stat "/home/alice/a/b/c/d")
+        done;
+        note (Libc.mkdir (home ^ "/sub"));
+        note (Libc.chdir "sub");
+        note (Libc.write_file "f" ~contents:"x");
+        note (Libc.read_file "/home/alice/private");
+        0);
+    (Kernel.now k, List.rev !answers, box)
+  in
+  let plain_at, plain, _ = run ~audit:false in
+  let audited_at, audited, box = run ~audit:true in
+  Alcotest.(check (list string)) "same answers" plain audited;
+  Alcotest.(check int64) "same clock" plain_at audited_at;
+  Alcotest.(check bool) "the stats are recorded" true
+    (List.length
+       (List.filter
+          (fun (e : Audit.event) -> String.equal e.Audit.ev_op "stat")
+          (Audit.events (trail box)))
+     = 100);
+  match
+    List.find_opt
+      (fun (e : Audit.event) -> String.equal e.Audit.ev_op "chdir")
+      (Audit.events (trail box))
+  with
+  | Some e -> Alcotest.(check string) "chdir target" (Box.home box ^ "/sub") e.Audit.ev_path
+  | None -> Alcotest.fail "chdir not recorded"
+
 let clear_resets () =
   let t = Audit.create () in
   Audit.record t ~time:1L ~pid:1 ~identity:"x" ~op:"open" ~path:"/p" Audit.Allowed;
@@ -157,4 +200,5 @@ let suite =
     Alcotest.test_case "fd traffic not logged" `Quick fd_traffic_not_logged;
     Alcotest.test_case "disabled by default" `Quick disabled_by_default;
     Alcotest.test_case "clear resets" `Quick clear_resets;
+    Alcotest.test_case "audit adds no simulated time" `Quick audit_adds_no_time;
   ]

@@ -16,6 +16,7 @@ module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
 module Subject = Idbox_identity.Subject
 module Errno = Idbox_vfs.Errno
+module Fs = Idbox_vfs.Fs
 
 let errno = Alcotest.testable Errno.pp Errno.equal
 
@@ -189,14 +190,31 @@ let bogus_token_rejected () =
      | Ok _ -> Alcotest.fail "forged token worked"
      | Error m -> Alcotest.fail m)
 
+(* A wire path is anchored under the export: ".." may not climb out,
+   an extra '/' does not reach the host's root, and a symlink planted
+   in the export cannot lead into a sibling directory whose name
+   extends the export's ("/tmp/exportb" beside "/tmp/export"). *)
 let path_escape_blocked () =
   let w = make_world () in
   let c = connect_fred w in
-  (* Climbing out of the export subtree is refused outright. *)
-  match Client.get c "/../etc/passwd" with
-  | Error Errno.EACCES -> ()
-  | Ok _ -> Alcotest.fail "escaped the export root"
-  | Error e -> Alcotest.failf "unexpected %s" (Errno.to_string e)
+  let fs = Kernel.fs w.kernel in
+  let plant r = match r with Ok () -> () | Error e -> Alcotest.fail (Errno.to_string e) in
+  plant (Fs.write_file fs ~uid:0 "/tmp/export/x" "inside");
+  plant (Fs.write_file fs ~uid:0 "/x" "host");
+  plant (Fs.mkdir_p fs ~uid:0 "/tmp/exportb");
+  plant (Fs.write_file fs ~uid:0 "/tmp/exportb/secret" "sibling");
+  plant (Fs.symlink fs ~uid:0 ~target:"/tmp/exportb" "/tmp/export/sib");
+  let show = function Ok data -> data | Error e -> Errno.to_string e in
+  List.iter
+    (fun (path, want) ->
+      Alcotest.(check string) (Printf.sprintf "get %S" path) want (show (Client.get c path)))
+    [ ("/../etc/passwd", "EACCES"); ("a/../../x", "EACCES"); ("/a/../../x", "EACCES");
+      ("//x", "inside"); ("x", "inside"); ("/sib/secret", "EACCES"); ("sib/secret", "EACCES");
+      ("//sib/secret", "EACCES") ];
+  (* The empty path and "/" both name the export root. *)
+  let root = ok "readdir /" (Client.readdir c "/") in
+  Alcotest.(check bool) "root lists x" true (List.mem "x" root);
+  Alcotest.(check (list string)) "readdir \"\"" root (ok "readdir \"\"" (Client.readdir c ""))
 
 let exec_requires_x_right () =
   Kernel.with_fresh_programs (fun () ->

@@ -200,6 +200,30 @@ let join_matches_list_code () =
         sides)
     sides
 
+(* [Path.is_prefix] compares normal paths in place: it must agree with
+   the component lists on every pair, normal or not, including names
+   that extend one another ("/a" and "/ab"). *)
+let prefix_matches_list_code () =
+  let sides =
+    named @ [ "/ab"; "/a/bb"; "/a/b/a"; "/b/a" ] @ all_strings 4
+    @ List.concat_map (fun seed -> random_strings ~seed ~count:40 ~max_len:12) seeds
+  in
+  let rec lead pre cs =
+    match (pre, cs) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | a :: pre', b :: cs' -> String.equal a b && lead pre' cs'
+  in
+  List.iter
+    (fun prefix ->
+      List.iter
+        (fun p ->
+          let want = lead (Ref.components prefix) (Ref.components p) in
+          if Path.is_prefix ~prefix p <> want then
+            Alcotest.failf "is_prefix ~prefix:%S %S: list code gives %b" prefix p want)
+        sides)
+    sides
+
 let normal_path_returned_as_is () =
   List.iter
     (fun p ->
@@ -230,4 +254,5 @@ let suite =
     Alcotest.test_case "join matches list code" `Quick join_matches_list_code;
     Alcotest.test_case "normal path returned as is" `Quick normal_path_returned_as_is;
     Alcotest.test_case "path_cost counts components" `Quick path_cost_counts_components;
+    Alcotest.test_case "prefix matches list code" `Quick prefix_matches_list_code;
   ]

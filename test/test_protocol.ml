@@ -607,6 +607,44 @@ let frame_sum_known_answers () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a range past the end was summed"
 
+(* [Wire.encode_int] and [Wire.encode_int64] write what the C formatter
+   writes: every power of ten and its neighbours, both signs, the
+   extremes, and a seeded sweep. *)
+let wire_integers_match_formatter () =
+  let rng = Random.State.make [| 0x1e7 |] in
+  let ints =
+    [ 0; 1; -1; 9; 10; 11; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map
+        (fun k ->
+          let p = int_of_float (10. ** float_of_int k) in
+          [ p - 1; p; p + 1; -p + 1; -p; -p - 1 ])
+        (List.init 18 (fun k -> k + 1))
+    @ List.init 2000 (fun _ -> Random.State.bits rng - Random.State.bits rng)
+  in
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (Wire.encode_int n))
+    ints;
+  List.iter
+    (fun v -> Alcotest.(check string) (Int64.to_string v) (Int64.to_string v) (Wire.encode_int64 v))
+    ([ Int64.max_int; Int64.min_int; Int64.succ Int64.min_int; Int64.of_int max_int;
+       Int64.succ (Int64.of_int max_int); Int64.of_int min_int; Int64.pred (Int64.of_int min_int) ]
+    @ List.map Int64.of_int ints
+    @ List.init 2000 (fun _ -> Random.State.int64 rng Int64.max_int))
+
+(* Random lengths from 0 to 300 at random offsets of a longer string:
+   the sum of each range where it lies equals the byte-at-a-time
+   oracle's sum of a copy of it. *)
+let prop_frame_sum_matches_oracle =
+  QCheck.Test.make ~name:"frame sum of any range matches the oracle" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 0 300) (int_range 0 300) (int_range 0 16) >>= fun (pos, len, after) ->
+         map (fun s -> (s, pos, len)) (string_size ~gen:char (return (pos + len + after)))))
+    (fun (s, pos, len) ->
+      String.equal
+        (Protocol.frame_sum s ~pos ~len)
+        (Oracle.murmur3 (String.sub s pos len)))
+
 (* Every byte of [frame] XORed with each of [masks] must fail to decode.
    One copy is flipped in place and back, and read through a string
    view: a decoder copies out what it keeps, so no view outlives its
@@ -687,8 +725,10 @@ let suite =
       single_byte_damage_rejected;
     Alcotest.test_case "70 KB frame bit flips rejected" `Slow
       large_frame_bit_flips_rejected;
+    Alcotest.test_case "wire integers match the formatter" `Quick
+      wire_integers_match_formatter;
   ]
   @ List.map
       (fun test -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test)
       [ prop_decode_canonical; prop_range_is_substring; prop_decode_matches_oracle;
-        prop_encode_matches_oracle ]
+        prop_encode_matches_oracle; prop_frame_sum_matches_oracle ]

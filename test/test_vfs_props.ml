@@ -548,6 +548,123 @@ let listing_tracks_entries () =
     (fun what -> if not (Hashtbl.mem seen what) then Alcotest.failf "no %s succeeded" what)
     [ "create"; "unlink"; "rename"; "mkdir"; "rmdir"; "link"; "symlink" ]
 
+(* {1 The dentry cache}
+
+   [Fs.resolve] and [Fs.resolve_no_follow] answer a repeated path from
+   the dentry cache while [Fs.generation] stands still.  Over a seeded
+   mix of the changes that can move a resolution -- renames, unlink and
+   re-create, symlink swaps, mkdir and rmdir, chmod and chown of
+   ancestors -- every probe is resolved after every step both ways, for
+   several uids, and must equal the uncached scan.  Each check warms
+   the cache, so the next step always meets kept answers.  Every kind
+   of change must move some probe's answer, or agreement would prove
+   little. *)
+
+let dentry_uids = [ 0; visitor; visitor + 1 ]
+let dentry_modes = [| 0o000; 0o700; 0o711; 0o755; 0o644 |]
+
+let dentry_cache_matches_scan () =
+  let moved = Hashtbl.create 8 and hits = ref 0 and flushes = ref 0 in
+  List.iter
+    (fun seed ->
+      let fs, made = random_tree seed in
+      let rng = Random.State.make [| seed; 0xde47 |] in
+      let made = Array.of_list made in
+      let pick () = made.(Random.State.int rng (Array.length made)) in
+      let probes =
+        Array.of_list (List.filteri (fun i _ -> i mod 3 = 0) (probes rng (Array.to_list made)))
+      in
+      let ign = function Ok _ -> () | Error _ -> () in
+      let changes =
+        [|
+          ("rename", fun () -> ign (Fs.rename fs ~uid:0 ~src:(pick ()) ~dst:(pick ())));
+          ("unlink and re-create", fun () ->
+              let p = pick () in
+              ign (Fs.unlink fs ~uid:0 p);
+              ign (Fs.write_file fs ~uid:0 p "again"));
+          ("symlink swap", fun () ->
+              let p = pick () in
+              ign (Fs.unlink fs ~uid:0 p);
+              ign (Fs.symlink fs ~uid:0 ~target:(pick ()) p));
+          ("mkdir", fun () -> ign (Fs.mkdir fs ~uid:0 ~mode:0o755 (pick () ^ "/a")));
+          ("rmdir", fun () -> ign (Fs.rmdir fs ~uid:0 (pick ())));
+          ("chmod", fun () ->
+              ign
+                (Fs.chmod fs ~uid:0
+                   ~mode:dentry_modes.(Random.State.int rng (Array.length dentry_modes))
+                   (Path.dirname (pick ()))));
+          ("chown", fun () ->
+              ign
+                (Fs.chown fs ~uid:0
+                   ~owner:(List.nth dentry_uids (Random.State.int rng (List.length dentry_uids)))
+                   (Path.dirname (pick ()))));
+        |]
+      in
+      let answers () =
+        Array.map
+          (fun path ->
+            List.concat_map
+              (fun uid ->
+                List.map
+                  (fun follow_last ->
+                    let got =
+                      if follow_last then Fs.resolve fs ~uid path
+                      else Fs.resolve_no_follow fs ~uid path
+                    in
+                    let want = Fs.resolve_uncached fs ~uid ~follow_last path in
+                    if not (same_inode want got) then
+                      Alcotest.failf "seed %d uid %d follow %b %S: scan %s, cache %s" seed uid
+                        follow_last path (show_inode want) (show_inode got);
+                    show_inode want)
+                  [ true; false ])
+              dentry_uids)
+          probes
+      in
+      Array.iter
+        (fun (what, _) -> if not (Hashtbl.mem moved what) then Hashtbl.replace moved what false)
+        changes;
+      let before = Fs.dentry_stats fs in
+      let last = ref (answers ()) in
+      for _ = 1 to 60 do
+        let what, change = changes.(Random.State.int rng (Array.length changes)) in
+        change ();
+        let now = answers () in
+        if now <> !last then Hashtbl.replace moved what true;
+        last := now
+      done;
+      let after = Fs.dentry_stats fs in
+      hits := !hits + after.Fs.hits - before.Fs.hits;
+      flushes := !flushes + after.Fs.flushes - before.Fs.flushes)
+    seeds;
+  if !hits = 0 || !flushes = 0 then
+    Alcotest.failf "the cache answered %d and was flushed %d times" !hits !flushes;
+  require_seen "answer moved by" (List.of_seq (Hashtbl.to_seq moved))
+
+(* 100,000 distinct paths that resolve, each once: the cache never
+   holds more than its bound, and reaches it. *)
+let dentry_cache_bounded () =
+  let fs = Fs.create () in
+  let dirs = 100 and files = 1000 in
+  let path d f = Printf.sprintf "/t/d%d/f%d" d f in
+  for d = 0 to dirs - 1 do
+    ignore (Fs.mkdir_p fs ~uid:0 (Printf.sprintf "/t/d%d" d));
+    for f = 0 to files - 1 do
+      ignore (Fs.write_file fs ~uid:0 (path d f) "")
+    done
+  done;
+  let most = ref 0 in
+  for d = 0 to dirs - 1 do
+    for f = 0 to files - 1 do
+      (match Fs.resolve fs ~uid:0 (path d f) with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "%s: %s" (path d f) (Errno.to_string e));
+      most := max !most (Fs.dentry_stats fs).Fs.entries
+    done
+  done;
+  Alcotest.(check int) "largest size is the bound" Fs.dentry_capacity !most;
+  Alcotest.(check bool) "within the bound at the end" true
+    ((Fs.dentry_stats fs).Fs.entries <= Fs.dentry_capacity)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_invariants;
@@ -557,4 +674,6 @@ let suite =
       canonicaliser_matches_root_walk;
     Alcotest.test_case "file digest memo never stale" `Quick digest_memo_never_stale;
     Alcotest.test_case "directory listing tracks its entries" `Quick listing_tracks_entries;
+    Alcotest.test_case "dentry cache matches the scan" `Quick dentry_cache_matches_scan;
+    Alcotest.test_case "dentry cache stays within its bound" `Quick dentry_cache_bounded;
   ]
