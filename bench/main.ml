@@ -425,9 +425,9 @@ let repair_run ~divergence =
        ~partitions:
          [
            Fault.window ~from_ns ~until_ns
-             ~between:("gamma.grid.edu", "alpha.grid.edu") ();
+             ~between:("gamma.grid.edu", "alpha.grid.edu");
            Fault.window ~from_ns ~until_ns
-             ~between:("gamma.grid.edu", "beta.grid.edu") ();
+             ~between:("gamma.grid.edu", "beta.grid.edu");
          ]
        ());
   put_round "diverged";
@@ -546,7 +546,17 @@ let recovery_block () =
    drops from N*(RTT+s) to RTT+N*s.  Reads never park, so the server's
    flush window plays no part.  Setup (authentication) is untimed; the
    measured window is submission to last completion.  Fully simulated
-   and deterministic. *)
+   and deterministic.
+
+   The table is a modelled figure: those two formulas give every row.
+   RTT = 229.6 us is the network model's 2 x 100 us of latency plus the
+   78 B request and 292 B response frames at 80 ns/B; s = 12.8 us is
+   what [Cost] charges one GET (four delegated calls with two context
+   switches each, their bodies, a two-parent name-cache walk and one
+   bytecode check).  On the one simulated clock a concurrent reply
+   completes no earlier than the server's last handler, at
+   106.2 us + N*s, which is why the concurrent p50 and p95 meet at
+   large N. *)
 type sessions_row = {
   sn_sessions : int;
   sn_sync_kops : float;  (* completed sessions per simulated second, k *)
@@ -1183,7 +1193,7 @@ let geo_failover_run () =
     (Fault.plan ~seed:13L
        ~partitions:
          (Geo.wan_windows geo ~from_ns:10_000_000_000L
-            ~until_ns:10_000_000_000_000L ~between:("east", "west") ())
+            ~until_ns:10_000_000_000_000L ~between:("east", "west"))
        ());
   (* bound 0: every read proxies, so the cut is visible immediately. *)
   let w =

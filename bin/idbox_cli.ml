@@ -473,7 +473,7 @@ let geo_cmd =
          ~partitions:
            (Geo.wan_windows geo ~from_ns:cut_at
               ~until_ns:(Int64.add cut_at 60_000_000_000L)
-              ~between:("east", "west") ())
+              ~between:("east", "west"))
          ());
     Clock.advance clock 300_000_000L;
     Printf.printf "WAN cut between east and west.\n";
@@ -799,9 +799,9 @@ let recovery_cmd =
          ~partitions:
            [
              Fault.window ~from_ns ~until_ns
-               ~between:("gamma.grid.edu", "alpha.grid.edu") ();
+               ~between:("gamma.grid.edu", "alpha.grid.edu");
              Fault.window ~from_ns ~until_ns
-               ~between:("gamma.grid.edu", "beta.grid.edu") ();
+               ~between:("gamma.grid.edu", "beta.grid.edu");
            ]
          ());
     Printf.printf "anti-entropy: gamma partitioned from its peers for 30 s\n";

@@ -37,8 +37,6 @@ let of_entries entries = { rev_entries = List.rev entries; matcher = None }
 let entries t = List.rev t.rev_entries
 let length t = List.length t.rev_entries
 
-let is_empty t = t.rev_entries = []
-
 let build_matcher ents =
   let mx_exact = Hashtbl.create 16 in
   let wild = ref [] in

@@ -30,8 +30,6 @@ val entries : t -> Entry.t list
 val length : t -> int
 (** [List.length (entries t)], without building the list. *)
 
-val is_empty : t -> bool
-
 val rights_of : t -> Idbox_identity.Principal.t -> Rights.t
 (** Union of the direct rights of every entry covering the principal. *)
 

@@ -35,14 +35,4 @@ let describe = function
 
 let equal (a : t) b = a = b
 
-let index = function
-  | Read -> 0
-  | Write -> 1
-  | List -> 2
-  | Execute -> 3
-  | Admin -> 4
-  | Delete -> 5
-
-let compare a b = Int.compare (index a) (index b)
-
 let pp ppf t = Format.pp_print_char ppf (to_char t)

@@ -26,5 +26,4 @@ val describe : t -> string
 (** A short human-readable description, for diagnostics. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -9,14 +9,3 @@ let method_name = function
   | Krb _ -> "kerberos"
   | Unix_account _ -> "unix"
   | Host _ -> "hostname"
-
-let describe = function
-  | Gsi cert ->
-    Printf.sprintf "GSI certificate for %s (issuer %s, serial %d)"
-      (Idbox_identity.Subject.to_string cert.Ca.subject)
-      cert.Ca.issuer cert.Ca.serial
-  | Krb ticket ->
-    Printf.sprintf "Kerberos ticket for %s@%s" ticket.Kerberos.user
-      ticket.Kerberos.realm
-  | Unix_account name -> Printf.sprintf "Unix account %s" name
-  | Host host -> Printf.sprintf "hostname %s" host

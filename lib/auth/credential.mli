@@ -10,6 +10,3 @@ type t =
 val method_name : t -> string
 (** The wire token for the method: ["globus"], ["kerberos"], ["unix"],
     ["hostname"]. *)
-
-val describe : t -> string
-(** Human-readable description for logs. *)

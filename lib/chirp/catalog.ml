@@ -151,7 +151,6 @@ type heartbeat = {
   hb_owner : string;
   hb_interval_ns : int64;
   mutable hb_due : int64;
-  mutable hb_sent : int;
   mutable hb_missed : int;
 }
 
@@ -161,9 +160,7 @@ let send hb =
       (Wire.encode
          [ "heartbeat"; hb.hb_name; hb.hb_server_addr; hb.hb_owner ])
   with
-  | Ok _ ->
-    hb.hb_sent <- hb.hb_sent + 1;
-    true
+  | Ok _ -> true
   | Error _ ->
     hb.hb_missed <- hb.hb_missed + 1;
     false
@@ -186,10 +183,9 @@ let heartbeat ?(src = "client") ?(interval_ns = 60_000_000_000L) net ~catalog
     { hb_net = net; hb_catalog = catalog; hb_src = src; hb_name = name;
       hb_server_addr = server_addr; hb_owner = owner;
       hb_interval_ns = interval_ns; hb_due = Clock.now (Network.clock net);
-      hb_sent = 0; hb_missed = 0 }
+      hb_missed = 0 }
   in
   ignore (tick hb);
   hb
 
-let heartbeats_sent hb = hb.hb_sent
 let heartbeats_missed hb = hb.hb_missed

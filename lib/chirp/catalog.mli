@@ -92,5 +92,4 @@ val tick : heartbeat -> bool
     retries immediately — re-registration happens on the first tick
     after a partition heals. *)
 
-val heartbeats_sent : heartbeat -> int
 val heartbeats_missed : heartbeat -> int

@@ -63,7 +63,6 @@ let principal t = t.cl_principal
 let auth_method t = t.cl_method
 let addr t = t.cl_addr
 let retries t = t.cl_retries
-let budget_left t = t.cl_budget
 let breaker t = t.cl_breaker
 
 let metric_on net name = Metrics.incr (Metrics.counter (Network.metrics net) name)

@@ -65,9 +65,6 @@ val addr : t -> string
 val retries : t -> int
 (** Retries spent so far (all calls). *)
 
-val budget_left : t -> int
-(** Remaining session retry budget. *)
-
 val breaker : t -> Idbox_net.Breaker.t
 (** This session's circuit breaker over its one server: tripped by
     consecutive transport failures (8, reset 800 ms), after which calls

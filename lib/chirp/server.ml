@@ -88,7 +88,6 @@ type t = {
   max_sessions : int;
   max_parked : int;  (* admission bound on the parked-mutation queue *)
   session_idle_ns : int64;
-  dedup_window_ns : int64;
   boxes : (string, Box.t) Hashtbl.t;
   wal : Wal.t;
   checkpoint_every : int;
@@ -99,6 +98,8 @@ type t = {
   parked_ids : (string, parked) Hashtbl.t;  (* req_id -> parked entry *)
   mutable flush_armed : bool;
   mutable sv_brownout : bool;  (* overload mode: shed mutations, serve reads *)
+  mutable committing : bool;  (* a [commit] is running (a hook may pump the loop) *)
+  mutable checkpoint_due : bool;  (* asked for while [committing] *)
   mutable ops_since_ckpt : int;
   mutable execs : int;
   mutable token_counter : int;
@@ -118,8 +119,6 @@ let session_count t = Hashtbl.length t.sessions
 let dedup_size t = Hashtbl.length t.dedup
 let parked_ops t = Queue.length t.pending_q
 let brownout t = t.sv_brownout
-let max_parked t = t.max_parked
-let max_sessions t = t.max_sessions
 
 let dedup_entries t =
   Hashtbl.fold (fun rid d acc -> (rid, d.dd_at) :: acc) t.dedup []
@@ -556,7 +555,13 @@ let install_entries t entries =
 
    A checkpoint is one atomic image on the WAL device: the dedup
    journal plus a full subtree snapshot of the export.  Taking one
-   truncates the log, bounding replay time. *)
+   truncates the log, bounding replay time.  The image holds executed
+   mutations only, so two rules keep every logged one on the device:
+   a checkpoint asked for while a commit runs waits for the outermost
+   commit to end (batch members popped from the queue have not run
+   yet), and the ["op"] records of mutations still parked are logged
+   again after the image, in queue order, without counting toward the
+   next checkpoint. *)
 
 let snap_encode = function
   | Snap_dir { path; acl } -> Wire.encode [ "d"; path; acl ]
@@ -586,21 +591,33 @@ let revocation_image t =
     :: Delegation.Revocations.(to_fields (entries t.sv_revocations)))
 
 let take_checkpoint t =
-  match snapshot_subtree t "/" with
-  | Error e -> Error e
-  | Ok entries ->
-    let blob =
-      Wire.encode
-        (dedup_image t :: revocation_image t :: List.map snap_encode entries)
-    in
-    Wal.checkpoint t.wal blob;
-    t.ops_since_ckpt <- 0;
-    metric t "chirp.checkpoint";
-    charge t
-      (Int64.mul
-         (Int64.of_int (List.length entries))
-         (cost t).Idbox_kernel.Cost.checkpoint_entry_ns);
+  if t.committing then begin
+    t.checkpoint_due <- true;
     Ok ()
+  end
+  else
+    match snapshot_subtree t "/" with
+    | Error e -> Error e
+    | Ok entries ->
+      let blob =
+        Wire.encode
+          (dedup_image t :: revocation_image t :: List.map snap_encode entries)
+      in
+      Wal.checkpoint t.wal blob;
+      t.checkpoint_due <- false;
+      metric t "chirp.checkpoint";
+      charge t
+        (Int64.mul
+           (Int64.of_int (List.length entries))
+           (cost t).Idbox_kernel.Cost.checkpoint_entry_ns);
+      Queue.iter
+        (fun pk -> log t (Op { identity = pk.pk_principal; op = pk.pk_op }))
+        t.pending_q;
+      (* No checkpoint takes the log below the parked set: counting
+         those records would checkpoint every batch while the backlog
+         holds [checkpoint_every] of them. *)
+      t.ops_since_ckpt <- 0;
+      Ok ()
 
 let fresh_token t principal =
   t.token_counter <- t.token_counter + 1;
@@ -637,6 +654,9 @@ let journal t rid d =
   Hashtbl.replace t.dedup rid d;
   t.dedup_order <- Dedup_order.add (d.dd_at, rid) t.dedup_order
 
+(* How long the dedup journal remembers a completed request: 60 s. *)
+let dedup_window_ns = 60_000_000_000L
+
 (* The dedup journal is bounded by age: entries older than the dedup
    window can no longer match any live retry (clients give up long
    before), so each admission evicts them — a long-lived session's
@@ -645,7 +665,7 @@ let journal t rid d =
    nothing to evict costs one look at the minimum, not a scan. *)
 let rec sweep_dedup t now =
   match Dedup_order.min_elt_opt t.dedup_order with
-  | Some ((at, rid) as oldest) when Int64.sub now at > t.dedup_window_ns ->
+  | Some ((at, rid) as oldest) when Int64.sub now at > dedup_window_ns ->
     t.dedup_order <- Dedup_order.remove oldest t.dedup_order;
     Hashtbl.remove t.dedup rid;
     metric t "chirp.dedup_evictions";
@@ -758,12 +778,13 @@ let serve_contained t ~counted identity op =
 (* Execute a batch of logged mutations in order, with crash
    containment, answering each once its [Done] record (if keyed) is
    synced.  Unless it is a replay: one sync before any of them runs,
-   and the checkpoint rule after the replies — right after an exec,
+   and the checkpoint rule after the replies (the checkpoint itself is
+   taken when the outermost commit ends) — right after an exec,
    because a replay would run the program again and truncating the exec
    record away is what keeps remote execution exactly-once (the journal
    inside the checkpoint still answers retries), or once the log holds
    [checkpoint_every] records. *)
-let commit t origin items =
+let execute t origin items =
   let logged = match origin with Replay -> false | Client | Remote _ -> true in
   if logged then wal_sync t;
   let served =
@@ -792,21 +813,6 @@ let commit t origin items =
        || t.ops_since_ckpt >= t.checkpoint_every)
   then ignore (take_checkpoint t)
 
-(* One logged mutation on its own (a remote apply or a replay). *)
-let commit_one t origin ~identity ~req_id ~at op =
-  let answer = ref None in
-  commit t origin
-    [
-      {
-        pk_principal = identity;
-        pk_op = op;
-        pk_req_id = req_id;
-        pk_now = at;
-        pk_reply = (fun r _ -> answer := Some r);
-      };
-    ];
-  Option.get !answer
-
 (* {1 Serving}
 
    One admission path for every request, whatever carries it.
@@ -820,11 +826,31 @@ let commit_one t origin ~identity ~req_id ~at op =
    any response.  With [sv_flush_ns = 0] the flush runs before
    admission returns, a batch of one: log, sync, execute, answer.  With
    a window, one sync can cover many operations and thousands of
-   sessions can be in flight at once. *)
+   sessions can be in flight at once.
 
-let rec flush_batch t =
+   A hook may pump the event loop mid-batch (a replica's forward awaits
+   its peers), and whatever falls due meanwhile runs inside the commit.
+   Nothing of it may cut into the batch: a checkpoint waits for the
+   outermost commit to end ({!take_checkpoint}), and so does a flush,
+   whose items stay parked behind the batch members already logged, so
+   execution order stays log order.  The outermost commit takes the
+   checkpoint and arms the flush again. *)
+
+let rec commit t origin items =
+  let outermost = not t.committing in
+  t.committing <- true;
+  execute t origin items;
+  if outermost then begin
+    t.committing <- false;
+    if t.checkpoint_due then ignore (take_checkpoint t);
+    (* A backlog beyond the drain limit, or a flush that fell due
+       inside the commit: schedule the next tick. *)
+    if not (Queue.is_empty t.pending_q) then arm_flush t
+  end
+
+and flush_batch t =
   t.flush_armed <- false;
-  if not (Queue.is_empty t.pending_q) then begin
+  if (not t.committing) && not (Queue.is_empty t.pending_q) then begin
     (* Drain at most [sv_flush_limit] operations — the server's
        engineered service rate.  A deeper backlog stays parked for
        later ticks, which is exactly what makes unbounded admission
@@ -841,9 +867,7 @@ let rec flush_batch t =
       items;
     metric t "chirp.async.batch";
     metric_add t "chirp.async.batch_ops" (List.length items);
-    commit t Client items;
-    (* Backlog beyond the drain limit: schedule the next tick. *)
-    if not (Queue.is_empty t.pending_q) then arm_flush t
+    commit t Client items
   end;
   (* The drain is what ends a brownout: re-evaluate now rather than on
      the next (possibly shed) admission. *)
@@ -856,6 +880,21 @@ and arm_flush t =
       (Int64.add (Kernel.now t.sv_kernel) t.sv_flush_ns)
       (fun () -> flush_batch t)
   end
+
+(* One logged mutation on its own (a remote apply or a replay). *)
+let commit_one t origin ~identity ~req_id ~at op =
+  let answer = ref None in
+  commit t origin
+    [
+      {
+        pk_principal = identity;
+        pk_op = op;
+        pk_req_id = req_id;
+        pk_now = at;
+        pk_reply = (fun r _ -> answer := Some r);
+      };
+    ];
+  Option.get !answer
 
 let admit t ~reply payload =
   let respond r = reply (Protocol.encode_response r) in
@@ -977,15 +1016,18 @@ let admit t ~reply payload =
 let handle t payload =
   let answer = ref None in
   admit t ~reply:(fun r -> answer := Some r) payload;
-  while Option.is_none !answer && not (Queue.is_empty t.pending_q) do
+  while
+    Option.is_none !answer
+    && (not t.committing)
+    && not (Queue.is_empty t.pending_q)
+  do
     flush_batch t
   done;
   Option.get !answer
 
 let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
     ?(max_sessions = 64) ?(max_parked = 256)
-    ?(session_idle_ns = 600_000_000_000L)
-    ?(dedup_window_ns = 60_000_000_000L) ?wal ?(checkpoint_every = 128)
+    ?(session_idle_ns = 600_000_000_000L) ?wal ?(checkpoint_every = 128)
     ?(flush_interval_ns = 0L) ?(flush_batch_limit = max_int) () =
   let sv_owner = Kernel.make_view kernel ~uid:owner_uid () in
   let sv_export = Path.normalize export in
@@ -1009,7 +1051,6 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       max_sessions;
       max_parked = max 1 max_parked;
       session_idle_ns;
-      dedup_window_ns;
       boxes = Hashtbl.create 8;
       wal = (match wal with Some w -> w | None -> Wal.create ());
       checkpoint_every = max 1 checkpoint_every;
@@ -1020,6 +1061,8 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       parked_ids = Hashtbl.create 8;
       flush_armed = false;
       sv_brownout = false;
+      committing = false;
+      checkpoint_due = false;
       ops_since_ckpt = 0;
       execs = 0;
       token_counter = 0;
@@ -1197,7 +1240,6 @@ let checkpoint_now t = take_checkpoint t
    clients). *)
 
 let set_mutation_hook t hook = t.mutation_hook <- Some hook
-let clear_mutation_hook t = t.mutation_hook <- None
 let set_geo_hook t hook = t.geo_hook <- Some hook
 let clear_geo_hook t = t.geo_hook <- None
 

@@ -26,7 +26,6 @@ val create :
   ?max_sessions:int ->
   ?max_parked:int ->
   ?session_idle_ns:int64 ->
-  ?dedup_window_ns:int64 ->
   ?wal:Wal.t ->
   ?checkpoint_every:int ->
   ?flush_interval_ns:int64 ->
@@ -62,8 +61,8 @@ val create :
     retry-after hint ([chirp.shed.session]); sessions idle longer than
     [session_idle_ns] (default 10 min) are expired (covering
     half-authenticated leftovers whose auth reply was lost); responses
-    to request-ID-carrying operations are remembered for
-    [dedup_window_ns] (default 60 s) so client retries are exactly-once.
+    to request-ID-carrying operations are remembered for 60 s (the
+    dedup window) so client retries are exactly-once.
 
     Admission control (it matters once a flush window lets work queue):
     the parked-mutation queue is bounded at [max_parked] (default 256).
@@ -84,7 +83,13 @@ val create :
     one built with a {!Idbox_net.Fault.storage_profile} to inject crash
     damage); a checkpoint is taken every [checkpoint_every] (default
     128) logged records, and immediately after any [Exec] so program
-    runs are never replayed. *)
+    runs are never replayed.  A checkpoint never cuts into a running
+    batch: one that falls due while a commit runs (a hook may pump the
+    event loop) waits for the outermost commit to end, and so does a
+    flush, so execution order stays log order.  The image holds executed
+    mutations only; the ["op"] records of mutations still parked are
+    logged again after it, in queue order, and do not count toward the
+    next checkpoint. *)
 
 val addr : t -> string
 val export : t -> string
@@ -124,9 +129,6 @@ val parked_ops : t -> int
 val brownout : t -> bool
 (** Whether the server is currently in brownout (shedding mutations). *)
 
-val max_parked : t -> int
-val max_sessions : t -> int
-
 val shutdown : t -> unit
 (** Stop listening. *)
 
@@ -159,14 +161,19 @@ val wal_bytes : t -> int
 (** Byte length of the current WAL. *)
 
 val checkpoint_now : t -> (unit, Idbox_vfs.Errno.t) result
-(** Force a checkpoint (snapshot the export, truncate the log). *)
+(** Force a checkpoint (snapshot the export, truncate the log, log the
+    parked mutations again).  Called while a commit runs, it is taken
+    when the outermost commit ends. *)
 
 val handle : t -> string -> string
 (** Direct dispatch: the same admission as a network delivery, with the
     response captured and returned.  A request that parks behind a
     flush window is flushed at once, together with whatever else is
-    parked, so the answer is always ready on return.  For tests and for
-    benchmarks that wrap the listener. *)
+    parked, so the answer is ready on return — unless it is called from
+    inside this server's own commit (a hook pumping the event loop),
+    where a parked request cannot run and it raises
+    [Invalid_argument].  For tests and for benchmarks that wrap the
+    listener. *)
 
 (** {1 Replication hooks}
 
@@ -181,8 +188,6 @@ val set_mutation_hook :
     retried write still replicates exactly once).  Hook exceptions are
     contained and counted ([chirp.repl.hook_crash]); they cannot change
     the client's answer. *)
-
-val clear_mutation_hook : t -> unit
 
 val set_geo_hook :
   t -> (identity:Idbox_identity.Principal.t -> Protocol.operation -> unit) -> unit

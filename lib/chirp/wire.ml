@@ -131,8 +131,3 @@ let encode_int n =
 let encode_int64 v =
   let n = Int64.to_int v in
   if Int64.equal (Int64.of_int n) v then encode_int n else Int64.to_string v
-
-let decode_int s =
-  match int_of_string_opt s with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "bad integer %S" s)

@@ -58,5 +58,3 @@ val encode_int : int -> string
 val encode_int64 : int64 -> string
 (** [Int64.to_string], the same way for any value a native [int]
     holds. *)
-
-val decode_int : string -> (int, string) result

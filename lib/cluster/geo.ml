@@ -92,7 +92,6 @@ let role r = r.rg_role
 let epoch r = r.rg_epoch
 let applied_lsn r = r.rg_applied_lsn
 let tip r = r.rg_next_lsn - 1
-let primary_name r = r.rg_primary
 let needs_reconcile r = r.rg_reconcile
 let ship_interval_ns t = t.g_ship_interval_ns
 let log_retain t = t.g_log_retain
@@ -112,11 +111,11 @@ let region_hosts t name =
   :: ("client." ^ name ^ ".grid.edu")
   :: World.member_hosts rg.rg_world
 
-let wan_windows ?one_way t ~from_ns ~until_ns ~between:(a, b) () =
+let wan_windows t ~from_ns ~until_ns ~between:(a, b) =
   List.concat_map
     (fun ha ->
       List.map
-        (fun hb -> Fault.window ?one_way ~from_ns ~until_ns ~between:(ha, hb) ())
+        (fun hb -> Fault.window ~from_ns ~until_ns ~between:(ha, hb))
         (region_hosts t b))
     (region_hosts t a)
 
@@ -712,8 +711,6 @@ let connect t ~region:name ~credentials ?src ?(policy = Proxy)
         rd_breakers = Hashtbl.create 2;
       }
 
-let local_router rd = rd.rd_local
-let reader_region rd = rd.rd_region.rg_name
 let retry_after rd = rd.rd_geo.g_ship_interval_ns
 
 let transient = function
@@ -817,7 +814,4 @@ let checksum rd path = read rd (fun r -> Router.checksum r path)
 let whoami rd = read rd (fun r -> Router.whoami r)
 let put rd ~path ~data = write rd (fun r -> Router.put r ~path ~data)
 let mkdir rd path = write rd (fun r -> Router.mkdir r path)
-let rmdir rd path = write rd (fun r -> Router.rmdir r path)
-let unlink rd path = write rd (fun r -> Router.unlink r path)
 let setacl rd ~path ~entry = write rd (fun r -> Router.setacl r ~path ~entry)
-let revoke rd delegator = write rd (fun r -> Router.revoke r delegator)

@@ -87,9 +87,6 @@ val applied_lsn : region -> int
 val tip : region -> int
 (** The highest LSN this region has sequenced (primary side). *)
 
-val primary_name : region -> string
-(** Who this region currently believes is primary. *)
-
 val needs_reconcile : region -> bool
 (** Whether this region is refusing segments until reconciled. *)
 
@@ -128,12 +125,10 @@ val region_hosts : t -> string -> string list
     member — the input to {!wan_windows}. *)
 
 val wan_windows :
-  ?one_way:bool ->
   t ->
   from_ns:int64 ->
   until_ns:int64 ->
   between:string * string ->
-  unit ->
   Idbox_net.Fault.window list
 (** The full cross-product of partition windows cutting region [a]
     from region [b] (named regions) for the given time span — apply
@@ -171,13 +166,9 @@ val connect :
     behaviour; [bound_ns] (default 1 s) is the staleness bound local
     reads must satisfy. *)
 
-val reader_region : reader -> string
 val retry_after : reader -> int64
 (** The retry-after hint accompanying [ESTALE]: one shipping
     interval. *)
-
-val local_router : reader -> Router.t
-(** The reader's local-region router (for direct assertions). *)
 
 type 'a r := ('a, Idbox_vfs.Errno.t) result
 
@@ -189,7 +180,4 @@ val checksum : reader -> string -> string r
 val whoami : reader -> string r
 val put : reader -> path:string -> data:string -> unit r
 val mkdir : reader -> string -> unit r
-val rmdir : reader -> string -> unit r
-val unlink : reader -> string -> unit r
 val setacl : reader -> path:string -> entry:string -> unit r
-val revoke : reader -> string -> int r

@@ -67,9 +67,6 @@ let health t =
       })
     t.mb_entries
 
-let health_of t name =
-  List.find_opt (fun nh -> String.equal nh.nh_name name) (health t)
-
 let metric t name =
   Metrics.incr (Metrics.counter (Network.metrics t.mb_net) name)
 

@@ -66,6 +66,3 @@ val health : t -> node_health list
     last looked drifts from [Alive] through [Suspect] (past half the
     lease) to [Dead] (lease exhausted) without another catalog round
     trip.  Sorted by name. *)
-
-val health_of : t -> string -> node_health option
-(** One member's health, by name. *)

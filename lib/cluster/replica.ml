@@ -124,8 +124,6 @@ let note_pending_admitted node ~key ~peer ~errno =
 let note_pending node ~key ~peer ~errno =
   ignore (note_pending_admitted node ~key ~peer ~errno)
 
-let pending_count node = Hashtbl.length node.nd_pending
-
 (* Drain the set in deterministic (sorted) order.  Every tick drains
    every member, and the set is almost always empty. *)
 let take_pending node =
@@ -370,10 +368,6 @@ let attach ~net ~server ~name ~catalog ?(replicas = 2) ?(vnodes = 64)
   Server.set_mutation_hook server (fun ~identity op -> forward node ~identity op);
   maybe_refresh node;
   node
-
-let detach node =
-  Server.clear_mutation_hook node.nd_server;
-  Network.unlisten node.nd_net ~addr:(repl_addr node.nd_addr)
 
 (* {1 Rebalance migration} *)
 

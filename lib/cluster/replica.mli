@@ -66,9 +66,6 @@ val attach :
     catalog costs bounded time per mutation.  The pending-repair set
     holds at most 64 entries. *)
 
-val detach : node -> unit
-(** Stop forwarding and close the replication endpoint. *)
-
 val name : node -> string
 val ring : node -> Ring.t
 val server : node -> Idbox_chirp.Server.t
@@ -104,8 +101,6 @@ val note_pending_admitted :
 
 val take_pending : node -> (string * string * string) list
 (** Drain the set: [(key, peer, errno)] in sorted order, emptying it. *)
-
-val pending_count : node -> int
 
 val tick : node -> unit
 (** Refresh the node's membership view if its refresh interval has

@@ -22,7 +22,6 @@ type t = {
   mutable rt_view : (string * string) list;
   mutable rt_principal : string;
   rt_prefixes : (string, unit) Hashtbl.t;  (* shard keys touched, for rebalance *)
-  mutable rt_routes : int;
   mutable rt_failovers : int;
   (* Route cache: shard key -> owner list, valid for one membership
      epoch.  Only the consistent-hash computation is cached — per-route
@@ -42,7 +41,6 @@ type t = {
 
 let principal t = t.rt_principal
 let nodes t = Ring.nodes t.rt_ring
-let routes t = t.rt_routes
 let failovers t = t.rt_failovers
 
 let metric t name = Metrics.incr (Metrics.handle t.rt_counters name)
@@ -175,7 +173,6 @@ let sync t =
     flush_route_cache t
 
 let route t key =
-  t.rt_routes <- t.rt_routes + 1;
   metric t "cluster.route";
   note_prefix t key;
   if Membership.generation t.rt_membership <> t.rt_route_epoch then
@@ -340,7 +337,6 @@ let connect ?(src = "client") ?(policy = Client.default_policy) ?(replicas = 2)
           rt_view = view;
           rt_principal = "";
           rt_prefixes = Hashtbl.create 32;
-          rt_routes = 0;
           rt_failovers = 0;
           rt_route_cache = Hashtbl.create 32;
           rt_route_epoch = Membership.generation membership;

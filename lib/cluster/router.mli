@@ -70,9 +70,6 @@ val sync : t -> unit
     Cheap when nothing changed.  Callers drive this at their own
     cadence — the simulated world has no background threads. *)
 
-val routes : t -> int
-(** Routing decisions made so far. *)
-
 val failovers : t -> int
 (** Read failovers so far: owners a read moved past, whether they
     failed in transport or were skipped by an open breaker. *)

@@ -68,7 +68,6 @@ let identity t = t.bx_identity
 let identity_string t = Principal.to_string t.bx_identity
 let home t = t.bx_home
 let base t = t.bx_base
-let passwd_path t = t.bx_passwd
 let supervisor_view t = t.sup
 let enforcer t = t.enforce
 let kernel t = t.bx_kernel

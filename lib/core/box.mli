@@ -50,10 +50,6 @@ val home : t -> string
 val base : t -> string
 (** The per-box working area ([/tmp/box_N]). *)
 
-val passwd_path : t -> string
-(** The private [/etc/passwd] copy reads inside the box are redirected
-    to. *)
-
 val handler : t -> Idbox_kernel.Trace.handler
 (** The trap handler; attach it to processes that should live in the
     box (both {!spawn} entry points do this). *)

@@ -64,6 +64,4 @@ let append t rdn = t @ [ rdn ]
 
 let equal a b = List.length a = List.length b && List.for_all2 rdn_equal a b
 
-let compare a b = String.compare (to_string a) (to_string b)
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)

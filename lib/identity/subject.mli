@@ -36,5 +36,4 @@ val append : t -> rdn -> t
 (** [append t rdn] adds a component at the end (innermost position). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -26,15 +26,14 @@ let create () =
     { name = "nobody"; uid = nobody_uid; gecos = "unprivileged"; home = "/"; shell = "/bin/false" };
   t
 
-let add t ?(gecos = "") ?home ?(shell = "/bin/sh") name =
+let add t name =
   if String.length name = 0 then Error "empty account name"
   else if Hashtbl.mem t.by_name name then
     Error (Printf.sprintf "account %S already exists" name)
   else begin
     let uid = t.next_uid in
     t.next_uid <- uid + 1;
-    let home = match home with Some h -> h | None -> "/home/" ^ name in
-    let e = { name; uid; gecos; home; shell } in
+    let e = { name; uid; gecos = ""; home = "/home/" ^ name; shell = "/bin/sh" } in
     insert t e;
     Ok e
   end

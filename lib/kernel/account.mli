@@ -20,8 +20,9 @@ type t
 val create : unit -> t
 (** A database containing [root] (uid 0) and [nobody] (uid 65534). *)
 
-val add : t -> ?gecos:string -> ?home:string -> ?shell:string -> string -> (entry, string) result
-(** [add t name] allocates the next free uid.  Errors if the name is
+val add : t -> string -> (entry, string) result
+(** [add t name] allocates the next free uid, with an empty gecos field,
+    home [/home/<name>] and shell [/bin/sh].  Errors if the name is
     taken or empty. *)
 
 val remove : t -> string -> (unit, string) result

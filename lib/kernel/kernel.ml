@@ -75,10 +75,10 @@ let refresh_passwd t =
     (Account.render_passwd t.k_accounts)
   |> fail_errno "Kernel.refresh_passwd"
 
-let create ?(cost = Cost.default) ?accounts ?clock () =
+let create ?(cost = Cost.default) ?clock () =
   let k_clock = match clock with Some c -> c | None -> Clock.create () in
   let k_fs = Fs.create ~clock:(Clock.reading k_clock) () in
-  let k_accounts = match accounts with Some a -> a | None -> Account.create () in
+  let k_accounts = Account.create () in
   let k_metrics = Metrics.create () in
   let t =
     {
@@ -389,8 +389,6 @@ let complete_parked t pid result =
     Hashtbl.remove t.parked pid;
     if Sysent.complete msg result then Metrics.incr t.c_sysmsg_completed
     else Metrics.incr t.c_sysmsg_late
-
-let parked_count t = Hashtbl.length t.parked
 
 let alloc_pid t =
   let pid = t.next_pid in

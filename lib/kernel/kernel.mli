@@ -21,9 +21,10 @@ type stats = {
   mutable spawns : int;
 }
 
-val create : ?cost:Cost.t -> ?accounts:Account.t -> ?clock:Clock.t -> unit -> t
-(** A fresh host: empty process table, clock at 0, and a filesystem
-    populated with [/etc/passwd] (rendered from the account database),
+val create : ?cost:Cost.t -> ?clock:Clock.t -> unit -> t
+(** A fresh host: empty process table, clock at 0, a fresh account
+    database ({!Account.create}), and a filesystem populated with
+    [/etc/passwd] (rendered from the account database),
     [/tmp] (world-writable), [/home], and [/bin].  Pass a shared [clock]
     to place several hosts in one simulated world (distributed
     experiments measure one coherent timeline). *)
@@ -44,7 +45,7 @@ val metrics : t -> Metrics.t
 
 val trace_ring : t -> Trace.ring
 (** The bounded ring of structured trace spans, one per completed
-    system call.  Attach a sink ({!Trace.add_sink}) to stream spans. *)
+    system call. *)
 
 val add_user : t -> string -> (Account.entry, string) result
 (** The [useradd -m] of the simulation: create the account, its home
@@ -211,9 +212,6 @@ val policy : t -> Policy.t option
 val sysent_summary : t -> (int * string * int * bool) list
 (** The dispatch table as [(number, name, narg, has_enforce)] rows in
     table order — for tests and diagnostics. *)
-
-val parked_count : t -> int
-(** How many invocations are currently parked on blocking calls. *)
 
 val with_fresh_programs : (unit -> 'a) -> 'a
 (** Run a thunk with the (global) program registry saved and restored —

@@ -29,10 +29,6 @@ let of_marker contents =
     | None -> Some rest
   else None
 
-let names () =
-  Hashtbl.fold (fun name _ acc -> name :: acc) registry []
-  |> List.sort String.compare
-
 let snapshot () = Hashtbl.fold (fun name main acc -> (name, main) :: acc) registry []
 
 let restore entries =

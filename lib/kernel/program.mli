@@ -45,9 +45,6 @@ val marker : string -> string
 val of_marker : string -> string option
 (** Parse the program name out of executable-file contents. *)
 
-val names : unit -> string list
-(** Registered program names, sorted. *)
-
 val snapshot : unit -> (string * main) list
 (** The registry's current contents (for save/restore in tests). *)
 

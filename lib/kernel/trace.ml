@@ -36,16 +36,14 @@ type span = {
   sp_cost_ns : int64;
 }
 
-type sink = span -> unit
-
 (* A fixed-capacity ring stored as columns: the identity, syscall and
    verdict strings by reference, the pids in an int array, and the
    simulated time and cost as raw 64-bit words in a byte column, so
    recording a span writes its fields in place and allocates nothing
    the ring keeps.  A [span] record is built only when the ring is
-   read, and for sinks.  The columns are allocated lazily on the first
-   span, so a ring that never records pays one word per field here and
-   nothing else.  [head] is the slot of the next write; once
+   read.  The columns are allocated lazily on the first span, so a
+   ring that never records pays one word per field here and nothing
+   else.  [head] is the slot of the next write; once
    [total >= capacity] the oldest span lives at [head], and the spans
    retained are the last [length] ones recorded, so a slot's sequence
    number follows from its age. *)
@@ -59,7 +57,6 @@ type ring = {
   mutable verdicts : string array;
   mutable head : int;
   mutable total : int;
-  mutable sinks : sink list;
 }
 
 let default_capacity = 1024
@@ -67,16 +64,12 @@ let default_capacity = 1024
 let ring ?(capacity = default_capacity) () =
   let capacity = if capacity < 1 then 1 else capacity in
   { capacity; times = Bytes.empty; costs = Bytes.empty; pids = [||];
-    identities = [||]; syscalls = [||]; verdicts = [||]; head = 0; total = 0;
-    sinks = [] }
+    identities = [||]; syscalls = [||]; verdicts = [||]; head = 0; total = 0 }
 
 let capacity r = r.capacity
 let total r = r.total
 let length r = if r.total < r.capacity then r.total else r.capacity
 let dropped r = r.total - length r
-
-let add_sink r sink = r.sinks <- r.sinks @ [ sink ]
-let clear_sinks r = r.sinks <- []
 
 let allocate r =
   let n = r.capacity in
@@ -108,12 +101,7 @@ let span r ~time ~pid ~identity ~syscall ~verdict ~cost_ns =
   r.syscalls.(slot) <- syscall;
   r.verdicts.(slot) <- verdict;
   r.head <- (if slot + 1 = r.capacity then 0 else slot + 1);
-  r.total <- r.total + 1;
-  match r.sinks with
-  | [] -> ()
-  | sinks ->
-    let s = read_slot r slot ~seq:(r.total - 1) in
-    List.iter (fun sink -> sink s) sinks
+  r.total <- r.total + 1
 
 (* Oldest-first iteration.  When the ring has wrapped, the oldest
    retained span sits at [head]; before wrap, at 0. *)

@@ -52,9 +52,9 @@ val pass_through : handler
 
     The ring keeps its spans as columns: the identity, syscall and
     verdict strings by reference, the pid, and the time and cost as
-    64-bit words.  Recording a span into a ring with no sinks allocates
-    nothing; {!span} records are built only when the ring is read
-    ({!iter}, {!to_list}, {!to_json}) and for sinks. *)
+    64-bit words.  Recording a span allocates nothing; {!span} records
+    are built only when the ring is read ({!iter}, {!to_list},
+    {!to_json}). *)
 
 type span = {
   sp_seq : int;  (** Monotonic record sequence number (0-based). *)
@@ -65,10 +65,6 @@ type span = {
   sp_verdict : string;  (** ["ok"] or an errno name, e.g. ["EACCES"]. *)
   sp_cost_ns : int64;  (** Simulated time charged to the call. *)
 }
-
-type sink = span -> unit
-(** Sinks observe every span as it is recorded — even ones later
-    overwritten in the ring — so a streaming sink loses nothing. *)
 
 type ring
 
@@ -100,11 +96,7 @@ val span :
   cost_ns:int64 ->
   unit
 (** Record a span, assigning it the next sequence number: the fields
-    are written into the ring's columns in place.  Sinks, if any, each
-    receive the span as a record. *)
-
-val add_sink : ring -> sink -> unit
-val clear_sinks : ring -> unit
+    are written into the ring's columns in place. *)
 
 val iter : ring -> (span -> unit) -> unit
 (** Oldest retained span first. *)
@@ -113,7 +105,7 @@ val to_list : ring -> span list
 (** Retained spans, oldest first. *)
 
 val reset : ring -> unit
-(** Drop all spans and the sequence count; sinks are kept. *)
+(** Drop all spans and the sequence count. *)
 
 val span_json : span -> string
 (** One span as a JSON object. *)

@@ -81,15 +81,9 @@ type window = {
   from_ns : int64;
   until_ns : int64;
   between : string * string;
-  one_way : bool;
-      (** Asymmetric partition: only traffic from [fst between] toward
-          [snd between] is cut; the reverse direction still flows.  Real
-          WAN failures (a broken BGP announcement, an asymmetric ACL)
-          routinely look like this. *)
 }
 
-let window ?(one_way = false) ~from_ns ~until_ns ~between () =
-  { from_ns; until_ns; between; one_way }
+let window ~from_ns ~until_ns ~between = { from_ns; until_ns; between }
 
 type plan = {
   seed : int64;
@@ -120,7 +114,7 @@ let partitioned p ~now ~src ~dst =
       &&
       let a, b = w.between in
       (String.equal hs a && String.equal hd b)
-      || ((not w.one_way) && String.equal hs b && String.equal hd a))
+      || (String.equal hs b && String.equal hd a))
     p.partitions
 
 (* --- corruption injectors ------------------------------------------- *)

@@ -114,21 +114,10 @@ type window = {
       (** Two host names (the part of an address before [':']); traffic
           in either direction between them is cut while the simulated
           clock is in [[from_ns, until_ns)]. *)
-  one_way : bool;
-      (** Asymmetric partition: only traffic from [fst between] toward
-          [snd between] is cut, the reverse direction still flows —
-          what a broken route announcement or one-sided firewall rule
-          looks like on a real WAN. *)
 }
 
-val window :
-  ?one_way:bool ->
-  from_ns:int64 ->
-  until_ns:int64 ->
-  between:string * string ->
-  unit ->
-  window
-(** A partition window; [one_way] defaults to [false] (symmetric). *)
+val window : from_ns:int64 -> until_ns:int64 -> between:string * string -> window
+(** A partition window, cutting both directions. *)
 
 type plan = {
   seed : int64;

@@ -144,7 +144,6 @@ type t = {
   groups : (string, string list) Hashtbl.t;
   latency_ns : int64;
   ns_per_byte : float;
-  timeout_ns : int64;
   nw_metrics : Metrics.t;
   nw_trace : Trace.ring option;
   mutable plan : Fault.plan option;
@@ -162,8 +161,12 @@ type t = {
   mutable ev_seq : int;
 }
 
-let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.)
-    ?(timeout_us = 1_000_000.) ?metrics ?trace () =
+(* How long a caller waits for a lost message when it names no timeout
+   of its own: 1 s. *)
+let default_timeout_ns = 1_000_000_000L
+
+let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.) ?metrics
+    ?trace () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   {
     nw_clock = clock;
@@ -172,7 +175,6 @@ let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.)
     latency_ns = Clock.of_micros latency_us;
     (* bits/s -> ns/byte *)
     ns_per_byte = 8e3 /. bandwidth_mbps;
-    timeout_ns = Clock.of_micros timeout_us;
     nw_metrics = m;
     nw_trace = trace;
     plan = None;
@@ -321,7 +323,7 @@ let respond t conn response =
       t.bytes <- t.bytes + String.length response;
       charge_busy t conn (transfer_ns t (String.length response));
       note_fault t ~addr ~kind:"net.drop" ~verdict:"ETIMEDOUT"
-        ~cost_ns:t.timeout_ns
+        ~cost_ns:default_timeout_ns
     end
     else begin
       let response =
@@ -388,7 +390,9 @@ let listen t ~addr handler =
   listen_async t ~addr (fun conn payload -> respond t conn (handler payload))
 
 let submit t ?(src = "client") ?timeout_ns ~addr payload =
-  let timeout = match timeout_ns with Some v -> v | None -> t.timeout_ns in
+  let timeout =
+    match timeout_ns with Some v -> v | None -> default_timeout_ns
+  in
   let tok = { tk_addr = addr; tk_result = None; tk_done_at = 0L } in
   let prof =
     match t.plan with
@@ -461,8 +465,6 @@ let poll tok = tok.tk_result
 let completed_at tok =
   match tok.tk_result with None -> None | Some _ -> Some tok.tk_done_at
 
-let token_addr tok = tok.tk_addr
-
 let rec step t =
   match Heap.pop t.eventq with
   | None -> false
@@ -513,9 +515,6 @@ let total_bytes t = t.bytes
 (* {1 Endpoint groups} *)
 
 let define_group t ~name ~addrs = Hashtbl.replace t.groups name addrs
-
-let group_addrs t ~name =
-  match Hashtbl.find_opt t.groups name with Some l -> l | None -> []
 
 let drop_group t ~name = Hashtbl.remove t.groups name
 

@@ -36,15 +36,13 @@ val create :
   clock:Idbox_kernel.Clock.t ->
   ?latency_us:float ->
   ?bandwidth_mbps:float ->
-  ?timeout_us:float ->
   ?metrics:Idbox_kernel.Metrics.t ->
   ?trace:Idbox_kernel.Trace.ring ->
   unit ->
   t
 (** Default latency 100 µs one-way, bandwidth 100 Mbit/s — a 2005-era
-    campus LAN.  [timeout_us] (default 1 s) is how long a caller waits
-    for a lost message before seeing [ETIMEDOUT]; callers can override
-    it per call.  [metrics] defaults to a private registry (pass the
+    campus LAN.  A caller waits 1 s for a lost message before seeing
+    [ETIMEDOUT] unless it names its own [timeout_ns] per call.  [metrics] defaults to a private registry (pass the
     kernel's to fold network counters into one export); [trace], when
     given, receives one span per injected fault. *)
 
@@ -157,9 +155,6 @@ val poll : token -> (string, Idbox_vfs.Errno.t) result option
 val completed_at : token -> int64 option
 (** When the token completed (simulated clock), once it has. *)
 
-val token_addr : token -> string
-(** The address the exchange was submitted to. *)
-
 val step : t -> bool
 (** Execute the next live event: advance the clock to its time and run
     it.  Dead events (a timeout whose token already completed) are
@@ -199,9 +194,6 @@ val total_bytes : t -> int
 
 val define_group : t -> name:string -> addrs:string list -> unit
 (** Define (or redefine) group [name]. *)
-
-val group_addrs : t -> name:string -> string list
-(** Members of [name], in failover order ([[]] when undefined). *)
 
 val drop_group : t -> name:string -> unit
 

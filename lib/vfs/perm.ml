@@ -21,8 +21,6 @@ let default_file_mode = 0o644
 
 let default_dir_mode = 0o755
 
-let private_file_mode = 0o600
-
 let to_string ~mode =
   let triple shift =
     let bits = (mode lsr shift) land 7 in

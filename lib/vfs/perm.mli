@@ -21,9 +21,6 @@ val default_file_mode : int
 val default_dir_mode : int
 (** [0o755]. *)
 
-val private_file_mode : int
-(** [0o600]: owner-only, like the supervisor's [secret] file in Fig. 2. *)
-
 val to_string : mode:int -> string
 (** Render bits in [ls -l] style, e.g. ["rw-r--r--"]. *)
 

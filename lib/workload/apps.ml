@@ -48,6 +48,3 @@ let make_build =
     ~metadata:616_000 ~small:100_000 ~spawns:1300 ~compute_ms:18_000.
 
 let all = [ amanda; blast; cms; hf; ibis; make_build ]
-
-let find name =
-  List.find_opt (fun spec -> String.equal spec.Spec.w_name name) all

@@ -28,5 +28,3 @@ val make_build : Spec.t
 
 val all : Spec.t list
 (** In the paper's Figure 5(b) order. *)
-
-val find : string -> Spec.t option

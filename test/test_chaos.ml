@@ -116,7 +116,7 @@ let workload_completes_under_drops () =
            ~partitions:
              [ Fault.window ~from_ns:40_000_000_000L
                  ~until_ns:44_000_000_000L
-                 ~between:("client", "alpha.grid.edu") () ]
+                 ~between:("client", "alpha.grid.edu") ]
            ());
       let c = connect_fred w in
       ok "mkdir" (Client.mkdir c "/work");
@@ -418,7 +418,7 @@ let catalog_eviction_and_heartbeat_recovery () =
     (Fault.plan
        ~partitions:
          [ Fault.window ~from_ns:1_000_000_000L ~until_ns:30_000_000_000L
-             ~between:("alpha.grid.edu", "cat.grid.edu") () ]
+             ~between:("alpha.grid.edu", "cat.grid.edu") ]
        ());
   (* Heartbeats due during the partition are lost. *)
   Clock.advance clock 2_000_000_000L;
@@ -667,7 +667,7 @@ let cluster_chaos_run () =
          (List.map
             (fun peer ->
               Fault.window ~from_ns:20_000_000_000L
-                ~until_ns:90_000_000_000L ~between:("gamma.grid.edu", peer) ())
+                ~until_ns:90_000_000_000L ~between:("gamma.grid.edu", peer))
             [ "client"; "alpha.grid.edu"; "beta.grid.edu"; "catalog.grid.edu" ])
        ());
   let transcript = cluster_steps w alice visitor in
@@ -718,7 +718,7 @@ let partition_heal_repair_converges () =
               (fun peer ->
                 Fault.window ~from_ns:20_000_000_000L
                   ~until_ns:90_000_000_000L
-                  ~between:("gamma.grid.edu", peer) ())
+                  ~between:("gamma.grid.edu", peer))
               [ "client"; "alpha.grid.edu"; "beta.grid.edu"; "catalog.grid.edu" ])
          ());
     let settled r op =
@@ -945,7 +945,7 @@ let scale_down_during_partition () =
               (fun peer ->
                 Fault.window ~from_ns:20_000_000_000L
                   ~until_ns:70_000_000_000L
-                  ~between:("gamma.grid.edu", peer) ())
+                  ~between:("gamma.grid.edu", peer))
               [ "client"; "alpha.grid.edu"; "beta.grid.edu"; "delta.grid.edu";
                 "catalog.grid.edu" ])
          ());
@@ -1434,7 +1434,7 @@ let geo_partition_serves_in_bound_reads () =
       (Fault.plan ~seed
          ~partitions:
            (Geo.wan_windows geo ~from_ns:20_000_000_000L
-              ~until_ns:50_000_000_000L ~between:("east", "west") ())
+              ~until_ns:50_000_000_000L ~between:("east", "west"))
          ());
     let e = geo_reader geo east ~region:"east" () in
     let wide =
@@ -1530,7 +1530,7 @@ let geo_promotion_races_partition () =
       (Fault.plan ~seed
          ~partitions:
            (Geo.wan_windows geo ~from_ns:20_000_000_000L
-              ~until_ns:60_000_000_000L ~between:("east", "west") ())
+              ~until_ns:60_000_000_000L ~between:("east", "west"))
          ());
     let e = geo_reader geo east ~region:"east" () in
     let w = geo_reader geo west ~region:"west" () in
@@ -1639,7 +1639,7 @@ let geo_failback_matches_oracle () =
       (Fault.plan ~seed
          ~partitions:
            (Geo.wan_windows geo ~from_ns:20_000_000_000L
-              ~until_ns:40_000_000_000L ~between:("east", "west") ())
+              ~until_ns:40_000_000_000L ~between:("east", "west"))
          ());
     let e = geo_reader geo east ~region:"east" () in
     let w = geo_reader geo west ~region:"west" () in

@@ -514,8 +514,7 @@ let failover_read_does_not_wait_for_hint () =
          [
            Fault.window ~from_ns:now
              ~until_ns:(Int64.add now 3_600_000_000_000L)
-             ~between:("client", primary ^ ".grid.edu")
-             ();
+             ~between:("client", primary ^ ".grid.edu");
          ]
        ());
   let elapsed =

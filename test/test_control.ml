@@ -1,12 +1,8 @@
-(* The self-healing control plane (ISSUE 7): the circuit-breaker state
+(* The control plane's overload handling: the circuit-breaker state
    machine (trip, short-circuit, half-open probe, re-close, re-open);
-   health scoring with EWMA smoothing and dual-threshold hysteresis;
    server admission control (brownout sheds mutations with a
-   retry-after hint while reads keep flowing); the client treating shed
-   responses as retryable; and the autoscaler's full cycle — grow under
-   pressure, hold through cooldown, clamp at both envelope edges,
-   shrink the lowest-scoring member, and re-admit a previously removed
-   host. *)
+   retry-after hint while reads keep flowing); and the client treating
+   shed responses as retryable. *)
 
 module Clock = Idbox_kernel.Clock
 module Kernel = Idbox_kernel.Kernel
@@ -20,10 +16,6 @@ module Negotiate = Idbox_auth.Negotiate
 module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
 module Protocol = Idbox_chirp.Protocol
-module Catalog = Idbox_chirp.Catalog
-module Health = Idbox_cluster.Health
-module Autoscaler = Idbox_cluster.Autoscaler
-module World = Idbox_cluster.World
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
@@ -111,95 +103,6 @@ let breaker_state_machine () =
   Alcotest.(check bool) "transitions observed" true
     (List.mem "beta:half_open" !transitions && List.mem "beta:open" !transitions
      && List.mem "beta:closed" !transitions)
-
-(* --- health scoring: hysteresis and smoothing ------------------------ *)
-
-(* Weight-1 EWMA makes the smoothed score equal the raw score, so each
-   observation steers the level directly and the dual thresholds can be
-   probed edge by edge. *)
-let health_hysteresis () =
-  let clock = Clock.create () in
-  let metrics = Metrics.create () in
-  let h =
-    Health.create
-      ~config:{ Health.default_config with Health.ewma_weight = 1 }
-      ~clock ~metrics ()
-  in
-  (* Craft samples by raw score: queue charges pct*35/100, brownout a
-     flat 25, errors up to 30. *)
-  let feed ?(q = 0) ?(err = 0) ?(brown = false) () =
-    Health.observe h ~name:"n1"
-      {
-        Health.idle_sample with
-        Health.s_queue_pct = q;
-        Health.s_error_pct = err;
-        Health.s_brownout = brown;
-      }
-  in
-  let lvl () = Health.level h "n1" in
-  Alcotest.(check int) "idle scores 100" 100 (feed ());
-  Alcotest.(check bool) "healthy" true (lvl () = Health.Healthy);
-  (* 65 is below healthy_enter (70) but above healthy_exit (60):
-     a healthy node stays healthy. *)
-  Alcotest.(check int) "score 65" 65 (feed ~q:100 ());
-  Alcotest.(check bool) "still healthy at 65" true (lvl () = Health.Healthy);
-  (* 59 crosses the exit edge. *)
-  Alcotest.(check int) "score 59" 59 (feed ~q:100 ~err:20 ());
-  Alcotest.(check bool) "degraded below 60" true (lvl () = Health.Degraded);
-  (* Recovery to 65 is not enough to re-enter healthy. *)
-  ignore (feed ~q:100 ());
-  Alcotest.(check bool) "65 does not re-enter" true (lvl () = Health.Degraded);
-  ignore (feed ~q:80 ());  (* 72 >= 70 *)
-  Alcotest.(check bool) "72 re-enters healthy" true (lvl () = Health.Healthy);
-  (* Down to 40: degraded but not yet unhealthy (>= 35). *)
-  ignore (feed ~q:100 ~brown:true ());
-  Alcotest.(check bool) "40 is degraded" true (lvl () = Health.Degraded);
-  ignore (feed ~q:100 ~brown:true ~err:34 ());  (* 30 < 35 *)
-  Alcotest.(check bool) "30 is unhealthy" true (lvl () = Health.Unhealthy);
-  (* 40 is above unhealthy_enter but below unhealthy_exit (45):
-     stays unhealthy. *)
-  ignore (feed ~q:100 ~brown:true ());
-  Alcotest.(check bool) "40 stays unhealthy" true (lvl () = Health.Unhealthy);
-  ignore (feed ~q:100 ~err:50 ());  (* 50 >= 45 *)
-  Alcotest.(check bool) "50 leaves unhealthy" true (lvl () = Health.Degraded);
-  Alcotest.(check bool) "level changes were counted" true
-    (Metrics.counter_value_of metrics "cluster.health.down" >= 2
-     && Metrics.counter_value_of metrics "cluster.health.up" >= 2)
-
-let health_ewma_smoothing () =
-  let clock = Clock.create () in
-  let metrics = Metrics.create () in
-  let h = Health.create ~clock ~metrics () in
-  ignore (Health.observe h ~name:"n1" Health.idle_sample);
-  (* One terrible sample (raw 10) against a healthy history moves the
-     default weight-4 EWMA only to (100*3 + 10)/4 = 77: still healthy,
-     no flap. *)
-  let awful =
-    {
-      Health.idle_sample with
-      Health.s_queue_pct = 100;
-      Health.s_brownout = true;
-      Health.s_error_pct = 100;
-    }
-  in
-  Alcotest.(check int) "one bad sample smooths to 77" 77
-    (Health.observe h ~name:"n1" awful);
-  Alcotest.(check bool) "still healthy" true
-    (Health.level h "n1" = Health.Healthy);
-  (* A lease-exhausted heartbeat floors the raw score to 0 outright. *)
-  let gone = { Health.idle_sample with Health.s_hb_age_pct = 100 } in
-  ignore (Health.observe h ~name:"n1" gone);
-  ignore (Health.observe h ~name:"n2" gone);
-  Alcotest.(check int) "first sample seeds directly" 0 (Health.score h "n2");
-  Alcotest.(check bool) "dead node is unhealthy at once" true
-    (Health.level h "n2" = Health.Unhealthy);
-  Alcotest.(check int) "aggregate averages known nodes"
-    ((Health.score h "n1" + Health.score h "n2") / 2)
-    (Health.aggregate h);
-  Health.forget h "n2";
-  Alcotest.(check int) "forget drops the node" 0 (Health.samples h "n2");
-  Alcotest.(check bool) "unknown node reads healthy" true
-    (Health.level h "n2" = Health.Healthy)
 
 (* --- server admission control ---------------------------------------- *)
 
@@ -358,129 +261,13 @@ let client_retries_shed () =
     (ok "get" (Client.get c "/r"));
   ignore toks
 
-(* --- the autoscaler -------------------------------------------------- *)
-
-(* Drive the loop with a synthetic pressure signal so every decision is
-   deterministic: grow under sustained pressure, hold through cooldown,
-   clamp at the max envelope, shrink the lowest-scoring member once
-   healthy again, clamp at the min envelope, and re-admit a previously
-   removed host (reusing its account). *)
-let autoscaler_scales_with_hysteresis () =
-  let w = World.create () in
-  ok_s "alpha" (World.add_node w ~host:"alpha.grid.edu");
-  World.settle w;
-  let pressure = ref 100 in
-  let a =
-    Autoscaler.create
-      ~sample:(fun _ ->
-        {
-          Health.idle_sample with
-          Health.s_queue_pct = !pressure;
-          Health.s_brownout = !pressure > 75;
-        })
-      ~min_nodes:2 ~max_nodes:3 ~interval_ns:5_000_000_000L
-      ~cooldown_ns:30_000_000_000L
-      ~hosts:
-        [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu";
-          "delta.grid.edu" ]
-      w
-  in
-  let clock = World.clock w in
-  let counter name =
-    Metrics.counter_value_of (Network.metrics (World.net w)) name
-  in
-  let tick () =
-    World.tick w;
-    Autoscaler.tick a
-  in
-  let step_tick ns =
-    Clock.advance clock ns;
-    tick ()
-  in
-  (* t=0: one hurting node -> grow, deterministically to the first free
-     pool host. *)
-  (match tick () with
-   | Some (Autoscaler.Grow "beta.grid.edu") -> ()
-   | d ->
-     Alcotest.failf "expected grow beta, got %s"
-       (match d with Some d -> Autoscaler.decision_name d | None -> "none"));
-  Alcotest.(check (list string)) "beta admitted" [ "alpha"; "beta" ]
-    (World.members w);
-  (* Still hurting 5 s later, but the grow is cooling down. *)
-  (match step_tick 5_000_000_000L with
-   | Some (Autoscaler.Hold "cooldown") -> ()
-   | _ -> Alcotest.fail "expected a cooldown hold");
-  Alcotest.(check bool) "cooldown hold counted" true
-    (counter "cluster.scale.hold" >= 1);
-  (* Cooldown over: grow again. *)
-  (match step_tick 25_000_000_000L with
-   | Some (Autoscaler.Grow "gamma.grid.edu") -> ()
-   | _ -> Alcotest.fail "expected grow gamma");
-  (* Hurting at the envelope edge: clamp, not a fourth node. *)
-  (match step_tick 30_000_000_000L with
-   | Some (Autoscaler.Hold "at max envelope") -> ()
-   | _ -> Alcotest.fail "expected the max-envelope clamp");
-  Alcotest.(check bool) "clamp counted" true
-    (counter "cluster.scale.clamp" >= 1);
-  Alcotest.(check int) "grew twice" 2 (Autoscaler.grows a);
-  (* The storm passes: scores recover through the EWMA until the
-     aggregate crosses shrink_above, then the lowest-scoring member
-     (tie broken by name) is removed. *)
-  pressure := 0;
-  let rec until_shrink guard =
-    if guard = 0 then Alcotest.fail "no shrink within 20 intervals"
-    else
-      match step_tick 5_000_000_000L with
-      | Some (Autoscaler.Shrink name) -> name
-      | _ -> until_shrink (guard - 1)
-  in
-  Alcotest.(check string) "alpha shrunk first" "alpha" (until_shrink 20);
-  Alcotest.(check (list string)) "alpha gone" [ "beta"; "gamma" ]
-    (World.members w);
-  Alcotest.(check bool) "departure deregistered the lease" true
-    (counter "catalog.deregister" >= 1);
-  Alcotest.(check bool) "alpha no longer advertised" true
-    (not
-       (List.exists
-          (fun e -> String.equal e.Catalog.name "alpha")
-          (Catalog.entries (World.catalog w))));
-  (* Fully healthy but at the min envelope: never below. *)
-  (match step_tick 5_000_000_000L with
-   | Some (Autoscaler.Hold "at min envelope") -> ()
-   | _ -> Alcotest.fail "expected the min-envelope clamp");
-  (* Pressure returns: the freed pool slot (alpha) is re-admitted,
-     reusing its old account. *)
-  pressure := 100;
-  let rec until_grow guard =
-    if guard = 0 then Alcotest.fail "no regrow within 20 intervals"
-    else
-      match step_tick 5_000_000_000L with
-      | Some (Autoscaler.Grow host) -> host
-      | _ -> until_grow (guard - 1)
-  in
-  Alcotest.(check string) "alpha re-admitted" "alpha.grid.edu" (until_grow 20);
-  Alcotest.(check (list string)) "three members again"
-    [ "alpha"; "beta"; "gamma" ] (World.members w);
-  Alcotest.(check int) "decision history is complete"
-    (Autoscaler.grows a + Autoscaler.shrinks a)
-    (List.length
-       (List.filter
-          (function Autoscaler.Hold _ -> false | _ -> true)
-          (Autoscaler.decisions a)))
-
 let suite =
   [
     Alcotest.test_case "retry-after hints round-trip" `Quick
       shed_hint_round_trip;
     Alcotest.test_case "breaker state machine" `Quick breaker_state_machine;
-    Alcotest.test_case "health dual-threshold hysteresis" `Quick
-      health_hysteresis;
-    Alcotest.test_case "health EWMA smoothing + aggregate" `Quick
-      health_ewma_smoothing;
     Alcotest.test_case "brownout sheds mutations, serves reads" `Quick
       brownout_sheds_mutations_serves_reads;
     Alcotest.test_case "client retries shed mutations" `Quick
       client_retries_shed;
-    Alcotest.test_case "autoscaler hysteresis and envelope" `Quick
-      autoscaler_scales_with_hysteresis;
   ]

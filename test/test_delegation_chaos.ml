@@ -185,7 +185,7 @@ let revocation_race_run () =
                 Some
                   (Fault.window ~from_ns:10_000_000_000L
                      ~until_ns:30_000_000_000L
-                     ~between:(victim ^ ".grid.edu", peer ^ ".grid.edu") ()))
+                     ~between:(victim ^ ".grid.edu", peer ^ ".grid.edu")))
             (World.members w))
        ());
   let chain =

@@ -383,7 +383,7 @@ let wan_windows_cover_both_regions () =
   Alcotest.(check bool) "east hosts include the geo endpoint" true
     (List.mem "geo.east.grid.edu" eh);
   let wins =
-    Geo.wan_windows geo ~from_ns:0L ~until_ns:1L ~between:("east", "west") ()
+    Geo.wan_windows geo ~from_ns:0L ~until_ns:1L ~between:("east", "west")
   in
   Alcotest.(check int) "full cross-product of cuts"
     (List.length eh * List.length wh)

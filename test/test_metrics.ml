@@ -161,20 +161,6 @@ let ring_before_wrap () =
   Trace.reset ring;
   Alcotest.(check int) "reset" 0 (Trace.total ring)
 
-let ring_sinks () =
-  let ring = Trace.ring ~capacity:2 () in
-  let seen = ref [] in
-  Trace.add_sink ring (fun s -> seen := s.Trace.sp_seq :: !seen);
-  for i = 0 to 4 do
-    emit ring i
-  done;
-  (* The sink observed every span, including overwritten ones. *)
-  Alcotest.(check (list int)) "sink sees all" [ 0; 1; 2; 3; 4 ]
-    (List.rev !seen);
-  Trace.clear_sinks ring;
-  emit ring 5;
-  Alcotest.(check (list int)) "cleared" [ 0; 1; 2; 3; 4 ] (List.rev !seen)
-
 let ring_json () =
   let ring = Trace.ring ~capacity:2 () in
   Trace.span ring ~time:7L ~pid:3 ~identity:"g:\"x\"" ~syscall:"open"
@@ -187,8 +173,8 @@ let ring_json () =
    that keeps every span as a record must read the same.  Over a seeded
    stream — capacities from 1 to 9 (so most runs wrap), resets part-way,
    time and cost over the whole int64 range, strings that need JSON
-   escaping — the retained spans, their [sp_seq], the counts, every
-   sink delivery and the JSON render all match. *)
+   escaping — the retained spans, their [sp_seq], the counts and the
+   JSON render all match. *)
 let ring_matches_record_reference () =
   let pool = [| "unix:alice"; "g:\"x\""; "-"; "open"; "stat"; "ok"; "EACCES"; "back\\slash\n" |] in
   let int64s = [| 0L; 7L; 1_000_000_007L; Int64.max_int; Int64.min_int; -1L |] in
@@ -196,11 +182,8 @@ let ring_matches_record_reference () =
     let rng = Random.State.make [| seed; 0x7ace |] in
     let capacity = 1 + Random.State.int rng 9 in
     let ring = Trace.ring ~capacity () in
-    let seen = ref [] in
-    Trace.add_sink ring (fun s -> seen := s :: !seen);
     (* The reference: every span since the last reset, newest first. *)
     let emitted = ref [] in
-    let delivered = ref [] in
     let check what =
       let retained =
         List.filteri (fun i _ -> i < capacity) !emitted |> List.rev
@@ -211,7 +194,6 @@ let ring_matches_record_reference () =
       Alcotest.(check int) (ctx ^ ": dropped")
         (List.length !emitted - List.length retained) (Trace.dropped ring);
       Alcotest.(check bool) (ctx ^ ": retained spans") true (Trace.to_list ring = retained);
-      Alcotest.(check bool) (ctx ^ ": sink deliveries") true (!seen = !delivered);
       Alcotest.(check string) (ctx ^ ": JSON")
         (Printf.sprintf "{\"capacity\":%d,\"total\":%d,\"dropped\":%d,\"spans\":[%s]}"
            capacity (List.length !emitted)
@@ -242,14 +224,13 @@ let ring_matches_record_reference () =
         Trace.span ring ~time:s.sp_time ~pid:s.sp_pid ~identity:s.sp_identity
           ~syscall:s.sp_syscall ~verdict:s.sp_verdict ~cost_ns:s.sp_cost_ns;
         emitted := s :: !emitted;
-        delivered := s :: !delivered;
         check (Printf.sprintf "step %d" step)
       end
     done
   done
 
-(* Recording a span writes the ring's columns in place: with no sinks,
-   10,000 spans allocate nothing on the minor heap. *)
+(* Recording a span writes the ring's columns in place: 10,000 spans
+   allocate nothing on the minor heap. *)
 let span_allocates_nothing () =
   let ring = Trace.ring ~capacity:64 () in
   let time = 1_000_000L and cost_ns = 250L in
@@ -434,7 +415,6 @@ let suite =
     Alcotest.test_case "JSON escaping" `Quick json_escaping;
     Alcotest.test_case "ring wraparound" `Quick ring_wraparound;
     Alcotest.test_case "ring before wrap" `Quick ring_before_wrap;
-    Alcotest.test_case "ring sinks see every span" `Quick ring_sinks;
     Alcotest.test_case "ring JSON" `Quick ring_json;
     Alcotest.test_case "column ring matches a record reference" `Quick
       ring_matches_record_reference;

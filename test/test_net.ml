@@ -137,7 +137,7 @@ let partition_cuts_then_heals () =
     (Fault.plan
        ~partitions:
          [ Fault.window ~from_ns:0L ~until_ns:10_000_000_000L
-             ~between:("client", "a") () ]
+             ~between:("client", "a") ]
        ());
   (match Network.call net ~addr:"a:1" "x" with
    | Error Errno.ETIMEDOUT -> ()

@@ -163,7 +163,8 @@ let crash_is_deterministic () =
 
 let server_addr = "wal.nowhere.edu:9094"
 
-let make_server ?wal ?checkpoint_every ?flush_interval_ns () =
+let make_server ?wal ?checkpoint_every ?flush_interval_ns ?flush_batch_limit ()
+    =
   let clock = Clock.create () in
   let kernel = Kernel.create ~clock () in
   let net =
@@ -190,7 +191,7 @@ let make_server ?wal ?checkpoint_every ?flush_interval_ns () =
     match
       Server.create ~kernel ~net ~addr:server_addr ~owner_uid:owner.Account.uid
         ~export:"/tmp/export" ~acceptor ~root_acl ?wal ?checkpoint_every
-        ?flush_interval_ns ()
+        ?flush_interval_ns ?flush_batch_limit ()
     with
     | Ok s -> s
     | Error e -> Alcotest.fail (Errno.to_string e)
@@ -450,6 +451,107 @@ let origins_durable_before_answer () =
   case ~flush_interval_ns:0L `Client;
   case ~flush_interval_ns:50_000L `Client
 
+(* --- checkpoints while mutations are parked ----------------------------- *)
+
+(* The storage seed: [IDBOX_CHAOS_SEED] when set (CI's seed loop sets
+   it), else a fixed default.  The profile damages whatever a crash can
+   reach, so only what was synced before an answer survives. *)
+let hostile_wal () =
+  let seed =
+    match Sys.getenv_opt "IDBOX_CHAOS_SEED" with
+    | Some s -> ( try Int64.of_string s with _ -> 25L)
+    | None -> 25L
+  in
+  Wal.create ~seed
+    ~profile:(Fault.storage_profile ~torn_write:1.0 ~lose_tail:1.0 ~flip:1.0 ())
+    ()
+
+(* Submit a prepared put (no request id, so no [done] record) without
+   waiting for it. *)
+let submit_put net c i =
+  Network.submit net ~addr:server_addr
+    (Client.prepare c
+       (Protocol.Put
+          { path = Printf.sprintf "/work/f%d" i; data = Printf.sprintf "v%d" i }))
+
+let check_acked ctx toks =
+  List.iteri
+    (fun i tok ->
+      match Network.poll tok with
+      | Some (Ok text) ->
+        (match Client.interpret text with
+         | Ok Protocol.R_ok -> ()
+         | Ok _ -> Alcotest.failf "%s: put %d: unexpected answer" ctx i
+         | Error e ->
+           Alcotest.failf "%s: put %d: %s" ctx i (Errno.to_string e))
+      | Some (Error e) ->
+        Alcotest.failf "%s: put %d: %s" ctx i (Errno.to_string e)
+      | None -> Alcotest.failf "%s: put %d never answered" ctx i)
+    toks
+
+let check_survive ctx server net ca n =
+  Server.crash server;
+  Server.restart server;
+  let c = connect net ca in
+  for i = 0 to n - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "%s: acknowledged f%d survives" ctx i)
+      (Printf.sprintf "v%d" i)
+      (ok "get" (Client.get c (Printf.sprintf "/work/f%d" i)))
+  done
+
+(* A batch drains two of four parked puts and then checkpoints.  The
+   image holds the two it executed; the [op] records of the two still
+   parked must be in the log after it, or the next batch acknowledges
+   them with nothing on stable storage. *)
+let checkpoint_keeps_parked_ops () =
+  let server, net, kernel, ca =
+    make_server ~wal:(hostile_wal ()) ~checkpoint_every:2
+      ~flush_interval_ns:50_000L ~flush_batch_limit:2 ()
+  in
+  let c = connect net ca in
+  ok "mkdir" (Client.mkdir c "/work");
+  let m name = Metrics.counter_value_of (Kernel.metrics kernel) name in
+  let batches = m "chirp.async.batch" in
+  let toks = List.init 4 (submit_put net c) in
+  Network.pump net;
+  check_acked "drained in two batches" toks;
+  Alcotest.(check int) "two batches" 2 (m "chirp.async.batch" - batches);
+  check_survive "drained in two batches" server net ca 4
+
+(* A mutation hook that awaits a peer, as a replica's forward does, lets
+   the event loop run mid-batch.  A fourth put arrives then and its
+   flush falls due before the batch ends: it must wait for the batch,
+   so execution order stays log order, and no checkpoint may cut the
+   log while batch members have yet to run. *)
+let nested_flush_waits_for_batch () =
+  let server, net, _kernel, ca =
+    make_server ~wal:(hostile_wal ()) ~checkpoint_every:2
+      ~flush_interval_ns:50_000L ()
+  in
+  let c = connect net ca in
+  ok "mkdir" (Client.mkdir c "/work");
+  let peer = "peer.nowhere.edu:9094" in
+  Network.listen net ~addr:peer (fun _ -> "ack");
+  let executed = ref [] in
+  Server.set_mutation_hook server (fun ~identity:_ op ->
+      executed := Protocol.operation_path op :: !executed;
+      ignore (Network.call net ~src:"wal.nowhere.edu" ~addr:peer "forward"));
+  let clock = Network.clock net in
+  let first = List.init 3 (submit_put net c) in
+  let fourth = ref None in
+  Network.at net
+    (Int64.add (Clock.now clock) 100_000L)
+    (fun () -> fourth := Some (submit_put net c 3));
+  Network.pump net;
+  let toks = first @ Option.to_list !fourth in
+  check_acked "hook pumps mid-batch" toks;
+  check_survive "hook pumps mid-batch" server net ca 4;
+  (* Replay fires no hooks: this is the order the batches ran in. *)
+  Alcotest.(check (list string)) "executed in log order"
+    [ "/work/f0"; "/work/f1"; "/work/f2"; "/work/f3" ]
+    (List.rev !executed)
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick roundtrip;
@@ -467,4 +569,8 @@ let suite =
     Alcotest.test_case "undecodable records counted" `Quick undecodable_records_counted;
     Alcotest.test_case "every origin durable before it answers" `Quick
       origins_durable_before_answer;
+    Alcotest.test_case "checkpoint keeps parked ops" `Quick
+      checkpoint_keeps_parked_ops;
+    Alcotest.test_case "nested flush waits for the batch" `Quick
+      nested_flush_waits_for_batch;
   ]

@@ -27,6 +27,8 @@ module Rights = Idbox_acl.Rights
 module Subject = Idbox_identity.Subject
 module Principal = Idbox_identity.Principal
 module Errno = Idbox_vfs.Errno
+module Metrics = Idbox_kernel.Metrics
+module World = Idbox_cluster.World
 
 let ok ctx = function
   | Ok v -> v
@@ -175,4 +177,57 @@ let a_day_on_the_grid () =
                 contains ev.Audit.ev_path "/chirp/alpha/run7")
               (Audit.events trail))))
 
-let suite = [ Alcotest.test_case "a day on the grid" `Slow a_day_on_the_grid ]
+(* Scale a member out and back in.  [World.remove_node] drops its
+   catalog lease at once (no waiting out the lease), and re-adding the
+   same host reuses its [chirp_<name>] account and serves again. *)
+let remove_then_readd_member () =
+  let w = World.create () in
+  okm "alpha" (World.add_node w ~host:"alpha.grid.edu");
+  okm "beta" (World.add_node w ~host:"beta.grid.edu");
+  World.settle w;
+  let accounts = Kernel.accounts (World.kernel w) in
+  let alpha_uid =
+    match Account.find accounts "chirp_alpha" with
+    | Some e -> e.Account.uid
+    | None -> Alcotest.fail "no chirp_alpha account"
+  in
+  Alcotest.(check int) "alpha serves as its account" alpha_uid
+    (Server.owner_uid (World.server w "alpha"));
+  let deregistered () =
+    Metrics.counter_value_of (Network.metrics (World.net w)) "catalog.deregister"
+  in
+  let advertised name =
+    List.exists
+      (fun e -> String.equal e.Catalog.name name)
+      (Catalog.entries (World.catalog w))
+  in
+  Alcotest.(check bool) "alpha advertised" true (advertised "alpha");
+  okm "remove" (World.remove_node w "alpha");
+  Alcotest.(check int) "the departure deregistered its lease" 1 (deregistered ());
+  Alcotest.(check bool) "alpha no longer advertised" false (advertised "alpha");
+  Alcotest.(check bool) "beta still advertised" true (advertised "beta");
+  Alcotest.(check (list string)) "alpha gone" [ "beta" ] (World.members w);
+  let accounts_before = Account.count accounts in
+  okm "re-add" (World.add_node w ~host:"alpha.grid.edu");
+  World.settle w;
+  Alcotest.(check (list string)) "alpha back" [ "alpha"; "beta" ] (World.members w);
+  Alcotest.(check int) "no new account" accounts_before (Account.count accounts);
+  Alcotest.(check int) "the same account" alpha_uid
+    (Server.owner_uid (World.server w "alpha"));
+  Alcotest.(check bool) "advertised again" true (advertised "alpha");
+  (* The re-added server answers on its own address. *)
+  let c =
+    okm "connect"
+      (Client.connect (World.net w) ~addr:"alpha.grid.edu:9094"
+         ~credentials:[ World.issue w "Fred" ])
+  in
+  ok "mkdir" (Client.mkdir c "/fred");
+  ok "put" (Client.put c ~path:"/fred/note" ~data:"back");
+  Alcotest.(check string) "served again" "back" (ok "get" (Client.get c "/fred/note"))
+
+let suite =
+  [
+    Alcotest.test_case "a day on the grid" `Slow a_day_on_the_grid;
+    Alcotest.test_case "remove then re-add a member" `Quick
+      remove_then_readd_member;
+  ]
