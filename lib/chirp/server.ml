@@ -1424,12 +1424,8 @@ let rec subtree_digest_abs t abs =
       (Fs.digest_file (Kernel.fs t.sv_kernel) ~uid:t.sv_owner.View.uid abs)
   | Ok _ -> Error Errno.EINVAL
 
-let subtree_digest ?(recurse = true) t wire_prefix =
-  match map_path t wire_prefix with
-  | Error e -> Error e
-  | Ok abs ->
-    if recurse then subtree_digest_abs t abs
-    else Result.map (fun m -> m.dg_local) (local_digest t abs)
+let subtree_digest t wire_prefix =
+  Result.bind (map_path t wire_prefix) (subtree_digest_abs t)
 
 let dir_digests t wire_prefix =
   match map_path t wire_prefix with

@@ -279,11 +279,9 @@ val install_subtree_exact :
     revalidates at [gen_check_ns] instead of re-hashing
     ([chirp.digest.hit] / [chirp.digest.miss]). *)
 
-val subtree_digest :
-  ?recurse:bool -> t -> string -> (string, Idbox_vfs.Errno.t) result
-(** Digest of the subtree under a wire path.  With [recurse:false],
-    just the directory's local digest (ACL + direct children), not its
-    descendants.  [Error ENOENT] when the prefix does not exist here. *)
+val subtree_digest : t -> string -> (string, Idbox_vfs.Errno.t) result
+(** Digest of the subtree under a wire path.  [Error ENOENT] when the
+    prefix does not exist here. *)
 
 val dir_digests : t -> string -> ((string * string) list, Idbox_vfs.Errno.t) result
 (** [(wire path, subtree digest)] for every directory under (and

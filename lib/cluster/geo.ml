@@ -30,7 +30,6 @@ module Wal = Idbox_chirp.Wal
 module Wire = Idbox_chirp.Wire
 module Protocol = Idbox_chirp.Protocol
 module Principal = Idbox_identity.Principal
-module Revocations = Idbox_auth.Delegation.Revocations
 module Errno = Idbox_vfs.Errno
 
 type role = Primary | Secondary
@@ -69,7 +68,6 @@ type t = {
   g_ship_interval_ns : int64;
   g_batch_max : int;
   g_log_retain : int;  (* records each region's log keeps *)
-  g_timeout_ns : int64;
   mutable g_regions : region list;
 }
 
@@ -87,7 +85,6 @@ let region t name =
   | Some r -> r
   | None -> invalid_arg ("geo: no region " ^ name)
 
-let regions t = List.map (fun r -> r.rg_name) t.g_regions
 let role r = r.rg_role
 let epoch r = r.rg_epoch
 let applied_lsn r = r.rg_applied_lsn
@@ -224,98 +221,76 @@ let check_epoch t rg ~from ~epoch =
     None
   end
 
-(* {1 Applying shipped records} *)
+(* {1 The region's holders}
 
-let owner_members w key =
+   The servers a region holds a key on: its live owners
+   ({!Shard.owners}), primary first, and none while the primary is
+   down.  The primary has seen every acknowledged write and its repair
+   installs its copy exactly, so a copy written without it would be
+   undone at its restart, and one read elsewhere may lack a write. *)
+
+let holders rg key =
+  let w = rg.rg_world in
+  let live m =
+    match World.server w m with
+    | s when Network.is_up (World.net w) ~addr:(Server.addr s) -> Some s
+    | _ | (exception Not_found) -> None
+  in
   match World.members w with
   | [] -> []
   | m0 :: _ ->
     let ring = Replica.ring (World.replica w m0) in
-    if String.equal key "/" then Ring.nodes ring
-    else (
-      match Ring.successors ring key (World.replicas w) with
-      | [] -> [ m0 ]
-      | l -> l)
+    let owners = List.filter_map live (Shard.owners ring key) in
+    (match Option.bind (Ring.lookup ring key) live with
+     | None -> []
+     | Some p -> p :: List.filter (( != ) p) owners)
 
+(* {1 Applying shipped records} *)
+
+(* Apply one record on its key's primary, whose mutation hook fans it
+   out to the other owners, as it does a client's write.  [false] when
+   the primary is down: the record stays unapplied and unacknowledged,
+   and is shipped again after its restart. *)
 let apply_record t rg ~lsn record =
-  retain t rg ~lsn record;
-  match Wire.decode record with
-  | Ok [ "m"; principal; opblob ] ->
-    (match Protocol.operation_of_wire opblob with
-     | Error _ -> metric t "cluster.geo.apply.error"
-     | Ok op ->
-       let key = Replica.shard_key (Protocol.operation_path op) in
-       (match owner_members rg.rg_world key with
-        | [] -> metric t "cluster.geo.apply.error"
-        | m :: _ ->
-          (match
-             Server.apply (World.server rg.rg_world m)
-               (Server.Shipped ("geo:" ^ string_of_int lsn))
-               ~identity:(Principal.of_string principal) op
-           with
-           | Server.Applied _ -> metric t "cluster.geo.apply"
-           | Server.Replayed _ -> metric t "cluster.geo.apply.dup")))
-  | Ok _ | Error _ -> metric t "cluster.geo.apply.error"
-
-(* {1 Revocation epochs}
-
-   Exchanged before any state moves during reconcile — and mergeable at
-   any time regardless of fencing: the merge is a pointwise max, so a
-   deposed primary's revocations survive into the new epoch and a
-   revoked delegation chain can never be resurrected by failover. *)
-
-let epoch_union rg =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun (d, e) ->
-          match Hashtbl.find_opt tbl d with
-          | Some e' when e' >= e -> ()
-          | _ -> Hashtbl.replace tbl d e)
-        (Server.epoch_entries (World.server rg.rg_world m)))
-    (World.members rg.rg_world);
-  List.sort compare (Hashtbl.fold (fun d e acc -> (d, e) :: acc) tbl [])
-
-let merge_epoch_pairs rg pairs =
-  if pairs <> [] then
-    List.iter
-      (fun m -> ignore (Server.merge_epochs (World.server rg.rg_world m) pairs))
-      (World.members rg.rg_world)
-
-(* The digest a region vouches for on [key]: computed on the key's
-   owner member.  Root compares ACL text only (every member holds its
-   own top-level shards), mirroring [Repair.local_digest]. *)
-let local_digest rg key =
-  match owner_members rg.rg_world key with
-  | [] -> ""
-  | m :: _ ->
-    let server = World.server rg.rg_world m in
-    if String.equal key "/" then (
-      match Server.snapshot_subtree ~recurse:false server "/" with
-      | Ok (Server.Snap_dir { acl; _ } :: _) ->
-        Digest.to_hex (Digest.string acl)
-      | Ok _ | Error _ -> "")
-    else (
-      match Server.subtree_digest server key with
-      | Ok d -> d
-      | Error _ -> "")
-
-let shard_root_union rg =
-  List.sort_uniq String.compare
-    (List.concat_map
-       (fun m ->
-         match Server.shard_roots (World.server rg.rg_world m) with
-         | Ok ks -> ks
-         | Error _ -> [])
-       (World.members rg.rg_world))
+  let applied =
+    match Wire.decode record with
+    | Ok [ "m"; principal; opblob ] ->
+      (match Protocol.operation_of_wire opblob with
+       | Error _ ->
+         metric t "cluster.geo.apply.error";
+         true
+       | Ok op ->
+         (match holders rg (Shard.key (Protocol.operation_path op)) with
+          | [] ->
+            metric t "cluster.geo.apply.defer";
+            false
+          | server :: _ ->
+            (match
+               Server.apply server
+                 (Server.Shipped ("geo:" ^ string_of_int lsn))
+                 ~identity:(Principal.of_string principal) op
+             with
+             | Server.Applied _ -> metric t "cluster.geo.apply"
+             | Server.Replayed _ -> metric t "cluster.geo.apply.dup");
+            true))
+    | Ok _ | Error _ ->
+      metric t "cluster.geo.apply.error";
+      true
+  in
+  if applied then retain t rg ~lsn record;
+  applied
 
 (* {1 The geo endpoint}
 
-   One listener per region.  Verbs: [seg] (a shipped segment), [hb]
-   (heartbeat / lease refresh), [epochs] (revocation gossip, unfenced),
-   [roots] / [digest] (read-only reconcile probes), [repair] (a Merkle
-   push), [reconciled] (reconcile complete: adopt the primary's tip). *)
+   One listener per region.  Its own verbs: [seg] (a shipped segment),
+   [hb] (heartbeat / lease refresh) and [reconciled] (reconcile
+   complete: adopt the primary's tip).  The anti-entropy verbs are
+   {!Shard.answer}'s, over the region's {!holders}; the endpoint adds
+   only its epoch fence, on the two that install ([repair] and
+   [install] carry the sender and its epoch after the verb).
+   Revocation epochs merge unfenced: the merge is a pointwise max, so a
+   deposed primary's revocations survive into the new epoch and a
+   revoked delegation chain can never be resurrected by failover. *)
 
 (* Integer fields ride the wire as decimal text; a corrupting fault
    profile can damage them without breaking the Wire framing, so each is
@@ -334,6 +309,9 @@ let heard_tip t rg tp =
   rg.rg_primary_tip <- max rg.rg_primary_tip tp;
   if rg.rg_applied_lsn >= rg.rg_primary_tip then rg.rg_fresh_at <- now t;
   Wire.encode [ "ok"; string_of_int rg.rg_applied_lsn ]
+
+let answer t rg fields =
+  Shard.answer (Network.metrics t.g_net) (holders rg) fields
 
 let handle t rg payload =
   match Wire.decode payload with
@@ -355,15 +333,21 @@ let handle t rg payload =
           metric t "cluster.geo.segment.damaged";
           Wire.encode [ "bad" ]
         | Ok records ->
-          List.iteri
-            (fun i record ->
-              let lsn = base + i in
-              if lsn > rg.rg_applied_lsn then begin
-                apply_record t rg ~lsn record;
-                rg.rg_applied_lsn <- lsn
+          (* In LSN order, stopping at a record whose key's primary is
+             down: the ack then ends before it, so it is shipped again. *)
+          let rec apply_from lsn = function
+            | [] -> ()
+            | record :: rest ->
+              if lsn <= rg.rg_applied_lsn then begin
+                metric t "cluster.geo.segment.skip";
+                apply_from (lsn + 1) rest
               end
-              else metric t "cluster.geo.segment.skip")
-            records;
+              else if apply_record t rg ~lsn record then begin
+                rg.rg_applied_lsn <- lsn;
+                apply_from (lsn + 1) rest
+              end
+          in
+          apply_from base records;
           metric t "cluster.geo.segment.apply";
           heard_tip t rg tp))
   | Ok [ "hb"; from; ep; tp ] ->
@@ -375,38 +359,6 @@ let handle t rg payload =
      | None ->
        metric t "cluster.geo.hb";
        heard_tip t rg tp)
-  | Ok ("epochs" :: fields) ->
-    merge_epoch_pairs rg (Revocations.of_fields fields);
-    metric t "cluster.geo.epochs";
-    Wire.encode ("ok" :: Revocations.to_fields (epoch_union rg))
-  | Ok [ "roots" ] -> Wire.encode ("ok" :: shard_root_union rg)
-  | Ok [ "digest"; key ] -> Wire.encode [ "ok"; local_digest rg key ]
-  | Ok ("repair" :: from :: ep :: key :: blobs) ->
-    int_field ep @@ fun ep ->
-    (match check_epoch t rg ~from ~epoch:ep with
-     | Some reply -> reply
-     | None ->
-       (match Replica.decode_entries blobs with
-        | Error _ -> einval
-        | Ok entries ->
-          metric t "cluster.geo.repair.key";
-          if String.equal key "/" then (
-            (* The root ACL is held by every member; install is
-               additive (child names are per-member shards). *)
-            List.iter
-              (fun m ->
-                ignore (Server.install_snapshot (World.server rg.rg_world m) entries))
-              (World.members rg.rg_world);
-            Wire.encode [ "ok" ])
-          else begin
-            List.iter
-              (fun m ->
-                ignore
-                  (Server.install_subtree_exact (World.server rg.rg_world m)
-                     ~prefix:key entries))
-              (owner_members rg.rg_world key);
-            Wire.encode [ "ok" ]
-          end))
   | Ok [ "reconciled"; from; ep; tp ] ->
     int_field ep @@ fun ep ->
     int_field tp @@ fun tp ->
@@ -424,12 +376,25 @@ let handle t rg payload =
        Hashtbl.reset rg.rg_log;
        metric t "cluster.geo.reconciled";
        Wire.encode [ "ok" ])
-  | Ok _ | Error _ -> einval
+  | Ok ((("repair" as verb) :: from :: ep :: (_ :: _ as rest))
+       | (("install" as verb) :: from :: ep :: rest)) ->
+    int_field ep @@ fun ep ->
+    (match check_epoch t rg ~from ~epoch:ep with
+     | Some reply -> reply
+     | None ->
+       if String.equal verb "repair" then metric t "cluster.geo.repair.key";
+       answer t rg (verb :: rest))
+  | Ok (("repair" | "install") :: _) | Error _ -> einval
+  | Ok (("epochs" :: _) as fields) ->
+    metric t "cluster.geo.epochs";
+    answer t rg fields
+  | Ok fields -> answer t rg fields
 
 (* {1 Shipping} *)
 
 let gcall t rg ~addr payload =
-  Network.call t.g_net ~src:rg.rg_host ~timeout_ns:t.g_timeout_ns ~addr payload
+  Network.call t.g_net ~src:rg.rg_host ~timeout_ns:Replica.peer_timeout_ns ~addr
+    payload
 
 (* A [fenced] reply deposes us on the spot. *)
 let note_fenced t rg reply =
@@ -445,62 +410,48 @@ let note_fenced t rg reply =
   | _ -> false
 
 let reconcile_peer t rg peer =
+  let call payload = gcall t rg ~addr:peer.rg_addr payload in
   (* Revocation epochs move first: even if the Merkle push below fails
      halfway, no revocation can be lost to the failover. *)
-  match
-    gcall t rg ~addr:peer.rg_addr
-      (Wire.encode ("epochs" :: Revocations.to_fields (epoch_union rg)))
-  with
+  match Shard.exchange_epochs (holders rg) call with
   | Error _ ->
     metric t "cluster.geo.reconcile.fail";
     false
-  | Ok reply ->
-    (match Wire.decode reply with
-     | Ok ("ok" :: fields) -> merge_epoch_pairs rg (Revocations.of_fields fields)
-     | Ok _ | Error _ -> ());
-    let theirs =
-      match gcall t rg ~addr:peer.rg_addr (Wire.encode [ "roots" ]) with
-      | Ok reply ->
-        (match Wire.decode reply with Ok ("ok" :: ks) -> ks | _ -> [])
+  | Ok _ ->
+    let ask payload =
+      match call payload with
+      | Ok reply -> Result.value (Wire.decode reply) ~default:[]
       | Error _ -> []
     in
-    let keys =
-      List.sort_uniq String.compare (("/" :: shard_root_union rg) @ theirs)
+    let theirs =
+      match ask (Wire.encode [ "roots" ]) with "ok" :: ks -> ks | _ -> []
     in
+    let keys =
+      List.sort_uniq String.compare (Shard.keys (holders rg) @ theirs)
+    in
+    (* Push this region's copy of [key] unless the peer's digest already
+       matches it.  A key this region lacks pushes an empty snapshot,
+       which deletes the peer's copy. *)
     let push_key key =
-      let mine = local_digest rg key in
-      let clean =
-        match gcall t rg ~addr:peer.rg_addr (Wire.encode [ "digest"; key ]) with
-        | Ok reply ->
-          (match Wire.decode reply with
-           | Ok [ "ok"; theirs ] -> String.equal theirs mine
-           | _ -> false)
-        | Error _ -> false
+      let mine =
+        match Shard.digest (holders rg) key with Ok d -> d | Error _ -> ""
       in
-      clean
+      (match ask (Wire.encode [ "digest"; key ]) with
+       | [ "ok"; theirs ] -> String.equal theirs mine
+       | _ -> false)
       ||
-      let entries =
-        match owner_members rg.rg_world key with
-        | [] -> []
-        | m :: _ ->
-          let server = World.server rg.rg_world m in
-          (match
-             Server.snapshot_subtree ~recurse:(not (String.equal key "/"))
-               server key
-           with
-           | Ok entries -> entries
-           | Error _ -> [])
-      in
-      match
-        gcall t rg ~addr:peer.rg_addr
-          (Wire.encode
-             ("repair" :: rg.rg_name :: string_of_int rg.rg_epoch :: key
-             :: List.map Replica.encode_entry entries))
-      with
-      | Ok reply when note_fenced t rg reply -> false
-      | Ok reply ->
-        (match Wire.decode reply with Ok [ "ok" ] -> true | _ -> false)
+      match Shard.snapshot (holders rg) key with
       | Error _ -> false
+      | Ok entries ->
+        (match
+           call
+             (Wire.encode
+                ("repair" :: rg.rg_name :: string_of_int rg.rg_epoch :: key
+                :: List.map Shard.encode_entry entries))
+         with
+         | Ok reply ->
+           (not (note_fenced t rg reply)) && Wire.decode reply = Ok [ "ok" ]
+         | Error _ -> false)
     in
     let all_ok = List.for_all push_key keys in
     if (not all_ok) || rg.rg_role <> Primary then begin
@@ -510,15 +461,13 @@ let reconcile_peer t rg peer =
     else (
       let tp = tip rg in
       match
-        gcall t rg ~addr:peer.rg_addr
+        call
           (Wire.encode
              [ "reconciled"; rg.rg_name; string_of_int rg.rg_epoch;
                string_of_int tp ])
       with
       | Ok reply when note_fenced t rg reply -> false
-      | Ok reply when (match Wire.decode reply with
-                       | Ok [ "ok" ] -> true
-                       | _ -> false) ->
+      | Ok reply when Wire.decode reply = Ok [ "ok" ] ->
         Hashtbl.replace rg.rg_acked peer.rg_name tp;
         metric t "cluster.geo.reconcile";
         true
@@ -611,8 +560,8 @@ let tick t =
 let rewind_ack t ~primary ~peer ~to_lsn =
   Hashtbl.replace (region t primary).rg_acked peer to_lsn
 
-let link ?(ship_interval_ns = 200_000_000L) ?(batch_max = 64)
-    ?(timeout_ns = 50_000_000L) ~primary net worlds =
+let link ?(ship_interval_ns = 200_000_000L) ?(batch_max = 64) ~primary net
+    worlds =
   (match worlds with
    | [] | [ _ ] -> invalid_arg "geo: need at least two regions"
    | _ -> ());
@@ -624,7 +573,6 @@ let link ?(ship_interval_ns = 200_000_000L) ?(batch_max = 64)
       g_ship_interval_ns = Int64.max 1L ship_interval_ns;
       g_batch_max = max 1 batch_max;
       g_log_retain = 16 * max 1 batch_max;
-      g_timeout_ns = timeout_ns;
       g_regions = [];
     }
   in

@@ -15,7 +15,13 @@
     LSN travels as the dedup request id
     ({!Idbox_chirp.Server.apply}), so a segment re-delivered
     after a link reset replays recorded responses without executing —
-    a byte-identical no-op.
+    a byte-identical no-op.  A record applies on its key's primary,
+    whose mutation hook fans it out to the other owners, as it does a
+    client's write; a crashed member takes no replication traffic.  A
+    record whose key's primary is down stops the segment there,
+    unacknowledged, and is shipped again once the primary restarts: the
+    primary has seen every acknowledged write, and its repair would undo
+    a copy that skipped it.
 
     {b Bounded-staleness reads.}  A {!reader} attaches to one region
     and reads locally while the region's staleness lease holds: its
@@ -37,12 +43,22 @@
     refuses further segments until the new primary has {e reconciled}
     it: revocation epochs are max-merged {e first} (a delegation
     revocation is never resurrected by failover), then a Merkle
-    digest sweep pushes diverged subtrees exactly, then the region
-    adopts the new primary's tip.  Failback is just another
-    {!promote} once the old primary has been reconciled.
+    digest sweep pushes diverged subtrees, then the region adopts the
+    new primary's tip.  Failback is just another {!promote} once the
+    old primary has been reconciled.
+
+    {b Anti-entropy.}  The reconcile is the region's own anti-entropy
+    run across the WAN: one {!Shard.exchange_epochs}, then per key the
+    {!Shard} digest, snapshot and install, over each region's live
+    owners, primary first; a region whose key's primary is down answers
+    for that key with an error, and the reconcile is retried.  The geo
+    endpoint answers the anti-entropy verbs with {!Shard.answer} and
+    adds only its epoch fence: [repair] and [install] carry (sender,
+    epoch) after the verb and are fenced like segments.
 
     Counters: [cluster.geo.append], [.ship], [.segment.apply],
-    [.segment.skip], [.segment.damaged], [.hb], [.behind],
+    [.segment.skip], [.segment.damaged], [.apply], [.apply.dup],
+    [.apply.defer] (the key's primary down), [.apply.error], [.hb], [.behind],
     [.fence.reject], [.fence.adopt], [.promote], [.demote],
     [.reconcile], [.reconcile.fail], [.reconciled],
     [.read.{local,proxy,stale}], [.write.{local,forward}],
@@ -59,7 +75,6 @@ type region
 val link :
   ?ship_interval_ns:int64 ->
   ?batch_max:int ->
-  ?timeout_ns:int64 ->
   primary:string ->
   Idbox_net.Network.t ->
   (string * World.t) list ->
@@ -70,13 +85,12 @@ val link :
     the group-commit shipping cadence; [batch_max] (default 64) caps
     records per segment, and each region's log keeps the newest
     16 × [batch_max] records ({!log_retain}): a peer acked further back
-    than that is reconciled instead of re-shipped.  [timeout_ns]
-    (default 50 ms) bounds each cross-region exchange.  Every peer
-    starts marked for reconcile, so the first cadence converges regions
+    than that is reconciled instead of re-shipped.  Each cross-region
+    exchange waits {!Replica.peer_timeout_ns}.  Every peer starts
+    marked for reconcile, so the first cadence converges regions
     that were not born identical (e.g. the primary had pre-link writes)
     before incremental shipping begins. *)
 
-val regions : t -> string list
 val region : t -> string -> region
 
 val role : region -> role

@@ -1,9 +1,7 @@
 module Network = Idbox_net.Network
 module Clock = Idbox_kernel.Clock
 module Metrics = Idbox_kernel.Metrics
-module Server = Idbox_chirp.Server
 module Wire = Idbox_chirp.Wire
-module Revocations = Idbox_auth.Delegation.Revocations
 module Errno = Idbox_vfs.Errno
 
 type t = {
@@ -29,60 +27,31 @@ let metric t m =
 let call t ~addr payload =
   Network.call (Replica.net t.rp_node)
     ~src:(Replica.src t.rp_node)
-    ~timeout_ns:Replica.fwd_timeout_ns
+    ~timeout_ns:Replica.peer_timeout_ns
     ~addr:(Replica.repl_addr addr) payload
 
-(* The replica set responsible for a key under the node's current ring.
-   Root-key state (the export root's ACL) lives on every member, like
-   root-key mutations fan out to every member. *)
-let owners t key =
-  let ring = Replica.ring t.rp_node in
-  if String.equal key "/" then Ring.nodes ring
-  else Ring.successors ring key (Replica.replicas t.rp_node)
+(* The fields of [addr]'s reply; [] when the exchange or its decoding
+   failed. *)
+let ask t ~addr payload =
+  match call t ~addr payload with
+  | Ok reply -> Result.value (Wire.decode reply) ~default:[]
+  | Error _ -> []
 
-let primary_of t key =
-  if String.equal key "/" then Ring.lookup (Replica.ring t.rp_node) "/"
-  else match owners t key with [] -> None | p :: _ -> Some p
+let holders t = Replica.holders t.rp_node
+let addr_of t peer = Membership.addr_of (Replica.membership t.rp_node) peer
 
-(* The digest the primary compares against, computed locally.  For the
-   root key only the ACL text counts: every node legitimately holds a
-   different set of top-level directories (its own shards), so child
-   names must not enter the comparison. *)
-let local_digest t key =
-  let server = Replica.server t.rp_node in
-  if String.equal key "/" then
-    match Server.snapshot_subtree ~recurse:false server "/" with
-    | Ok (Server.Snap_dir { acl; _ } :: _) ->
-      Ok (Digest.to_hex (Digest.string acl))
-    | Ok _ -> Ok ""
-    | Error e -> Error e
-  else Server.subtree_digest server key
-
-(* Ship this node's authoritative copy of [key] to [addr].  Root
-   repairs use the additive [install] verb (the ACL alone); everything
-   else uses [repair], which also deletes divergent extras. *)
+(* Ship this node's authoritative copy of [key] to [addr]
+   ({!Shard.repair_request}: the install verb at the root, the exact
+   repair verb below it). *)
 let push t ~key ~peer ~addr =
-  let is_root = String.equal key "/" in
-  let server = Replica.server t.rp_node in
-  match Server.snapshot_subtree ~recurse:(not is_root) server key with
+  match Shard.snapshot (holders t) key with
   | Error _ -> metric t "cluster.repair.fail"
   | Ok entries ->
-    let blobs = List.map Replica.encode_entry entries in
-    let payload =
-      if is_root then Wire.encode ("install" :: blobs)
-      else Wire.encode ("repair" :: key :: blobs)
-    in
-    (match call t ~addr payload with
-     | Ok reply when (match Wire.decode reply with
-                      | Ok [ "ok" ] -> true
-                      | _ -> false) ->
-       metric t "cluster.repair.push"
-     | Ok _ ->
+    (match ask t ~addr (Shard.repair_request key entries) with
+     | [ "ok" ] -> metric t "cluster.repair.push"
+     | _ ->
        metric t "cluster.repair.fail";
-       Replica.note_pending t.rp_node ~key ~peer ~errno:"EIO"
-     | Error e ->
-       metric t "cluster.repair.fail";
-       Replica.note_pending t.rp_node ~key ~peer ~errno:(Errno.to_string e))
+       Replica.note_pending t.rp_node ~key ~peer)
 
 (* The primary holds no copy of [key] at all, but some peer does — the
    key was created on the other side of a partition (acknowledged
@@ -95,25 +64,19 @@ let push t ~key ~peer ~addr =
 let adopt t key peers =
   List.exists
     (fun peer ->
-      match Membership.addr_of (Replica.membership t.rp_node) peer with
+      match addr_of t peer with
       | None -> false
       | Some addr ->
-        (match call t ~addr (Wire.encode [ "snapshot"; key; "all" ]) with
-         | Ok reply ->
-           (match Wire.decode reply with
-            | Ok ("ok" :: (_ :: _ as blobs)) ->
-              (match Replica.decode_entries blobs with
-               | Error _ -> false
-               | Ok entries ->
-                 (match
-                    Server.install_snapshot (Replica.server t.rp_node) entries
-                  with
-                  | Ok () ->
-                    metric t "cluster.repair.adopt";
-                    true
-                  | Error _ -> false))
-            | Ok _ | Error _ -> false)
-         | Error _ -> false))
+        (match ask t ~addr (Shard.snapshot_request key) with
+         | "ok" :: (_ :: _ as blobs) ->
+           (match
+              Result.map (Shard.adopt (holders t)) (Shard.decode_entries blobs)
+            with
+            | Ok (Ok ()) ->
+              metric t "cluster.repair.adopt";
+              true
+            | Ok (Error _) | Error _ -> false)
+         | _ -> false))
     peers
 
 (* As the key's primary, compare digests with each owner (plus any
@@ -124,44 +87,39 @@ let rec repair_key ?(adopted = false) t key ~extra =
   let self = Replica.name t.rp_node in
   let peers =
     List.sort_uniq String.compare
-      (List.filter (fun n -> not (String.equal n self)) (owners t key @ extra))
+      (List.filter
+         (fun n -> not (String.equal n self))
+         (Shard.owners (Replica.ring t.rp_node) key @ extra))
   in
   if peers <> [] then
-    match local_digest t key with
-    | Error Errno.ENOENT when (not adopted) && not (String.equal key "/") ->
+    match Shard.digest (holders t) key with
+    | Error Errno.ENOENT when not adopted ->
       if adopt t key peers then repair_key ~adopted:true t key ~extra
       else metric t "cluster.repair.fail"
     | Error _ -> metric t "cluster.repair.fail"
     | Ok mine ->
-      let depth = if String.equal key "/" then "acl" else "all" in
       List.iter
         (fun peer ->
-          match Membership.addr_of (Replica.membership t.rp_node) peer with
+          match addr_of t peer with
           | None -> ()
           | Some addr ->
             metric t "cluster.repair.check";
-            (match call t ~addr (Wire.encode [ "digest"; key; depth ]) with
-             | Ok reply ->
-               (match Wire.decode reply with
-                | Ok [ "ok"; theirs ] when String.equal theirs mine ->
-                  metric t "cluster.repair.clean"
-                | Ok [ "ok"; _ ] ->
-                  metric t "cluster.repair.diverged";
-                  push t ~key ~peer ~addr
-                | Ok _ | Error _ ->
-                  metric t "cluster.repair.fail";
-                  Replica.note_pending t.rp_node ~key ~peer ~errno:"EIO")
-             | Error e ->
+            (match ask t ~addr (Shard.digest_request key) with
+             | [ "ok"; theirs ] when String.equal theirs mine ->
+               metric t "cluster.repair.clean"
+             | [ "ok"; _ ] ->
+               metric t "cluster.repair.diverged";
+               push t ~key ~peer ~addr
+             | _ ->
                metric t "cluster.repair.fail";
-               Replica.note_pending t.rp_node ~key ~peer
-                 ~errno:(Errno.to_string e)))
+               Replica.note_pending t.rp_node ~key ~peer))
         peers
 
 (* Not the primary for this key: hand the work to whoever is, naming
    ourselves so the primary's check includes this copy even if the ring
    no longer lists us as an owner. *)
 let handoff t ~key ~primary =
-  match Membership.addr_of (Replica.membership t.rp_node) primary with
+  match addr_of t primary with
   | None -> ()
   | Some addr ->
     metric t "cluster.repair.handoff";
@@ -169,39 +127,28 @@ let handoff t ~key ~primary =
       (call t ~addr (Wire.encode [ "hint"; key; Replica.name t.rp_node ]))
 
 let dispatch t key ~extra =
-  match primary_of t key with
+  match Ring.lookup (Replica.ring t.rp_node) key with
   | None -> ()
   | Some p when String.equal p (Replica.name t.rp_node) ->
     repair_key t key ~extra
   | Some p -> handoff t ~key ~primary:p
 
-(* Revocation-epoch gossip: exchange (delegator, epoch) entries with
-   every other member.  Merges are pointwise max — monotone — so the
-   exchange is idempotent and order-free; [Revoke] fan-out covers the
-   connected case, this sweep heals whatever a partition dropped.  The
-   reply carries the peer's entries back, so one successful exchange
-   converges the pair in a single round trip. *)
+(* Revocation-epoch gossip with every other member, one
+   {!Shard.exchange_epochs} each: [Revoke] fan-out covers the connected
+   case, this sweep heals whatever a partition dropped, and one
+   successful exchange converges the pair. *)
 let gossip_epochs t =
   let self = Replica.name t.rp_node in
-  let server = Replica.server t.rp_node in
   List.iter
     (fun peer ->
       if not (String.equal peer self) then
-        match Membership.addr_of (Replica.membership t.rp_node) peer with
+        match addr_of t peer with
         | None -> ()
         | Some addr ->
           metric t "cluster.revocation.gossip";
-          (match
-             call t ~addr
-               (Wire.encode
-                  ("epochs" :: Revocations.to_fields (Server.epoch_entries server)))
-           with
-           | Ok reply ->
-             (match Wire.decode reply with
-              | Ok ("ok" :: fields) ->
-                ignore (Server.merge_epochs server (Revocations.of_fields fields))
-              | Ok _ | Error _ -> metric t "cluster.repair.fail")
-           | Error _ -> metric t "cluster.repair.fail"))
+          (match Shard.exchange_epochs (holders t) (call t ~addr) with
+           | Ok true -> ()
+           | Ok false | Error _ -> metric t "cluster.repair.fail"))
     (Ring.nodes (Replica.ring t.rp_node))
 
 let sweep t =
@@ -214,12 +161,7 @@ let sweep t =
      partition, crashed pusher) — a revoked chain kept working on the
      ignorant node until some unrelated divergence woke its sweep. *)
   gossip_epochs t;
-  let keys =
-    match Server.shard_roots (Replica.server t.rp_node) with
-    | Ok ks -> ks
-    | Error _ -> []
-  in
-  List.iter (fun key -> dispatch t key ~extra:[]) ("/" :: keys)
+  List.iter (fun key -> dispatch t key ~extra:[]) (Shard.keys (holders t))
 
 let tick t =
   let node = t.rp_node in
@@ -235,10 +177,10 @@ let tick t =
     t.rp_heal_pending <- true
   end
   else begin
-    let pending = Replica.take_pending node in
-    List.iter (fun (key, peer, _errno) ->
+    List.iter
+      (fun (key, peer) ->
         dispatch t key ~extra:(if String.equal peer "" then [] else [ peer ]))
-      (List.sort_uniq compare (List.map (fun (k, p, _) -> (k, p, "")) pending));
+      (Replica.take_pending node);
     if t.rp_heal_pending || Int64.sub now t.rp_last_sweep >= t.rp_interval_ns
     then begin
       t.rp_heal_pending <- false;

@@ -1,18 +1,16 @@
-(** Anti-entropy repair: background digest exchange and divergence
-    repair for a replicated Chirp cluster.
+(** Anti-entropy repair within a region: background digest exchange and
+    divergence repair between the owners of each shard key.
 
     Forwarding keeps replicas converged only while every forward lands;
     a partition, a crash mid-replication, or a shed request leaves
-    replicas silently diverged until the next overwrite.  This module
-    closes the gap with the classic anti-entropy loop: the {e primary}
-    of each shard key periodically compares Merkle-style subtree
-    digests ({!Idbox_chirp.Server.subtree_digest}) with the key's other
-    owners and, where they differ, ships its authoritative subtree with
-    the exact-install verb — extras on the replica are deleted, so
-    digests converge rather than merely growing.  Digest comparisons
-    are cheap when nothing changed: each side memoizes per-directory
-    digests under generation tokens, so a clean check costs a
-    revalidation, not a re-hash.
+    replicas silently diverged until the next overwrite.  The
+    {e primary} of each key (the first member clockwise) compares its
+    {!Shard.digest} with each other owner's over the ["#repl"] channel
+    and, where they differ, pushes its {!Shard.snapshot}, which the
+    owner installs by {!Shard.install}'s rule: exactly below the root,
+    extras deleted, so digests converge rather than merely grow.  A
+    clean check is cheap: each side memoizes per-directory digests
+    under generation tokens, so it costs a revalidation, not a re-hash.
 
     Three triggers feed the loop, checked on every {!tick}:
 
@@ -37,10 +35,10 @@
     One asymmetric case: a primary that holds {e no} copy of a hinted
     key (it was created on the other side of a partition and never
     replicated) first {e adopts} a reachable peer's snapshot as its own
-    ([cluster.repair.adopt]) and then repairs normally — acknowledged
-    minority-side creations survive the heal by arriving at the
-    primary.  Without tombstones, the same rule can resurrect a shard
-    root deleted while a stale copy survived elsewhere; the DESIGN
+    ({!Shard.adopt}, [cluster.repair.adopt]) and then repairs normally
+    — acknowledged minority-side creations survive the heal by arriving
+    at the primary.  Without tombstones, the same rule can resurrect a
+    shard root deleted while a stale copy survived elsewhere; the DESIGN
     failure-mode table records this as the accepted cost.
 
     Repair preserves identity consistency: shipped subtrees carry ACL
@@ -65,19 +63,15 @@ val tick : t -> unit
 
 val sweep : t -> unit
 (** Force a full sweep now (tests and the CLI use this to make
-    convergence synchronous).  Includes a revocation-epoch gossip
-    round ({!gossip_epochs}) when the local store is non-empty — a
-    node that knows nothing has nothing to push, and anything it is
-    missing reaches it through a knowing peer's sweep. *)
+    convergence synchronous): a {!gossip_epochs} round, then every local
+    key ({!Shard.keys}), the root first. *)
 
 val gossip_epochs : t -> unit
-(** Exchange revocation epochs ({!Idbox_chirp.Server.epoch_entries})
-    with every other ring member and max-merge both directions — the
-    anti-entropy path that makes a [Revoke] issued during a partition
-    reach the minority side after the heal.  Runs as part of every
-    {!sweep} whose local store is non-empty; exposed so chaos tests can
-    heal revocation state without a full data sweep (the explicit call
-    always exchanges, even with an empty store — the bidirectional
-    merge is how a partitioned minority {e pulls} epochs it missed).
-    Counters: [cluster.revocation.gossip] per peer contacted,
-    [cluster.repair.fail] on unreachable peers. *)
+(** One {!Shard.exchange_epochs} with every other ring member: the path
+    that makes a [Revoke] issued during a partition reach the minority
+    side after the heal.  Every {!sweep} runs it, even with an empty
+    local store, since the exchange is how a node that knows nothing
+    {e pulls} the epochs it missed; exposed so chaos tests can heal
+    revocation state without a full data sweep.  Counters:
+    [cluster.revocation.gossip] per peer contacted, [cluster.repair.fail]
+    on unreachable peers. *)

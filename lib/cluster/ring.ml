@@ -1,5 +1,7 @@
+(* Points per member on the circle. *)
+let vnodes = 64
+
 type t = {
-  rg_vnodes : int;
   rg_nodes : string list;  (* sorted, unique *)
   points : (int64 * string) array;  (* sorted by (unsigned hash, name) *)
 }
@@ -18,7 +20,7 @@ let compare_points (h1, n1) (h2, n2) =
   | 0 -> String.compare n1 n2
   | c -> c
 
-let build vnodes names =
+let create names =
   let nodes = List.sort_uniq String.compare names in
   let points =
     Array.of_list
@@ -29,21 +31,18 @@ let build vnodes names =
          nodes)
   in
   Array.sort compare_points points;
-  { rg_vnodes = vnodes; rg_nodes = nodes; points }
-
-let create ?(vnodes = 64) names = build (max 1 vnodes) names
+  { rg_nodes = nodes; points }
 
 let nodes t = t.rg_nodes
-let vnodes t = t.rg_vnodes
 let is_empty t = t.rg_nodes = []
 
 let add t node =
   if List.mem node t.rg_nodes then t
-  else build t.rg_vnodes (node :: t.rg_nodes)
+  else create (node :: t.rg_nodes)
 
 let remove t node =
   if List.mem node t.rg_nodes then
-    build t.rg_vnodes (List.filter (fun n -> not (String.equal n node)) t.rg_nodes)
+    create (List.filter (fun n -> not (String.equal n node)) t.rg_nodes)
   else t
 
 (* Index of the first point at or clockwise from [h], wrapping. *)

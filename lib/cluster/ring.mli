@@ -2,7 +2,7 @@
 
     Keys (namespace prefixes) and nodes hash onto the same 64-bit
     circle; a key belongs to the first node point at or clockwise from
-    its hash.  Each node contributes [vnodes] points, smoothing the
+    its hash.  Each node contributes 64 points, smoothing the
     load split.  Hashing is MD5-based, so placement is deterministic
     across runs and processes — a property the cluster's byte-identical
     chaos replays rely on.
@@ -14,14 +14,11 @@
 
 type t
 
-val create : ?vnodes:int -> string list -> t
-(** A ring over the given node names (duplicates collapsed).
-    [vnodes] defaults to 64 points per node. *)
+val create : string list -> t
+(** A ring over the given node names (duplicates collapsed). *)
 
 val nodes : t -> string list
 (** Member names, sorted. *)
-
-val vnodes : t -> int
 
 val is_empty : t -> bool
 
@@ -30,9 +27,6 @@ val add : t -> string -> t
 
 val remove : t -> string -> t
 (** The ring without a node (no-op when absent). *)
-
-val key_hash : string -> int64
-(** The position a key occupies on the circle (exposed for tests). *)
 
 val lookup : t -> string -> string option
 (** The node owning a key; [None] on an empty ring. *)

@@ -14,8 +14,6 @@ type t = {
   rt_policy : Client.retry_policy;
   rt_creds : Idbox_auth.Credential.t list;
   rt_membership : Membership.t;
-  rt_replicas : int;
-  rt_vnodes : int;
   rt_trace : Trace.ring option;
   rt_conns : (string, Client.t) Hashtbl.t;  (* keyed by node name *)
   mutable rt_ring : Ring.t;
@@ -79,7 +77,7 @@ let breaker_for t name =
 let note_prefix t key = Hashtbl.replace t.rt_prefixes key ()
 
 let node_for t path =
-  Ring.lookup t.rt_ring (Replica.shard_key path)
+  Ring.lookup t.rt_ring (Shard.key path)
 
 (* An authenticated session with one shard, opened on demand and
    cached.  The identity invariant is enforced here: a shard that
@@ -143,13 +141,11 @@ let sync t =
   | Ok false -> ()
   | Ok true ->
     let new_view = Membership.view t.rt_membership in
-    let after =
-      Ring.create ~vnodes:t.rt_vnodes (List.map fst new_view)
-    in
+    let after = Ring.create (List.map fst new_view) in
     metric t "cluster.rebalance";
     let migrations =
       Replica.rebalance t.rt_net ~src:t.rt_src ~before:t.rt_ring ~after
-        ~old_view:t.rt_view ~new_view ~replicas:t.rt_replicas
+        ~old_view:t.rt_view ~new_view
         ~prefixes:
           (List.sort String.compare
              (Hashtbl.fold (fun key () acc -> key :: acc) t.rt_prefixes []))
@@ -184,7 +180,7 @@ let route t key =
       owners
     | None ->
       metric t "cluster.route.cache.miss";
-      let owners = Ring.successors t.rt_ring key t.rt_replicas in
+      let owners = Ring.successors t.rt_ring key Shard.replicas in
       Hashtbl.replace t.rt_route_cache key owners;
       owners
   in
@@ -254,7 +250,7 @@ let read_repair_hint t key =
    wrong. *)
 let read_on t path f =
   let attempt () =
-    let owners = route t (Replica.shard_key path) in
+    let owners = route t (Shard.key path) in
     let tried = ref false in
     let call c =
       tried := true;
@@ -298,7 +294,7 @@ let read_on t path f =
   let r = retry_once t attempt in
   (match r with
    | Ok _ when t.rt_failovers > failovers_before ->
-     read_repair_hint t (Replica.shard_key path)
+     read_repair_hint t (Shard.key path)
    | _ -> ());
   r
 
@@ -309,12 +305,12 @@ let read_on t path f =
    faults too. *)
 let write_on t path f =
   retry_once t (fun () ->
-      match route t (Replica.shard_key path) with
+      match route t (Shard.key path) with
       | [] -> Error Errno.EHOSTUNREACH
       | primary :: _ -> exchange t primary f)
 
-let connect ?(src = "client") ?(policy = Client.default_policy) ?(replicas = 2)
-    ?(vnodes = 64) ?trace net ~catalog ~credentials =
+let connect ?(src = "client") ?(policy = Client.default_policy) ?trace net
+    ~catalog ~credentials =
   let membership = Membership.create ~src net ~catalog in
   match Membership.refresh membership with
   | Error e -> Error ("cluster: catalog unreachable: " ^ e)
@@ -329,11 +325,9 @@ let connect ?(src = "client") ?(policy = Client.default_policy) ?(replicas = 2)
           rt_policy = policy;
           rt_creds = credentials;
           rt_membership = membership;
-          rt_replicas = max 1 replicas;
-          rt_vnodes = vnodes;
           rt_trace = trace;
           rt_conns = Hashtbl.create 8;
-          rt_ring = Ring.create ~vnodes (List.map fst view);
+          rt_ring = Ring.create (List.map fst view);
           rt_view = view;
           rt_principal = "";
           rt_prefixes = Hashtbl.create 32;
@@ -393,7 +387,7 @@ let setacl t ~path ~entry =
   write_on t path (fun c -> Client.setacl c ~path ~entry)
 
 let rename t ~src ~dst =
-  if String.equal (Replica.shard_key src) (Replica.shard_key dst) then
+  if String.equal (Shard.key src) (Shard.key dst) then
     write_on t src (fun c -> Client.rename c ~src ~dst)
   else begin
     (* Shards are disjoint namespaces on (generally) different servers:
@@ -404,9 +398,9 @@ let rename t ~src ~dst =
 
 let exec t ?cwd ~path ~args () =
   let cwd = match cwd with Some c -> c | None -> Path.dirname path in
-  let cwd_key = Replica.shard_key cwd in
+  let cwd_key = Shard.key cwd in
   if
-    String.equal cwd_key (Replica.shard_key path)
+    String.equal cwd_key (Shard.key path)
     || String.equal cwd_key "/"  (* the root exists on every shard *)
   then write_on t path (fun c -> Client.exec c ~cwd ~path ~args ())
   else begin
@@ -421,9 +415,9 @@ let exec t ?cwd ~path ~args () =
    so a replica that already heard a [Revoke] refuses the replay. *)
 let exec_delegated t ~chain ?cwd ~path ~args () =
   let cwd = match cwd with Some c -> c | None -> Path.dirname path in
-  let cwd_key = Replica.shard_key cwd in
+  let cwd_key = Shard.key cwd in
   if
-    String.equal cwd_key (Replica.shard_key path)
+    String.equal cwd_key (Shard.key path)
     || String.equal cwd_key "/"
   then begin
     metric t "cluster.delegated_exec";

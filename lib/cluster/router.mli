@@ -41,8 +41,6 @@ type 'a r := ('a, Idbox_vfs.Errno.t) result
 val connect :
   ?src:string ->
   ?policy:Idbox_chirp.Client.retry_policy ->
-  ?replicas:int ->
-  ?vnodes:int ->
   ?trace:Idbox_kernel.Trace.ring ->
   Idbox_net.Network.t ->
   catalog:string ->
@@ -51,9 +49,9 @@ val connect :
 (** Discover the membership from [catalog], authenticate to every
     member, and verify the negotiated principal is identical
     everywhere.  Fails when the catalog is unreachable, no servers are
-    advertised, or the identity invariant does not hold.  [replicas]
-    (default 2) and [vnodes] (default 64) must match the values the
-    nodes were attached with. *)
+    advertised, or the identity invariant does not hold.  A key routes
+    to the first {!Shard.replicas} members clockwise from it on the
+    ring. *)
 
 val principal : t -> string
 (** The single cluster-wide principal, verified across all shards. *)

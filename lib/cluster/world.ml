@@ -33,8 +33,6 @@ type t = {
   w_ca : Ca.t;
   w_catalog : Catalog.t;
   w_root_acl : Acl.t;
-  w_replicas : int;
-  w_vnodes : int;
   w_hb_interval_ns : int64;
   w_repair_ns : int64;
   w_trace : Trace.ring option;
@@ -59,8 +57,8 @@ let default_root_acl =
    universe, exactly as before. *)
 let create ?clock ?net ?ca ?(catalog_addr = catalog_address) ?staleness_ns
     ?(heartbeat_interval_ns = 60_000_000_000L)
-    ?(repair_interval_ns = 30_000_000_000L) ?(replicas = 2) ?(vnodes = 64)
-    ?(root_acl = default_root_acl) ?trace () =
+    ?(repair_interval_ns = 30_000_000_000L) ?(root_acl = default_root_acl)
+    ?trace () =
   let clock =
     match (clock, net) with
     | Some c, _ -> c
@@ -77,8 +75,6 @@ let create ?clock ?net ?ca ?(catalog_addr = catalog_address) ?staleness_ns
     w_ca = (match ca with Some ca -> ca | None -> Ca.create ~name:"Grid CA");
     w_catalog = catalog;
     w_root_acl = root_acl;
-    w_replicas = max 1 replicas;
-    w_vnodes = vnodes;
     w_hb_interval_ns = heartbeat_interval_ns;
     w_repair_ns = repair_interval_ns;
     w_trace = trace;
@@ -91,7 +87,7 @@ let clock t = t.w_clock
 let ca t = t.w_ca
 let catalog_addr t = Catalog.addr t.w_catalog
 let catalog t = t.w_catalog
-let replicas t = t.w_replicas
+let replicas _ = Shard.replicas
 
 let default_acceptor t =
   Negotiate.acceptor ~trusted_cas:[ t.w_ca ]
@@ -140,8 +136,7 @@ let add_node ?acceptor t ~host =
          in
          let replica =
            Replica.attach ~net:t.w_net ~server ~name
-             ~catalog:(Catalog.addr t.w_catalog)
-             ~replicas:t.w_replicas ~vnodes:t.w_vnodes ?trace:t.w_trace ()
+             ~catalog:(Catalog.addr t.w_catalog) ?trace:t.w_trace ()
          in
          let m =
            {
@@ -209,14 +204,18 @@ let repair t name = (find t name).m_repair
 let repair_sweep t =
   List.iter (fun m -> if m.m_beating then Repair.sweep m.m_repair) t.w_members
 
+(* A crashed member takes no replication traffic: its [#repl] endpoint
+   goes down and comes back with its Chirp endpoint. *)
 let crash t name =
   let m = find t name in
   Server.crash m.m_server;
+  Network.crash t.w_net ~addr:(Replica.repl_addr (Server.addr m.m_server));
   m.m_beating <- false
 
 let restart t name =
   let m = find t name in
   Server.restart m.m_server;
+  Network.restart t.w_net ~addr:(Replica.repl_addr (Server.addr m.m_server));
   m.m_beating <- true
 
 let issue t cn =
@@ -235,6 +234,5 @@ let delegate ?(ttl_ns = 3_600_000_000_000L) ?(hops = 4) ?epoch t ~delegator
     ~now:(Clock.now t.w_clock) ~ttl_ns ~hops ?epoch ()
 
 let connect ?src ?policy t ~credentials =
-  Router.connect ?src ?policy ~replicas:t.w_replicas ~vnodes:t.w_vnodes
-    ?trace:t.w_trace t.w_net ~catalog:(Catalog.addr t.w_catalog)
-    ~credentials
+  Router.connect ?src ?policy ?trace:t.w_trace t.w_net
+    ~catalog:(Catalog.addr t.w_catalog) ~credentials

@@ -19,8 +19,6 @@ val create :
   ?staleness_ns:int64 ->
   ?heartbeat_interval_ns:int64 ->
   ?repair_interval_ns:int64 ->
-  ?replicas:int ->
-  ?vnodes:int ->
   ?root_acl:Idbox_acl.Acl.t ->
   ?trace:Idbox_kernel.Trace.ring ->
   unit ->
@@ -46,6 +44,7 @@ val catalog : t -> Idbox_chirp.Catalog.t
 (** The world's catalog service (e.g. to inspect live entries). *)
 
 val replicas : t -> int
+(** {!Shard.replicas}: R, the size of every key's replica set. *)
 
 val add_node :
   ?acceptor:Idbox_auth.Negotiate.acceptor ->
@@ -101,10 +100,14 @@ val repair_sweep : t -> unit
 
 val crash : t -> string -> unit
 (** Crash a member's server {e and} stop its heartbeat: the lease ages
-    out and the catalog ejects it. *)
+    out and the catalog ejects it.  Its replication endpoint goes down
+    with its Chirp endpoint, so a crashed member takes no replication
+    traffic: forwards and repairs to it fail and leave the key pending
+    repair. *)
 
 val restart : t -> string -> unit
-(** Restart after {!crash}; the next {!tick} re-registers the lease. *)
+(** Restart after {!crash}, both endpoints; the next {!tick}
+    re-registers the lease. *)
 
 val issue : t -> string -> Idbox_auth.Credential.t
 (** A GSI credential for [/O=Grid/CN=<name>], signed by the world CA. *)
@@ -137,4 +140,4 @@ val connect :
   credentials:Idbox_auth.Credential.t list ->
   (Router.t, string) result
 (** {!Router.connect} against this world's catalog, with the world's
-    replica count, vnode count and trace ring. *)
+    trace ring. *)

@@ -141,7 +141,6 @@ end
 type t = {
   nw_clock : Clock.t;
   endpoints : (string, endpoint) Hashtbl.t;
-  groups : (string, string list) Hashtbl.t;
   latency_ns : int64;
   ns_per_byte : float;
   nw_metrics : Metrics.t;
@@ -171,7 +170,6 @@ let create ~clock ?(latency_us = 100.) ?(bandwidth_mbps = 100.) ?metrics
   {
     nw_clock = clock;
     endpoints = Hashtbl.create 8;
-    groups = Hashtbl.create 4;
     latency_ns = Clock.of_micros latency_us;
     (* bits/s -> ns/byte *)
     ns_per_byte = 8e3 /. bandwidth_mbps;
@@ -512,40 +510,28 @@ let total_messages t = t.messages
 
 let total_bytes t = t.bytes
 
-(* {1 Endpoint groups} *)
+(* {1 Hedged calls} *)
 
-let define_group t ~name ~addrs = Hashtbl.replace t.groups name addrs
-
-let drop_group t ~name = Hashtbl.remove t.groups name
-
-(* Transport failures worth trying the next group member for.  A
+(* Transport failures worth trying the next address for.  A
    handler-level error (anything the endpoint answered) stops the
-   sweep: the group members are replicas of one service, so an
-   application verdict from one speaks for all. *)
+   sweep: the addresses are replicas of one service, so an application
+   verdict from one speaks for all. *)
 let hedgeable = function
   | Errno.ETIMEDOUT | Errno.ECONNRESET | Errno.ECONNREFUSED
   | Errno.EHOSTUNREACH -> true
   | _ -> false
 
-let call_any t ?(src = "client") ?timeout_ns ~group payload =
-  let addrs =
-    match Hashtbl.find_opt t.groups group with
-    | Some l -> l
-    | None -> [ group ]  (* a bare address is a group of one *)
-  in
-  let rec sweep last = function
-    | [] ->
-      (match last with
-       | Some e -> Error e
-       | None -> Error Errno.EHOSTUNREACH)
+let call_any t ?(src = "client") ?timeout_ns ~addrs payload =
+  let rec sweep = function
+    | [] -> Error Errno.EHOSTUNREACH
     | addr :: rest ->
       (match call t ~src ?timeout_ns ~addr payload with
        | Ok response -> Ok (addr, response)
        | Error e when hedgeable e && rest <> [] ->
-         (* Hedged failover: this member is unreachable, the next may
+         (* Hedged failover: this address is unreachable, the next may
             not be. *)
          Metrics.incr t.c_hedge;
-         sweep (Some e) rest
+         sweep rest
        | Error e -> Error e)
   in
-  sweep None addrs
+  sweep addrs

@@ -182,33 +182,24 @@ val busy_ns : t -> addr:string -> int64
 val total_messages : t -> int
 val total_bytes : t -> int
 
-(** {1 Endpoint groups}
-
-    A group names an ordered set of addresses standing in for one
-    logical service (the replica set of a shard).  {!call_any} sweeps
-    the members in order, failing over on transport-level errors
-    ([ETIMEDOUT]/[ECONNRESET]/[ECONNREFUSED]/[EHOSTUNREACH], counted as
-    [net.hedge]) and stopping on the first reachable member's answer —
-    an application-level error from a live member is a verdict, not a
-    reason to shop around. *)
-
-val define_group : t -> name:string -> addrs:string list -> unit
-(** Define (or redefine) group [name]. *)
-
-val drop_group : t -> name:string -> unit
+(** {1 Hedged calls} *)
 
 val call_any :
   t ->
   ?src:string ->
   ?timeout_ns:int64 ->
-  group:string ->
+  addrs:string list ->
   string ->
   (string * string, Idbox_vfs.Errno.t) result
-(** [call_any t ~group payload] calls the group's members in order
-    until one answers; returns the answering address and its response.
-    An unknown group name is treated as a group of one literal
-    address.  The last transport error is returned when every member
-    is unreachable. *)
+(** [call_any t ~addrs payload] calls the addresses in order, standing
+    in for one logical service (the replicas of a shard), until one
+    answers; returns the answering address and its response.  A
+    transport-level failure ([ETIMEDOUT]/[ECONNRESET]/[ECONNREFUSED]/
+    [EHOSTUNREACH]) moves on to the next address, counted as
+    [net.hedge]; the first answer ends the sweep, since an
+    application-level error from a live address is a verdict, not a
+    reason to shop around.  The last address's transport error is
+    returned when none answers, [EHOSTUNREACH] when [addrs] is empty. *)
 
 (** {1 Fault injection} *)
 

@@ -555,6 +555,7 @@ module World = Idbox_cluster.World
 module Router = Idbox_cluster.Router
 module Ring = Idbox_cluster.Ring
 module Replica = Idbox_cluster.Replica
+module Shard = Idbox_cluster.Shard
 
 let transient_errno = function
   | Errno.ETIMEDOUT | Errno.ECONNRESET | Errno.ECONNREFUSED
@@ -1347,9 +1348,12 @@ let endpoints_total_under_mangling () =
   let alice = World.principal_of "Alice" in
   let op = Protocol.operation_to_wire (Protocol.Mkdir "/mangled") in
   let entry =
-    Replica.encode_entry (Server.Snap_dir { path = "/mangled"; acl = "" })
+    Shard.encode_entry (Server.Snap_dir { path = "/mangled"; acl = "" })
   in
   let member = World.server west (List.hd (World.members west)) in
+  (* Every verb each endpoint answers: its own, then the anti-entropy
+     verbs of [Shard.answer], which the geo endpoint fences where they
+     install. *)
   let endpoints =
     [
       ( "geo.west.grid.edu:9098",
@@ -1357,16 +1361,25 @@ let endpoints_total_under_mangling () =
           [ "seg"; "east"; "1"; "1"; "1";
             Idbox_chirp.Wal.frame_segment [ Wire.encode [ "m"; alice; op ] ] ];
           [ "hb"; "east"; "1"; "1" ];
-          [ "repair"; "east"; "1"; "/mangled"; entry ];
+          [ "repair"; "east"; "1"; "mangled"; entry ];
           [ "reconciled"; "east"; "1"; "1" ];
           [ "epochs"; alice; "2" ];
+          [ "install"; "east"; "1"; entry ];
+          [ "digest"; "mangled" ];
+          [ "snapshot"; "mangled" ];
+          [ "roots" ];
         ] );
       ( Replica.repl_addr (Server.addr member),
         [
           [ "apply"; alice; op ];
           [ "install"; entry ];
-          [ "digest"; "/mangled"; "dir" ];
+          [ "digest"; "/mangled"; "all" ];
           [ "epochs"; alice; "2" ];
+          [ "digest"; "/"; "acl" ];
+          [ "repair"; "mangled"; entry ];
+          [ "snapshot"; "mangled"; "all" ];
+          [ "hint"; "mangled"; "wa" ];
+          [ "roots" ];
         ] );
     ]
   in

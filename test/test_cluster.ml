@@ -17,6 +17,7 @@ module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
 module Ring = Idbox_cluster.Ring
 module Replica = Idbox_cluster.Replica
+module Shard = Idbox_cluster.Shard
 module Router = Idbox_cluster.Router
 module World = Idbox_cluster.World
 module Errno = Idbox_vfs.Errno
@@ -84,7 +85,7 @@ let routing_shards_and_replicates () =
   let ring = Ring.create (World.members w) in
   List.iter
     (fun d ->
-      let key = Replica.shard_key d in
+      let key = Shard.key d in
       let owners = Ring.successors ring key 2 in
       List.iter
         (fun name ->
@@ -206,7 +207,7 @@ let join_migrates_only_affected_ranges () =
   let gained_total =
     List.fold_left
       (fun acc d ->
-        let key = Replica.shard_key d in
+        let key = Shard.key d in
         let old_owners = Ring.successors before key 2 in
         let new_owners = Ring.successors after key 2 in
         acc
@@ -226,7 +227,7 @@ let join_migrates_only_affected_ranges () =
   (* ...and the newcomer holds exactly what it gained. *)
   List.iter
     (fun d ->
-      let key = Replica.shard_key d in
+      let key = Shard.key d in
       let new_owners = Ring.successors after key 2 in
       let snap =
         ok "snapshot delta" (Server.snapshot_subtree (World.server w "delta") d)
@@ -537,6 +538,66 @@ let failover_read_does_not_wait_for_hint () =
   Alcotest.(check bool) "the breaker short-circuits the primary" true
     (counter w "cluster.breaker.skip" > 0)
 
+(* A crashed member takes no replication traffic: [World.crash] takes
+   its replication endpoint down with its Chirp endpoint, so the
+   primary's forward to it fails and leaves the key pending repair,
+   instead of landing in a server that is down.  After the restart a
+   repair sweep brings it the key. *)
+let crashed_member_takes_no_forwards () =
+  let w = three_node_world () in
+  let r = connect_alice w in
+  let secondary =
+    match owners_of w "k1" with [ _; s ] -> s | _ -> Alcotest.fail "two owners"
+  in
+  World.crash w secondary;
+  let holds () =
+    ok "snapshot" (Server.snapshot_subtree (World.server w secondary) "/k1")
+    <> []
+  in
+  let sent = counter w "cluster.replicate" in
+  let failed = counter w "cluster.replica.fail" in
+  ok "mkdir" (Router.mkdir r "/k1");
+  Alcotest.(check int) "one forward" (sent + 1) (counter w "cluster.replicate");
+  Alcotest.(check int) "it failed" (failed + 1)
+    (counter w "cluster.replica.fail");
+  Alcotest.(check bool) "the crashed member took nothing" false (holds ());
+  World.restart w secondary;
+  World.repair_sweep w;
+  Alcotest.(check bool) "repaired after the restart" true (holds ())
+
+(* A repair names a shard key.  [""] would name the whole export, and an
+   exact install there would delete every other shard on the member. *)
+let repair_names_a_shard_key () =
+  let w = three_node_world () in
+  let r = connect_alice w in
+  ok "mkdir" (Router.mkdir r "/data");
+  let owner = Option.get (Router.node_for r "/data") in
+  (match
+     Network.call (World.net w)
+       ~addr:(Replica.repl_addr (addr_of owner))
+       (Idbox_chirp.Wire.encode [ "repair"; "" ])
+   with
+   | Ok reply ->
+     Alcotest.(check (result (list string) string)) "refused"
+       (Ok [ "error"; "EINVAL" ]) (Idbox_chirp.Wire.decode reply)
+   | Error e -> Alcotest.fail (Errno.to_string e));
+  Alcotest.(check bool) "the owner's shard survives" true
+    (ok "snapshot" (Server.snapshot_subtree (World.server w owner) "/data")
+    <> [])
+
+(* A ring change gives joining members the root, last, copied from its
+   old owners; from an empty ring there is no old owner to copy from,
+   so there is no root move (and no lost migration to count). *)
+let moves_copy_the_root_from_old_owners () =
+  let moves before after =
+    Shard.moves ~before:(Ring.create before) ~after:(Ring.create after) []
+  in
+  Alcotest.(check (list (triple string (list string) (list string))))
+    "beta joins alpha" [ ("/", [ "alpha" ], [ "beta" ]) ]
+    (moves [ "alpha" ] [ "alpha"; "beta" ]);
+  Alcotest.(check (list (triple string (list string) (list string))))
+    "nothing to copy from an empty ring" [] (moves [] [ "alpha"; "beta" ])
+
 let suite =
   [
     Alcotest.test_case "routing shards and replicates with identity" `Quick
@@ -566,4 +627,10 @@ let suite =
       delayed_primary_still_answers;
     Alcotest.test_case "failover read does not wait for its hint" `Quick
       failover_read_does_not_wait_for_hint;
+    Alcotest.test_case "crashed member takes no forwards" `Quick
+      crashed_member_takes_no_forwards;
+    Alcotest.test_case "a repair names a shard key" `Quick
+      repair_names_a_shard_key;
+    Alcotest.test_case "moves copy the root from old owners" `Quick
+      moves_copy_the_root_from_old_owners;
   ]

@@ -19,6 +19,7 @@ module Principal = Idbox_identity.Principal
 module World = Idbox_cluster.World
 module Router = Idbox_cluster.Router
 module Geo = Idbox_cluster.Geo
+module Ring = Idbox_cluster.Ring
 module Errno = Idbox_vfs.Errno
 
 let ok ctx = function
@@ -34,7 +35,8 @@ let okr ctx = function
    catalogs, separate kernels, separate exports.  Host first labels are
    disjoint across regions so member names and export directories never
    collide. *)
-let geo_pair ?ship_interval_ns ?batch_max ?seed () =
+let geo_pair ?ship_interval_ns ?batch_max ?seed
+    ?(west_hosts = [ "wa.grid.edu"; "wb.grid.edu" ]) () =
   let clock = Clock.create () in
   let net = Network.create ~clock () in
   (match seed with
@@ -57,7 +59,7 @@ let geo_pair ?ship_interval_ns ?batch_max ?seed () =
     w
   in
   let east = mk "east" [ "ea.grid.edu"; "eb.grid.edu" ] in
-  let west = mk "west" [ "wa.grid.edu"; "wb.grid.edu" ] in
+  let west = mk "west" west_hosts in
   let geo =
     Geo.link ?ship_interval_ns ?batch_max ~primary:"east" net
       [ ("east", east); ("west", west) ]
@@ -389,6 +391,77 @@ let wan_windows_cover_both_regions () =
     (List.length eh * List.length wh)
     (List.length wins)
 
+(* A crashed member takes no replication traffic, and a record is never
+   dropped for want of a live owner.  West's two members own every key
+   (R = 2); with both down, east's mkdir is neither applied nor
+   acknowledged.  After they restart, the next round ships it again and
+   both hold it. *)
+let geo_apply_waits_for_a_live_owner () =
+  let _clock, _net, geo, east, west = geo_pair () in
+  let e = reader geo ~region:"east" ~world:east () in
+  let rw = Geo.region geo "west" and re = Geo.region geo "east" in
+  let holds m =
+    ok "snapshot" (Server.snapshot_subtree (World.server west m) "/k1") <> []
+  in
+  List.iter (World.crash west) (World.members west);
+  ok "mkdir" (Geo.mkdir e "/k1");
+  Geo.ship_now geo;
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (m ^ " took nothing while down") false (holds m))
+    (World.members west);
+  Alcotest.(check bool) "not acknowledged" true
+    (Geo.applied_lsn rw < Geo.tip re);
+  List.iter (World.restart west) (World.members west);
+  Geo.ship_now geo;
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (m ^ " holds it after restart") true (holds m))
+    (World.members west);
+  Alcotest.(check int) "caught the tip" (Geo.tip re) (Geo.applied_lsn rw)
+
+(* A record waits for its key's primary, not just for some live owner.
+   The primary has seen every acknowledged write and its repair installs
+   its copy exactly on the other owner, so a record applied on the other
+   owner alone would be deleted by the primary's first repair after its
+   restart.  West has three members here: [/k1] has one primary and one
+   other owner, and the crash takes down only the primary. *)
+let geo_apply_waits_for_the_primary () =
+  let _clock, _net, geo, east, west =
+    geo_pair ~west_hosts:[ "wa.grid.edu"; "wb.grid.edu"; "wc.grid.edu" ] ()
+  in
+  let e = reader geo ~region:"east" ~world:east () in
+  let rw = Geo.region geo "west" and re = Geo.region geo "east" in
+  ok "mkdir" (Geo.mkdir e "/k1");
+  Geo.ship_now geo;
+  let primary, other =
+    match Ring.successors (Ring.create (World.members west)) "k1" 2 with
+    | [ p; o ] -> (p, o)
+    | _ -> Alcotest.fail "two owners"
+  in
+  let holds m =
+    List.exists
+      (function
+        | Server.Snap_file { path; _ } -> String.equal path "/k1/f"
+        | Server.Snap_dir _ -> false)
+      (ok "snapshot" (Server.snapshot_subtree (World.server west m) "/k1"))
+  in
+  World.crash west primary;
+  ok "put" (Geo.put e ~path:"/k1/f" ~data:"v");
+  Geo.ship_now geo;
+  Alcotest.(check bool) "the other owner took nothing without the primary"
+    false (holds other);
+  Alcotest.(check bool) "not acknowledged" true
+    (Geo.applied_lsn rw < Geo.tip re);
+  World.restart west primary;
+  Geo.ship_now geo;
+  World.repair_sweep west;
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (m ^ " holds it after the repair") true (holds m))
+    [ primary; other ];
+  Alcotest.(check int) "caught the tip" (Geo.tip re) (Geo.applied_lsn rw)
+
 let suite =
   [
     Alcotest.test_case "ships segments; secondary serves local reads" `Quick
@@ -411,6 +484,10 @@ let suite =
       concurrent_promotion_breaks_tie_by_name;
     Alcotest.test_case "revocation epochs survive failover" `Quick
       revocation_epochs_survive_failover;
+    Alcotest.test_case "geo apply waits for a live owner" `Quick
+      geo_apply_waits_for_a_live_owner;
+    Alcotest.test_case "geo apply waits for the primary" `Quick
+      geo_apply_waits_for_the_primary;
     Alcotest.test_case "wan windows cover both regions" `Quick
       wan_windows_cover_both_regions;
   ]

@@ -130,6 +130,34 @@ let crash_then_restart () =
   | Ok "echo:x" -> ()
   | _ -> Alcotest.fail "restarted endpoint dead"
 
+(* Hedged failover: an unreachable first address is skipped and counted
+   in [net.hedge]; the first answer ends the sweep, even an
+   application-level error, so the third address is never called. *)
+let call_any_hedges_then_stops () =
+  let _, net = fresh () in
+  Network.listen net ~addr:"b:1" (fun _ -> "error:EACCES");
+  Network.listen net ~addr:"c:1" echo;
+  Network.listen net ~addr:"a:1" echo;
+  Network.crash net ~addr:"a:1";
+  let calls addr =
+    match Network.stats net ~addr with Some s -> s.Network.calls | None -> 0
+  in
+  (match Network.call_any net ~addrs:[ "a:1"; "b:1"; "c:1" ] "x" with
+   | Ok (addr, reply) ->
+     Alcotest.(check string) "answered by the live address" "b:1" addr;
+     Alcotest.(check string) "its verdict, not a failover" "error:EACCES" reply
+   | Error e -> Alcotest.fail (Errno.to_string e));
+  Alcotest.(check int) "unreachable address counted" 1
+    (Metrics.counter_value_of (Network.metrics net) "net.hedge");
+  Alcotest.(check int) "sweep ended at the answer" 0 (calls "c:1");
+  (* No address answers: the last transport error; none given: no route. *)
+  (match Network.call_any net ~addrs:[ "a:1"; "nobody:9" ] "x" with
+   | Error Errno.ECONNREFUSED -> ()
+   | _ -> Alcotest.fail "expected ECONNREFUSED");
+  match Network.call_any net ~addrs:[] "x" with
+  | Error Errno.EHOSTUNREACH -> ()
+  | _ -> Alcotest.fail "expected EHOSTUNREACH"
+
 let partition_cuts_then_heals () =
   let clock, net = fresh () in
   Network.listen net ~addr:"a:1" echo;
@@ -195,6 +223,8 @@ let suite =
     Alcotest.test_case "raising handler resets" `Quick raising_handler_becomes_reset;
     Alcotest.test_case "drops deterministic" `Quick drops_deterministic_from_seed;
     Alcotest.test_case "crash and restart" `Quick crash_then_restart;
+    Alcotest.test_case "call_any hedges, then stops at an answer" `Quick
+      call_any_hedges_then_stops;
     Alcotest.test_case "partition heals" `Quick partition_cuts_then_heals;
     Alcotest.test_case "dead timeouts swept" `Quick dead_timeouts_swept;
     Alcotest.test_case "slow handler times out" `Quick slow_handler_times_out;
