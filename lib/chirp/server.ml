@@ -52,6 +52,13 @@ type digest_memo = {
   dg_subdirs : string list;  (* absolute child-directory paths, sorted *)
 }
 
+(* The last [Get] answer sealed for a path: its payload, and the frame
+   that carries it. *)
+type sealed_get = {
+  sg_data : string;
+  sg_frame : string;
+}
+
 (* A logged mutation on its way to [commit]: a client's, parked until
    the next batch flush, or one built by [apply] or [restart].  The
    principal is copied out of the session at admission: the operation
@@ -92,6 +99,8 @@ type t = {
   wal : Wal.t;
   checkpoint_every : int;
   digests : (string, digest_memo) Hashtbl.t;
+  replies : (string, sealed_get) Hashtbl.t;  (* by wire path *)
+  mutable reply_bytes : int;  (* frame bytes [replies] holds *)
   sv_flush_ns : int64;  (* flush delay after the first parked op; 0 = at once *)
   sv_flush_limit : int;  (* max ops drained per batch tick (the drain rate) *)
   pending_q : parked Queue.t;
@@ -109,6 +118,9 @@ type t = {
     (identity:Principal.t -> Protocol.operation -> unit) option;
 }
 
+(* A [Get] reads a file in chunks of this size ([Kernel.read_to_end]). *)
+let read_chunk = 65536
+
 let addr t = t.sv_addr
 let export t = t.sv_export
 let revocations t = t.sv_revocations
@@ -119,6 +131,7 @@ let session_count t = Hashtbl.length t.sessions
 let dedup_size t = Hashtbl.length t.dedup
 let parked_ops t = Queue.length t.pending_q
 let brownout t = t.sv_brownout
+let reply_bytes t = t.reply_bytes
 
 let dedup_entries t =
   Hashtbl.fold (fun rid d acc -> (rid, d.dd_at) :: acc) t.dedup []
@@ -320,7 +333,7 @@ let rec serve_as t caller op =
             match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
             | Error e -> err e
             | Ok (Syscall.Int fd) ->
-              let res = Kernel.read_to_end (delegate t) fd ~chunk:65536 in
+              let res = Kernel.read_to_end (delegate t) fd ~chunk:read_chunk in
               ignore (delegate t (Syscall.Close fd));
               (match res with Ok data -> R_data data | Error e -> err e)
             | Ok _ -> err Errno.EINVAL))
@@ -896,6 +909,43 @@ let commit_one t origin ~identity ~req_id ~at op =
     ];
   Option.get !answer
 
+(* {1 The Get reply table}
+
+   A warm [Get] of an unchanged file reads back the very string its
+   inode kept ({!Inode.read}), and a reply frame is a function of its
+   payload alone.  So the server keeps, per wire path, the last [Get]
+   payload and its sealed frame, and answers a [Get] whose payload is
+   physically that string with that frame: no copy into a fresh frame
+   and no second sum.  Only a payload of at most one [Read] chunk can
+   come back physically equal ([Kernel.read_to_end] joins a longer file
+   into a fresh string), so only those are kept.  The table holds at
+   most [reply_capacity] frame bytes and is emptied when the next frame
+   would pass that, as the dentry cache is emptied when full; a crash
+   empties it.  It is host-side bookkeeping: every simulated charge and
+   every wire byte is the same whichever answers. *)
+
+let reply_capacity = 8 * 1024 * 1024
+
+(* The frame answering a read-only [op] with [r]. *)
+let seal_read t op r =
+  match (op, r) with
+  | Protocol.Get path, Protocol.R_data data when String.length data <= read_chunk ->
+    (match Hashtbl.find_opt t.replies path with
+     | Some s when s.sg_data == data -> s.sg_frame
+     | prior ->
+       let frame = Protocol.encode_response r in
+       (match prior with
+        | Some s -> t.reply_bytes <- t.reply_bytes - String.length s.sg_frame
+        | None -> ());
+       if t.reply_bytes + String.length frame > reply_capacity then begin
+         Hashtbl.clear t.replies;
+         t.reply_bytes <- 0
+       end;
+       Hashtbl.replace t.replies path { sg_data = data; sg_frame = frame };
+       t.reply_bytes <- t.reply_bytes + String.length frame;
+       frame)
+  | _ -> Protocol.encode_response r
+
 let admit t ~reply payload =
   let respond r = reply (Protocol.encode_response r) in
   let now = Kernel.now t.sv_kernel in
@@ -977,14 +1027,14 @@ let admit t ~reply payload =
        let serve () = serve_contained t ~counted:true s.ss_principal op in
        if not mutating then begin
          (* Reads never park: serve at delivery, answer immediately. *)
-         if String.equal req_id "" then respond (serve ())
+         if String.equal req_id "" then reply (seal_read t op (serve ()))
          else
            match recorded t ~now req_id with
            | Some response ->
              metric t "chirp.dedup_hit";
              reply response
            | None ->
-             let encoded = Protocol.encode_response (serve ()) in
+             let encoded = seal_read t op (serve ()) in
              journal t req_id { dd_at = now; dd_response = encoded };
              reply encoded
        end
@@ -1055,6 +1105,8 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       wal = (match wal with Some w -> w | None -> Wal.create ());
       checkpoint_every = max 1 checkpoint_every;
       digests = Hashtbl.create 32;
+      replies = Hashtbl.create 64;
+      reply_bytes = 0;
       sv_flush_ns = Int64.max 0L flush_interval_ns;
       sv_flush_limit = max 1 flush_batch_limit;
       pending_q = Queue.create ();
@@ -1103,6 +1155,8 @@ let crash t =
   Hashtbl.reset t.parked_ids;
   t.flush_armed <- false;
   t.sv_brownout <- false;
+  Hashtbl.reset t.replies;
+  t.reply_bytes <- 0;
   (* The endpoint goes down and the stable-storage device takes its
      seeded crash damage — possibly a torn fragment of a write that was
      in flight (never acknowledged), never a synced byte. *)

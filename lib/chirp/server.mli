@@ -175,6 +175,19 @@ val handle : t -> string -> string
     [Invalid_argument].  For tests and for benchmarks that wrap the
     listener. *)
 
+val reply_capacity : int
+(** The most frame bytes a server's [Get] reply table holds: 8 MiB.
+    The table keeps, per path, the last [Get] payload of at most one
+    64 KB read chunk and the sealed frame that carried it, and answers a
+    [Get] whose payload is physically that string with that frame; a
+    whole read of an unchanged file returns the same string
+    ({!Idbox_vfs.Inode.read}).  It is emptied when the next frame would
+    pass this bound, and by {!crash}.  Simulated charges and wire bytes
+    are the same whichever answers. *)
+
+val reply_bytes : t -> int
+(** Frame bytes the [Get] reply table holds now. *)
+
 (** {1 Replication hooks}
 
     The attachment points for the cluster layer ({!Idbox_cluster}).

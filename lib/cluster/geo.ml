@@ -64,6 +64,7 @@ type region = {
 
 type t = {
   g_net : Network.t;
+  g_counters : Metrics.handles;  (* over the network's registry *)
   g_clock : Clock.t;
   g_ship_interval_ns : int64;
   g_batch_max : int;
@@ -74,7 +75,7 @@ type t = {
 let geo_host name = "geo." ^ name ^ ".grid.edu"
 let geo_addr name = geo_host name ^ ":9098"
 
-let metric t m = Metrics.incr (Metrics.counter (Network.metrics t.g_net) m)
+let metric t m = Metrics.incr (Metrics.handle t.g_counters m)
 let now t = Clock.now t.g_clock
 
 let region_opt t name =
@@ -569,6 +570,7 @@ let link ?(ship_interval_ns = 200_000_000L) ?(batch_max = 64) ~primary net
   let t =
     {
       g_net = net;
+      g_counters = Metrics.handles (Network.metrics net);
       g_clock = clock;
       g_ship_interval_ns = Int64.max 1L ship_interval_ns;
       g_batch_max = max 1 batch_max;

@@ -179,14 +179,16 @@ let remove_node t name =
 let settle t =
   List.iter (fun m -> Replica.refresh_now m.m_replica) t.w_members
 
+(* Only live members take the step: a crashed server sends no
+   heartbeat, membership poll or anti-entropy check. *)
 let tick t =
   List.iter
     (fun m ->
-      if m.m_beating then ignore (Catalog.tick m.m_heartbeat);
-      Replica.tick m.m_replica;
-      (* Anti-entropy rides the same cooperative step, but only on live
-         members: a crashed server neither checks nor answers. *)
-      if m.m_beating then Repair.tick m.m_repair)
+      if m.m_beating then begin
+        ignore (Catalog.tick m.m_heartbeat);
+        Replica.tick m.m_replica;
+        Repair.tick m.m_repair
+      end)
     t.w_members
 
 let members t = List.map (fun m -> m.m_name) t.w_members

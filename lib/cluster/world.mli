@@ -74,11 +74,12 @@ val settle : t -> unit
     wants the nodes to see immediately). *)
 
 val tick : t -> unit
-(** One cooperative step: each beating member ticks its heartbeat, each
-    member's replication node refreshes its view if due, and each live
-    member's anti-entropy loop runs ({!Repair.tick} — pending checks
-    every step, full sweeps on the [repair_interval_ns] cadence and
-    one step after an observed membership change). *)
+(** One cooperative step for each live member: it ticks its heartbeat,
+    its replication node refreshes its view if due, and its
+    anti-entropy loop runs ({!Repair.tick} — pending checks every step,
+    full sweeps on the [repair_interval_ns] cadence and one step after
+    an observed membership change).  A crashed member sends nothing
+    until {!restart}. *)
 
 val members : t -> string list
 (** Member names, sorted. *)

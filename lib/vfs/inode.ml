@@ -17,8 +17,10 @@ type kind =
 type file_store = {
   mutable data : Bytes.t;
   mutable len : int;
-  mutable md5 : Digest.t option;
-      (* Of [data[0, len)]; cleared by every change to those bytes. *)
+  mutable md5 : Digest.t option;  (* of [data[0, len)] *)
+  mutable whole : string option;
+      (* [data[0, len)] as one string, made by the first read of all of
+         it.  [changed] clears both before every change to those bytes. *)
 }
 
 type pipe = {
@@ -87,7 +89,8 @@ let make ~ino ~uid ~mode ~now payload =
     i_mtime = now; i_ctime = now; i_gen = 0; i_acl_gen = 0 }
 
 let make_file ~ino ~uid ~mode ~now =
-  make ~ino ~uid ~mode ~now (File { data = Bytes.create 0; len = 0; md5 = None })
+  make ~ino ~uid ~mode ~now
+    (File { data = Bytes.create 0; len = 0; md5 = None; whole = None })
 
 let make_dir ~ino ~uid ~mode ~now =
   (* nlink for directories is left at 1: the simulation does not count
@@ -142,9 +145,22 @@ let size t =
   | Pipe_end p -> pipe_available p
   | Dir _ | Link _ -> 0
 
+let changed s =
+  s.md5 <- None;
+  s.whole <- None
+
+let whole s =
+  match s.whole with
+  | Some w -> w
+  | None ->
+    let w = Bytes.sub_string s.data 0 s.len in
+    s.whole <- Some w;
+    w
+
 let read t ~off ~len =
   let s = store t "Inode.read" in
   if off >= s.len || len <= 0 then ""
+  else if off = 0 && len >= s.len then whole s
   else Bytes.sub_string s.data off (min len (s.len - off))
 
 let ensure_capacity s wanted =
@@ -159,7 +175,7 @@ let ensure_capacity s wanted =
 let write t ~off data =
   if off < 0 then invalid_arg "Inode.write: negative offset";
   let s = store t "Inode.write" in
-  s.md5 <- None;
+  changed s;
   let n = String.length data in
   ensure_capacity s (off + n);
   if off > s.len then Bytes.fill s.data s.len (off - s.len) '\000';
@@ -170,7 +186,7 @@ let write t ~off data =
 let truncate t ~len =
   if len < 0 then invalid_arg "Inode.truncate: negative length";
   let s = store t "Inode.truncate" in
-  s.md5 <- None;
+  changed s;
   if len <= s.len then s.len <- len
   else begin
     ensure_capacity s len;
@@ -180,11 +196,11 @@ let truncate t ~len =
 
 let contents t =
   let s = store t "Inode.contents" in
-  Bytes.sub_string s.data 0 s.len
+  match s.whole with Some w -> w | None -> Bytes.sub_string s.data 0 s.len
 
 let set_contents t text =
   let s = store t "Inode.set_contents" in
-  s.md5 <- None;
+  changed s;
   let n = String.length text in
   ensure_capacity s n;
   Bytes.blit_string text 0 s.data 0 n;

@@ -88,7 +88,12 @@ val size : t -> int
 val read : t -> off:int -> len:int -> string
 (** [read t ~off ~len] returns up to [len] bytes starting at [off], in
     one copy out of the file; the result is shorter at end-of-file, and
-    empty past it.  Raises [Invalid_argument] on directories. *)
+    empty past it.  A read of the whole file ([off = 0], [len] at least
+    its size) keeps its copy, and later whole reads return that same
+    string ([==]) until the bytes change: {!write}, {!truncate} and
+    {!set_contents}, the only functions that change them, each drop it.
+    A string once returned never changes.  Raises [Invalid_argument] on
+    directories. *)
 
 val write : t -> off:int -> string -> int
 (** [write t ~off data] copies all of [data] into the file at [off] in
@@ -99,7 +104,8 @@ val truncate : t -> len:int -> unit
 (** Shrink or zero-extend a regular file to [len]. *)
 
 val contents : t -> string
-(** The whole contents of a regular file. *)
+(** The whole contents of a regular file: the string a whole {!read}
+    kept, if one is kept, else a fresh copy (which is not kept). *)
 
 val set_contents : t -> string -> unit
 (** Replace a regular file's contents. *)

@@ -17,6 +17,9 @@ module Rights = Idbox_acl.Rights
 module Subject = Idbox_identity.Subject
 module Errno = Idbox_vfs.Errno
 module Fs = Idbox_vfs.Fs
+module Fault = Idbox_net.Fault
+module World = Idbox_cluster.World
+module Router = Idbox_cluster.Router
 
 let errno = Alcotest.testable Errno.pp Errno.equal
 
@@ -633,6 +636,173 @@ let multi_chunk_and_empty_get () =
         calls)
     [ 150_000; 0 ]
 
+(* {1 The Get path: one copy per warm read}
+
+   A warm [Get] of an unchanged file copies its bytes once, at the
+   client: the inode hands back the string its last whole read kept,
+   and the server answers with the frame it sealed around that string
+   the first time. *)
+
+(* Each of 20 warm [Router.get]s of an unchanged 64 KB file allocates
+   under 1.5 payloads of major-heap words: the client's copy out of the
+   frame, and no copy out of the inode or into a fresh frame. *)
+let warm_get_copies_once () =
+  let w = World.create () in
+  (match World.add_node w ~host:"alpha.grid.edu" with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  World.settle w;
+  let r =
+    match World.connect w ~credentials:[ World.issue w "Alice" ] with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let data = String.init 65536 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  ok "mkdir" (Router.mkdir r "/bulk");
+  ok "put" (Router.put r ~path:"/bulk/f" ~data);
+  for _ = 1 to 2 do
+    ignore (ok "warm-up get" (Router.get r "/bulk/f"))
+  done;
+  let payload_words = float_of_int (String.length data / (Sys.word_size / 8)) in
+  for i = 1 to 20 do
+    let _, _, major0 = Gc.counters () in
+    let got = ok "get" (Router.get r "/bulk/f") in
+    let _, _, major1 = Gc.counters () in
+    Alcotest.(check bool) "bytes exact" true (String.equal got data);
+    let payloads = (major1 -. major0) /. payload_words in
+    if payloads >= 1.5 then
+      Alcotest.failf "get %d allocated %.0f major-heap words, %.2f payloads" i
+        (major1 -. major0) payloads
+  done
+
+(* Every way a file's bytes change is seen by the next [Get]: a put, a
+   rename over it, a remote job writing it, and a crash and restart
+   (the put before it replayed from the log).  Every version has the
+   same length, so only the bytes tell them apart. *)
+let get_sees_every_change () =
+  Kernel.with_fresh_programs (fun () ->
+      let w = make_world () in
+      Program.register "writer" (fun _ ->
+          match Libc.write_file "f" ~contents:"version 4" with
+          | Ok () -> 0
+          | Error _ -> 1);
+      let c = connect_fred w in
+      let expect what want =
+        for _ = 1 to 2 do
+          Alcotest.(check string) what want (ok "get" (Client.get c "/d/f"))
+        done
+      in
+      ok "mkdir" (Client.mkdir c "/d");
+      ok "put" (Client.put c ~path:"/d/f" ~data:"version 1");
+      expect "first bytes" "version 1";
+      ok "put again" (Client.put c ~path:"/d/f" ~data:"version 2");
+      expect "after a put" "version 2";
+      ok "put other" (Client.put c ~path:"/d/g" ~data:"version 3");
+      ok "rename" (Client.rename c ~src:"/d/g" ~dst:"/d/f");
+      expect "after a rename over it" "version 3";
+      ok "stage" (Client.put c ~path:"/d/writer.exe" ~data:(Program.marker "writer"));
+      Alcotest.(check int) "job exit" 0
+        (ok "exec" (Client.exec c ~path:"/d/writer.exe" ~args:[ "writer.exe" ] ()));
+      expect "after the job wrote it" "version 4";
+      ok "put before the crash" (Client.put c ~path:"/d/f" ~data:"version 5");
+      Server.crash w.server;
+      Server.restart w.server;
+      Alcotest.(check int) "the crash emptied the reply table" 0 (Server.reply_bytes w.server);
+      expect "after a crash and restart" "version 5")
+
+(* The same [Get] of an unchanged file, handled twice, is answered with
+   the same frame; after a put, with a new one carrying the new bytes. *)
+let same_get_same_frame () =
+  let w = make_world () in
+  let c = connect_fred w in
+  ok "mkdir" (Client.mkdir c "/d");
+  ok "put" (Client.put c ~path:"/d/f" ~data:"v1");
+  let cert = Ca.issue w.ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred") in
+  let token =
+    match
+      Protocol.decode_response
+        (Server.handle w.server (Protocol.encode_request (Protocol.Auth [ Credential.Gsi cert ])))
+    with
+    | Ok (Protocol.R_auth { token; _ }) -> token
+    | Ok _ | Error _ -> Alcotest.fail "auth"
+  in
+  let get =
+    Protocol.encode_request (Protocol.Op { token; req_id = ""; op = Protocol.Get "/d/f" })
+  in
+  let data frame =
+    match Protocol.decode_response frame with
+    | Ok (Protocol.R_data d) -> d
+    | Ok _ | Error _ -> Alcotest.fail "not a data reply"
+  in
+  let a = Server.handle w.server get in
+  let b = Server.handle w.server get in
+  Alcotest.(check bool) "the same frame" true (a == b);
+  Alcotest.(check string) "carrying the file" "v1" (data b);
+  ok "put" (Client.put c ~path:"/d/f" ~data:"v2");
+  let c2 = Server.handle w.server get in
+  Alcotest.(check bool) "a new frame after a put" false (c2 == b);
+  Alcotest.(check string) "carrying the new bytes" "v2" (data c2);
+  Alcotest.(check bool) "and kept" true (Server.handle w.server get == c2)
+
+(* Damage in flight is the network's own copy: under a corrupting fault
+   profile on the server's address every [Get] still returns the file
+   after retries, and once the network is calm the server's kept frame
+   still decodes to it. *)
+let corrupted_gets_leave_the_frame_whole () =
+  let w = make_world () in
+  let cert = Ca.issue w.ca (Subject.of_string_exn "/O=UnivNowhere/CN=Fred") in
+  let c =
+    match
+      Client.connect w.net ~addr:"alpha.grid.edu:9094"
+        ~policy:{ Client.default_policy with max_attempts = 16; retry_budget = 1000 }
+        ~credentials:[ Credential.Gsi cert ]
+    with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let data = String.init 4000 (fun i -> Char.chr (i land 0xff)) in
+  ok "mkdir" (Client.mkdir c "/d");
+  ok "put" (Client.put c ~path:"/d/f" ~data);
+  Alcotest.(check bool) "calm get" true (String.equal data (ok "get" (Client.get c "/d/f")));
+  Network.set_fault_plan w.net
+    (Fault.plan ~seed:27L
+       ~per_endpoint:[ ("alpha.grid.edu:9094", Fault.profile ~corrupt:0.3 ()) ]
+       ());
+  let corrupt () =
+    Idbox_kernel.Metrics.counter_value_of (Network.metrics w.net) "net.corrupt"
+  in
+  let before = corrupt () in
+  for _ = 1 to 20 do
+    Alcotest.(check bool) "get under corruption" true
+      (String.equal data (ok "get" (Client.get c "/d/f")))
+  done;
+  Alcotest.(check bool) "frames were damaged" true (corrupt () > before);
+  Alcotest.(check bool) "and retried" true (Client.retries c > 0);
+  Network.clear_fault_plan w.net;
+  Alcotest.(check bool) "calm get afterwards" true
+    (String.equal data (ok "get" (Client.get c "/d/f")))
+
+(* Distinct files whose frames add up past [Server.reply_capacity]: the
+   table never holds more than that, and was emptied on the way. *)
+let reply_table_bounded () =
+  let w = make_world () in
+  let c = connect_fred w in
+  ok "mkdir" (Client.mkdir c "/d");
+  let data = String.make 65536 'x' in
+  let files = (Server.reply_capacity / String.length data) + 8 in
+  let most = ref 0 and emptied = ref false in
+  for i = 1 to files do
+    let path = Printf.sprintf "/d/f%d" i in
+    ok "put" (Client.put c ~path ~data);
+    let before = Server.reply_bytes w.server in
+    ignore (ok "get" (Client.get c path));
+    let after = Server.reply_bytes w.server in
+    if after < before then emptied := true;
+    most := max !most after
+  done;
+  Alcotest.(check bool) "within the bound" true (!most <= Server.reply_capacity);
+  Alcotest.(check bool) "emptied when full" true !emptied
+
 (* The wire decoder accepts a delegated mutation, so the server's list
    of delegable operations is the only guard: under a valid chain every
    mutation answers EINVAL and changes nothing, while every read-only
@@ -736,4 +906,10 @@ let suite =
     Alcotest.test_case "lease serves and flushes" `Quick lease_serves_and_flushes;
     Alcotest.test_case "multi-chunk and empty get" `Quick multi_chunk_and_empty_get;
     Alcotest.test_case "delegated mutations refused" `Quick delegated_mutations_refused;
+    Alcotest.test_case "warm get copies once" `Quick warm_get_copies_once;
+    Alcotest.test_case "get sees every change" `Quick get_sees_every_change;
+    Alcotest.test_case "same get, same frame" `Quick same_get_same_frame;
+    Alcotest.test_case "corrupted gets leave the frame whole" `Quick
+      corrupted_gets_leave_the_frame_whole;
+    Alcotest.test_case "reply table bounded" `Quick reply_table_bounded;
   ]

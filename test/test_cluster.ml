@@ -17,6 +17,7 @@ module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
 module Ring = Idbox_cluster.Ring
 module Replica = Idbox_cluster.Replica
+module Membership = Idbox_cluster.Membership
 module Shard = Idbox_cluster.Shard
 module Router = Idbox_cluster.Router
 module World = Idbox_cluster.World
@@ -565,6 +566,40 @@ let crashed_member_takes_no_forwards () =
   World.repair_sweep w;
   Alcotest.(check bool) "repaired after the restart" true (holds ())
 
+(* A crashed member sends nothing: no heartbeat, no anti-entropy check
+   and no membership poll.  Gamma is crashed and cut from the catalog,
+   and ten 6 s steps, each past the replica's 5 s refresh interval, drop
+   no message from it.  Beta leaves meanwhile; gamma's first step after
+   its restart polls the catalog and drops beta from its view. *)
+let crashed_member_stops_polling () =
+  let w = three_node_world () in
+  World.crash w "gamma";
+  let now = Clock.now (World.clock w) in
+  Network.set_fault_plan (World.net w)
+    (Fault.plan
+       ~partitions:
+         [
+           Fault.window ~from_ns:now ~until_ns:(Int64.add now 60_000_000_000L)
+             ~between:("gamma.grid.edu", Fault.host_of (World.catalog_addr w));
+         ]
+       ());
+  let cut = counter w "net.partition" in
+  (match World.remove_node w "beta" with Ok () -> () | Error m -> Alcotest.fail m);
+  for _ = 1 to 10 do
+    Clock.advance (World.clock w) 6_000_000_000L;
+    World.tick w
+  done;
+  Alcotest.(check int) "nothing sent from the crashed member" cut
+    (counter w "net.partition");
+  let view () = Membership.names (Replica.membership (World.replica w "gamma")) in
+  Alcotest.(check (list string)) "the view it crashed with"
+    [ "alpha"; "beta"; "gamma" ] (view ());
+  Clock.advance (World.clock w) 1_000_000_000L;
+  World.restart w "gamma";
+  World.tick w;
+  Alcotest.(check (list string)) "refreshed by the first step after the restart"
+    [ "alpha"; "gamma" ] (view ())
+
 (* A repair names a shard key.  [""] would name the whole export, and an
    exact install there would delete every other shard on the member. *)
 let repair_names_a_shard_key () =
@@ -627,6 +662,8 @@ let suite =
       delayed_primary_still_answers;
     Alcotest.test_case "failover read does not wait for its hint" `Quick
       failover_read_does_not_wait_for_hint;
+    Alcotest.test_case "crashed member stops polling its catalog" `Quick
+      crashed_member_stops_polling;
     Alcotest.test_case "crashed member takes no forwards" `Quick
       crashed_member_takes_no_forwards;
     Alcotest.test_case "a repair names a shard key" `Quick

@@ -362,46 +362,67 @@ let warm_check_zero_registry_lookups () =
    session and a lease are warm, neither the network's registry nor the
    members' kernel registry sees a by-name lookup, whether the read is
    served from the client's lease ([stat]) or crosses the network to a
-   server and its enforcement engine ([get]). *)
+   server and its enforcement engine ([get]), and whether it goes
+   straight to a [Router] or through a secondary region's [Geo] reader
+   within its staleness bound. *)
 let warm_chirp_reads_zero_registry_lookups () =
   let module Kernel = Idbox_kernel.Kernel in
   let module Network = Idbox_net.Network in
   let module World = Idbox_cluster.World in
   let module Router = Idbox_cluster.Router in
+  let module Geo = Idbox_cluster.Geo in
   let ok what = function
     | Ok v -> v
     | Error e -> Alcotest.failf "%s: %s" what (Idbox_vfs.Errno.to_string e)
   in
-  let w = World.create () in
-  List.iter
-    (fun host ->
-      match World.add_node w ~host with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
-    [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ];
-  World.settle w;
-  let r =
-    match World.connect w ~credentials:[ World.issue w "Alice" ] with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
+  let okm = function Ok v -> v | Error m -> Alcotest.fail m in
+  let net = Network.create ~clock:(Idbox_kernel.Clock.create ()) () in
+  let ca = Idbox_auth.Ca.create ~name:"Grid CA" in
+  let region name hosts =
+    let w =
+      World.create ~net ~ca ~catalog_addr:("catalog." ^ name ^ ".grid.edu:9097") ()
+    in
+    List.iter (fun host -> okm (World.add_node w ~host)) hosts;
+    World.settle w;
+    w
   in
+  let east = region "east" [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ] in
+  let west = region "west" [ "wa.grid.edu"; "wb.grid.edu" ] in
+  let geo = Geo.link ~primary:"east" net [ ("east", east); ("west", west) ] in
+  let r = okm (World.connect east ~credentials:[ World.issue east "Alice" ]) in
   ok "mkdir" (Router.mkdir r "/d");
   ok "put" (Router.put r ~path:"/d/f" ~data:"contents");
+  Geo.ship_now geo;
+  let g =
+    okm
+      (Geo.connect geo ~region:"west" ~credentials:[ World.issue west "Alice" ]
+         ~policy:Geo.Stale ~bound_ns:60_000_000_000L ())
+  in
   let read () =
     ignore (ok "stat" (Router.stat r "/d/f"));
-    Alcotest.(check string) "get" "contents" (ok "get" (Router.get r "/d/f"))
+    Alcotest.(check string) "get" "contents" (ok "get" (Router.get r "/d/f"));
+    ignore (ok "geo stat" (Geo.stat g "/d/f"));
+    Alcotest.(check string) "geo get" "contents" (ok "geo get" (Geo.get g "/d/f"))
   in
   (* The first read takes the lease and the second hits it: every
      counter the loop touches has been counted once. *)
   read ();
   read ();
-  let registries = [ Network.metrics (World.net w); Kernel.metrics (World.kernel w) ] in
+  let registries =
+    [ Network.metrics net; Kernel.metrics (World.kernel east);
+      Kernel.metrics (World.kernel west) ]
+  in
+  let local () = Metrics.counter_value_of (Network.metrics net) "cluster.geo.read.local" in
+  let local0 = local () in
   let before = List.map Metrics.lookups registries in
   for _ = 1 to 100 do
     read ()
   done;
-  Alcotest.(check (list int)) "zero registry lookups across 100 warm stat + get"
-    before (List.map Metrics.lookups registries)
+  let after = List.map Metrics.lookups registries in
+  Alcotest.(check int) "every geo read served in the secondary region" 200
+    (local () - local0);
+  Alcotest.(check (list int)) "zero registry lookups across 100 warm stat + get, direct and geo"
+    before after
 
 let suite =
   [

@@ -488,6 +488,163 @@ let digest_memo_never_stale () =
     seeds;
   require_seen "changed a digest by" (List.of_seq (Hashtbl.to_seq changed))
 
+(* A regular file keeps its whole contents as one string from the first
+   read of all of it until its bytes change.  Over seeded sequences of
+   operations on one file — whole reads, reads of random ranges (offset
+   0 included), writes at random offsets (past the end too, where the
+   hole must read as zeros), [O_TRUNC] opens, truncates down and up,
+   [set_contents], [contents] and [digest] — the file equals a plain
+   [Bytes] model after every step, and three rules hold: two whole reads
+   with no change between them return the same string ([==]); no later
+   change alters a string an earlier read returned; and the next whole
+   read after a change returns the new bytes. *)
+let contents_memo_matches_model () =
+  let seen = Hashtbl.create 16 in
+  let saw what = Hashtbl.replace seen what true in
+  List.iter
+    (fun what -> Hashtbl.replace seen what false)
+    [ "a repeated whole read shared"; "a hole read as zeros"; "contents shared the kept string";
+      "a whole read after a change" ];
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x3e30 |] in
+      let fs = Fs.create () in
+      let path = "/f" in
+      ignore (Fs.write_file fs ~uid:0 path "");
+      let inode =
+        match Fs.resolve fs ~uid:0 path with Ok i -> i | Error _ -> Alcotest.fail "resolve /f"
+      in
+      let model = ref Bytes.empty in
+      let kept = ref None in  (* the last whole read, while nothing changed *)
+      let returned = ref [] in  (* earlier results, each with its own copy *)
+      let remember got =
+        returned := (got, String.init (String.length got) (String.get got)) :: !returned;
+        if List.length !returned > 32 then
+          returned := List.filteri (fun i _ -> i < 32) !returned
+      in
+      let fail step what fmt =
+        Printf.ksprintf (fun m -> Alcotest.failf "seed %d step %d (%s): %s" seed step what m) fmt
+      in
+      let data () =
+        String.init (Random.State.int rng 24) (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      let changed = ref false in
+      let change () =
+        kept := None;
+        changed := true
+      in
+      let size () = Bytes.length !model in
+      let set_len n =
+        let b = Bytes.make n '\000' in
+        Bytes.blit !model 0 b 0 (min n (size ()));
+        model := b
+      in
+      for step = 1 to 400 do
+        let what =
+          match Random.State.int rng 9 with
+          | 0 | 1 ->
+            let got = Inode.read inode ~off:0 ~len:(size () + Random.State.int rng 4) in
+            if not (String.equal got (Bytes.to_string !model)) then
+              fail step "whole read" "got %S, model %S" got (Bytes.to_string !model);
+            (match !kept with
+             | Some k when size () > 0 ->
+               if not (got == k) then fail step "whole read" "a second copy of unchanged bytes";
+               saw "a repeated whole read shared"
+             | Some _ | None -> ());
+            kept := Some got;
+            remember got;
+            "whole read"
+          | 2 ->
+            let off = Random.State.int rng (size () + 4) and len = Random.State.int rng (size () + 4) in
+            let got = Inode.read inode ~off ~len in
+            let want =
+              if off >= size () then "" else Bytes.sub_string !model off (min len (size () - off))
+            in
+            if not (String.equal got want) then
+              fail step "range read" "[%d, +%d): got %S, want %S" off len got want;
+            remember got;
+            "range read"
+          | 3 ->
+            let off = Random.State.int rng (size () + 12) and d = data () in
+            let n = Inode.write inode ~off d in
+            if n <> String.length d then fail step "write" "wrote %d of %d" n (String.length d);
+            if off > size () && String.length d > 0 then saw "a hole read as zeros";
+            if off + String.length d > size () then set_len (off + String.length d);
+            Bytes.blit_string d 0 !model off (String.length d);
+            change ();
+            "write"
+          | 4 ->
+            (match
+               Fs.open_file fs ~uid:0 ~flags:{ Fs.rdonly with rd = false; wr = true; trunc = true }
+                 ~mode:0 path
+             with
+             | Ok _ -> ()
+             | Error e -> fail step "O_TRUNC open" "%s" (Errno.to_string e));
+            model := Bytes.empty;
+            change ();
+            "O_TRUNC open"
+          | 5 ->
+            let len = Random.State.int rng (size () + 16) in
+            Inode.truncate inode ~len;
+            set_len len;
+            change ();
+            if len > 0 then "truncate up or down" else "truncate to zero"
+          | 6 ->
+            let d = data () in
+            Inode.set_contents inode d;
+            model := Bytes.of_string d;
+            change ();
+            "set_contents"
+          | 7 ->
+            let got = Inode.contents inode in
+            if not (String.equal got (Bytes.to_string !model)) then
+              fail step "contents" "got %S, model %S" got (Bytes.to_string !model);
+            (match !kept with
+             | Some k when size () > 0 ->
+               if not (got == k) then fail step "contents" "a copy of the kept string";
+               saw "contents shared the kept string"
+             | Some _ | None -> ());
+            remember got;
+            "contents"
+          | _ ->
+            let got = Inode.digest inode and want = Digest.bytes !model in
+            if not (String.equal got want) then
+              fail step "digest" "%s, model %s" (Digest.to_hex got) (Digest.to_hex want);
+            "digest"
+        in
+        if Inode.size inode <> size () then
+          fail step what "size %d, model %d" (Inode.size inode) (size ());
+        (* Check the whole file after every step: on about half the
+           steps by a whole read, which keeps its string as any would
+           (after a change it is the next whole read), else in two
+           pieces, so [contents] also meets a file with no kept
+           string. *)
+        let n = size () in
+        let file =
+          if n > 0 && Random.State.bool rng then begin
+            let whole = Inode.read inode ~off:0 ~len:n in
+            (match !kept with
+             | Some k when not (whole == k) -> fail step what "a second copy of unchanged bytes"
+             | Some _ | None -> ());
+            if !changed then saw "a whole read after a change";
+            changed := false;
+            kept := Some whole;
+            whole
+          end
+          else if n > 0 then Inode.read inode ~off:0 ~len:(n - 1) ^ Inode.read inode ~off:(n - 1) ~len:1
+          else Inode.read inode ~off:0 ~len:1
+        in
+        if not (String.equal file (Bytes.to_string !model)) then
+          fail step what "file %S, model %S" file (Bytes.to_string !model);
+        List.iter
+          (fun (got, copy) ->
+            if not (String.equal got copy) then
+              fail step what "an earlier result changed from %S to %S" copy got)
+          !returned
+      done)
+    seeds;
+  require_seen "showed" (List.of_seq (Hashtbl.to_seq seen))
+
 (* A directory keeps its sorted listing until an entry is added or
    removed.  Over a seeded storm of creates, unlinks, renames (within a
    directory and across two), mkdirs, rmdirs, hard links and symlinks,
@@ -673,6 +830,8 @@ let suite =
     Alcotest.test_case "canonicaliser matches root walk" `Quick
       canonicaliser_matches_root_walk;
     Alcotest.test_case "file digest memo never stale" `Quick digest_memo_never_stale;
+    Alcotest.test_case "whole-contents memo matches a Bytes model" `Quick
+      contents_memo_matches_model;
     Alcotest.test_case "directory listing tracks its entries" `Quick listing_tracks_entries;
     Alcotest.test_case "dentry cache matches the scan" `Quick dentry_cache_matches_scan;
     Alcotest.test_case "dentry cache stays within its bound" `Quick dentry_cache_bounded;
